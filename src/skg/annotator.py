@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .canonical import render_number, render_record
@@ -31,7 +31,10 @@ from .graph_core import (
     NodeKey,
     Prop,
     Provenance,
+    key_from_record,
+    node_record,
     parse_node_key,
+    props_from_record,
     upsert_edge,
     upsert_node,
     with_edge_pending,
@@ -377,14 +380,11 @@ def compile_seo(
                     },
                 )
                 b.edge("REQUIRES_EVIDENCE", pm_key, ei_key)
-                if ei.sourced_from_subgraph is not None:
+                source = ei.sourced_from
+                if source is not None:
                     wf = b.node(
-                        NodeKey(
-                            ei.sourced_from_subgraph,
-                            "AssayWorkflow",
-                            ei.sourced_from_workflow_id,
-                        ),
-                        _named_stub(ei.sourced_from_workflow_id),
+                        NodeKey(source.subgraph, "AssayWorkflow", source.workflow_id),
+                        _named_stub(source.workflow_id),
                         stub=True,
                     )
                     b.edge("SOURCED_FROM", ei_key, wf)
@@ -445,52 +445,32 @@ def compile_seo(
 # -- plan serialization -------------------------------------------------
 
 
-def _prop_jsonable(prop: Prop) -> dict:
-    value = list(prop.value) if isinstance(prop.value, tuple) else prop.value
-    return {"provenance": prop.provenance.value, "value": value}
+def _edge_record(stmt: EdgeStatement, kind: str) -> dict:
+    return {
+        "kind": kind,
+        "edge_type": stmt.edge_type,
+        "src": stmt.src.to_text(),
+        "dst": stmt.dst.to_text(),
+    }
+
+
+def _edge_from_record(record: dict, pending: bool) -> EdgeStatement:
+    return EdgeStatement(
+        record["edge_type"],
+        parse_node_key(record["src"]),
+        parse_node_key(record["dst"]),
+        pending=pending,
+    )
 
 
 def plan_to_jsonable(plan: MergePlan) -> dict:
-    statements: list[dict] = []
-    for stmt in plan.nodes:
-        statements.append(
-            {
-                "kind": "node",
-                "subgraph": stmt.key.subgraph,
-                "label": stmt.key.label,
-                "id": stmt.key.id,
-                "properties": {n: _prop_jsonable(p) for n, p in stmt.properties.items()},
-            }
-        )
-    for stmt in plan.edges:
-        statements.append(
-            {
-                "kind": "edge",
-                "edge_type": stmt.edge_type,
-                "src": stmt.src.to_text(),
-                "dst": stmt.dst.to_text(),
-            }
-        )
     return {
         "kind": PLAN_KIND,
         "version": PLAN_VERSION,
-        "provenance": {
-            "doc_sha256": plan.provenance.doc_sha256,
-            "source_scientist": plan.provenance.source_scientist,
-            "session_mode": plan.provenance.session_mode,
-            "subgraph": plan.provenance.subgraph,
-            "registry_version": plan.provenance.registry_version,
-        },
-        "statements": statements,
-        "pending_edges": [
-            {
-                "kind": "pending_edge",
-                "edge_type": stmt.edge_type,
-                "src": stmt.src.to_text(),
-                "dst": stmt.dst.to_text(),
-            }
-            for stmt in plan.pending_edges
-        ],
+        "provenance": asdict(plan.provenance),
+        "statements": [node_record(stmt.key, stmt.properties) for stmt in plan.nodes]
+        + [_edge_record(stmt, "edge") for stmt in plan.edges],
+        "pending_edges": [_edge_record(stmt, "pending_edge") for stmt in plan.pending_edges],
     }
 
 
@@ -503,7 +483,14 @@ def _reject_plan_constant(literal: str):
 
 
 def load_plan(data: bytes | str) -> MergePlan:
-    """Rebuild a plan from its canonical JSON; inverse of plan_to_bytes."""
+    """Rebuild a plan from its canonical JSON; inverse of plan_to_bytes.
+
+    Raises:
+        ValueError: not a merge plan of this version, or an unknown
+            statement kind.
+        RegistryMismatch: a node statement has a malformed key or
+            property record.
+    """
     raw = json.loads(
         data if isinstance(data, str) else data.decode("utf-8"),
         parse_constant=_reject_plan_constant,
@@ -515,36 +502,16 @@ def load_plan(data: bytes | str) -> MergePlan:
     prov = raw["provenance"]
     nodes: list[NodeStatement] = []
     edges: list[EdgeStatement] = []
-    for record in raw["statements"]:
+    for i, record in enumerate(raw["statements"]):
         if record["kind"] == "node":
-            key = NodeKey(record["subgraph"], record["label"], record["id"])
-            props = {
-                name: Prop(
-                    tuple(rec["value"]) if isinstance(rec["value"], list) else rec["value"],
-                    Provenance(rec["provenance"]),
-                )
-                for name, rec in record["properties"].items()
-            }
-            nodes.append(NodeStatement(key, props))
+            where = f"statements[{i}]"
+            props = props_from_record(record.get("properties"), where)
+            nodes.append(NodeStatement(key_from_record(record, where), props))
         elif record["kind"] == "edge":
-            edges.append(
-                EdgeStatement(
-                    record["edge_type"],
-                    parse_node_key(record["src"]),
-                    parse_node_key(record["dst"]),
-                )
-            )
+            edges.append(_edge_from_record(record, pending=False))
         else:
             raise ValueError(f"unknown statement kind {record['kind']!r}")
-    pending = tuple(
-        EdgeStatement(
-            rec["edge_type"],
-            parse_node_key(rec["src"]),
-            parse_node_key(rec["dst"]),
-            pending=True,
-        )
-        for rec in raw["pending_edges"]
-    )
+    pending = tuple(_edge_from_record(rec, pending=True) for rec in raw["pending_edges"])
     return MergePlan(
         provenance=PlanProvenance(
             doc_sha256=prov["doc_sha256"],

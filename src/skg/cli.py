@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import hashlib
 import json
 import os
 import sys
@@ -239,10 +240,22 @@ def cmd_schema(args) -> int:
 
 
 def cmd_hash(args) -> int:
-    graph = _load(args.graph)
+    store = Path(args.graph)
+    with _store_lock(store, exclusive=False):
+        graph = load_store(store, builtin_registry())
+        data = store.read_bytes() if args.verify else b""
     digest = graph_hash(graph)
     if args.verify:
-        sidecar = digest_path(Path(args.graph))
+        # the loader merges what it reads, so a store with duplicate or
+        # reordered records still yields the canonical digest
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != digest:
+            print(
+                f"store is not canonical: file sha256 {actual}, canonical {digest}",
+                file=sys.stderr,
+            )
+            return EXIT_INVARIANT
+        sidecar = digest_path(store)
         recorded = sidecar.read_text(encoding="utf-8").split()[0]
         if recorded != digest:
             print(f"digest mismatch: sidecar {recorded}, computed {digest}", file=sys.stderr)

@@ -397,19 +397,59 @@ def neighbors(
 # -- canonical serialization ------------------------------------------
 
 
-def _prop_record(properties: Mapping[str, Prop]) -> dict:
+def key_record(key: NodeKey) -> dict:
+    return {"subgraph": key.subgraph, "label": key.label, "id": key.id}
+
+
+def key_from_record(record: object, where: str) -> NodeKey:
+    """Inverse of ``key_record``; other members of ``record`` are ignored.
+
+    Raises:
+        RegistryMismatch: not an object with text subgraph, label and id.
+    """
+    if isinstance(record, dict):
+        parts = [record.get("subgraph"), record.get("label"), record.get("id")]
+        if all(isinstance(part, str) for part in parts):
+            return NodeKey(*parts)
+    raise RegistryMismatch(f"{where}: malformed node key")
+
+
+def props_record(properties: Mapping[str, Prop]) -> dict:
+    """Property map as ``{name: {"provenance", "value"}}``, text lists as JSON arrays."""
     return {
-        name: {"provenance": prop.provenance.value, "value": _jsonable(prop.value)}
+        name: {
+            "provenance": prop.provenance.value,
+            "value": list(prop.value) if isinstance(prop.value, tuple) else prop.value,
+        }
         for name, prop in properties.items()
     }
 
 
-def _jsonable(value: object) -> object:
-    return list(value) if isinstance(value, tuple) else value
+def props_from_record(record: object, where: str) -> dict[str, Prop]:
+    """Inverse of ``props_record``.
+
+    Raises:
+        RegistryMismatch: not an object, or a property record in it has
+            the wrong members, an unknown provenance or an unsupported value.
+    """
+    if not isinstance(record, dict):
+        raise RegistryMismatch(f"{where}: malformed properties")
+    props = {}
+    for name, prop in record.items():
+        if not isinstance(prop, dict) or set(prop) != {"provenance", "value"}:
+            raise RegistryMismatch(f"{where}: malformed property record for {name}")
+        try:
+            props[name] = Prop(prop["value"], Provenance(prop["provenance"]))
+        except (TypeError, ValueError) as exc:
+            raise RegistryMismatch(
+                f"{where}: malformed property record for {name}: {exc}"
+            ) from None
+    return props
 
 
-def _key_record(key: NodeKey) -> dict:
-    return {"subgraph": key.subgraph, "label": key.label, "id": key.id}
+def node_record(key: NodeKey, properties: Mapping[str, Prop]) -> dict:
+    """A node as stores and merge plans both write it."""
+    return {"kind": "node", **key_record(key), "properties": props_record(properties)}
 
 
 def canonical_serialize(graph: Graph) -> bytes:
@@ -430,9 +470,7 @@ def canonical_serialize(graph: Graph) -> bytes:
         )
     ]
     for node in graph.nodes():
-        record = {"kind": "node", "properties": _prop_record(node.properties)}
-        record.update(_key_record(node.key))
-        lines.append(render_record(record))
+        lines.append(render_record(node_record(node.key, node.properties)))
     approved = [e for e in graph.edges() if not e.pending]
     pending = graph.pending_edges()
     for kind, group in (("edge", approved), ("pending_edge", pending)):
@@ -442,9 +480,9 @@ def canonical_serialize(graph: Graph) -> bytes:
                     {
                         "kind": kind,
                         "edge_type": edge.edge_type,
-                        "src": _key_record(edge.src),
-                        "dst": _key_record(edge.dst),
-                        "properties": _prop_record(edge.properties),
+                        "src": key_record(edge.src),
+                        "dst": key_record(edge.dst),
+                        "properties": props_record(edge.properties),
                     }
                 )
             )
@@ -477,33 +515,36 @@ def save_store(graph: Graph, path: Path | str) -> str:
     return digest
 
 
-def _prop_from_record(name: str, record: object, where: str) -> Prop:
-    if not isinstance(record, dict) or set(record) != {"provenance", "value"}:
-        raise RegistryMismatch(f"{where}: malformed property record for {name}")
-    value = record["value"]
-    if isinstance(value, list):
-        value = tuple(value)
-    return Prop(value, Provenance(record["provenance"]))
-
-
 def _reject_store_constant(literal: str):
     raise ValueError(f"non-finite number literal: {literal}")
+
+
+def _decode_line(line: str, where: str) -> object:
+    try:
+        return json.loads(line, parse_constant=_reject_store_constant)
+    except json.JSONDecodeError as exc:
+        raise RegistryMismatch(f"{where}: {exc.msg} at column {exc.colno}") from None
 
 
 def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     """Load a store file, re-enforcing referential integrity via upserts.
 
     Raises:
-        RegistryMismatch: header registry_version differs from ``registry``.
+        RegistryMismatch: header registry_version differs from ``registry``,
+            or a line is not a well-formed record.
         DanglingEdge: an edge record references an absent node.
     """
     path = Path(path)
     graph = Graph(registry)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    text = path.read_text(encoding="utf-8")
+    if not text:
         raise RegistryMismatch(f"{path}: empty store file")
-    header = json.loads(lines[0], parse_constant=_reject_store_constant)
-    if header.get("kind") != "header" or header.get("format") != FORMAT_NAME:
+    # records end at "\n" only: text values may hold U+0085 or U+2028,
+    # which canonical rendering leaves unescaped and splitlines() breaks on
+    lines = text.split("\n")
+    header = _decode_line(lines[0], f"{path}:1")
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind != "header" or header.get("format") != FORMAT_NAME:
         raise RegistryMismatch(f"{path}: missing store header")
     if header.get("registry_version") != registry.version:
         raise RegistryMismatch(
@@ -513,26 +554,21 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        record = json.loads(line, parse_constant=_reject_store_constant)
-        kind = record.get("kind")
         where = f"{path}:{i}"
+        record = _decode_line(line, where)
+        kind = record.get("kind") if isinstance(record, dict) else None
         if kind == "node":
-            key = NodeKey(record["subgraph"], record["label"], record["id"])
-            props = {
-                name: _prop_from_record(name, rec, where)
-                for name, rec in record.get("properties", {}).items()
-            }
-            graph = upsert_node(graph, Node(key, props))
+            props = props_from_record(record.get("properties"), where)
+            graph = upsert_node(graph, Node(key_from_record(record, where), props))
         elif kind in ("edge", "pending_edge"):
-            src = NodeKey(**record["src"])
-            dst = NodeKey(**record["dst"])
-            props = {
-                name: _prop_from_record(name, rec, where)
-                for name, rec in record.get("properties", {}).items()
-            }
+            edge_type = record.get("edge_type")
+            if not isinstance(edge_type, str):
+                raise RegistryMismatch(f"{where}: malformed edge_type")
+            src = key_from_record(record.get("src"), f"{where}: src")
+            dst = key_from_record(record.get("dst"), f"{where}: dst")
+            props = props_from_record(record.get("properties"), where)
             graph = upsert_edge(
-                graph,
-                Edge(record["edge_type"], src, dst, props, pending=kind == "pending_edge"),
+                graph, Edge(edge_type, src, dst, props, pending=kind == "pending_edge")
             )
         else:
             raise RegistryMismatch(f"{where}: unknown record kind {kind!r}")

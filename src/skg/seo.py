@@ -6,6 +6,10 @@ value kinds are enforced) but deliberately does not judge content;
 ``validate_seo`` does that and reports issues instead of raising, so a
 whole document's problems surface at once.
 
+The frozen dataclasses below are the one description of the document
+format: parsing and serialization both walk a field table derived from
+their type hints, so the JSON shape and the dataclass shape cannot drift.
+
 The session mode gates which layers may carry content. OPERATIONAL
 sessions capture protocol knowledge only: their decision-model layer is
 pinned to the ``operational_only`` scope stub with every knowledge
@@ -20,12 +24,15 @@ frequency estimates ride alongside and never replace the scalar.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 import datetime
 import re
 
@@ -44,16 +51,6 @@ from .validation import Issue, IssueCollector, ValidationReport
 OPERATIONAL_SCOPE = "operational_only"
 FULL_SCOPE = "full"
 
-TOP_LEVEL_KEYS = (
-    "session_mode",
-    "protocol",
-    "decision_model",
-    "strategic",
-    "method_alternatives",
-    "automation_context",
-    "twin_metadata",
-)
-
 
 class SessionMode(str, Enum):
     OPERATIONAL = "OPERATIONAL"
@@ -62,6 +59,17 @@ class SessionMode(str, Enum):
 
 
 # -- document model ----------------------------------------------------
+#
+# Each field's JSON kind comes from its type hint. A field with no
+# default must be present; ``X | None`` or a default admits null, which
+# reads as the default. Field metadata says only what a type cannot:
+# "choices" (an enumerated text), "json" (a JSON name that differs from
+# the attribute), "required" (present even though it has a default) and
+# "iso_date".
+
+
+def _choice(values, default=None):
+    return field(default=default, metadata={"choices": tuple(values)})
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class FailureModeClaim:
     id: str | None = None
     description: str | None = None
     confidence: float | None = None
-    confidence_method: str | None = None
+    confidence_method: str | None = _choice(CONFIDENCE_METHODS)
     source_scientist: str | None = None
     source_phrase: str | None = None
     silent_failure_risk: bool | None = None
@@ -103,7 +111,7 @@ class ProtocolLayer:
     workflow_name: str
     subgraph: str
     pre_extracted: bool = False
-    steps: tuple[StepRecord, ...] = ()
+    steps: tuple[StepRecord, ...] = field(default=(), metadata={"required": True})
 
 
 @dataclass(frozen=True)
@@ -111,13 +119,13 @@ class DecisionPointClaim:
     step_id: str
     condition_type: str | None = None
     threshold_value: float | None = None
-    comparator: str | None = None
+    comparator: str | None = _choice(COMPARATORS)
     units: str | None = None
     pass_action: str | None = None
     fail_action: str | None = None
     escalation_action: str | None = None
     confidence: float | None = None
-    confidence_method: str | None = None
+    confidence_method: str | None = _choice(CONFIDENCE_METHODS)
     source_scientist: str | None = None
     source_phrase: str | None = None
     id: str | None = None
@@ -126,7 +134,9 @@ class DecisionPointClaim:
 
 @dataclass(frozen=True)
 class DecisionModelLayer:
-    elicitation_scope: str  # serialized as "_elicitation_scope"
+    elicitation_scope: str = field(
+        metadata={"json": "_elicitation_scope", "choices": (FULL_SCOPE, OPERATIONAL_SCOPE)}
+    )
     decision_points: tuple[DecisionPointClaim, ...] | None = None
     design_rationale: str | None = None
 
@@ -137,14 +147,21 @@ OPERATIONAL_STUB = DecisionModelLayer(
 
 
 @dataclass(frozen=True)
+class WorkflowRef:
+    """A workflow, possibly in another subgraph, that an input is sourced from."""
+
+    subgraph: str
+    workflow_id: str
+
+
+@dataclass(frozen=True)
 class EvidentiaryInputClaim:
     name: str
     id: str | None = None
     required_output: str | None = None
     quality_threshold: str | None = None
     decision_consequence: str | None = None
-    sourced_from_subgraph: str | None = None
-    sourced_from_workflow_id: str | None = None
+    sourced_from: WorkflowRef | None = None
 
 
 @dataclass(frozen=True)
@@ -180,9 +197,9 @@ class AutomationContextClaim:
 @dataclass(frozen=True)
 class TwinMetadata:
     source_scientist: str | None = None
-    session_mode: str | None = None
+    session_mode: str | None = _choice(m.value for m in SessionMode)
     calibration_status: str | None = None
-    session_date: str | None = None
+    session_date: str | None = field(default=None, metadata={"iso_date": True})
     elicitation_agent: str | None = None
 
 
@@ -197,6 +214,69 @@ class SeoDocument:
     twin_metadata: TwinMetadata | None
 
 
+# -- field table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Field:
+    name: str  # attribute name
+    json: str  # JSON member name
+    kind: str  # text | number | boolean | text list | object | array
+    required: bool  # absent is an error
+    nullable: bool  # null reads as ``default``
+    default: object
+    cls: type | None  # record class for object/array, Enum class for text
+    choices: tuple[str, ...]
+    iso_date: bool
+
+
+def _kind(types: tuple) -> tuple[str, type | None]:
+    """JSON kind, and record or Enum class, of a field's non-null types."""
+    if set(types) <= {int, float}:
+        return "number", None
+    (tp,) = types
+    if tp is str:
+        return "text", None
+    if tp is bool:
+        return "boolean", None
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return "text", tp
+    if dataclasses.is_dataclass(tp):
+        return "object", tp
+    if get_origin(tp) is tuple:
+        item = get_args(tp)[0]
+        return ("text list", None) if item is str else ("array", item)
+    raise TypeError(f"no JSON kind for {tp!r}")
+
+
+@lru_cache(maxsize=None)
+def _fields(cls: type) -> dict[str, _Field]:
+    """JSON name -> field description for one record class, in field order."""
+    hints = get_type_hints(cls)
+    table = {}
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        members = get_args(tp) if get_origin(tp) in (Union, UnionType) else (tp,)
+        kind, sub = _kind(tuple(m for m in members if m is not NoneType))
+        has_default = f.default is not dataclasses.MISSING
+        choices = f.metadata.get("choices", ())
+        if sub is not None and issubclass(sub, Enum):
+            choices = tuple(m.value for m in sub)
+        name = f.metadata.get("json", f.name)
+        table[name] = _Field(
+            name=f.name,
+            json=name,
+            kind=kind,
+            required=not has_default or f.metadata.get("required", False),
+            nullable=has_default or NoneType in members,
+            default=f.default if has_default else None,
+            cls=sub,
+            choices=choices,
+            iso_date=f.metadata.get("iso_date", False),
+        )
+    return table
+
+
 # -- strict parsing ----------------------------------------------------
 
 
@@ -205,363 +285,64 @@ def _reject_constant(literal: str):
     raise SeoParseError(f"non-finite number literal: {literal}")
 
 
-def _check_keys(obj: dict, path: str, allowed: tuple[str, ...]) -> None:
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _reject_unknown(obj: dict, path: str, table: dict[str, _Field]) -> None:
     for key in obj:
-        if key not in allowed:
-            raise UnknownField(f"{path}.{key}" if path else key)
+        if key not in table:
+            raise UnknownField(_join(path, key))
 
 
-def _get(obj: dict, key: str, path: str, kind: str, required: bool, nullable: bool):
-    if key not in obj:
-        if required:
-            raise ValueKindMismatch(f"{path}.{key}", kind, "absent")
-        return None
-    value = obj[key]
+def _read_record(cls: type, obj: object, path: str):
+    if not isinstance(obj, dict):
+        raise ValueKindMismatch(path, "object", type(obj).__name__)
+    table = _fields(cls)
+    _reject_unknown(obj, path, table)
+    return cls(**{f.name: _read_field(f, obj, path) for f in table.values()})
+
+
+def _read_field(f: _Field, obj: dict, path: str):
+    where = _join(path, f.json)
+    if f.json not in obj:
+        if f.required:
+            raise ValueKindMismatch(where, f.kind, "absent")
+        return f.default
+    value = obj[f.json]
     if value is None:
-        if required and not nullable:
-            raise ValueKindMismatch(f"{path}.{key}", kind, "null")
-        return None
-    return value
-
-
-def _text(obj, key, path, required=False, nullable=True) -> str | None:
-    value = _get(obj, key, path, "text", required, nullable)
-    if value is None:
-        return None
+        if not f.nullable:
+            raise ValueKindMismatch(where, f.kind, "null")
+        return f.default
+    kind = f.kind
+    if kind == "object":
+        return _read_record(f.cls, value, where)
+    if kind == "array":
+        if not isinstance(value, list):
+            raise ValueKindMismatch(where, kind, type(value).__name__)
+        return tuple(_read_record(f.cls, item, f"{where}[{i}]") for i, item in enumerate(value))
+    if kind == "number":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueKindMismatch(where, kind, type(value).__name__)
+        return normalize_number(value)
+    if kind == "boolean":
+        if not isinstance(value, bool):
+            raise ValueKindMismatch(where, kind, type(value).__name__)
+        return value
+    if kind == "text list":
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ValueKindMismatch(where, kind, type(value).__name__)
+        return tuple(value)
     if not isinstance(value, str):
-        raise ValueKindMismatch(f"{path}.{key}", "text", type(value).__name__)
-    return value
-
-
-def _number(obj, key, path, required=False, nullable=True) -> float | None:
-    value = _get(obj, key, path, "number", required, nullable)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueKindMismatch(f"{path}.{key}", "number", type(value).__name__)
-    return normalize_number(value)
-
-
-def _boolean(obj, key, path, required=False, nullable=True) -> bool | None:
-    value = _get(obj, key, path, "boolean", required, nullable)
-    if value is None:
-        return None
-    if not isinstance(value, bool):
-        raise ValueKindMismatch(f"{path}.{key}", "boolean", type(value).__name__)
-    return value
-
-
-def _text_list(obj, key, path, required=False) -> tuple[str, ...] | None:
-    value = _get(obj, key, path, "text list", required, nullable=True)
-    if value is None:
-        return None
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueKindMismatch(f"{path}.{key}", "text list", type(value).__name__)
-    return tuple(value)
-
-
-def _enum(obj, key, path, values, required=False, nullable=True) -> str | None:
-    value = _text(obj, key, path, required, nullable)
-    if value is None:
-        return None
-    if value not in values:
-        raise ValueKindMismatch(f"{path}.{key}", f"one of {sorted(values)}", repr(value))
-    return value
-
-
-def _object(obj, key, path, required=True) -> dict | None:
-    value = _get(obj, key, path, "object", required, nullable=True)
-    if value is None:
-        return None
-    if not isinstance(value, dict):
-        raise ValueKindMismatch(f"{path}.{key}" if path else key, "object", type(value).__name__)
-    return value
-
-
-def _array(obj, key, path, required=True) -> list | None:
-    value = _get(obj, key, path, "array", required, nullable=True)
-    if value is None:
-        return None
-    if not isinstance(value, list):
-        raise ValueKindMismatch(f"{path}.{key}" if path else key, "array", type(value).__name__)
-    return value
-
-
-_FM_KEYS = (
-    "id",
-    "name",
-    "description",
-    "confidence",
-    "confidence_method",
-    "source_scientist",
-    "source_phrase",
-    "silent_failure_risk",
-    "is_critical_path",
-    "frequency_min",
-    "frequency_best",
-    "frequency_max",
-    "cascades_to",
-    "masked_by_assets",
-    "detected_by",
-    "flagged_for_review",
-    "pre_extracted",
-)
-
-
-def _parse_failure_mode(obj: dict, path: str) -> FailureModeClaim:
-    _check_keys(obj, path, _FM_KEYS)
-    return FailureModeClaim(
-        id=_text(obj, "id", path),
-        name=_text(obj, "name", path, required=True, nullable=False),
-        description=_text(obj, "description", path),
-        confidence=_number(obj, "confidence", path),
-        confidence_method=_enum(obj, "confidence_method", path, CONFIDENCE_METHODS),
-        source_scientist=_text(obj, "source_scientist", path),
-        source_phrase=_text(obj, "source_phrase", path),
-        silent_failure_risk=_boolean(obj, "silent_failure_risk", path),
-        is_critical_path=_boolean(obj, "is_critical_path", path),
-        frequency_min=_number(obj, "frequency_min", path),
-        frequency_best=_number(obj, "frequency_best", path),
-        frequency_max=_number(obj, "frequency_max", path),
-        cascades_to=_text_list(obj, "cascades_to", path) or (),
-        masked_by_assets=_text_list(obj, "masked_by_assets", path) or (),
-        detected_by=_text_list(obj, "detected_by", path) or (),
-        flagged_for_review=_boolean(obj, "flagged_for_review", path),
-        pre_extracted=_boolean(obj, "pre_extracted", path) or False,
-    )
-
-
-_STEP_KEYS = (
-    "id",
-    "name",
-    "step_index",
-    "description",
-    "is_critical_path",
-    "pre_extracted",
-    "required_use_cases",
-    "failure_modes",
-)
-
-
-def _parse_step(obj: dict, path: str) -> StepRecord:
-    _check_keys(obj, path, _STEP_KEYS)
-    fms = _array(obj, "failure_modes", path, required=False) or []
-    return StepRecord(
-        id=_text(obj, "id", path),
-        name=_text(obj, "name", path, required=True, nullable=False),
-        step_index=_number(obj, "step_index", path, required=True, nullable=False),
-        description=_text(obj, "description", path),
-        is_critical_path=_boolean(obj, "is_critical_path", path),
-        pre_extracted=_boolean(obj, "pre_extracted", path) or False,
-        required_use_cases=_text_list(obj, "required_use_cases", path) or (),
-        failure_modes=tuple(
-            _parse_failure_mode(_require_obj(fm, f"{path}.failure_modes[{i}]"), f"{path}.failure_modes[{i}]")
-            for i, fm in enumerate(fms)
-        ),
-    )
-
-
-def _require_obj(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueKindMismatch(path, "object", type(value).__name__)
-    return value
-
-
-def _parse_protocol(obj: dict, path: str) -> ProtocolLayer:
-    _check_keys(obj, path, ("workflow_id", "workflow_name", "subgraph", "pre_extracted", "steps"))
-    steps = _array(obj, "steps", path, required=True) or []
-    return ProtocolLayer(
-        workflow_id=_text(obj, "workflow_id", path, required=True, nullable=False),
-        workflow_name=_text(obj, "workflow_name", path, required=True, nullable=False),
-        subgraph=_text(obj, "subgraph", path, required=True, nullable=False),
-        pre_extracted=_boolean(obj, "pre_extracted", path) or False,
-        steps=tuple(
-            _parse_step(_require_obj(s, f"{path}.steps[{i}]"), f"{path}.steps[{i}]")
-            for i, s in enumerate(steps)
-        ),
-    )
-
-
-_DP_KEYS = (
-    "id",
-    "step_id",
-    "name",
-    "condition_type",
-    "threshold_value",
-    "comparator",
-    "units",
-    "pass_action",
-    "fail_action",
-    "escalation_action",
-    "confidence",
-    "confidence_method",
-    "source_scientist",
-    "source_phrase",
-)
-
-
-def _parse_decision_point(obj: dict, path: str) -> DecisionPointClaim:
-    _check_keys(obj, path, _DP_KEYS)
-    return DecisionPointClaim(
-        id=_text(obj, "id", path),
-        step_id=_text(obj, "step_id", path, required=True, nullable=False),
-        name=_text(obj, "name", path),
-        condition_type=_text(obj, "condition_type", path),
-        threshold_value=_number(obj, "threshold_value", path),
-        comparator=_enum(obj, "comparator", path, COMPARATORS),
-        units=_text(obj, "units", path),
-        pass_action=_text(obj, "pass_action", path),
-        fail_action=_text(obj, "fail_action", path),
-        escalation_action=_text(obj, "escalation_action", path),
-        confidence=_number(obj, "confidence", path),
-        confidence_method=_enum(obj, "confidence_method", path, CONFIDENCE_METHODS),
-        source_scientist=_text(obj, "source_scientist", path),
-        source_phrase=_text(obj, "source_phrase", path),
-    )
-
-
-def _parse_decision_model(obj: dict, path: str) -> DecisionModelLayer:
-    _check_keys(obj, path, ("_elicitation_scope", "decision_points", "design_rationale"))
-    scope = _enum(
-        obj,
-        "_elicitation_scope",
-        path,
-        (FULL_SCOPE, OPERATIONAL_SCOPE),
-        required=True,
-        nullable=False,
-    )
-    points = _array(obj, "decision_points", path, required=False)
-    return DecisionModelLayer(
-        elicitation_scope=scope,
-        decision_points=None
-        if points is None
-        else tuple(
-            _parse_decision_point(
-                _require_obj(p, f"{path}.decision_points[{i}]"), f"{path}.decision_points[{i}]"
-            )
-            for i, p in enumerate(points)
-        ),
-        design_rationale=_text(obj, "design_rationale", path),
-    )
-
-
-def _parse_evidentiary_input(obj: dict, path: str) -> EvidentiaryInputClaim:
-    _check_keys(
-        obj,
-        path,
-        (
-            "id",
-            "name",
-            "required_output",
-            "quality_threshold",
-            "decision_consequence",
-            "sourced_from",
-        ),
-    )
-    sourced = _object(obj, "sourced_from", path, required=False)
-    sg = wf = None
-    if sourced is not None:
-        _check_keys(sourced, f"{path}.sourced_from", ("subgraph", "workflow_id"))
-        sg = _text(sourced, "subgraph", f"{path}.sourced_from", required=True, nullable=False)
-        wf = _text(sourced, "workflow_id", f"{path}.sourced_from", required=True, nullable=False)
-    return EvidentiaryInputClaim(
-        id=_text(obj, "id", path),
-        name=_text(obj, "name", path, required=True, nullable=False),
-        required_output=_text(obj, "required_output", path),
-        quality_threshold=_text(obj, "quality_threshold", path),
-        decision_consequence=_text(obj, "decision_consequence", path),
-        sourced_from_subgraph=sg,
-        sourced_from_workflow_id=wf,
-    )
-
-
-def _parse_strategic(obj: dict, path: str) -> StrategicLayer:
-    _check_keys(
-        obj,
-        path,
-        (
-            "cross_domain_knowledge",
-            "capability_gaps",
-            "future_design_questions",
-            "program_milestones",
-        ),
-    )
-    milestones = _array(obj, "program_milestones", path, required=False)
-    parsed = None
-    if milestones is not None:
-        items = []
-        for i, m in enumerate(milestones):
-            mpath = f"{path}.program_milestones[{i}]"
-            mobj = _require_obj(m, mpath)
-            _check_keys(mobj, mpath, ("id", "name", "evidentiary_inputs"))
-            inputs = _array(mobj, "evidentiary_inputs", mpath, required=False) or []
-            items.append(
-                ProgramMilestoneClaim(
-                    id=_text(mobj, "id", mpath),
-                    name=_text(mobj, "name", mpath, required=True, nullable=False),
-                    evidentiary_inputs=tuple(
-                        _parse_evidentiary_input(
-                            _require_obj(e, f"{mpath}.evidentiary_inputs[{j}]"),
-                            f"{mpath}.evidentiary_inputs[{j}]",
-                        )
-                        for j, e in enumerate(inputs)
-                    ),
-                )
-            )
-        parsed = tuple(items)
-    return StrategicLayer(
-        cross_domain_knowledge=_text_list(obj, "cross_domain_knowledge", path) or (),
-        capability_gaps=_text_list(obj, "capability_gaps", path) or (),
-        future_design_questions=_text_list(obj, "future_design_questions", path) or (),
-        program_milestones=parsed,
-    )
-
-
-def _parse_method_alternative(obj: dict, path: str) -> MethodAlternativeClaim:
-    _check_keys(obj, path, ("step_id", "name", "description", "tradeoff"))
-    return MethodAlternativeClaim(
-        step_id=_text(obj, "step_id", path, required=True, nullable=False),
-        name=_text(obj, "name", path, required=True, nullable=False),
-        description=_text(obj, "description", path),
-        tradeoff=_text(obj, "tradeoff", path),
-    )
-
-
-def _parse_automation_context(obj: dict, path: str) -> AutomationContextClaim:
-    _check_keys(obj, path, ("asset_name", "use_case_names", "log_scope"))
-    return AutomationContextClaim(
-        asset_name=_text(obj, "asset_name", path, required=True, nullable=False),
-        use_case_names=_text_list(obj, "use_case_names", path) or (),
-        log_scope=_text(obj, "log_scope", path),
-    )
-
-
-def _parse_metadata(obj: dict, path: str) -> TwinMetadata:
-    _check_keys(
-        obj,
-        path,
-        (
-            "source_scientist",
-            "session_mode",
-            "calibration_status",
-            "session_date",
-            "elicitation_agent",
-        ),
-    )
-    mode = _enum(obj, "session_mode", path, tuple(m.value for m in SessionMode))
-    date = _text(obj, "session_date", path)
-    if date is not None:
+        raise ValueKindMismatch(where, kind, type(value).__name__)
+    if f.choices and value not in f.choices:
+        raise ValueKindMismatch(where, f"one of {sorted(f.choices)}", repr(value))
+    if f.iso_date:
         try:
-            datetime.date.fromisoformat(date)
+            datetime.date.fromisoformat(value)
         except ValueError:
-            raise ValueKindMismatch(f"{path}.session_date", "ISO-8601 date", repr(date))
-    return TwinMetadata(
-        source_scientist=_text(obj, "source_scientist", path),
-        session_mode=mode,
-        calibration_status=_text(obj, "calibration_status", path),
-        session_date=date,
-        elicitation_agent=_text(obj, "elicitation_agent", path),
-    )
+            raise ValueKindMismatch(where, "ISO-8601 date", repr(value)) from None
+    return value if f.cls is None else f.cls(value)
 
 
 def parse_seo(data: bytes | str) -> SeoDocument:
@@ -590,199 +371,44 @@ def parse_seo(data: bytes | str) -> SeoDocument:
     if not isinstance(raw, dict):
         raise ValueKindMismatch("$", "object", type(raw).__name__)
 
-    _check_keys(raw, "", TOP_LEVEL_KEYS)
-    for key in TOP_LEVEL_KEYS:
+    table = _fields(SeoDocument)
+    _reject_unknown(raw, "", table)
+    for key in table:
+        # every layer is spelled out, null when the session did not elicit it
         if key not in raw:
             raise ValueKindMismatch(key, "object or null", "absent")
-
-    mode = SessionMode(
-        _enum(raw, "session_mode", "", tuple(m.value for m in SessionMode), required=True, nullable=False)
-    )
-    protocol_obj = _object(raw, "protocol", "")
-    decision_obj = _object(raw, "decision_model", "")
-    strategic_obj = _object(raw, "strategic", "")
-    ma_list = _array(raw, "method_alternatives", "")
-    ac_list = _array(raw, "automation_context", "")
-    meta_obj = _object(raw, "twin_metadata", "")
-
-    decision_model = (
-        _parse_decision_model(decision_obj, "decision_model") if decision_obj else None
-    )
-    if mode is SessionMode.OPERATIONAL and decision_model is None:
+    doc = _read_record(SeoDocument, raw, "")
+    if doc.session_mode is SessionMode.OPERATIONAL and doc.decision_model is None:
         # bookkeeping stub, not elicited knowledge: the scope marker must
         # exist on every OPERATIONAL document so downstream consumers can
         # tell "not asked" from "absent by accident"
-        decision_model = OPERATIONAL_STUB
-
-    return SeoDocument(
-        session_mode=mode,
-        protocol=_parse_protocol(protocol_obj, "protocol") if protocol_obj else None,
-        decision_model=decision_model,
-        strategic=_parse_strategic(strategic_obj, "strategic") if strategic_obj else None,
-        method_alternatives=None
-        if ma_list is None
-        else tuple(
-            _parse_method_alternative(
-                _require_obj(m, f"method_alternatives[{i}]"), f"method_alternatives[{i}]"
-            )
-            for i, m in enumerate(ma_list)
-        ),
-        automation_context=None
-        if ac_list is None
-        else tuple(
-            _parse_automation_context(
-                _require_obj(a, f"automation_context[{i}]"), f"automation_context[{i}]"
-            )
-            for i, a in enumerate(ac_list)
-        ),
-        twin_metadata=_parse_metadata(meta_obj, "twin_metadata") if meta_obj else None,
-    )
+        doc = dataclasses.replace(doc, decision_model=OPERATIONAL_STUB)
+    return doc
 
 
 # -- serialization -----------------------------------------------------
 
 
-def _fm_jsonable(claim: FailureModeClaim) -> dict:
-    return {
-        "id": claim.id,
-        "name": claim.name,
-        "description": claim.description,
-        "confidence": claim.confidence,
-        "confidence_method": claim.confidence_method,
-        "source_scientist": claim.source_scientist,
-        "source_phrase": claim.source_phrase,
-        "silent_failure_risk": claim.silent_failure_risk,
-        "is_critical_path": claim.is_critical_path,
-        "frequency_min": claim.frequency_min,
-        "frequency_best": claim.frequency_best,
-        "frequency_max": claim.frequency_max,
-        "cascades_to": list(claim.cascades_to),
-        "masked_by_assets": list(claim.masked_by_assets),
-        "detected_by": list(claim.detected_by),
-        "flagged_for_review": claim.flagged_for_review,
-        "pre_extracted": claim.pre_extracted,
-    }
+def to_jsonable(record) -> dict:
+    """Plain-data form of a document, or of any record in it.
 
-
-def to_jsonable(doc: SeoDocument) -> dict:
-    """Plain-data form of a document with every field explicit (null included)."""
-    protocol = None
-    if doc.protocol is not None:
-        protocol = {
-            "workflow_id": doc.protocol.workflow_id,
-            "workflow_name": doc.protocol.workflow_name,
-            "subgraph": doc.protocol.subgraph,
-            "pre_extracted": doc.protocol.pre_extracted,
-            "steps": [
-                {
-                    "id": step.id,
-                    "name": step.name,
-                    "step_index": step.step_index,
-                    "description": step.description,
-                    "is_critical_path": step.is_critical_path,
-                    "pre_extracted": step.pre_extracted,
-                    "required_use_cases": list(step.required_use_cases),
-                    "failure_modes": [_fm_jsonable(fm) for fm in step.failure_modes],
-                }
-                for step in doc.protocol.steps
-            ],
-        }
-    decision_model = None
-    if doc.decision_model is not None:
-        dm = doc.decision_model
-        decision_model = {
-            "_elicitation_scope": dm.elicitation_scope,
-            "decision_points": None
-            if dm.decision_points is None
-            else [
-                {
-                    "id": dp.id,
-                    "step_id": dp.step_id,
-                    "name": dp.name,
-                    "condition_type": dp.condition_type,
-                    "threshold_value": dp.threshold_value,
-                    "comparator": dp.comparator,
-                    "units": dp.units,
-                    "pass_action": dp.pass_action,
-                    "fail_action": dp.fail_action,
-                    "escalation_action": dp.escalation_action,
-                    "confidence": dp.confidence,
-                    "confidence_method": dp.confidence_method,
-                    "source_scientist": dp.source_scientist,
-                    "source_phrase": dp.source_phrase,
-                }
-                for dp in dm.decision_points
-            ],
-            "design_rationale": dm.design_rationale,
-        }
-    strategic = None
-    if doc.strategic is not None:
-        strategic = {
-            "cross_domain_knowledge": list(doc.strategic.cross_domain_knowledge),
-            "capability_gaps": list(doc.strategic.capability_gaps),
-            "future_design_questions": list(doc.strategic.future_design_questions),
-            "program_milestones": None
-            if doc.strategic.program_milestones is None
-            else [
-                {
-                    "id": pm.id,
-                    "name": pm.name,
-                    "evidentiary_inputs": [
-                        {
-                            "id": ei.id,
-                            "name": ei.name,
-                            "required_output": ei.required_output,
-                            "quality_threshold": ei.quality_threshold,
-                            "decision_consequence": ei.decision_consequence,
-                            "sourced_from": None
-                            if ei.sourced_from_subgraph is None
-                            else {
-                                "subgraph": ei.sourced_from_subgraph,
-                                "workflow_id": ei.sourced_from_workflow_id,
-                            },
-                        }
-                        for ei in pm.evidentiary_inputs
-                    ],
-                }
-                for pm in doc.strategic.program_milestones
-            ],
-        }
-    return {
-        "session_mode": doc.session_mode.value,
-        "protocol": protocol,
-        "decision_model": decision_model,
-        "strategic": strategic,
-        "method_alternatives": None
-        if doc.method_alternatives is None
-        else [
-            {
-                "step_id": ma.step_id,
-                "name": ma.name,
-                "description": ma.description,
-                "tradeoff": ma.tradeoff,
-            }
-            for ma in doc.method_alternatives
-        ],
-        "automation_context": None
-        if doc.automation_context is None
-        else [
-            {
-                "asset_name": ac.asset_name,
-                "use_case_names": list(ac.use_case_names),
-                "log_scope": ac.log_scope,
-            }
-            for ac in doc.automation_context
-        ],
-        "twin_metadata": None
-        if doc.twin_metadata is None
-        else {
-            "source_scientist": doc.twin_metadata.source_scientist,
-            "session_mode": doc.twin_metadata.session_mode,
-            "calibration_status": doc.twin_metadata.calibration_status,
-            "session_date": doc.twin_metadata.session_date,
-            "elicitation_agent": doc.twin_metadata.elicitation_agent,
-        },
-    }
+    Every field is explicit, null included.
+    """
+    out = {}
+    for f in _fields(type(record)).values():
+        value = getattr(record, f.name)
+        if value is None:
+            pass
+        elif f.kind == "object":
+            value = to_jsonable(value)
+        elif f.kind == "array":
+            value = [to_jsonable(item) for item in value]
+        elif f.kind == "text list":
+            value = list(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        out[f.json] = value
+    return out
 
 
 def serialize_seo(doc: SeoDocument) -> bytes:

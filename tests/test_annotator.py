@@ -343,6 +343,21 @@ class TestPlanSerialization:
         with pytest.raises(ValueError):
             load_plan(json.dumps(raw))
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda node: node.pop("id"),
+            lambda node: node.update(properties={"name": {"value": "x"}}),
+            lambda node: node.update(properties={"name": {"provenance": "X", "value": "x"}}),
+        ],
+        ids=["missing-id", "missing-provenance", "unknown-provenance"],
+    )
+    def test_load_rejects_malformed_node_statements(self, elisa_doc, change):
+        raw = plan_to_jsonable(compile_seo(elisa_doc, "ELISA"))
+        change(raw["statements"][0])
+        with pytest.raises(RegistryMismatch, match=r"^statements\[0\]: "):
+            load_plan(json.dumps(raw))
+
     def test_load_rejects_non_finite_numbers(self):
         with pytest.raises(ValueError):
             load_plan('{"kind": "merge_plan", "version": 1, "x": NaN}')

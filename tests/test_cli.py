@@ -500,6 +500,74 @@ class TestScoring:
         assert "error:" in capsys.readouterr().err
 
 
+def copy_fixture_store(fixtures_dir, tmp_path) -> Path:
+    """The checked-in federated store and its sidecar, copied under tmp_path."""
+    for name in ("federated.skg.jsonl", "federated.skg.sha256"):
+        (tmp_path / name).write_bytes((fixtures_dir / "stores" / name).read_bytes())
+    return tmp_path / "federated.skg.jsonl"
+
+
+def edit_record(change):
+    return lambda line: json.dumps(change(json.loads(line)))
+
+
+def without(name):
+    return edit_record(lambda record: {k: v for k, v in record.items() if k != name})
+
+
+def with_properties(properties):
+    return edit_record(lambda record: {**record, "properties": properties})
+
+
+# (line number, line rewrite); line 2 is the first node, line 122 the first edge
+STORE_CORRUPTIONS = [
+    pytest.param(
+        122,
+        edit_record(lambda record: {**record, "src": "ELISA:DecisionPoint:DP-ELISA-001"}),
+        id="edge-src-is-text",
+    ),
+    pytest.param(2, without("id"), id="node-without-id"),
+    pytest.param(122, without("edge_type"), id="edge-without-type"),
+    pytest.param(2, with_properties([]), id="properties-not-an-object"),
+    pytest.param(
+        2,
+        with_properties({"name": {"provenance": "GUESSED", "value": "x"}}),
+        id="unknown-provenance",
+    ),
+    pytest.param(
+        2,
+        with_properties({"name": {"provenance": "SCHEMA_DEFAULT", "value": None}}),
+        id="null-property-value",
+    ),
+    pytest.param(2, lambda line: line[: len(line) // 2], id="truncated-line"),
+]
+
+
+class TestCorruptStore:
+    @pytest.mark.parametrize(("line_no", "rewrite"), STORE_CORRUPTIONS)
+    def test_malformed_record_is_rejected_with_its_location(
+        self, fixtures_dir, tmp_path, capsys, line_no, rewrite
+    ):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[line_no - 1] = rewrite(lines[line_no - 1].rstrip("\n")) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["hash", "--graph", str(path)]) == EXIT_REJECTED
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line_no}: ")
+
+    def test_verify_rejects_non_canonical_bytes(self, fixtures_dir, tmp_path, capsys):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + lines[1:]), encoding="utf-8")
+        # the duplicate merges away, so the graph itself still hashes canonically
+        assert main(["hash", "--graph", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == FEDERATED_DIGEST
+        assert main(["hash", "--graph", str(path), "--verify"]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not canonical" in captured.err
+
+
 class TestSchemaAndHash:
     def test_schema_lists_registry(self, capsys):
         assert main(["schema"]) == EXIT_OK

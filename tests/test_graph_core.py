@@ -345,6 +345,13 @@ class TestStoreFiles:
         assert graph_hash(loaded) == digest
         assert digest_path(path).read_text() == f"{digest}  skg-ontology-1\n"
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_unicode_line_separators_in_text_round_trip(self, tmp_path, separator):
+        g = upsert_node(make_graph(), named(key("a"), note=f"before{separator}after"))
+        path = tmp_path / "t.skg.jsonl"
+        save_store(g, path)
+        assert load_store(path, builtin_registry()) == g
+
     def test_version_mismatch(self, tmp_path):
         class OtherRegistry:
             version = "other-schema-9"

@@ -27,6 +27,7 @@ from skg.seo import (
     StepRecord,
     StrategicLayer,
     TwinMetadata,
+    _fields,
     default_lexicon,
     load_lexicon,
     to_jsonable,
@@ -217,6 +218,32 @@ class TestStrictParse:
             parse(obj)
         assert err.value.path == "twin_metadata.session_date"
 
+    @pytest.mark.parametrize(
+        ("layer", "path"),
+        [("protocol", "protocol.workflow_id"), ("decision_model", "decision_model._elicitation_scope")],
+    )
+    def test_empty_layer_object_is_not_absent(self, layer, path):
+        obj = minimal_json("DESIGN_EXPERT")
+        obj[layer] = {}
+        with pytest.raises(ValueKindMismatch) as err:
+            parse(obj)
+        assert (err.value.path, err.value.expected, err.value.got) == (path, "text", "absent")
+
+    def test_empty_optional_layers_parse_as_records(self):
+        obj = minimal_json("DIRECTOR")
+        obj["strategic"] = {}
+        obj["twin_metadata"] = {}
+        doc = parse(obj)
+        assert doc.strategic == StrategicLayer()
+        assert doc.twin_metadata == TwinMetadata()
+
+    def test_top_level_kind_error_path_has_no_leading_dot(self):
+        obj = minimal_json()
+        obj["session_mode"] = 5
+        with pytest.raises(ValueKindMismatch) as err:
+            parse(obj)
+        assert (err.value.path, err.value.expected, err.value.got) == ("session_mode", "text", "int")
+
     def test_non_finite_literals_rejected(self):
         obj = minimal_json()
         text = json.dumps(obj).replace("null,", "NaN,", 1)
@@ -265,6 +292,42 @@ class TestSerializeRoundTrip:
             "decision_points": None,
             "design_rationale": None,
         }
+
+
+class TestSchemaAgreement:
+    """fixtures/seo.schema.json and the parser's field table describe one format."""
+
+    @staticmethod
+    def object_schema(node: dict, defs: dict) -> dict:
+        """The object schema behind a property: through $ref, anyOf and array items."""
+        while True:
+            if "$ref" in node:
+                node = defs[node["$ref"].rsplit("/", 1)[1]]
+            elif "anyOf" in node:
+                (node,) = [n for n in node["anyOf"] if n.get("type") != "null"]
+            elif node.get("type") == "array":
+                node = node["items"]
+            else:
+                return node
+
+    def test_schema_matches_field_table(self, fixtures_dir):
+        schema = json.loads((fixtures_dir / "seo.schema.json").read_text(encoding="utf-8"))
+        defs = schema["$defs"]
+        seen = set()
+
+        def check(node: dict, cls: type) -> None:
+            seen.add(id(node))
+            table = _fields(cls)
+            assert set(node["properties"]) == set(table), cls.__name__
+            required = {name for name, f in table.items() if f.required}
+            assert required <= set(node.get("required", ())), cls.__name__
+            for name, f in table.items():
+                if f.kind in ("object", "array"):
+                    check(self.object_schema(node["properties"][name], defs), f.cls)
+
+        check(schema, SeoDocument)
+        objects = [d for d in defs.values() if d.get("type") == "object"]
+        assert objects and all(id(d) in seen for d in objects)
 
 
 class TestValidateSeo:
