@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 from .canonical import render_number, render_record
@@ -32,12 +32,10 @@ from .graph_core import (
     Prop,
     Provenance,
     key_from_record,
+    merge,
     node_record,
     parse_node_key,
     props_from_record,
-    upsert_edge,
-    upsert_node,
-    with_edge_pending,
 )
 from .metrics import default_aliases, label_slug, normalize_label
 from .ontology import SchemaRegistry, builtin_registry
@@ -454,11 +452,20 @@ def _edge_record(stmt: EdgeStatement, kind: str) -> dict:
     }
 
 
-def _edge_from_record(record: dict, pending: bool) -> EdgeStatement:
+def _key_from_text(value: object, where: str) -> NodeKey:
+    if isinstance(value, str) and value.count(":") == 2:
+        return parse_node_key(value)
+    raise RegistryMismatch(f"{where}: malformed node key")
+
+
+def _edge_from_record(record: dict, where: str, pending: bool) -> EdgeStatement:
+    edge_type = record.get("edge_type")
+    if not isinstance(edge_type, str):
+        raise RegistryMismatch(f"{where}: malformed edge_type")
     return EdgeStatement(
-        record["edge_type"],
-        parse_node_key(record["src"]),
-        parse_node_key(record["dst"]),
+        edge_type,
+        _key_from_text(record.get("src"), f"{where}: src"),
+        _key_from_text(record.get("dst"), f"{where}: dst"),
         pending=pending,
     )
 
@@ -482,14 +489,28 @@ def _reject_plan_constant(literal: str):
     raise ValueError(f"non-finite number literal: {literal}")
 
 
+def _objects(raw: dict, name: str) -> list[tuple[str, dict]]:
+    """The ``name`` array of a plan as (location, object) pairs."""
+    items = raw.get(name)
+    if not isinstance(items, list):
+        raise RegistryMismatch(f"{name}: not an array")
+    out = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise RegistryMismatch(f"{name}[{i}]: not an object")
+        out.append((f"{name}[{i}]", item))
+    return out
+
+
 def load_plan(data: bytes | str) -> MergePlan:
     """Rebuild a plan from its canonical JSON; inverse of plan_to_bytes.
 
     Raises:
         ValueError: not a merge plan of this version, or an unknown
             statement kind.
-        RegistryMismatch: a node statement has a malformed key or
-            property record.
+        RegistryMismatch: the provenance, a statement array or a
+            statement in it is malformed; the message starts with its
+            location, such as ``statements[3]: ``.
     """
     raw = json.loads(
         data if isinstance(data, str) else data.decode("utf-8"),
@@ -499,27 +520,29 @@ def load_plan(data: bytes | str) -> MergePlan:
         raise ValueError("not a merge plan document")
     if raw.get("version") != PLAN_VERSION:
         raise ValueError(f"unsupported plan version {raw.get('version')!r}")
-    prov = raw["provenance"]
+    prov = raw.get("provenance")
+    if not isinstance(prov, dict):
+        raise RegistryMismatch("provenance: not an object")
+    names = [f.name for f in fields(PlanProvenance)]
+    for name in names:
+        if not isinstance(prov.get(name), str):
+            raise RegistryMismatch(f"provenance: missing or non-text {name}")
     nodes: list[NodeStatement] = []
     edges: list[EdgeStatement] = []
-    for i, record in enumerate(raw["statements"]):
-        if record["kind"] == "node":
-            where = f"statements[{i}]"
+    for where, record in _objects(raw, "statements"):
+        if record.get("kind") == "node":
             props = props_from_record(record.get("properties"), where)
             nodes.append(NodeStatement(key_from_record(record, where), props))
-        elif record["kind"] == "edge":
-            edges.append(_edge_from_record(record, pending=False))
+        elif record.get("kind") == "edge":
+            edges.append(_edge_from_record(record, where, pending=False))
         else:
-            raise ValueError(f"unknown statement kind {record['kind']!r}")
-    pending = tuple(_edge_from_record(rec, pending=True) for rec in raw["pending_edges"])
+            raise ValueError(f"unknown statement kind {record.get('kind')!r}")
+    pending = tuple(
+        _edge_from_record(record, where, pending=True)
+        for where, record in _objects(raw, "pending_edges")
+    )
     return MergePlan(
-        provenance=PlanProvenance(
-            doc_sha256=prov["doc_sha256"],
-            source_scientist=prov["source_scientist"],
-            session_mode=prov["session_mode"],
-            subgraph=prov["subgraph"],
-            registry_version=prov["registry_version"],
-        ),
+        provenance=PlanProvenance(**{name: prov[name] for name in names}),
         nodes=tuple(nodes),
         edges=tuple(edges),
         pending_edges=pending,
@@ -544,13 +567,13 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
             f"plan compiled under {plan.provenance.registry_version!r}, "
             f"graph runs {graph.registry_version!r}"
         )
-    for stmt in plan.nodes:
-        graph = upsert_node(graph, Node(stmt.key, stmt.properties))
-    for stmt in plan.edges:
-        graph = upsert_edge(graph, Edge(stmt.edge_type, stmt.src, stmt.dst))
-    for stmt in plan.pending_edges:
-        graph = upsert_edge(graph, Edge(stmt.edge_type, stmt.src, stmt.dst, pending=True))
-    return graph
+    nodes = [Node(stmt.key, stmt.properties) for stmt in plan.nodes]
+    edges = [
+        Edge(stmt.edge_type, stmt.src, stmt.dst, pending=pending)
+        for group, pending in ((plan.edges, False), (plan.pending_edges, True))
+        for stmt in group
+    ]
+    return merge(graph, nodes + edges)
 
 
 def approve_pending(
@@ -577,8 +600,8 @@ def approve_pending(
                     f"not pending: {key[0]} {key[1].to_text()} -> {key[2].to_text()}"
                 )
             keys.append(key)
-    for key in keys:
-        graph = with_edge_pending(graph, key, False)
+    # an approved copy merged over a pending edge approves it
+    graph = merge(graph, [Edge(*key) for key in keys])
     return graph, tuple(sorted(keys, key=lambda k: (k[0], k[1], k[2])))
 
 

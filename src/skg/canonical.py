@@ -12,17 +12,12 @@ notation.
 from __future__ import annotations
 
 import math
+from json.encoder import encode_basestring
 from typing import Any
 
-_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
+# the json module's own string escaper: quotes, backslash and C0 controls
+# escaped (the short forms where JSON has them), everything else passed through
+render_text = encode_basestring
 
 
 def render_number(value: int | float) -> str:
@@ -41,20 +36,6 @@ def render_number(value: int | float) -> str:
 def normalize_number(value: int | float) -> float:
     """Quantize a number to its canonical decimal so equal renderings imply equal floats."""
     return float(render_number(value))
-
-
-def render_text(value: str) -> str:
-    out = ['"']
-    for ch in value:
-        esc = _ESCAPES.get(ch)
-        if esc is not None:
-            out.append(esc)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def render_value(value: Any) -> str:

@@ -370,12 +370,6 @@ def main(argv: list[str] | None = None) -> int:
     except Rejected as exc:
         sys.stderr.write(exc.report.to_text())
         return EXIT_REJECTED
-    except (SeoParseError, SubgraphMismatch, RegistryMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
-    except json.JSONDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
     except (
         MalformedKey,
         TypeConflict,
@@ -390,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: not found: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:
+    except (SeoParseError, SubgraphMismatch, RegistryMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except OSError as exc:

@@ -1,11 +1,11 @@
 """Embedded typed property graph with canonical serialization and hashing.
 
-Graphs are immutable snapshots: every mutation helper returns a new
-``Graph`` and never touches its input, so callers can hold multiple
-versions of federation state at once. Canonical serialization emits
-newline-delimited JSON in a fixed order (header, nodes, approved edges,
-pending edges), which makes byte equality the definition of graph
-equality and gives a stable SHA-256 content hash.
+Graphs are immutable snapshots: ``merge`` copies the node and edge dicts
+once per batch of records and returns a new ``Graph``, never touching its
+input, so callers can hold multiple versions of federation state at once.
+Canonical serialization emits newline-delimited JSON in a fixed order
+(header, nodes, approved edges, pending edges), which makes byte equality
+the definition of graph equality and gives a stable SHA-256 content hash.
 
 Provenance-aware merge policy, applied per property on re-upsert:
 
@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Iterable, Iterator, Mapping, Protocol
 
 from .canonical import normalize_number, render_number, render_record
 from .errors import (
@@ -160,26 +160,13 @@ class Edge:
 class Graph:
     """Immutable graph snapshot bound to one schema registry version."""
 
-    __slots__ = ("registry_version", "_cross_types", "_nodes", "_edges")
+    __slots__ = ("registry_version", "_registry", "_nodes", "_edges")
 
-    def __init__(
-        self,
-        registry: RegistryInfo | None = None,
-        *,
-        registry_version: str | None = None,
-        cross_subgraph_types: frozenset[str] | None = None,
-        _nodes: dict | None = None,
-        _edges: dict | None = None,
-    ):
-        if registry is not None:
-            registry_version = registry.version
-            cross_subgraph_types = registry.cross_subgraph_edge_types()
-        if registry_version is None or cross_subgraph_types is None:
-            raise ValueError("a registry (or its version and cross-type set) is required")
-        self.registry_version = registry_version
-        self._cross_types = cross_subgraph_types
-        self._nodes: dict[NodeKey, Node] = _nodes if _nodes is not None else {}
-        self._edges: dict[tuple, Edge] = _edges if _edges is not None else {}
+    def __init__(self, registry: RegistryInfo):
+        self.registry_version = registry.version
+        self._registry = registry
+        self._nodes: dict[NodeKey, Node] = {}
+        self._edges: dict[tuple, Edge] = {}
 
     # -- read access ---------------------------------------------------
 
@@ -232,14 +219,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self._edges)
-
-    def _replace(self, nodes: dict | None = None, edges: dict | None = None) -> "Graph":
-        return Graph(
-            registry_version=self.registry_version,
-            cross_subgraph_types=self._cross_types,
-            _nodes=self._nodes if nodes is None else nodes,
-            _edges=self._edges if edges is None else edges,
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -299,69 +278,67 @@ def _render_simple(value: object) -> str:
     return str(value)
 
 
-def upsert_node(graph: Graph, node: Node) -> Graph:
-    """Insert a node or merge its properties under the provenance policy."""
-    existing = graph._nodes.get(node.key)
-    if existing is None:
-        merged = Node(node.key, dict(node.properties))
-    else:
-        merged = Node(
-            node.key, _merge_properties(existing.properties, node.properties, node.key.to_text())
-        )
-    nodes = dict(graph._nodes)
-    nodes[node.key] = merged
-    return graph._replace(nodes=nodes)
+def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
+    """Upsert nodes and edges, in the order given, into one new snapshot.
 
-
-def upsert_edge(graph: Graph, edge: Edge) -> Graph:
-    """Insert an edge or merge its properties; parallel edges are collapsed.
+    Parallel edges collapse and merge their properties like nodes do; an
+    edge stays pending only while both stored and incoming copies are.
 
     Raises:
-        DanglingEdge: either endpoint is missing from the graph.
+        TypeConflict: an incoming property changes a stored value kind.
+        DanglingEdge: an endpoint is missing from the graph and the batch so far.
         CrossSubgraphViolation: endpoints span subgraphs and the edge
             type is not marked cross-subgraph, or a same-subgraph edge
             claims pending status.
     """
-    if not graph.has_node(edge.src):
-        raise DanglingEdge(f"missing src {edge.src.to_text()}")
-    if not graph.has_node(edge.dst):
-        raise DanglingEdge(f"missing dst {edge.dst.to_text()}")
-    crosses = edge.src.subgraph != edge.dst.subgraph
-    if crosses and edge.edge_type not in graph._cross_types:
-        raise CrossSubgraphViolation(
-            f"{edge.edge_type} may not span {edge.src.subgraph} -> {edge.dst.subgraph}"
-        )
-    if edge.pending and not (crosses and edge.edge_type in graph._cross_types):
-        raise CrossSubgraphViolation(
-            f"pending is reserved for unapproved cross-subgraph edges ({edge.edge_type})"
-        )
-    existing = graph._edges.get(edge.key)
-    if existing is None:
-        merged = edge
-    else:
-        merged = Edge(
-            edge.edge_type,
-            edge.src,
-            edge.dst,
-            _merge_properties(
-                existing.properties,
+    merged = Graph(graph._registry)
+    nodes = merged._nodes = dict(graph._nodes)
+    edges = merged._edges = dict(graph._edges)
+    cross_types = graph._registry.cross_subgraph_edge_types()
+    for record in records:
+        if isinstance(record, Node):
+            old = nodes.get(record.key)
+            if old is not None:
+                props = _merge_properties(
+                    old.properties, record.properties, record.key.to_text()
+                )
+                record = Node(record.key, props)
+            nodes[record.key] = record
+            continue
+        edge = record
+        if edge.src not in nodes:
+            raise DanglingEdge(f"missing src {edge.src.to_text()}")
+        if edge.dst not in nodes:
+            raise DanglingEdge(f"missing dst {edge.dst.to_text()}")
+        crosses = edge.src.subgraph != edge.dst.subgraph
+        if crosses and edge.edge_type not in cross_types:
+            raise CrossSubgraphViolation(
+                f"{edge.edge_type} may not span {edge.src.subgraph} -> {edge.dst.subgraph}"
+            )
+        if edge.pending and not crosses:
+            raise CrossSubgraphViolation(
+                f"pending is reserved for unapproved cross-subgraph edges ({edge.edge_type})"
+            )
+        old = edges.get(edge.key)
+        if old is not None:
+            props = _merge_properties(
+                old.properties,
                 edge.properties,
                 f"{edge.edge_type}[{edge.src.to_text()} -> {edge.dst.to_text()}]",
-            ),
-            # approval is sticky: once converged, re-ingest cannot re-quarantine
-            pending=existing.pending and edge.pending,
-        )
-    edges = dict(graph._edges)
-    edges[edge.key] = merged
-    return graph._replace(edges=edges)
+            )
+            edge = Edge(*edge.key, props, pending=old.pending and edge.pending)
+        edges[edge.key] = edge
+    return merged
 
 
-def with_edge_pending(graph: Graph, key: tuple[str, NodeKey, NodeKey], pending: bool) -> Graph:
-    """Return a graph with one edge's pending flag replaced."""
-    edge = graph._edges[key]  # KeyError for unknown edges is the contract
-    edges = dict(graph._edges)
-    edges[key] = Edge(edge.edge_type, edge.src, edge.dst, edge.properties, pending=pending)
-    return graph._replace(edges=edges)
+def upsert_node(graph: Graph, node: Node) -> Graph:
+    """Insert a node or merge its properties under the provenance policy."""
+    return merge(graph, (node,))
+
+
+def upsert_edge(graph: Graph, edge: Edge) -> Graph:
+    """Insert an edge or merge its properties; see ``merge`` for what it raises."""
+    return merge(graph, (edge,))
 
 
 def neighbors(
@@ -526,6 +503,29 @@ def _decode_line(line: str, where: str) -> object:
         raise RegistryMismatch(f"{where}: {exc.msg} at column {exc.colno}") from None
 
 
+def _store_records(lines: list[str], path: Path) -> Iterator[Node | Edge]:
+    """Decode the records after the header line, one line at a time."""
+    for i, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        where = f"{path}:{i}"
+        record = _decode_line(line, where)
+        kind = record.get("kind") if isinstance(record, dict) else None
+        if kind == "node":
+            props = props_from_record(record.get("properties"), where)
+            yield Node(key_from_record(record, where), props)
+        elif kind in ("edge", "pending_edge"):
+            edge_type = record.get("edge_type")
+            if not isinstance(edge_type, str):
+                raise RegistryMismatch(f"{where}: malformed edge_type")
+            src = key_from_record(record.get("src"), f"{where}: src")
+            dst = key_from_record(record.get("dst"), f"{where}: dst")
+            props = props_from_record(record.get("properties"), where)
+            yield Edge(edge_type, src, dst, props, pending=kind == "pending_edge")
+        else:
+            raise RegistryMismatch(f"{where}: unknown record kind {kind!r}")
+
+
 def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     """Load a store file, re-enforcing referential integrity via upserts.
 
@@ -535,7 +535,6 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
         DanglingEdge: an edge record references an absent node.
     """
     path = Path(path)
-    graph = Graph(registry)
     text = path.read_text(encoding="utf-8")
     if not text:
         raise RegistryMismatch(f"{path}: empty store file")
@@ -551,25 +550,4 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
             f"{path}: written under {header.get('registry_version')!r}, "
             f"loaded with {registry.version!r}"
         )
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        where = f"{path}:{i}"
-        record = _decode_line(line, where)
-        kind = record.get("kind") if isinstance(record, dict) else None
-        if kind == "node":
-            props = props_from_record(record.get("properties"), where)
-            graph = upsert_node(graph, Node(key_from_record(record, where), props))
-        elif kind in ("edge", "pending_edge"):
-            edge_type = record.get("edge_type")
-            if not isinstance(edge_type, str):
-                raise RegistryMismatch(f"{where}: malformed edge_type")
-            src = key_from_record(record.get("src"), f"{where}: src")
-            dst = key_from_record(record.get("dst"), f"{where}: dst")
-            props = props_from_record(record.get("properties"), where)
-            graph = upsert_edge(
-                graph, Edge(edge_type, src, dst, props, pending=kind == "pending_edge")
-            )
-        else:
-            raise RegistryMismatch(f"{where}: unknown record kind {kind!r}")
-    return graph
+    return merge(Graph(registry), _store_records(lines[1:], path))

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
+from conftest import DOC_SUBGRAPHS
 
 from skg import (
     EXECUTION_SUBGRAPH,
@@ -18,6 +20,7 @@ from skg import (
     canonical_serialize,
     compile_seo,
     emit_cypher,
+    graph_hash,
     load_plan,
     parse_seo,
     plan_to_bytes,
@@ -358,6 +361,49 @@ class TestPlanSerialization:
         with pytest.raises(RegistryMismatch, match=r"^statements\[0\]: "):
             load_plan(json.dumps(raw))
 
+    @pytest.mark.parametrize(
+        "change, location",
+        [
+            (lambda raw: raw["statements"][-1].update(src=5), r"statements\[\d+\]: src: "),
+            (
+                lambda raw: raw["statements"][-1].update(dst="ELISA:FailureMode"),
+                r"statements\[\d+\]: dst: ",
+            ),
+            (lambda raw: raw["statements"][-1].pop("edge_type"), r"statements\[\d+\]: "),
+            (lambda raw: raw["statements"].insert(0, "node"), r"statements\[0\]: "),
+            (lambda raw: raw.update(statements={}), r"statements: "),
+            (lambda raw: raw["pending_edges"][0].update(src=["x"]), r"pending_edges\[0\]: src: "),
+            (lambda raw: raw["pending_edges"][0].pop("edge_type"), r"pending_edges\[0\]: "),
+            (lambda raw: raw["pending_edges"].insert(0, 3), r"pending_edges\[0\]: "),
+            (lambda raw: raw.update(pending_edges=None), r"pending_edges: "),
+            (lambda raw: raw.pop("provenance"), r"provenance: "),
+            (lambda raw: raw.update(provenance="ELISA"), r"provenance: "),
+            (lambda raw: raw["provenance"].pop("subgraph"), r"provenance: .*subgraph"),
+            (lambda raw: raw["provenance"].update(doc_sha256=1), r"provenance: .*doc_sha256"),
+        ],
+        ids=[
+            "edge-src-not-text",
+            "edge-dst-not-a-key",
+            "edge-without-type",
+            "statement-not-object",
+            "statements-not-array",
+            "pending-src-not-text",
+            "pending-without-type",
+            "pending-not-object",
+            "pending-not-array",
+            "missing-provenance",
+            "provenance-not-object",
+            "provenance-member-missing",
+            "provenance-member-not-text",
+        ],
+    )
+    def test_load_rejects_malformed_plans(self, elisa_doc, change, location):
+        raw = plan_to_jsonable(compile_seo(elisa_doc, "ELISA"))
+        assert raw["statements"][-1]["kind"] == "edge" and raw["pending_edges"]
+        change(raw)
+        with pytest.raises(RegistryMismatch, match="^" + location):
+            load_plan(json.dumps(raw))
+
     def test_load_rejects_non_finite_numbers(self):
         with pytest.raises(ValueError):
             load_plan('{"kind": "merge_plan", "version": 1, "x": NaN}')
@@ -410,6 +456,17 @@ class TestApplyAndApprove:
         converged, _ = approve_pending(graph, [first])
         with pytest.raises(KeyError):
             approve_pending(converged, [first])
+
+    def test_every_apply_order_converges_to_the_pinned_digest(self, all_docs, registry):
+        plans = [compile_seo(all_docs[sg], sg, registry) for _, sg in DOC_SUBGRAPHS]
+        for order in itertools.permutations(plans):
+            graph = Graph(registry)
+            for plan in order:
+                graph = apply_plan(graph, plan)
+            graph, _ = approve_pending(graph)
+            assert graph_hash(graph) == (
+                "06e844a926fb227a8638fd80ff223d0a83f83c0539aeb234382fe3995a14faae"
+            ), [plan.provenance.subgraph for plan in order]
 
     def test_reapply_never_requarantines(self, elisa_doc, registry):
         plan = compile_seo(elisa_doc, "ELISA")

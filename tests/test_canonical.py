@@ -65,6 +65,12 @@ class TestRenderText:
         assert render_text('a"b\\c') == '"a\\"b\\\\c"'
         assert render_text("line\nbreak\ttab") == '"line\\nbreak\\ttab"'
         assert render_text("\x01") == '"\\u0001"'
+        short = {"\b": "b", "\t": "t", "\n": "n", "\f": "f", "\r": "r"}
+        for code in range(0x20):
+            escaped = short.get(chr(code)) or f"u{code:04x}"
+            assert render_text(chr(code)) == f'"\\{escaped}"'
+        for passthrough in ("\x7f", "\x85", "\u2028"):
+            assert render_text(passthrough) == f'"{passthrough}"'
 
     def test_non_ascii_passthrough(self):
         assert render_text("µL émission") == '"µL émission"'

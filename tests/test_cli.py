@@ -568,6 +568,30 @@ class TestCorruptStore:
         assert "not canonical" in captured.err
 
 
+class TestMalformedPlan:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda raw: raw["statements"][-1].update(src=5), "error: statements["),
+            (lambda raw: raw.pop("provenance"), "error: provenance: "),
+            (lambda raw: raw.update(pending_edges={}), "error: pending_edges: "),
+        ],
+        ids=["edge-src-not-text", "missing-provenance", "pending-not-array"],
+    )
+    def test_apply_rejects_with_its_location(
+        self, tmp_path, fixtures_dir, capsys, change, message
+    ):
+        assert main(["compile", str(fixtures_dir / "elisa.seo.json"), "--subgraph", "ELISA"]) == EXIT_OK
+        raw = json.loads(capsys.readouterr().out)
+        change(raw)
+        plan_file = tmp_path / "elisa.plan.json"
+        plan_file.write_text(json.dumps(raw))
+        assert main(["apply", str(plan_file), "--graph", str(tmp_path / "x.skg.jsonl")]) == EXIT_REJECTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
+
 class TestSchemaAndHash:
     def test_schema_lists_registry(self, capsys):
         assert main(["schema"]) == EXIT_OK
@@ -586,8 +610,8 @@ class TestSchemaAndHash:
         assert main(["hash", "--graph", str(store), "--verify"]) == EXIT_INVARIANT
         assert "digest mismatch" in capsys.readouterr().err
 
-    def test_fixture_store_verifies(self, fixtures_dir, capsys):
-        path = fixtures_dir / "stores" / "federated.skg.jsonl"
+    def test_fixture_store_verifies(self, fixtures_dir, tmp_path, capsys):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
         assert main(["hash", "--graph", str(path), "--verify"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == FEDERATED_DIGEST
 

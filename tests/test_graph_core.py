@@ -14,6 +14,7 @@ from skg import (
     Provenance,
     RegistryMismatch,
     TypeConflict,
+    approve_pending,
     builtin_registry,
     canonical_serialize,
     digest_path,
@@ -25,7 +26,6 @@ from skg import (
     upsert_edge,
     upsert_node,
     value_kind,
-    with_edge_pending,
 )
 from skg.graph_core import CONFLICT_LOG
 
@@ -231,7 +231,7 @@ class TestEdges:
         dst = key("c", "SGB", "AutomationAsset")
         ekey = ("MASKED_BY", key("a"), dst)
         g = upsert_edge(g, Edge("MASKED_BY", key("a"), dst, pending=True))
-        g = with_edge_pending(g, ekey, False)
+        g, _ = approve_pending(g, [ekey])
         g = upsert_edge(g, Edge("MASKED_BY", key("a"), dst, pending=True))
         assert not g.edge(ekey).pending
 
@@ -254,9 +254,9 @@ class TestEdges:
         assert edge.properties["weight"].value == 1.0
         assert edge.properties["note"].value == "x"
 
-    def test_with_edge_pending_unknown_edge(self):
+    def test_approve_unknown_edge(self):
         with pytest.raises(KeyError):
-            with_edge_pending(self.graph_with_nodes(), ("CASCADES_TO", key("a"), key("b")), False)
+            approve_pending(self.graph_with_nodes(), [("CASCADES_TO", key("a"), key("b"))])
 
 
 class TestNeighbors:

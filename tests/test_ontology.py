@@ -247,10 +247,13 @@ class TestValidateGraph:
 
     def test_cross_subgraph_violation_reported_on_foreign_graphs(self, registry):
         # a graph assembled under laxer cross-subgraph rules still fails validation
-        lax = Graph(
-            registry_version=registry.version,
-            cross_subgraph_types=frozenset({"CASCADES_TO"}),
-        )
+        class LaxRegistry:
+            version = registry.version
+
+            def cross_subgraph_edge_types(self):
+                return frozenset({"CASCADES_TO"})
+
+        lax = Graph(LaxRegistry())
         lax = upsert_node(lax, fm_node("f1", subgraph="SGA"))
         lax = upsert_node(lax, fm_node("f2", subgraph="SGB"))
         lax = upsert_edge(

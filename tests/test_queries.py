@@ -11,10 +11,10 @@ from skg import (
     NodeKey,
     Prop,
     RangeError,
+    approve_pending,
     builtin_registry,
     upsert_edge,
     upsert_node,
-    with_edge_pending,
 )
 from skg.queries import (
     automation_reuse,
@@ -136,7 +136,7 @@ class TestIsSilent:
         g, asset = add_node(g, "AutomationAsset", "AA-robot", subgraph="AUTO")
         g = upsert_edge(g, Edge("MASKED_BY", fm, asset, pending=True))
         assert not is_silent(g, g.node(fm))
-        g = with_edge_pending(g, ("MASKED_BY", fm, asset), False)
+        g, _ = approve_pending(g, [("MASKED_BY", fm, asset)])
         assert is_silent(g, g.node(fm))
 
     def test_risk_flag_alone_is_silent(self):
