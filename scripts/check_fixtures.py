@@ -3,8 +3,9 @@
 
 Independent of the test suite so fixture drift can be caught from a
 shell. Checks document arithmetic (counts and confidence sums on an
-integer grid), schema conformance, the federated store contents, the
-golden export, and the digest sidecar. Prints one line per check group;
+integer grid), schema conformance, the merge-plan bytes of each
+document, the federated store contents, the golden export, and the
+digest sidecar. Prints one line per check group;
 exits 1 on the first failure.
 """
 
@@ -25,11 +26,20 @@ from skg import (
     graph_hash,
     load_store,
     parse_seo,
+    plan_to_bytes,
     validate_graph,
     validate_seo,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+# SHA-256 of plan_to_bytes(compile_seo(doc, subgraph)) per fixture document
+PLAN_DIGESTS = {
+    ("elisa", "ELISA"): "a5b121cbd77c7cab4fad289aca03f76f99bd802509a6d1926398a9ecc018a962",
+    ("lcms_prm", "LCMS_PRM"): "0ae6b5448dbf6bd3b2729cfa388a63f9aecb3ff65d807c6a96f8b80af3e265f4",
+    ("automation", "AUTOMATION"): "d4f4220ff2151e5a2ed7cd826a10d147b93c9c9e059968a01d04603f417267fe",
+    ("program", "PROGRAM"): "b7065e2c0de30e39f8b9d2fe2b4ee1b64959be94d35f087ab0fd972beaf142e9",
+}
 
 
 def fail(message: str) -> None:
@@ -107,6 +117,14 @@ def check_documents(fixtures: Path) -> None:
     print("documents: counts and confidence sums hold")
 
 
+def check_plans(fixtures: Path) -> None:
+    for (name, subgraph), expected in PLAN_DIGESTS.items():
+        doc = parse_seo((fixtures / f"{name}.seo.json").read_bytes())
+        digest = hashlib.sha256(plan_to_bytes(compile_seo(doc, subgraph))).hexdigest()
+        check(digest == expected, f"plans: {name} plan bytes drifted, digest {digest[:12]}...")
+    print(f"plans: {len(PLAN_DIGESTS)} plan digests hold")
+
+
 def check_store(fixtures: Path) -> None:
     store = fixtures / "stores" / "federated.skg.jsonl"
     graph = load_store(store, builtin_registry())
@@ -142,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     check_schema(args.fixtures)
     check_documents(args.fixtures)
+    check_plans(args.fixtures)
     check_store(args.fixtures)
     check_golden(args.fixtures)
     print("all fixture checks passed")

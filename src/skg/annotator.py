@@ -22,8 +22,8 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
-from .canonical import render_number, render_record
-from .errors import RegistryMismatch, Rejected, SubgraphMismatch
+from .canonical import reject_non_finite, render_number, render_record
+from .errors import MalformedKey, RegistryMismatch, Rejected, SubgraphMismatch
 from .graph_core import (
     Edge,
     Graph,
@@ -31,11 +31,10 @@ from .graph_core import (
     NodeKey,
     Prop,
     Provenance,
-    key_from_record,
     merge,
+    node_from_record,
     node_record,
     parse_node_key,
-    props_from_record,
 )
 from .metrics import default_aliases, label_slug, normalize_label
 from .ontology import SchemaRegistry, builtin_registry
@@ -53,20 +52,6 @@ _IC = Provenance.INTERVIEW_CONFIRMED
 
 
 @dataclass(frozen=True)
-class NodeStatement:
-    key: NodeKey
-    properties: Mapping[str, Prop]
-
-
-@dataclass(frozen=True)
-class EdgeStatement:
-    edge_type: str
-    src: NodeKey
-    dst: NodeKey
-    pending: bool = False
-
-
-@dataclass(frozen=True)
 class PlanProvenance:
     doc_sha256: str
     source_scientist: str
@@ -78,18 +63,18 @@ class PlanProvenance:
 @dataclass(frozen=True)
 class MergePlan:
     provenance: PlanProvenance
-    nodes: tuple[NodeStatement, ...]
-    edges: tuple[EdgeStatement, ...]
-    pending_edges: tuple[EdgeStatement, ...]
+    nodes: tuple[Node, ...]
+    edges: tuple[Edge, ...]
+    pending_edges: tuple[Edge, ...]
 
 
 class _Builder:
-    """Accumulates statements; stubs never displace real statements."""
+    """Accumulates plan records; stubs never displace real nodes."""
 
     def __init__(self):
         self.props: dict[NodeKey, dict[str, Prop]] = {}
         self.is_stub: dict[NodeKey, bool] = {}
-        self.edges: dict[tuple[str, NodeKey, NodeKey], bool] = {}
+        self.edges: dict[tuple[str, NodeKey, NodeKey], Edge] = {}
 
     def node(self, key: NodeKey, props: dict[str, Prop], stub: bool = False) -> NodeKey:
         if key in self.props:
@@ -105,7 +90,8 @@ class _Builder:
         return key
 
     def edge(self, edge_type: str, src: NodeKey, dst: NodeKey) -> None:
-        self.edges[(edge_type, src, dst)] = src.subgraph != dst.subgraph
+        edge = Edge(edge_type, src, dst, pending=src.subgraph != dst.subgraph)
+        self.edges[edge.key] = edge
 
 
 def _tag(pre_extracted: bool) -> Provenance:
@@ -132,14 +118,6 @@ def _fm_stub(name: str) -> dict[str, Prop]:
 
 def _named_stub(name: str) -> dict[str, Prop]:
     return {"name": Prop(name, _SD), "flagged_for_review": Prop(True, _SD)}
-
-
-def _step_stub(step_id: str) -> dict[str, Prop]:
-    return {
-        "name": Prop(step_id, _SD),
-        "step_index": Prop(0, _SD),
-        "flagged_for_review": Prop(True, _SD),
-    }
 
 
 def compile_seo(
@@ -176,6 +154,20 @@ def compile_seo(
     fm_claims: list[tuple] = []  # (claim, node key)
     dp_keys: list[NodeKey] = []
     step_key_by_id: dict[str, NodeKey] = {}
+
+    def step_for(step_id: str) -> NodeKey:
+        """The step a decision point or alternative names, stubbed if undescribed."""
+        if step_id not in step_key_by_id:
+            step_key_by_id[step_id] = b.node(
+                NodeKey(subgraph, "WorkflowStep", step_id),
+                {
+                    "name": Prop(step_id, _SD),
+                    "step_index": Prop(0, _SD),
+                    "flagged_for_review": Prop(True, _SD),
+                },
+                stub=True,
+            )
+        return step_key_by_id[step_id]
 
     if doc.protocol is not None:
         proto = doc.protocol
@@ -232,11 +224,13 @@ def compile_seo(
                         fm.flagged_for_review, False, fm_pre
                     ),
                 }
-                for opt in ("description", "source_phrase"):
-                    value = getattr(fm, opt)
-                    if value is not None:
-                        fm_props[opt] = Prop(value, _tag(fm_pre))
-                for opt in ("frequency_min", "frequency_best", "frequency_max"):
+                for opt in (
+                    "description",
+                    "source_phrase",
+                    "frequency_min",
+                    "frequency_best",
+                    "frequency_max",
+                ):
                     value = getattr(fm, opt)
                     if value is not None:
                         fm_props[opt] = Prop(value, _tag(fm_pre))
@@ -281,14 +275,6 @@ def compile_seo(
     if doc.decision_model is not None and doc.decision_model.decision_points is not None:
         for n, dp in enumerate(doc.decision_model.decision_points, start=1):
             dp_id = dp.id or f"DP-{subgraph}-{n:03d}"
-            step_key = step_key_by_id.get(dp.step_id)
-            if step_key is None:
-                step_key = b.node(
-                    NodeKey(subgraph, "WorkflowStep", dp.step_id),
-                    _step_stub(dp.step_id),
-                    stub=True,
-                )
-                step_key_by_id[dp.step_id] = step_key
             props = {
                 "condition_type": Prop(dp.condition_type, _IC),
                 "threshold_value": Prop(dp.threshold_value, _IC),
@@ -308,18 +294,10 @@ def compile_seo(
                 props["source_phrase"] = Prop(dp.source_phrase, _IC)
             dp_key = b.node(NodeKey(subgraph, "DecisionPoint", dp_id), props)
             dp_keys.append(dp_key)
-            b.edge("HAS_DECISION_POINT", step_key, dp_key)
+            b.edge("HAS_DECISION_POINT", step_for(dp.step_id), dp_key)
 
     if doc.method_alternatives is not None:
         for n, ma in enumerate(doc.method_alternatives, start=1):
-            step_key = step_key_by_id.get(ma.step_id)
-            if step_key is None:
-                step_key = b.node(
-                    NodeKey(subgraph, "WorkflowStep", ma.step_id),
-                    _step_stub(ma.step_id),
-                    stub=True,
-                )
-                step_key_by_id[ma.step_id] = step_key
             props = {
                 "name": Prop(ma.name, _IC),
                 "flagged_for_review": Prop(False, _IC),
@@ -331,7 +309,7 @@ def compile_seo(
             ma_key = b.node(
                 NodeKey(subgraph, "MethodAlternative", f"MA-{subgraph}-{n:03d}"), props
             )
-            b.edge("HAS_ALTERNATIVE", step_key, ma_key)
+            b.edge("HAS_ALTERNATIVE", step_for(ma.step_id), ma_key)
 
     if doc.automation_context is not None:
         for claim in doc.automation_context:
@@ -415,17 +393,7 @@ def compile_seo(
         for dp_key in dp_keys:
             b.edge("CALIBRATED_BY", dp_key, cal_key)
 
-    nodes = tuple(
-        NodeStatement(key, dict(b.props[key])) for key in sorted(b.props)
-    )
-    approved = []
-    pending = []
-    for (edge_type, src, dst), is_pending in b.edges.items():
-        stmt = EdgeStatement(edge_type, src, dst, pending=is_pending)
-        (pending if is_pending else approved).append(stmt)
-    def order(stmt: EdgeStatement):
-        return (stmt.edge_type, stmt.src, stmt.dst)
-
+    edges = sorted(b.edges.values(), key=lambda e: e.key)
     return MergePlan(
         provenance=PlanProvenance(
             doc_sha256=doc_sha,
@@ -434,39 +402,43 @@ def compile_seo(
             subgraph=subgraph,
             registry_version=registry.version,
         ),
-        nodes=nodes,
-        edges=tuple(sorted(approved, key=order)),
-        pending_edges=tuple(sorted(pending, key=order)),
+        nodes=tuple(Node(key, b.props[key]) for key in sorted(b.props)),
+        edges=tuple(e for e in edges if not e.pending),
+        pending_edges=tuple(e for e in edges if e.pending),
     )
 
 
 # -- plan serialization -------------------------------------------------
 
 
-def _edge_record(stmt: EdgeStatement, kind: str) -> dict:
+def _edge_record(edge: Edge) -> dict:
     return {
-        "kind": kind,
-        "edge_type": stmt.edge_type,
-        "src": stmt.src.to_text(),
-        "dst": stmt.dst.to_text(),
+        "kind": "pending_edge" if edge.pending else "edge",
+        "edge_type": edge.edge_type,
+        "src": edge.src.to_text(),
+        "dst": edge.dst.to_text(),
     }
 
 
 def _key_from_text(value: object, where: str) -> NodeKey:
-    if isinstance(value, str) and value.count(":") == 2:
+    if not isinstance(value, str):
+        raise RegistryMismatch(f"{where}: malformed node key")
+    try:
         return parse_node_key(value)
-    raise RegistryMismatch(f"{where}: malformed node key")
+    except MalformedKey as exc:
+        raise RegistryMismatch(f"{where}: {exc}") from None
 
 
-def _edge_from_record(record: dict, where: str, pending: bool) -> EdgeStatement:
+def _edge_from_record(record: dict, where: str) -> Edge:
+    """Inverse of ``_edge_record``; the caller has checked ``kind``."""
     edge_type = record.get("edge_type")
     if not isinstance(edge_type, str):
         raise RegistryMismatch(f"{where}: malformed edge_type")
-    return EdgeStatement(
+    return Edge(
         edge_type,
         _key_from_text(record.get("src"), f"{where}: src"),
         _key_from_text(record.get("dst"), f"{where}: dst"),
-        pending=pending,
+        pending=record["kind"] == "pending_edge",
     )
 
 
@@ -475,18 +447,14 @@ def plan_to_jsonable(plan: MergePlan) -> dict:
         "kind": PLAN_KIND,
         "version": PLAN_VERSION,
         "provenance": asdict(plan.provenance),
-        "statements": [node_record(stmt.key, stmt.properties) for stmt in plan.nodes]
-        + [_edge_record(stmt, "edge") for stmt in plan.edges],
-        "pending_edges": [_edge_record(stmt, "pending_edge") for stmt in plan.pending_edges],
+        "statements": [node_record(node.key, node.properties) for node in plan.nodes]
+        + [_edge_record(edge) for edge in plan.edges],
+        "pending_edges": [_edge_record(edge) for edge in plan.pending_edges],
     }
 
 
 def plan_to_bytes(plan: MergePlan) -> bytes:
     return (render_record(plan_to_jsonable(plan)) + "\n").encode("utf-8")
-
-
-def _reject_plan_constant(literal: str):
-    raise ValueError(f"non-finite number literal: {literal}")
 
 
 def _objects(raw: dict, name: str) -> list[tuple[str, dict]]:
@@ -514,7 +482,7 @@ def load_plan(data: bytes | str) -> MergePlan:
     """
     raw = json.loads(
         data if isinstance(data, str) else data.decode("utf-8"),
-        parse_constant=_reject_plan_constant,
+        parse_constant=reject_non_finite,
     )
     if not isinstance(raw, dict) or raw.get("kind") != PLAN_KIND:
         raise ValueError("not a merge plan document")
@@ -527,25 +495,25 @@ def load_plan(data: bytes | str) -> MergePlan:
     for name in names:
         if not isinstance(prov.get(name), str):
             raise RegistryMismatch(f"provenance: missing or non-text {name}")
-    nodes: list[NodeStatement] = []
-    edges: list[EdgeStatement] = []
+    nodes: list[Node] = []
+    edges: list[Edge] = []
     for where, record in _objects(raw, "statements"):
         if record.get("kind") == "node":
-            props = props_from_record(record.get("properties"), where)
-            nodes.append(NodeStatement(key_from_record(record, where), props))
+            nodes.append(node_from_record(record, where))
         elif record.get("kind") == "edge":
-            edges.append(_edge_from_record(record, where, pending=False))
+            edges.append(_edge_from_record(record, where))
         else:
             raise ValueError(f"unknown statement kind {record.get('kind')!r}")
-    pending = tuple(
-        _edge_from_record(record, where, pending=True)
-        for where, record in _objects(raw, "pending_edges")
-    )
+    pending = []
+    for where, record in _objects(raw, "pending_edges"):
+        if record.get("kind") != "pending_edge":
+            raise RegistryMismatch(f"{where}: kind {record.get('kind')!r}, not 'pending_edge'")
+        pending.append(_edge_from_record(record, where))
     return MergePlan(
         provenance=PlanProvenance(**{name: prov[name] for name in names}),
         nodes=tuple(nodes),
         edges=tuple(edges),
-        pending_edges=pending,
+        pending_edges=tuple(pending),
     )
 
 
@@ -567,13 +535,7 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
             f"plan compiled under {plan.provenance.registry_version!r}, "
             f"graph runs {graph.registry_version!r}"
         )
-    nodes = [Node(stmt.key, stmt.properties) for stmt in plan.nodes]
-    edges = [
-        Edge(stmt.edge_type, stmt.src, stmt.dst, pending=pending)
-        for group, pending in ((plan.edges, False), (plan.pending_edges, True))
-        for stmt in group
-    ]
-    return merge(graph, nodes + edges)
+    return merge(graph, plan.nodes + plan.edges + plan.pending_edges)
 
 
 def approve_pending(
@@ -631,12 +593,12 @@ def _cypher_anchor(var: str, key: NodeKey) -> str:
     )
 
 
-def _edge_line(stmt: EdgeStatement) -> str:
+def _edge_line(edge: Edge) -> str:
     line = (
-        f"MATCH {_cypher_anchor('a', stmt.src)}, {_cypher_anchor('b', stmt.dst)} "
-        f"MERGE (a)-[r:{stmt.edge_type}]->(b)"
+        f"MATCH {_cypher_anchor('a', edge.src)}, {_cypher_anchor('b', edge.dst)} "
+        f"MERGE (a)-[r:{edge.edge_type}]->(b)"
     )
-    if stmt.pending:
+    if edge.pending:
         line += " SET r.pending = true"
     return line + ";"
 
@@ -648,19 +610,19 @@ def emit_cypher(plan: MergePlan) -> str:
     stays the system of record.
     """
     lines: list[str] = []
-    for stmt in plan.nodes:
+    for node in plan.nodes:
         sets = ", ".join(
-            f"n.{name} = {_cypher_value(stmt.properties[name].value)}"
-            for name in sorted(stmt.properties)
+            f"n.{name} = {_cypher_value(node.properties[name].value)}"
+            for name in sorted(node.properties)
         )
-        anchor = f"MERGE {_cypher_anchor('n', stmt.key)}"
+        anchor = f"MERGE {_cypher_anchor('n', node.key)}"
         lines.append(f"{anchor} SET {sets};" if sets else f"{anchor};")
-    for stmt in plan.edges:
-        lines.append(_edge_line(stmt))
+    for edge in plan.edges:
+        lines.append(_edge_line(edge))
     if plan.pending_edges:
         lines.append("// PENDING CONVERGENCE")
-        for stmt in plan.pending_edges:
-            lines.append(_edge_line(stmt))
+        for edge in plan.pending_edges:
+            lines.append(_edge_line(edge))
     if not lines:
         return ""
     return "\n".join(lines) + "\n"

@@ -38,6 +38,11 @@ def normalize_number(value: int | float) -> float:
     return float(render_number(value))
 
 
+def reject_non_finite(literal: str):
+    """``json.loads`` parse_constant hook: NaN and Infinity have no canonical rendering."""
+    raise ValueError(f"non-finite number literal: {literal}")
+
+
 def render_value(value: Any) -> str:
     if value is None:
         return "null"

@@ -24,7 +24,7 @@ class CrossSubgraphViolation(SkgError):
 
 
 class RegistryMismatch(SkgError):
-    """Serialized store was written under a different registry version."""
+    """A store line or merge-plan record is malformed, or was written under another registry version."""
 
 
 class RangeError(SkgError):

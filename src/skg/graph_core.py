@@ -30,7 +30,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol
 
-from .canonical import normalize_number, render_number, render_record
+from .canonical import normalize_number, reject_non_finite, render_number, render_record
 from .errors import (
     CrossSubgraphViolation,
     DanglingEdge,
@@ -382,12 +382,16 @@ def key_from_record(record: object, where: str) -> NodeKey:
     """Inverse of ``key_record``; other members of ``record`` are ignored.
 
     Raises:
-        RegistryMismatch: not an object with text subgraph, label and id.
+        RegistryMismatch: not an object with text subgraph, label and id,
+            or a part that ``NodeKey`` refuses.
     """
     if isinstance(record, dict):
         parts = [record.get("subgraph"), record.get("label"), record.get("id")]
         if all(isinstance(part, str) for part in parts):
-            return NodeKey(*parts)
+            try:
+                return NodeKey(*parts)
+            except MalformedKey as exc:
+                raise RegistryMismatch(f"{where}: {exc}") from None
     raise RegistryMismatch(f"{where}: malformed node key")
 
 
@@ -427,6 +431,12 @@ def props_from_record(record: object, where: str) -> dict[str, Prop]:
 def node_record(key: NodeKey, properties: Mapping[str, Prop]) -> dict:
     """A node as stores and merge plans both write it."""
     return {"kind": "node", **key_record(key), "properties": props_record(properties)}
+
+
+def node_from_record(record: dict, where: str) -> Node:
+    """Inverse of ``node_record``; its ``kind`` member is left to the caller."""
+    properties = props_from_record(record.get("properties"), where)
+    return Node(key_from_record(record, where), properties)
 
 
 def canonical_serialize(graph: Graph) -> bytes:
@@ -492,15 +502,13 @@ def save_store(graph: Graph, path: Path | str) -> str:
     return digest
 
 
-def _reject_store_constant(literal: str):
-    raise ValueError(f"non-finite number literal: {literal}")
-
-
 def _decode_line(line: str, where: str) -> object:
     try:
-        return json.loads(line, parse_constant=_reject_store_constant)
+        return json.loads(line, parse_constant=reject_non_finite)
     except json.JSONDecodeError as exc:
         raise RegistryMismatch(f"{where}: {exc.msg} at column {exc.colno}") from None
+    except ValueError as exc:  # a non-finite literal or an over-long integer
+        raise RegistryMismatch(f"{where}: {exc}") from None
 
 
 def _store_records(lines: list[str], path: Path) -> Iterator[Node | Edge]:
@@ -512,8 +520,7 @@ def _store_records(lines: list[str], path: Path) -> Iterator[Node | Edge]:
         record = _decode_line(line, where)
         kind = record.get("kind") if isinstance(record, dict) else None
         if kind == "node":
-            props = props_from_record(record.get("properties"), where)
-            yield Node(key_from_record(record, where), props)
+            yield node_from_record(record, where)
         elif kind in ("edge", "pending_edge"):
             edge_type = record.get("edge_type")
             if not isinstance(edge_type, str):

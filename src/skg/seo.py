@@ -36,7 +36,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import datetime
 import re
 
-from .canonical import normalize_number, render_record
+from .canonical import normalize_number, reject_non_finite, render_record
 from .errors import (
     NoHedgeDetected,
     RangeError,
@@ -280,11 +280,6 @@ def _fields(cls: type) -> dict[str, _Field]:
 # -- strict parsing ----------------------------------------------------
 
 
-def _reject_constant(literal: str):
-    # NaN/Infinity have no canonical rendering; refuse them at the door
-    raise SeoParseError(f"non-finite number literal: {literal}")
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -365,9 +360,11 @@ def parse_seo(data: bytes | str) -> SeoDocument:
     if not text.strip():
         raise SeoParseError("empty document")
     try:
-        raw = json.loads(text, parse_constant=_reject_constant)
+        raw = json.loads(text, parse_constant=reject_non_finite)
     except json.JSONDecodeError as exc:
         raise SeoParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # a non-finite literal or an over-long integer
+        raise SeoParseError(str(exc)) from None
     if not isinstance(raw, dict):
         raise ValueKindMismatch("$", "object", type(raw).__name__)
 

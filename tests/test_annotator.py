@@ -352,8 +352,9 @@ class TestPlanSerialization:
             lambda node: node.pop("id"),
             lambda node: node.update(properties={"name": {"value": "x"}}),
             lambda node: node.update(properties={"name": {"provenance": "X", "value": "x"}}),
+            lambda node: node.update(id="bad id"),
         ],
-        ids=["missing-id", "missing-provenance", "unknown-provenance"],
+        ids=["missing-id", "missing-provenance", "unknown-provenance", "id-bad-characters"],
     )
     def test_load_rejects_malformed_node_statements(self, elisa_doc, change):
         raw = plan_to_jsonable(compile_seo(elisa_doc, "ELISA"))
@@ -370,11 +371,17 @@ class TestPlanSerialization:
                 r"statements\[\d+\]: dst: ",
             ),
             (lambda raw: raw["statements"][-1].pop("edge_type"), r"statements\[\d+\]: "),
+            (
+                lambda raw: raw["statements"][-1].update(src="ELISA:FailureMode:bad id"),
+                r"statements\[\d+\]: src: ",
+            ),
             (lambda raw: raw["statements"].insert(0, "node"), r"statements\[0\]: "),
             (lambda raw: raw.update(statements={}), r"statements: "),
             (lambda raw: raw["pending_edges"][0].update(src=["x"]), r"pending_edges\[0\]: src: "),
             (lambda raw: raw["pending_edges"][0].pop("edge_type"), r"pending_edges\[0\]: "),
             (lambda raw: raw["pending_edges"].insert(0, 3), r"pending_edges\[0\]: "),
+            (lambda raw: raw["pending_edges"][0].update(kind="node"), r"pending_edges\[0\]: "),
+            (lambda raw: raw["pending_edges"][0].pop("kind"), r"pending_edges\[0\]: "),
             (lambda raw: raw.update(pending_edges=None), r"pending_edges: "),
             (lambda raw: raw.pop("provenance"), r"provenance: "),
             (lambda raw: raw.update(provenance="ELISA"), r"provenance: "),
@@ -385,11 +392,14 @@ class TestPlanSerialization:
             "edge-src-not-text",
             "edge-dst-not-a-key",
             "edge-without-type",
+            "edge-src-id-bad-characters",
             "statement-not-object",
             "statements-not-array",
             "pending-src-not-text",
             "pending-without-type",
             "pending-not-object",
+            "pending-kind-node",
+            "pending-kind-missing",
             "pending-not-array",
             "missing-provenance",
             "provenance-not-object",

@@ -540,6 +540,19 @@ STORE_CORRUPTIONS = [
         id="null-property-value",
     ),
     pytest.param(2, lambda line: line[: len(line) // 2], id="truncated-line"),
+    pytest.param(
+        2, edit_record(lambda record: {**record, "id": "bad id"}), id="node-id-bad-characters"
+    ),
+    pytest.param(
+        122,
+        edit_record(lambda record: {**record, "dst": {**record["dst"], "id": "bad id"}}),
+        id="edge-dst-id-bad-characters",
+    ),
+    pytest.param(
+        2,
+        with_properties({"name": {"provenance": "SCHEMA_DEFAULT", "value": float("nan")}}),
+        id="non-finite-literal",
+    ),
 ]
 
 
@@ -575,8 +588,17 @@ class TestMalformedPlan:
             (lambda raw: raw["statements"][-1].update(src=5), "error: statements["),
             (lambda raw: raw.pop("provenance"), "error: provenance: "),
             (lambda raw: raw.update(pending_edges={}), "error: pending_edges: "),
+            (
+                lambda raw: raw["statements"][-1].update(src="ELISA:FailureMode:bad id"),
+                "error: statements[",
+            ),
         ],
-        ids=["edge-src-not-text", "missing-provenance", "pending-not-array"],
+        ids=[
+            "edge-src-not-text",
+            "missing-provenance",
+            "pending-not-array",
+            "edge-src-id-bad-characters",
+        ],
     )
     def test_apply_rejects_with_its_location(
         self, tmp_path, fixtures_dir, capsys, change, message
