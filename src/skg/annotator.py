@@ -430,16 +430,26 @@ def _key_from_text(value: object, where: str) -> NodeKey:
 
 
 def _edge_from_record(record: dict, where: str) -> Edge:
-    """Inverse of ``_edge_record``; the caller has checked ``kind``."""
+    """Inverse of ``_edge_record``; the caller has checked ``kind``.
+
+    An edge is pending exactly when it spans subgraphs, so a hand-edited
+    plan cannot move an edge past the convergence quarantine.
+    """
     edge_type = record.get("edge_type")
     if not isinstance(edge_type, str):
         raise RegistryMismatch(f"{where}: malformed edge_type")
-    return Edge(
+    edge = Edge(
         edge_type,
         _key_from_text(record.get("src"), f"{where}: src"),
         _key_from_text(record.get("dst"), f"{where}: dst"),
         pending=record["kind"] == "pending_edge",
     )
+    if edge.pending != (edge.src.subgraph != edge.dst.subgraph):
+        section = "statements" if edge.pending else "pending_edges"
+        raise RegistryMismatch(
+            f"{where}: {edge_type} {edge.src.subgraph} -> {edge.dst.subgraph} belongs in {section}"
+        )
+    return edge
 
 
 def plan_to_jsonable(plan: MergePlan) -> dict:

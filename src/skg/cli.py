@@ -36,7 +36,6 @@ from .errors import (
     CrossSubgraphViolation,
     DanglingEdge,
     MalformedKey,
-    NoHedgeDetected,
     RangeError,
     RegistryMismatch,
     Rejected,
@@ -230,7 +229,7 @@ def cmd_consistency(args) -> int:
     runs = [_read_doc(path) for path in args.runs]
     reference = _read_doc(args.reference) if args.reference else None
     report = compare_extractions(runs, reference=reference, aliases=_aliases())
-    sys.stdout.write(render_record(report.to_jsonable()) + "\n")
+    sys.stdout.write(render_record(asdict(report)) + "\n")
     return EXIT_OK
 
 
@@ -243,7 +242,9 @@ def cmd_hash(args) -> int:
     store = Path(args.graph)
     with _store_lock(store, exclusive=False):
         graph = load_store(store, builtin_registry())
-        data = store.read_bytes() if args.verify else b""
+        if args.verify:
+            data = store.read_bytes()
+            recorded = digest_path(store).read_text(encoding="utf-8", errors="replace").split()
     digest = graph_hash(graph)
     if args.verify:
         # the loader merges what it reads, so a store with duplicate or
@@ -255,10 +256,9 @@ def cmd_hash(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INVARIANT
-        sidecar = digest_path(store)
-        recorded = sidecar.read_text(encoding="utf-8").split()[0]
-        if recorded != digest:
-            print(f"digest mismatch: sidecar {recorded}, computed {digest}", file=sys.stderr)
+        if recorded[:1] != [digest]:
+            shown = recorded[0] if recorded else "is empty"
+            print(f"digest mismatch: sidecar {shown}, computed {digest}", file=sys.stderr)
             return EXIT_INVARIANT
     print(digest)
     return EXIT_OK
@@ -377,7 +377,6 @@ def main(argv: list[str] | None = None) -> int:
         CrossSubgraphViolation,
         RangeError,
         ArityError,
-        NoHedgeDetected,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -331,16 +331,6 @@ def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
     return merged
 
 
-def upsert_node(graph: Graph, node: Node) -> Graph:
-    """Insert a node or merge its properties under the provenance policy."""
-    return merge(graph, (node,))
-
-
-def upsert_edge(graph: Graph, edge: Edge) -> Graph:
-    """Insert an edge or merge its properties; see ``merge`` for what it raises."""
-    return merge(graph, (edge,))
-
-
 def neighbors(
     graph: Graph,
     key: NodeKey,
@@ -534,7 +524,7 @@ def _store_records(lines: list[str], path: Path) -> Iterator[Node | Edge]:
 
 
 def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
-    """Load a store file, re-enforcing referential integrity via upserts.
+    """Load a store file, re-enforcing referential integrity through one merge.
 
     Raises:
         RegistryMismatch: header registry_version differs from ``registry``,

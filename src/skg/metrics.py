@@ -134,28 +134,6 @@ class ConsistencyReport:
     comparisons: tuple[PairScore, ...]
     warnings: tuple[str, ...] = ()
 
-    def to_jsonable(self) -> dict:
-        return {
-            "mode": self.mode,
-            "fm_precision": self.fm_precision,
-            "fm_recall": self.fm_recall,
-            "fm_f1": self.fm_f1,
-            "fm_f1_variance": self.fm_f1_variance,
-            "method_alternative_recall": self.method_alternative_recall,
-            "run_digests": list(self.run_digests),
-            "comparisons": [
-                {
-                    "left": c.left,
-                    "right": c.right,
-                    "precision": c.precision,
-                    "recall": c.recall,
-                    "f1": c.f1,
-                }
-                for c in self.comparisons
-            ],
-            "warnings": list(self.warnings),
-        }
-
 
 def _extract_fm_names(run: object) -> set[str]:
     from . import seo  # late import: metrics stays importable on its own

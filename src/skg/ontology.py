@@ -80,9 +80,6 @@ class SchemaRegistry:
             name for name, edef in self.edge_types.items() if edef.cross_subgraph_allowed
         )
 
-    def core_edge_types(self) -> frozenset[str]:
-        return frozenset(name for name, edef in self.edge_types.items() if edef.core)
-
 
 _MANDATORY_TRIO = (
     ("confidence", "number"),
@@ -90,20 +87,10 @@ _MANDATORY_TRIO = (
     ("source_scientist", "text"),
 )
 
-_TIER2_LABELS = (
-    "AssayWorkflow",
-    "WorkflowStep",
-    "DecisionPoint",
-    "FailureMode",
-    "MethodAlternative",
-    "AmbiguityFlag",
-    "CalibrationRecord",
-)
-
 
 @lru_cache(maxsize=1)
 def builtin_registry() -> SchemaRegistry:
-    """The built-in lab-workflow registry (12 node labels, 14 edge types)."""
+    """The built-in lab-workflow registry (11 node labels, 13 edge types)."""
     t1, t2, t3 = Tier.TIER1_PROGRAM, Tier.TIER2_PROTOCOL, Tier.TIER3_EXECUTION
     node_types = [
         NodeTypeDef(
@@ -187,12 +174,6 @@ def builtin_registry() -> SchemaRegistry:
             ),
         ),
         NodeTypeDef(
-            "AmbiguityFlag",
-            t2,
-            required=(("name", "text"),),
-            optional=(("description", "text"), ("flagged_for_review", "boolean")),
-        ),
-        NodeTypeDef(
             "CalibrationRecord",
             t2,
             required=(("methods_used", "text_list"),),
@@ -227,7 +208,6 @@ def builtin_registry() -> SchemaRegistry:
         ),
     ]
     f = frozenset
-    t2_all = f(_TIER2_LABELS)
     edge_types = [
         # core vocabulary
         EdgeTypeDef(
@@ -274,7 +254,6 @@ def builtin_registry() -> SchemaRegistry:
         EdgeTypeDef("CASCADES_TO", f({"FailureMode"}), f({"FailureMode"})),
         EdgeTypeDef("DETECTED_BY", f({"FailureMode"}), f({"ErrorSignature"}), cross_tier=True),
         EdgeTypeDef("HAS_ALTERNATIVE", f({"WorkflowStep"}), f({"MethodAlternative"})),
-        EdgeTypeDef("FLAGS", f({"AmbiguityFlag"}), t2_all - {"AmbiguityFlag"}),
         EdgeTypeDef(
             "CALIBRATED_BY", f({"FailureMode", "DecisionPoint"}), f({"CalibrationRecord"})
         ),

@@ -16,10 +16,12 @@ pinned to the ``operational_only`` scope stub with every knowledge
 field null, and any non-null decision content is an epistemic
 contamination guard violation, never silently dropped.
 
-Scalar confidence comes from linguistic approximation of the
-scientist's own phrasing against a fixed hedge lexicon (a config file,
-so deployments can retune it without code changes). Three-point SHELF
-frequency estimates ride alongside and never replace the scalar.
+Every claim carries the scalar confidence the expert gave it. For a
+``linguistic_approximation`` claim with a source phrase, validation
+checks that confidence against the band of the phrase's longest hedge
+term in a fixed hedge lexicon (a data file, so deployments can retune
+it without code changes). Three-point SHELF frequency estimates ride
+alongside and never replace the scalar.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from types import NoneType, UnionType
@@ -46,7 +48,7 @@ from .errors import (
 )
 from .metrics import normalize_label
 from .ontology import COMPARATORS, CONFIDENCE_CEILING, CONFIDENCE_FLOOR, CONFIDENCE_METHODS
-from .validation import Issue, IssueCollector, ValidationReport
+from .validation import IssueCollector, ValidationReport
 
 OPERATIONAL_SCOPE = "operational_only"
 FULL_SCOPE = "full"
@@ -416,50 +418,31 @@ def serialize_seo(doc: SeoDocument) -> bytes:
 # -- validation --------------------------------------------------------
 
 
-def validate_shelf(
-    frequency_min: float, frequency_best: float, frequency_max: float
-) -> Issue | None:
-    """Check a three-point estimate; returns a ShelfOrderViolation issue or None.
-
-    Raises:
-        RangeError: any value outside [0, 1].
-    """
-    for name, value in (
-        ("frequency_min", frequency_min),
-        ("frequency_best", frequency_best),
-        ("frequency_max", frequency_max),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise RangeError(f"{name} {value} outside [0, 1]")
-    if not frequency_min <= frequency_best <= frequency_max:
-        return Issue(
-            "ShelfOrderViolation",
-            "shelf",
-            f"{frequency_min} <= {frequency_best} <= {frequency_max} fails",
-        )
-    return None
-
-
 def _validate_claim_confidence(
-    out: IssueCollector,
-    path: str,
-    confidence: float | None,
-    confidence_method: str | None,
-    source_scientist: str | None,
+    out: IssueCollector, path: str, claim: FailureModeClaim | DecisionPointClaim
 ) -> None:
-    for name, value in (
-        ("confidence", confidence),
-        ("confidence_method", confidence_method),
-        ("source_scientist", source_scientist),
-    ):
-        if value is None:
+    for name in ("confidence", "confidence_method", "source_scientist"):
+        if getattr(claim, name) is None:
             out.add("MissingMandatoryField", path, f"{name} is mandatory on every claim")
+    confidence, phrase = claim.confidence, claim.source_phrase
     if confidence is not None and not CONFIDENCE_FLOOR <= confidence <= CONFIDENCE_CEILING:
         out.add(
             "ConfidenceOutOfRange",
             path,
             f"confidence {confidence} outside [{CONFIDENCE_FLOOR}, {CONFIDENCE_CEILING}]",
         )
+    if claim.confidence_method == "linguistic_approximation" and phrase:
+        band = match_hedge(phrase)
+        if band is None:
+            out.add(
+                "ConfidenceOutsideHedgeBand", path, f"source_phrase {phrase!r} has no hedge term"
+            )
+        elif confidence is not None and not band.low <= confidence <= band.high:
+            out.add(
+                "ConfidenceOutsideHedgeBand",
+                path,
+                f"confidence {confidence} outside {band.name} [{band.low}, {band.high}]",
+            )
 
 
 def _validate_shelf_fields(out: IssueCollector, path: str, claim: FailureModeClaim) -> None:
@@ -484,10 +467,9 @@ def _validate_shelf_fields(out: IssueCollector, path: str, claim: FailureModeCla
     for name, value in zip(("frequency_min", "frequency_best", "frequency_max"), triple):
         if value is not None and not 0.0 <= value <= 1.0:
             out.add("FrequencyOutOfRange", path, f"{name} {value} outside [0, 1]")
-    if all(v is not None and 0.0 <= v <= 1.0 for v in triple):
-        issue = validate_shelf(*triple)
-        if issue is not None:
-            out.add("ShelfOrderViolation", path, issue.detail)
+    fmin, fbest, fmax = triple
+    if all(v is not None and 0.0 <= v <= 1.0 for v in triple) and not fmin <= fbest <= fmax:
+        out.add("ShelfOrderViolation", path, f"{fmin} <= {fbest} <= {fmax} fails")
 
 
 def _stub_violations(dm: DecisionModelLayer) -> list[str]:
@@ -505,9 +487,9 @@ def validate_seo(doc: SeoDocument) -> ValidationReport:
     """Content validation: mode gates, contamination guard, mandatory fields.
 
     Issue codes: ContaminationGuardViolation, ModeGateViolation,
-    MissingMandatoryField, ConfidenceOutOfRange, ShelfOrderViolation,
-    ShelfEligibilityViolation, FrequencyOutOfRange, MetadataMissing,
-    MetadataInconsistent, StepIndexViolation, DuplicateId.
+    MissingMandatoryField, ConfidenceOutOfRange, ConfidenceOutsideHedgeBand,
+    ShelfOrderViolation, ShelfEligibilityViolation, FrequencyOutOfRange,
+    MetadataMissing, MetadataInconsistent, StepIndexViolation, DuplicateId.
     """
     out = IssueCollector()
     mode = doc.session_mode
@@ -602,18 +584,14 @@ def validate_seo(doc: SeoDocument) -> ValidationReport:
                     )
                 else:
                     seen_fm_names[norm] = fpath
-                _validate_claim_confidence(
-                    out, fpath, fm.confidence, fm.confidence_method, fm.source_scientist
-                )
+                _validate_claim_confidence(out, fpath, fm)
                 _validate_shelf_fields(out, fpath, fm)
 
     if doc.decision_model is not None and doc.decision_model.decision_points is not None:
         for i, dp in enumerate(doc.decision_model.decision_points):
             dpath = f"decision_model.decision_points[{i}]"
             check_id(dp.id, dpath)
-            _validate_claim_confidence(
-                out, dpath, dp.confidence, dp.confidence_method, dp.source_scientist
-            )
+            _validate_claim_confidence(out, dpath, dp)
             for name in (
                 "condition_type",
                 "threshold_value",
@@ -665,6 +643,15 @@ class HedgeBand:
 class HedgeLexicon:
     bands: tuple[HedgeBand, ...]
 
+    @cached_property
+    def _matchers(self) -> tuple[tuple[str, str, HedgeBand], ...]:
+        """(term, word-boundary regex, band), longest term first, then band order."""
+        pairs = [(term, band) for band in self.bands for term in band.terms]
+        pairs.sort(key=lambda pair: -len(pair[0]))  # stable: ties keep band order
+        return tuple(
+            (term, rf"(?<![0-9a-z]){re.escape(term)}(?![0-9a-z])", band) for term, band in pairs
+        )
+
 
 def load_lexicon(path: Path | str) -> HedgeLexicon:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -685,25 +672,27 @@ def default_lexicon() -> HedgeLexicon:
         return load_lexicon(path)
 
 
-def score_linguistic(phrase: str, lexicon: HedgeLexicon | None = None) -> tuple[float, str]:
-    """Map a source phrase to (confidence, band name) by longest hedge match.
+def match_hedge(phrase: str, lexicon: HedgeLexicon | None = None) -> HedgeBand | None:
+    """The band of the longest hedge term in a phrase, or None.
 
-    Matching is case-insensitive on word boundaries; when several terms
-    occur, the longest one wins, with lexicon band order breaking ties.
+    Matching is case-insensitive on word boundaries; lexicon band order
+    breaks ties between terms of equal length.
+    """
+    haystack = phrase.casefold()
+    for term, pattern, band in (lexicon or default_lexicon())._matchers:
+        # the substring test skips the regex (compiled once, in re's cache) for most terms
+        if term in haystack and re.search(pattern, haystack):
+            return band
+    return None
+
+
+def score_linguistic(phrase: str, lexicon: HedgeLexicon | None = None) -> tuple[float, str]:
+    """Map a source phrase to (confidence, band name) by ``match_hedge``.
 
     Raises:
         NoHedgeDetected: nothing in the lexicon matched.
     """
-    lexicon = lexicon or default_lexicon()
-    haystack = phrase.casefold()
-    best: tuple[int, int, HedgeBand] | None = None
-    for rank, band in enumerate(lexicon.bands):
-        for term in band.terms:
-            if re.search(rf"(?<![0-9a-z]){re.escape(term)}(?![0-9a-z])", haystack):
-                candidate = (len(term), -rank, band)
-                if best is None or candidate[:2] > best[:2]:
-                    best = candidate
-    if best is None:
+    band = match_hedge(phrase, lexicon)
+    if band is None:
         raise NoHedgeDetected(f"no hedge term found in {phrase!r}")
-    band = best[2]
     return (band.score, band.name)

@@ -26,10 +26,9 @@ from skg import (
     compile_seo,
     emit_cypher,
     graph_hash,
+    merge,
     parse_seo,
     plan_to_bytes,
-    upsert_edge,
-    upsert_node,
     validate_graph,
     validate_seo,
 )
@@ -166,10 +165,10 @@ def test_c02_compilation_is_deterministic(fixtures_dir):
         raw = (fixtures_dir / "elisa.seo.json").read_bytes()
         blobs = {plan_to_bytes(compile_seo(parse_seo(raw), "ELISA")) for _ in range(3)}
         assert len(blobs) == 1
-        report = compare_extractions([parse_seo(raw) for _ in range(3)]).to_jsonable()
-        assert report["mode"] == "within_agent"
-        assert report["fm_f1"] == 1.0
-        assert report["fm_f1_variance"] == 0.0
+        report = compare_extractions([parse_seo(raw) for _ in range(3)])
+        assert report.mode == "within_agent"
+        assert report.fm_f1 == 1.0
+        assert report.fm_f1_variance == 0.0
 
 
 def test_c03_top_silent_failure(federated):
@@ -211,11 +210,11 @@ def test_c06_cascade_traversal(federated):
         keys = []
         for i, name in enumerate(("alpha", "beta", "gamma"), start=1):
             key = NodeKey("SYN", "FailureMode", f"FM-SYN-00{i}")
-            graph = upsert_node(graph, Node(key, {"name": Prop(name)}))
+            graph = merge(graph, [Node(key, {"name": Prop(name)})])
             keys.append(key)
-        graph = upsert_edge(graph, Edge("CASCADES_TO", keys[0], keys[1]))
-        graph = upsert_edge(graph, Edge("CASCADES_TO", keys[1], keys[2]))
-        graph = upsert_edge(graph, Edge("CASCADES_TO", keys[2], keys[0]))
+        graph = merge(graph, [Edge("CASCADES_TO", keys[0], keys[1])])
+        graph = merge(graph, [Edge("CASCADES_TO", keys[1], keys[2])])
+        graph = merge(graph, [Edge("CASCADES_TO", keys[2], keys[0])])
         assert cascade_paths(graph, "SYN", "FM-SYN-001", 50) == [
             ("alpha", "beta"),
             ("alpha", "beta", "gamma"),
@@ -444,9 +443,9 @@ def test_c14_schema_boundaries(registry):
         graph = Graph(builtin_registry())
         step_key = NodeKey("OPS", "WorkflowStep", "ST-OPS-001")
         case_key = NodeKey("OPS", "UseCase", "UC-watch")
-        graph = upsert_node(graph, Node(step_key, {"name": Prop("watchpoint")}))
-        graph = upsert_node(graph, Node(case_key, {"name": Prop("watch")}))
-        graph = upsert_edge(graph, Edge("MASKED_BY", step_key, case_key))
+        graph = merge(graph, [Node(step_key, {"name": Prop("watchpoint")})])
+        graph = merge(graph, [Node(case_key, {"name": Prop("watch")})])
+        graph = merge(graph, [Edge("MASKED_BY", step_key, case_key)])
         assert validate_graph(graph, registry).has("EndpointLabelViolation")
 
 

@@ -387,6 +387,18 @@ class TestPlanSerialization:
             (lambda raw: raw.update(provenance="ELISA"), r"provenance: "),
             (lambda raw: raw["provenance"].pop("subgraph"), r"provenance: .*subgraph"),
             (lambda raw: raw["provenance"].update(doc_sha256=1), r"provenance: .*doc_sha256"),
+            (
+                lambda raw: raw["statements"].append(
+                    dict(raw["pending_edges"].pop(0), kind="edge")
+                ),
+                r"statements\[\d+\]: MASKED_BY ELISA -> AUTOMATION belongs in pending_edges",
+            ),
+            (
+                lambda raw: raw["pending_edges"].append(
+                    dict(raw["statements"].pop(), kind="pending_edge")
+                ),
+                r"pending_edges\[\d+\]: \w+ ELISA -> ELISA belongs in statements",
+            ),
         ],
         ids=[
             "edge-src-not-text",
@@ -405,6 +417,8 @@ class TestPlanSerialization:
             "provenance-not-object",
             "provenance-member-missing",
             "provenance-member-not-text",
+            "cross-subgraph-edge-approved",
+            "same-subgraph-edge-pending",
         ],
     )
     def test_load_rejects_malformed_plans(self, elisa_doc, change, location):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from skg import Graph, Node, NodeKey, Prop, builtin_registry, save_store, upsert_node
+from skg import Graph, Node, NodeKey, Prop, builtin_registry, merge, save_store
 from skg.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 
 DOCS = [
@@ -69,6 +69,19 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == EXIT_REJECTED
         assert "MetadataInconsistent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"confidence": 0.8}, {"source_phrase": "The curve comes out ragged."}],
+        ids=["confidence-outside-band", "phrase-without-hedge"],
+    )
+    def test_hedge_band(self, tmp_path, fixtures_dir, capsys, change):
+        doc = json.loads((fixtures_dir / "elisa.seo.json").read_text())
+        doc["protocol"]["steps"][0]["failure_modes"][0].update(change)
+        bad = tmp_path / "bad.seo.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == EXIT_REJECTED
+        assert capsys.readouterr().out.startswith("ConfidenceOutsideHedgeBand\t")
 
     def test_contamination_guard(self, tmp_path, capsys):
         bad = tmp_path / "contaminated.seo.json"
@@ -256,9 +269,9 @@ class TestCheck:
         assert capsys.readouterr().out == "OK\n"
 
     def test_incomplete_node_fails(self, tmp_path, capsys):
-        graph = upsert_node(
+        graph = merge(
             Graph(builtin_registry()),
-            Node(NodeKey("SYN", "FailureMode", "FM-SYN-001"), {"name": Prop("bare")}),
+            [Node(NodeKey("SYN", "FailureMode", "FM-SYN-001"), {"name": Prop("bare")})],
         )
         path = tmp_path / "thin.skg.jsonl"
         save_store(graph, path)
@@ -580,6 +593,17 @@ class TestCorruptStore:
         assert captured.out == ""
         assert "not canonical" in captured.err
 
+    @pytest.mark.parametrize("sidecar", ["", "\n", "not-a-digest\n", "\xff\n"])
+    def test_verify_reports_a_bad_sidecar_as_a_mismatch(
+        self, fixtures_dir, tmp_path, capsys, sidecar
+    ):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        (tmp_path / "federated.skg.sha256").write_bytes(sidecar.encode("latin-1"))
+        assert main(["hash", "--graph", str(path), "--verify"]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("digest mismatch: sidecar ")
+
 
 class TestMalformedPlan:
     @pytest.mark.parametrize(
@@ -592,12 +616,26 @@ class TestMalformedPlan:
                 lambda raw: raw["statements"][-1].update(src="ELISA:FailureMode:bad id"),
                 "error: statements[",
             ),
+            (
+                lambda raw: raw["statements"].append(
+                    dict(raw["pending_edges"].pop(0), kind="edge")
+                ),
+                "error: statements[",
+            ),
+            (
+                lambda raw: raw["pending_edges"].append(
+                    dict(raw["statements"].pop(), kind="pending_edge")
+                ),
+                "error: pending_edges[",
+            ),
         ],
         ids=[
             "edge-src-not-text",
             "missing-provenance",
             "pending-not-array",
             "edge-src-id-bad-characters",
+            "cross-subgraph-edge-approved",
+            "same-subgraph-edge-pending",
         ],
     )
     def test_apply_rejects_with_its_location(

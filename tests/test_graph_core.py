@@ -20,11 +20,10 @@ from skg import (
     digest_path,
     graph_hash,
     load_store,
+    merge,
     neighbors,
     parse_node_key,
     save_store,
-    upsert_edge,
-    upsert_node,
     value_kind,
 )
 from skg.graph_core import CONFLICT_LOG
@@ -113,65 +112,65 @@ class TestProp:
 
 class TestMergePolicy:
     def test_insert_then_read(self):
-        g = upsert_node(make_graph(), named(key("n1"), confidence=0.8))
+        g = merge(make_graph(), [named(key("n1"), confidence=0.8)])
         assert g.node(key("n1")).get("confidence") == 0.8
 
     def test_upsert_does_not_mutate_input(self):
         g0 = make_graph()
-        g1 = upsert_node(g0, named(key("n1")))
+        g1 = merge(g0, [named(key("n1"))])
         assert g0.node_count == 0 and g1.node_count == 1
 
     def test_default_never_displaces_confirmed(self):
-        g = upsert_node(make_graph(), Node(key("n1"), {"name": Prop("real", IC)}))
-        g = upsert_node(g, Node(key("n1"), {"name": Prop("stub", SD)}))
+        g = merge(make_graph(), [Node(key("n1"), {"name": Prop("real", IC)})])
+        g = merge(g, [Node(key("n1"), {"name": Prop("stub", SD)})])
         node = g.node(key("n1"))
         assert node.get("name") == "real"
         assert node.properties["name"].provenance is IC
         assert CONFLICT_LOG not in node.properties
 
     def test_confirmed_displaces_default_silently(self):
-        g = upsert_node(make_graph(), Node(key("n1"), {"name": Prop("stub", SD)}))
-        g = upsert_node(g, Node(key("n1"), {"name": Prop("real", IC)}))
+        g = merge(make_graph(), [Node(key("n1"), {"name": Prop("stub", SD)})])
+        g = merge(g, [Node(key("n1"), {"name": Prop("real", IC)})])
         node = g.node(key("n1"))
         assert node.get("name") == "real"
         assert node.properties["name"].provenance is IC
         assert CONFLICT_LOG not in node.properties
 
     def test_default_replaces_default(self):
-        g = upsert_node(make_graph(), Node(key("n1"), {"name": Prop("one", SD)}))
-        g = upsert_node(g, Node(key("n1"), {"name": Prop("two", SD)}))
+        g = merge(make_graph(), [Node(key("n1"), {"name": Prop("one", SD)})])
+        g = merge(g, [Node(key("n1"), {"name": Prop("two", SD)})])
         node = g.node(key("n1"))
         assert node.get("name") == "two"
         assert node.properties["name"].provenance is SD
 
     def test_confirmed_collision_logs_and_takes_latest(self):
-        g = upsert_node(make_graph(), Node(key("n1"), {"confidence": Prop(0.8, IC)}))
-        g = upsert_node(g, Node(key("n1"), {"confidence": Prop(0.9, IC)}))
+        g = merge(make_graph(), [Node(key("n1"), {"confidence": Prop(0.8, IC)})])
+        g = merge(g, [Node(key("n1"), {"confidence": Prop(0.9, IC)})])
         node = g.node(key("n1"))
         assert node.get("confidence") == 0.9
         assert node.get(CONFLICT_LOG) == ("confidence: 0.8 -> 0.9",)
 
     def test_equal_confirmed_value_is_a_no_op(self):
-        g = upsert_node(make_graph(), Node(key("n1"), {"confidence": Prop(0.8, IC)}))
-        g = upsert_node(g, Node(key("n1"), {"confidence": Prop(0.8, IC)}))
+        g = merge(make_graph(), [Node(key("n1"), {"confidence": Prop(0.8, IC)})])
+        g = merge(g, [Node(key("n1"), {"confidence": Prop(0.8, IC)})])
         assert CONFLICT_LOG not in g.node(key("n1")).properties
 
     def test_conflict_log_accumulates(self):
         g = make_graph()
         for value in (0.7, 0.8, 0.9):
-            g = upsert_node(g, Node(key("n1"), {"confidence": Prop(value, IC)}))
+            g = merge(g, [Node(key("n1"), {"confidence": Prop(value, IC)})])
         assert g.node(key("n1")).get(CONFLICT_LOG) == (
             "confidence: 0.7 -> 0.8",
             "confidence: 0.8 -> 0.9",
         )
 
     def test_conflict_log_renders_booleans_and_lists(self):
-        g = upsert_node(
+        g = merge(
             make_graph(),
-            Node(key("n1"), {"flag": Prop(True, IC), "tags": Prop(("a", "b"), IC)}),
+            [Node(key("n1"), {"flag": Prop(True, IC), "tags": Prop(("a", "b"), IC)})],
         )
-        g = upsert_node(
-            g, Node(key("n1"), {"flag": Prop(False, IC), "tags": Prop(("a",), IC)})
+        g = merge(
+            g, [Node(key("n1"), {"flag": Prop(False, IC), "tags": Prop(("a",), IC)})]
         )
         assert g.node(key("n1")).get(CONFLICT_LOG) == (
             "flag: true -> false",
@@ -179,76 +178,76 @@ class TestMergePolicy:
         )
 
     def test_kind_change_raises_even_for_discarded_default(self):
-        g = upsert_node(make_graph(), Node(key("n1"), {"name": Prop("text", IC)}))
+        g = merge(make_graph(), [Node(key("n1"), {"name": Prop("text", IC)})])
         with pytest.raises(TypeConflict):
-            upsert_node(g, Node(key("n1"), {"name": Prop(1.0, SD)}))
+            merge(g, [Node(key("n1"), {"name": Prop(1.0, SD)})])
 
     def test_kind_change_raises_for_confirmed(self):
-        g = upsert_node(make_graph(), Node(key("n1"), {"name": Prop("text", IC)}))
+        g = merge(make_graph(), [Node(key("n1"), {"name": Prop("text", IC)})])
         with pytest.raises(TypeConflict):
-            upsert_node(g, Node(key("n1"), {"name": Prop(True, IC)}))
+            merge(g, [Node(key("n1"), {"name": Prop(True, IC)})])
 
 
 class TestEdges:
     def graph_with_nodes(self):
         g = make_graph()
-        g = upsert_node(g, named(key("a")))
-        g = upsert_node(g, named(key("b")))
-        g = upsert_node(g, named(key("c", subgraph="SGB", label="AutomationAsset")))
+        g = merge(g, [named(key("a"))])
+        g = merge(g, [named(key("b"))])
+        g = merge(g, [named(key("c", subgraph="SGB", label="AutomationAsset"))])
         return g
 
     def test_dangling_endpoints(self):
         g = self.graph_with_nodes()
         with pytest.raises(DanglingEdge):
-            upsert_edge(g, Edge("CASCADES_TO", key("a"), key("missing")))
+            merge(g, [Edge("CASCADES_TO", key("a"), key("missing"))])
         with pytest.raises(DanglingEdge):
-            upsert_edge(g, Edge("CASCADES_TO", key("missing"), key("a")))
+            merge(g, [Edge("CASCADES_TO", key("missing"), key("a"))])
 
     def test_same_subgraph_edge(self):
-        g = upsert_edge(self.graph_with_nodes(), Edge("CASCADES_TO", key("a"), key("b")))
+        g = merge(self.graph_with_nodes(), [Edge("CASCADES_TO", key("a"), key("b"))])
         assert g.has_edge(("CASCADES_TO", key("a"), key("b")))
 
     def test_cross_subgraph_requires_allowed_type(self):
         g = self.graph_with_nodes()
         with pytest.raises(CrossSubgraphViolation):
-            upsert_edge(g, Edge("CASCADES_TO", key("a"), key("c", "SGB", "AutomationAsset")))
+            merge(g, [Edge("CASCADES_TO", key("a"), key("c", "SGB", "AutomationAsset"))])
 
     def test_cross_subgraph_allowed_type_pends_or_not(self):
         g = self.graph_with_nodes()
         dst = key("c", "SGB", "AutomationAsset")
-        pending = upsert_edge(g, Edge("MASKED_BY", key("a"), dst, pending=True))
+        pending = merge(g, [Edge("MASKED_BY", key("a"), dst, pending=True)])
         assert pending.edge(("MASKED_BY", key("a"), dst)).pending
-        approved = upsert_edge(g, Edge("MASKED_BY", key("a"), dst, pending=False))
+        approved = merge(g, [Edge("MASKED_BY", key("a"), dst, pending=False)])
         assert not approved.edge(("MASKED_BY", key("a"), dst)).pending
 
     def test_same_subgraph_pending_rejected(self):
         g = self.graph_with_nodes()
         with pytest.raises(CrossSubgraphViolation):
-            upsert_edge(g, Edge("CASCADES_TO", key("a"), key("b"), pending=True))
+            merge(g, [Edge("CASCADES_TO", key("a"), key("b"), pending=True)])
 
     def test_approval_is_sticky(self):
         g = self.graph_with_nodes()
         dst = key("c", "SGB", "AutomationAsset")
         ekey = ("MASKED_BY", key("a"), dst)
-        g = upsert_edge(g, Edge("MASKED_BY", key("a"), dst, pending=True))
+        g = merge(g, [Edge("MASKED_BY", key("a"), dst, pending=True)])
         g, _ = approve_pending(g, [ekey])
-        g = upsert_edge(g, Edge("MASKED_BY", key("a"), dst, pending=True))
+        g = merge(g, [Edge("MASKED_BY", key("a"), dst, pending=True)])
         assert not g.edge(ekey).pending
 
     def test_pending_stays_pending_until_approved(self):
         g = self.graph_with_nodes()
         dst = key("c", "SGB", "AutomationAsset")
         ekey = ("MASKED_BY", key("a"), dst)
-        g = upsert_edge(g, Edge("MASKED_BY", key("a"), dst, pending=True))
-        g = upsert_edge(g, Edge("MASKED_BY", key("a"), dst, pending=True))
+        g = merge(g, [Edge("MASKED_BY", key("a"), dst, pending=True)])
+        g = merge(g, [Edge("MASKED_BY", key("a"), dst, pending=True)])
         assert g.edge(ekey).pending
-        g = upsert_edge(g, Edge("MASKED_BY", key("a"), dst, pending=False))
+        g = merge(g, [Edge("MASKED_BY", key("a"), dst, pending=False)])
         assert not g.edge(ekey).pending
 
     def test_parallel_edges_collapse_and_merge_properties(self):
         g = self.graph_with_nodes()
-        g = upsert_edge(g, Edge("CASCADES_TO", key("a"), key("b"), {"weight": Prop(1.0, IC)}))
-        g = upsert_edge(g, Edge("CASCADES_TO", key("a"), key("b"), {"note": Prop("x", IC)}))
+        g = merge(g, [Edge("CASCADES_TO", key("a"), key("b"), {"weight": Prop(1.0, IC)})])
+        g = merge(g, [Edge("CASCADES_TO", key("a"), key("b"), {"note": Prop("x", IC)})])
         edge = g.edge(("CASCADES_TO", key("a"), key("b")))
         assert g.edge_count == 1
         assert edge.properties["weight"].value == 1.0
@@ -263,11 +262,11 @@ class TestNeighbors:
     def build(self):
         g = make_graph()
         for id_ in ("a", "b", "d"):
-            g = upsert_node(g, named(key(id_)))
-        g = upsert_node(g, named(key("c", "SGB", "AutomationAsset")))
-        g = upsert_edge(g, Edge("CASCADES_TO", key("a"), key("b")))
-        g = upsert_edge(g, Edge("CASCADES_TO", key("a"), key("d")))
-        g = upsert_edge(g, Edge("MASKED_BY", key("a"), key("c", "SGB", "AutomationAsset"), pending=True))
+            g = merge(g, [named(key(id_))])
+        g = merge(g, [named(key("c", "SGB", "AutomationAsset"))])
+        g = merge(g, [Edge("CASCADES_TO", key("a"), key("b"))])
+        g = merge(g, [Edge("CASCADES_TO", key("a"), key("d"))])
+        g = merge(g, [Edge("MASKED_BY", key("a"), key("c", "SGB", "AutomationAsset"), pending=True)])
         return g
 
     def test_out_sorted(self):
@@ -303,19 +302,19 @@ class TestSerialization:
 
     def test_insertion_order_does_not_matter(self):
         a, b = named(key("a")), named(key("b"))
-        g1 = upsert_node(upsert_node(make_graph(), a), b)
-        g2 = upsert_node(upsert_node(make_graph(), b), a)
+        g1 = merge(merge(make_graph(), [a]), [b])
+        g2 = merge(merge(make_graph(), [b]), [a])
         assert g1 == g2
         assert canonical_serialize(g1) == canonical_serialize(g2)
         assert graph_hash(g1) == graph_hash(g2)
 
     def test_pending_section_comes_last(self):
         g = make_graph()
-        g = upsert_node(g, named(key("a")))
-        g = upsert_node(g, named(key("b")))
-        g = upsert_node(g, named(key("c", "SGB", "AutomationAsset")))
-        g = upsert_edge(g, Edge("CASCADES_TO", key("a"), key("b")))
-        g = upsert_edge(g, Edge("MASKED_BY", key("a"), key("c", "SGB", "AutomationAsset"), pending=True))
+        g = merge(g, [named(key("a"))])
+        g = merge(g, [named(key("b"))])
+        g = merge(g, [named(key("c", "SGB", "AutomationAsset"))])
+        g = merge(g, [Edge("CASCADES_TO", key("a"), key("b"))])
+        g = merge(g, [Edge("MASKED_BY", key("a"), key("c", "SGB", "AutomationAsset"), pending=True)])
         kinds = [line.split('"kind": "')[1].split('"')[0] for line in canonical_serialize(g).decode().splitlines()]
         assert kinds == ["header", "node", "node", "node", "edge", "pending_edge"]
 
@@ -335,9 +334,9 @@ class TestStoreFiles:
 
     def test_save_load_round_trip(self, tmp_path):
         g = make_graph()
-        g = upsert_node(g, named(key("a"), confidence=0.82, flagged=False))
-        g = upsert_node(g, named(key("c", "SGB", "AutomationAsset")))
-        g = upsert_edge(g, Edge("MASKED_BY", key("a"), key("c", "SGB", "AutomationAsset"), pending=True))
+        g = merge(g, [named(key("a"), confidence=0.82, flagged=False)])
+        g = merge(g, [named(key("c", "SGB", "AutomationAsset"))])
+        g = merge(g, [Edge("MASKED_BY", key("a"), key("c", "SGB", "AutomationAsset"), pending=True)])
         path = tmp_path / "t.skg.jsonl"
         digest = save_store(g, path)
         loaded = load_store(path, builtin_registry())
@@ -347,7 +346,7 @@ class TestStoreFiles:
 
     @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
     def test_unicode_line_separators_in_text_round_trip(self, tmp_path, separator):
-        g = upsert_node(make_graph(), named(key("a"), note=f"before{separator}after"))
+        g = merge(make_graph(), [named(key("a"), note=f"before{separator}after")])
         path = tmp_path / "t.skg.jsonl"
         save_store(g, path)
         assert load_store(path, builtin_registry()) == g
@@ -430,8 +429,8 @@ def node_strategy(draw):
 class TestMergeProperties:
     @given(node_strategy())
     def test_upsert_twice_equals_once(self, node):
-        g1 = upsert_node(make_graph(), node)
-        g2 = upsert_node(g1, node)
+        g1 = merge(make_graph(), [node])
+        g2 = merge(g1, [node])
         assert canonical_serialize(g1) == canonical_serialize(g2)
 
     @given(st.lists(node_strategy(), min_size=1, max_size=5))
@@ -440,18 +439,18 @@ class TestMergeProperties:
         nodes = list(unique.values())
         g_fwd = make_graph()
         for n in nodes:
-            g_fwd = upsert_node(g_fwd, n)
+            g_fwd = merge(g_fwd, [n])
         g_rev = make_graph()
         for n in reversed(nodes):
-            g_rev = upsert_node(g_rev, n)
+            g_rev = merge(g_rev, [n])
         assert canonical_serialize(g_fwd) == canonical_serialize(g_rev)
 
     @given(prop_values, prop_values)
     def test_confirmed_value_survives_any_default(self, confirmed, stub):
-        g = upsert_node(make_graph(), Node(key("n"), {"p": Prop(confirmed, IC)}))
+        g = merge(make_graph(), [Node(key("n"), {"p": Prop(confirmed, IC)})])
         kept = g.node(key("n")).properties["p"].value
         try:
-            g = upsert_node(g, Node(key("n"), {"p": Prop(stub, SD)}))
+            g = merge(g, [Node(key("n"), {"p": Prop(stub, SD)})])
         except TypeConflict:
             return  # kind changes are rejected, which also preserves the value
         after = g.node(key("n")).properties["p"]
@@ -464,7 +463,7 @@ class TestMergeProperties:
         g = make_graph()
         for n in nodes:
             try:
-                g = upsert_node(g, n)
+                g = merge(g, [n])
             except TypeConflict:
                 return  # same key twice with clashing kinds; nothing to round-trip
         path = tmp_path_factory.mktemp("store") / "t.skg.jsonl"

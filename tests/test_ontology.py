@@ -8,8 +8,7 @@ from skg import (
     Prop,
     Tier,
     builtin_registry,
-    upsert_edge,
-    upsert_node,
+    merge,
     validate_graph,
 )
 from skg.ontology import (
@@ -31,7 +30,6 @@ LABELS = {
     "DecisionPoint",
     "FailureMode",
     "MethodAlternative",
-    "AmbiguityFlag",
     "CalibrationRecord",
     "AutomationAsset",
     "UseCase",
@@ -48,7 +46,6 @@ EDGE_TYPES = {
     "MASKED_BY",
     "DETECTED_BY",
     "CALIBRATED_BY",
-    "FLAGS",
     "REQUIRES_AUTOMATION",
     "SUITABLE_FOR",
     "REQUIRES_EVIDENCE",
@@ -59,16 +56,17 @@ EDGE_TYPES = {
 class TestBuiltinRegistry:
     def test_label_inventory(self, registry):
         assert set(registry.node_types) == LABELS
-        assert len(registry.node_types) == 12
+        assert len(registry.node_types) == 11
 
     def test_edge_inventory(self, registry):
         assert set(registry.edge_types) == EDGE_TYPES
-        assert len(registry.edge_types) == 14
+        assert len(registry.edge_types) == 13
 
     def test_core_edge_vocabulary(self, registry):
-        assert registry.core_edge_types() == frozenset(
-            {"SOURCED_FROM", "CAUSES_IF_INCOMPLETE", "MASKED_BY", "REQUIRES_AUTOMATION", "SUITABLE_FOR"}
-        )
+        core = {name for name, edef in registry.edge_types.items() if edef.core}
+        assert core == {
+            "SOURCED_FROM", "CAUSES_IF_INCOMPLETE", "MASKED_BY", "REQUIRES_AUTOMATION", "SUITABLE_FOR"
+        }
 
     def test_cross_subgraph_edge_types(self, registry):
         assert registry.cross_subgraph_edge_types() == frozenset(
@@ -144,41 +142,41 @@ def simple_node(label: str, id_: str, subgraph: str = "SG", **extra) -> Node:
 class TestValidateGraph:
     def test_valid_graph_is_ok(self, registry):
         g = Graph(registry)
-        g = upsert_node(g, fm_node("f1"))
-        g = upsert_node(g, simple_node("WorkflowStep", "s1", step_index=1))
-        g = upsert_edge(g, Edge("CAUSES_IF_INCOMPLETE", NodeKey("SG", "WorkflowStep", "s1"), NodeKey("SG", "FailureMode", "f1")))
+        g = merge(g, [fm_node("f1")])
+        g = merge(g, [simple_node("WorkflowStep", "s1", step_index=1)])
+        g = merge(g, [Edge("CAUSES_IF_INCOMPLETE", NodeKey("SG", "WorkflowStep", "s1"), NodeKey("SG", "FailureMode", "f1"))])
         report = validate_graph(g, registry)
         assert report.ok
         assert report.to_text() == "OK\n"
 
     def test_unknown_label(self, registry):
-        g = upsert_node(Graph(registry), simple_node("Mystery", "m1"))
+        g = merge(Graph(registry), [simple_node("Mystery", "m1")])
         assert validate_graph(g, registry).has("UnknownLabel")
 
     def test_unknown_edge_type(self, registry):
         g = Graph(registry)
-        g = upsert_node(g, fm_node("f1"))
-        g = upsert_node(g, fm_node("f2"))
-        g = upsert_edge(g, Edge("TELEPORTS", NodeKey("SG", "FailureMode", "f1"), NodeKey("SG", "FailureMode", "f2")))
+        g = merge(g, [fm_node("f1")])
+        g = merge(g, [fm_node("f2")])
+        g = merge(g, [Edge("TELEPORTS", NodeKey("SG", "FailureMode", "f1"), NodeKey("SG", "FailureMode", "f2"))])
         assert validate_graph(g, registry).has("UnknownEdgeType")
 
     def test_missing_required_properties_enumerated(self, registry):
-        g = upsert_node(
+        g = merge(
             Graph(registry),
-            Node(NodeKey("SG", "FailureMode", "f1"), {"name": Prop("bare")}),
+            [Node(NodeKey("SG", "FailureMode", "f1"), {"name": Prop("bare")})],
         )
         report = validate_graph(g, registry)
         missing = [i for i in report.issues if i.code == "MissingRequiredProperty"]
         assert len(missing) == 6  # trio, both risk booleans, review flag
 
     def test_declared_kind_enforced(self, registry):
-        g = upsert_node(
-            Graph(registry), simple_node("WorkflowStep", "s1", step_index="first")
+        g = merge(
+            Graph(registry), [simple_node("WorkflowStep", "s1", step_index="first")]
         )
         assert validate_graph(g, registry).has("ValueKindMismatch")
 
     def test_undeclared_properties_are_tolerated(self, registry):
-        g = upsert_node(Graph(registry), fm_node("f1", conflict_log=("a -> b",)))
+        g = merge(Graph(registry), [fm_node("f1", conflict_log=("a -> b",))])
         assert validate_graph(g, registry).ok
 
     @pytest.mark.parametrize(
@@ -186,45 +184,45 @@ class TestValidateGraph:
         [(0.599, True), (0.6, False), (0.82, False), (1.0, False), (1.001, True)],
     )
     def test_confidence_boundaries(self, registry, confidence, bad):
-        g = upsert_node(Graph(registry), fm_node("f1", confidence=confidence))
+        g = merge(Graph(registry), [fm_node("f1", confidence=confidence)])
         assert validate_graph(g, registry).has("ConfidenceOutOfRange") is bad
 
     def test_shelf_triple_must_be_ordered(self, registry):
-        g = upsert_node(
+        g = merge(
             Graph(registry),
-            fm_node(
+            [fm_node(
                 "f1",
                 confidence_method="SHELF_elicited",
                 silent_failure_risk=True,
                 frequency_min=0.5,
                 frequency_best=0.3,
                 frequency_max=0.6,
-            ),
+            )],
         )
         assert validate_graph(g, registry).has("ShelfOrderViolation")
 
     def test_shelf_triple_must_be_complete(self, registry):
-        g = upsert_node(Graph(registry), fm_node("f1", frequency_min=0.1))
+        g = merge(Graph(registry), [fm_node("f1", frequency_min=0.1)])
         assert validate_graph(g, registry).has("ShelfOrderViolation")
 
     def test_degenerate_shelf_triple_is_fine(self, registry):
-        g = upsert_node(
+        g = merge(
             Graph(registry),
-            fm_node("f1", frequency_min=0.1, frequency_best=0.1, frequency_max=0.1),
+            [fm_node("f1", frequency_min=0.1, frequency_best=0.1, frequency_max=0.1)],
         )
         assert validate_graph(g, registry).ok
 
     def test_endpoint_label_violation(self, registry):
         g = Graph(registry)
-        g = upsert_node(g, simple_node("WorkflowStep", "s1", step_index=1))
-        g = upsert_node(g, simple_node("UseCase", "u1", subgraph="AUTOMATION"))
-        g = upsert_edge(
+        g = merge(g, [simple_node("WorkflowStep", "s1", step_index=1)])
+        g = merge(g, [simple_node("UseCase", "u1", subgraph="AUTOMATION")])
+        g = merge(
             g,
-            Edge(
+            [Edge(
                 "MASKED_BY",
                 NodeKey("SG", "WorkflowStep", "s1"),
                 NodeKey("AUTOMATION", "UseCase", "u1"),
-            ),
+            )],
         )
         assert validate_graph(g, registry).has("EndpointLabelViolation")
 
@@ -238,9 +236,9 @@ class TestValidateGraph:
             {"LINKS": EdgeTypeDef("LINKS", frozenset({"Up"}), frozenset({"Down"}), cross_tier=False)},
         )
         g = Graph(registry)
-        g = upsert_node(g, simple_node("Up", "a"))
-        g = upsert_node(g, simple_node("Down", "b"))
-        g = upsert_edge(g, Edge("LINKS", NodeKey("SG", "Up", "a"), NodeKey("SG", "Down", "b")))
+        g = merge(g, [simple_node("Up", "a")])
+        g = merge(g, [simple_node("Down", "b")])
+        g = merge(g, [Edge("LINKS", NodeKey("SG", "Up", "a"), NodeKey("SG", "Down", "b"))])
         report = validate_graph(g, registry)
         assert report.has("TierViolation")
         assert not report.has("EndpointLabelViolation")
@@ -254,11 +252,11 @@ class TestValidateGraph:
                 return frozenset({"CASCADES_TO"})
 
         lax = Graph(LaxRegistry())
-        lax = upsert_node(lax, fm_node("f1", subgraph="SGA"))
-        lax = upsert_node(lax, fm_node("f2", subgraph="SGB"))
-        lax = upsert_edge(
+        lax = merge(lax, [fm_node("f1", subgraph="SGA")])
+        lax = merge(lax, [fm_node("f2", subgraph="SGB")])
+        lax = merge(
             lax,
-            Edge("CASCADES_TO", NodeKey("SGA", "FailureMode", "f1"), NodeKey("SGB", "FailureMode", "f2")),
+            [Edge("CASCADES_TO", NodeKey("SGA", "FailureMode", "f1"), NodeKey("SGB", "FailureMode", "f2"))],
         )
         assert validate_graph(lax, registry).has("CrossSubgraphViolation")
 

@@ -13,8 +13,7 @@ from skg import (
     RangeError,
     approve_pending,
     builtin_registry,
-    upsert_edge,
-    upsert_node,
+    merge,
 )
 from skg.queries import (
     automation_reuse,
@@ -45,14 +44,14 @@ def add_fm(graph, id_, name=None, *, confidence=0.8, srisk=False):
         "confidence": Prop(confidence),
         "silent_failure_risk": Prop(srisk),
     }
-    return upsert_node(graph, Node(key, props)), key
+    return merge(graph, [Node(key, props)]), key
 
 
 def add_node(graph, label, id_, subgraph=SG, **props):
     key = NodeKey(subgraph, label, id_)
     rendered = {"name": Prop(id_)}
     rendered.update({k: Prop(v) for k, v in props.items()})
-    return upsert_node(graph, Node(key, rendered)), key
+    return merge(graph, [Node(key, rendered)]), key
 
 
 class TestRankedFailures:
@@ -128,13 +127,13 @@ class TestIsSilent:
     def test_masked_is_silent_even_without_risk_flag(self):
         g, fm = add_fm(syn_graph(), "FM-SYN-001", srisk=False)
         g, asset = add_node(g, "AutomationAsset", "AA-robot")
-        g = upsert_edge(g, Edge("MASKED_BY", fm, asset))
+        g = merge(g, [Edge("MASKED_BY", fm, asset)])
         assert is_silent(g, g.node(fm))
 
     def test_pending_mask_does_not_count(self):
         g, fm = add_fm(syn_graph(), "FM-SYN-001", srisk=False)
         g, asset = add_node(g, "AutomationAsset", "AA-robot", subgraph="AUTO")
-        g = upsert_edge(g, Edge("MASKED_BY", fm, asset, pending=True))
+        g = merge(g, [Edge("MASKED_BY", fm, asset, pending=True)])
         assert not is_silent(g, g.node(fm))
         g, _ = approve_pending(g, [("MASKED_BY", fm, asset)])
         assert is_silent(g, g.node(fm))
@@ -146,15 +145,15 @@ class TestIsSilent:
     def test_detection_clears_risk_flag(self):
         g, fm = add_fm(syn_graph(), "FM-SYN-001", srisk=True)
         g, sig = add_node(g, "ErrorSignature", "ES-spike")
-        g = upsert_edge(g, Edge("DETECTED_BY", fm, sig))
+        g = merge(g, [Edge("DETECTED_BY", fm, sig)])
         assert not is_silent(g, g.node(fm))
 
     def test_detection_does_not_clear_masking(self):
         g, fm = add_fm(syn_graph(), "FM-SYN-001", srisk=True)
         g, sig = add_node(g, "ErrorSignature", "ES-spike")
         g, asset = add_node(g, "AutomationAsset", "AA-robot")
-        g = upsert_edge(g, Edge("DETECTED_BY", fm, sig))
-        g = upsert_edge(g, Edge("MASKED_BY", fm, asset))
+        g = merge(g, [Edge("DETECTED_BY", fm, sig)])
+        g = merge(g, [Edge("MASKED_BY", fm, asset)])
         assert is_silent(g, g.node(fm))
 
     def test_plain_node_is_not_silent(self):
@@ -220,9 +219,9 @@ class TestCascadePaths:
         for i, name in enumerate(("alpha", "beta", "gamma"), start=1):
             g, _ = add_fm(g, f"FM-SYN-00{i}", name)
         keys = [NodeKey(SG, "FailureMode", f"FM-SYN-00{i}") for i in (1, 2, 3)]
-        g = upsert_edge(g, Edge("CASCADES_TO", keys[0], keys[1]))
-        g = upsert_edge(g, Edge("CASCADES_TO", keys[1], keys[2]))
-        g = upsert_edge(g, Edge("CASCADES_TO", keys[2], keys[0]))
+        g = merge(g, [Edge("CASCADES_TO", keys[0], keys[1])])
+        g = merge(g, [Edge("CASCADES_TO", keys[1], keys[2])])
+        g = merge(g, [Edge("CASCADES_TO", keys[2], keys[0])])
         paths = cascade_paths(g, SG, "FM-SYN-001", 10)
         # each node may appear once per path, so the cycle stops after one lap
         assert paths == [("alpha", "beta"), ("alpha", "beta", "gamma")]
@@ -232,9 +231,9 @@ class TestCascadePaths:
         g, left = add_fm(g, "FM-SYN-002", "left")
         g, right = add_fm(g, "FM-SYN-003", "right")
         g, deep = add_fm(g, "FM-SYN-004", "deep")
-        g = upsert_edge(g, Edge("CASCADES_TO", root, right))
-        g = upsert_edge(g, Edge("CASCADES_TO", root, left))
-        g = upsert_edge(g, Edge("CASCADES_TO", left, deep))
+        g = merge(g, [Edge("CASCADES_TO", root, right)])
+        g = merge(g, [Edge("CASCADES_TO", root, left)])
+        g = merge(g, [Edge("CASCADES_TO", left, deep)])
         paths = cascade_paths(g, SG, "FM-SYN-001", 5)
         assert paths == [
             ("root", "left"),

@@ -13,7 +13,6 @@ from skg import (
     score_linguistic,
     serialize_seo,
     validate_seo,
-    validate_shelf,
 )
 from skg.seo import (
     OPERATIONAL_STUB,
@@ -507,15 +506,17 @@ class TestValidateSeo:
         assert report.has("ShelfOrderViolation")
 
     def test_frequency_out_of_range(self):
-        claim = fm(
-            "f",
-            is_critical_path=True,
-            frequency_min=0.1,
-            frequency_best=0.2,
-            frequency_max=1.5,
-        )
-        report = validate_seo(design_doc([StepRecord("a", 1, failure_modes=(claim,))]))
-        assert report.has("FrequencyOutOfRange")
+        for low, best, high in [(0.1, 0.2, 1.5), (-0.1, 0.2, 0.3)]:
+            claim = fm(
+                "f",
+                is_critical_path=True,
+                frequency_min=low,
+                frequency_best=best,
+                frequency_max=high,
+            )
+            report = validate_seo(design_doc([StepRecord("a", 1, failure_modes=(claim,))]))
+            assert report.has("FrequencyOutOfRange")
+            assert not report.has("ShelfOrderViolation")
 
     def test_evidentiary_input_fields(self):
         from skg.seo import EvidentiaryInputClaim, ProgramMilestoneClaim
@@ -543,19 +544,89 @@ class TestValidateSeo:
 
 
 class TestValidateShelf:
+    """The order check on an in-range SHELF triple, min <= best <= max."""
+
+    @staticmethod
+    def order_issues(low, best, high):
+        claim = fm(
+            "f",
+            silent_failure_risk=True,
+            frequency_min=low,
+            frequency_best=best,
+            frequency_max=high,
+        )
+        report = validate_seo(design_doc([StepRecord("a", 1, failure_modes=(claim,))]))
+        return [i for i in report.issues if i.code == "ShelfOrderViolation"]
+
     def test_ordered_triple_passes(self):
-        assert validate_shelf(0.1, 0.2, 0.3) is None
-        assert validate_shelf(0.2, 0.2, 0.2) is None
+        assert self.order_issues(0.1, 0.2, 0.3) == []
+        assert self.order_issues(0.2, 0.2, 0.2) == []
 
     def test_unordered_triple_is_an_issue(self):
-        issue = validate_shelf(0.3, 0.2, 0.4)
-        assert issue is not None
-        assert issue.code == "ShelfOrderViolation"
+        (issue,) = self.order_issues(0.1, 0.4, 0.3)
+        assert issue.detail == "0.1 <= 0.4 <= 0.3 fails"
 
-    @pytest.mark.parametrize("triple", [(-0.1, 0.2, 0.3), (0.1, 0.2, 1.5)])
-    def test_out_of_range_raises(self, triple):
-        with pytest.raises(RangeError):
-            validate_shelf(*triple)
+
+class TestHedgeBand:
+    """A linguistic claim's confidence must lie in the band of its phrase's hedge."""
+
+    @staticmethod
+    def elisa_with_first_phrased_claim(fixtures_dir, **changes) -> SeoDocument:
+        # FM-ELISA-002, "... the curve always comes out ragged." at 0.88 (DECLARATIVE)
+        raw = json.loads((fixtures_dir / "elisa.seo.json").read_text(encoding="utf-8"))
+        raw["protocol"]["steps"][0]["failure_modes"][0].update(changes)
+        return parse(raw)
+
+    def test_confidence_outside_its_band(self, fixtures_dir):
+        doc = self.elisa_with_first_phrased_claim(fixtures_dir, confidence=0.8)
+        report = validate_seo(doc)
+        assert report.codes() == ["ConfidenceOutsideHedgeBand"]
+        assert report.issues[0].subject == "protocol.steps[0].failure_modes[0]"
+        assert report.issues[0].detail == "confidence 0.8 outside DECLARATIVE [0.85, 0.92]"
+
+    def test_phrase_without_a_hedge_term(self, fixtures_dir):
+        doc = self.elisa_with_first_phrased_claim(
+            fixtures_dir, source_phrase="The curve comes out ragged."
+        )
+        report = validate_seo(doc)
+        assert report.codes() == ["ConfidenceOutsideHedgeBand"]
+        assert "no hedge term" in report.issues[0].detail
+
+    @pytest.mark.parametrize(
+        ("confidence", "bad"), [(0.6, True), (0.61, False), (0.69, False), (0.7, True)]
+    )
+    def test_band_edges_are_inclusive(self, confidence, bad):
+        claim = fm("f", confidence=confidence, source_phrase="it might clog")
+        report = validate_seo(design_doc([StepRecord("a", 1, failure_modes=(claim,))]))
+        assert report.has("ConfidenceOutsideHedgeBand") is bad
+
+    def test_decision_points_are_checked(self):
+        point = DecisionPointClaim(
+            step_id="s1",
+            condition_type="threshold",
+            threshold_value=2.0,
+            comparator="<=",
+            units="cv_percent",
+            pass_action="continue",
+            fail_action="repeat",
+            escalation_action="call lead",
+            confidence=0.95,
+            confidence_method="linguistic_approximation",
+            source_scientist="T. Example",
+            source_phrase="we usually repeat it",
+        )
+        doc = design_doc([StepRecord("mix", 1, id="s1")], decision_points=[point])
+        report = validate_seo(doc)
+        assert report.codes() == ["ConfidenceOutsideHedgeBand"]
+        assert report.issues[0].subject == "decision_model.decision_points[0]"
+
+    def test_only_linguistic_claims_with_a_phrase_are_checked(self):
+        claims = (
+            fm("a", confidence=0.95),
+            fm("b", confidence_method="SHELF_elicited", source_phrase="no hedge here"),
+        )
+        report = validate_seo(design_doc([StepRecord("a", 1, failure_modes=claims)]))
+        assert not report.has("ConfidenceOutsideHedgeBand")
 
 
 class TestScoreLinguistic:
