@@ -4,14 +4,15 @@
 Independent of the test suite so fixture drift can be caught from a
 shell. Checks document arithmetic (counts and confidence sums on an
 integer grid), schema conformance, the merge-plan bytes of each
-document, the federated store contents, the golden export, and the
-digest sidecar. Prints one line per check group;
-exits 1 on the first failure.
+document, the federated store contents, the rendered rows of every
+read query on that store, the golden export, and the digest sidecar.
+Prints one line per check group; exits 1 on the first failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -30,6 +31,8 @@ from skg import (
     validate_graph,
     validate_seo,
 )
+from skg import queries
+from skg.canonical import render_record, render_value
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -40,6 +43,9 @@ PLAN_DIGESTS = {
     ("automation", "AUTOMATION"): "d4f4220ff2151e5a2ed7cd826a10d147b93c9c9e059968a01d04603f417267fe",
     ("program", "PROGRAM"): "b7065e2c0de30e39f8b9d2fe2b4ee1b64959be94d35f087ab0fd972beaf142e9",
 }
+
+# SHA-256 of the rendered rows of every read query on the federated store
+QUERY_ROWS_DIGEST = "8b50e958743f6488a3a02171ff7bf6828a858ed0eef218e3f472e82bd71173ff"
 
 
 def fail(message: str) -> None:
@@ -146,6 +152,40 @@ def check_store(fixtures: Path) -> None:
     print(f"store: converged, counts hold, digest {digest[:12]}...")
 
 
+def query_rows(graph) -> list[str]:
+    """Every read query on ``graph``, rendered as the CLI renders its JSON."""
+    subgraphs = sorted({node.key.subgraph for node in graph.nodes()})
+    out = []
+    for sg in subgraphs:
+        for query in (
+            queries.ranked_failures,
+            queries.ranked_silent_failures,
+            queries.elicitation_gaps,
+            queries.masking_exposures,
+        ):
+            out.append(queries.rows_to_json(query(graph, sg)))
+        out.append(queries.rows_to_json(queries.low_confidence_claims(graph, sg, 0.7)))
+        out.append(render_record(dataclasses.asdict(queries.subgraph_stats(graph, sg))))
+    for step in graph.nodes("WorkflowStep"):
+        k = step.key
+        out.append(queries.rows_to_json(queries.step_decision_points(graph, k.subgraph, k.id)))
+    for mode in graph.nodes("FailureMode"):
+        k = mode.key
+        for direction in ("down", "up"):
+            paths = queries.cascade_paths(graph, k.subgraph, k.id, 3, direction)
+            out.append(render_value([list(p) for p in paths]))
+    out.append(queries.rows_to_json(queries.automation_reuse(graph)))
+    return out
+
+
+def check_query_rows(fixtures: Path) -> None:
+    graph = load_store(fixtures / "stores" / "federated.skg.jsonl", builtin_registry())
+    rendered = query_rows(graph)
+    digest = hashlib.sha256("\n".join(rendered).encode("utf-8")).hexdigest()
+    check(digest == QUERY_ROWS_DIGEST, f"queries: rendered rows drifted, digest {digest[:12]}...")
+    print(f"queries: {len(rendered)} query results hold")
+
+
 def check_golden(fixtures: Path) -> None:
     doc = parse_seo((fixtures / "elisa.seo.json").read_bytes())
     rendered = emit_cypher(compile_seo(doc, "ELISA"))
@@ -162,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     check_documents(args.fixtures)
     check_plans(args.fixtures)
     check_store(args.fixtures)
+    check_query_rows(args.fixtures)
     check_golden(args.fixtures)
     print("all fixture checks passed")
     return 0

@@ -7,6 +7,16 @@ Canonical serialization emits newline-delimited JSON in a fixed order
 (header, nodes, approved edges, pending edges), which makes byte equality
 the definition of graph equality and gives a stable SHA-256 content hash.
 
+Reads go through a lazy per-snapshot index, so no reader scans the whole
+graph per call. A snapshot pays one O(E) pass grouping its edges by type
+on the first typed read, then one sort and adjacency build per edge type
+on the first request for that type, and one O(N) pass bucketing its
+nodes by label and subgraph on the first filtered node read. After that
+each ``neighbors`` hop costs O(degree), ``has_subgraph`` O(1), and
+``nodes(label, subgraph)`` and ``edges(edge_type)`` a copy of a list
+sorted once. ``merge`` returns a snapshot without an index, so a cached
+index can never go stale.
+
 Provenance-aware merge policy, applied per property on re-upsert:
 
 * an INTERVIEW_CONFIRMED value always overwrites;
@@ -157,54 +167,135 @@ class Edge:
         return (self.edge_type, self.src, self.dst)
 
 
-class Graph:
-    """Immutable graph snapshot bound to one schema registry version."""
+# Orders and index keys are built from the text parts of a ``NodeKey``:
+# its dataclass ``__hash__``, ``__eq__`` and ``__lt__`` run in Python,
+# while tuples of text hash and compare in C, in the same order.
 
-    __slots__ = ("registry_version", "_registry", "_nodes", "_edges")
+
+def _node_order(node: Node) -> tuple[str, str, str]:
+    key = node.key
+    return (key.subgraph, key.label, key.id)
+
+
+def _edge_order(edge: Edge) -> tuple[str, ...]:
+    """``Edge.key`` order."""
+    src, dst = edge.src, edge.dst
+    return (edge.edge_type, src.subgraph, src.label, src.id, dst.subgraph, dst.label, dst.id)
+
+
+class _Index:
+    """Read index of one snapshot; each part is built on its first use.
+
+    Snapshots never change, so nothing here is ever invalidated. The
+    parts are:
+
+    * edges grouped by type, in one pass over all edges;
+    * per edge type, on the first request for it: the group sorted by
+      ``Edge.key``, and adjacency lists keyed by
+      ``(subgraph, label, id, direction)`` of the near end, holding
+      ``(edge, far key)`` in that order;
+    * node buckets per ``(label, subgraph)``, ``(label, None)`` and
+      ``(None, subgraph)``, collected in one pass over all nodes and
+      each sorted on first use.
+    """
+
+    __slots__ = ("_nodes", "_edges", "_by_type", "_typed", "_buckets", "_sorted")
+
+    def __init__(self, nodes: dict[NodeKey, Node], edges: dict[tuple, Edge]):
+        self._nodes = nodes
+        self._edges = edges
+        self._by_type: dict[str, list[Edge]] | None = None
+        self._typed: dict[str, tuple[list[Edge], dict]] = {}
+        self._buckets: dict[tuple, list[Node]] | None = None
+        self._sorted: dict[tuple, list[Node]] = {}
+
+    def typed(self, edge_type: str) -> tuple[list[Edge], dict]:
+        """Edges of one type sorted by key, and their adjacency lists."""
+        entry = self._typed.get(edge_type)
+        if entry is not None:
+            return entry
+        if self._by_type is None:
+            self._by_type = {}
+            for edge in self._edges.values():
+                self._by_type.setdefault(edge.edge_type, []).append(edge)
+        group = sorted(self._by_type.get(edge_type, ()), key=_edge_order)
+        adjacency: dict[tuple[str, str, str, str], list[tuple[Edge, NodeKey]]] = {}
+        for edge in group:  # in key order, so every list comes out sorted
+            src, dst = edge.src, edge.dst
+            adjacency.setdefault((src.subgraph, src.label, src.id, "out"), []).append((edge, dst))
+            adjacency.setdefault((dst.subgraph, dst.label, dst.id, "in"), []).append((edge, src))
+        entry = self._typed[edge_type] = (group, adjacency)
+        return entry
+
+    def buckets(self) -> dict[tuple, list[Node]]:
+        """Unsorted node buckets; see the class docstring."""
+        if self._buckets is None:
+            self._buckets = {}
+            for key, node in self._nodes.items():
+                for bucket in ((key.label, key.subgraph), (key.label, None), (None, key.subgraph)):
+                    self._buckets.setdefault(bucket, []).append(node)
+        return self._buckets
+
+    def nodes(self, label: str | None, subgraph: str | None) -> list[Node]:
+        """One node bucket, sorted by key."""
+        bucket = (label, subgraph)
+        out = self._sorted.get(bucket)
+        if out is None:
+            out = self._sorted[bucket] = sorted(self.buckets().get(bucket, ()), key=_node_order)
+        return out
+
+
+class Graph:
+    """Immutable graph snapshot bound to one schema registry version.
+
+    Reads by edge type, label or subgraph go through a lazy ``_Index``
+    that the snapshot builds on first use and keeps.
+    """
+
+    __slots__ = ("registry_version", "_registry", "_nodes", "_edges", "_index")
 
     def __init__(self, registry: RegistryInfo):
         self.registry_version = registry.version
         self._registry = registry
         self._nodes: dict[NodeKey, Node] = {}
         self._edges: dict[tuple, Edge] = {}
+        self._index: _Index | None = None
+
+    def _read_index(self) -> _Index:
+        if self._index is None:
+            self._index = _Index(self._nodes, self._edges)
+        return self._index
 
     # -- read access ---------------------------------------------------
 
     def node(self, key: NodeKey) -> Node:
-        return self._nodes[key]
+        try:
+            return self._nodes[key]
+        except KeyError:
+            raise KeyError(key.to_text()) from None
 
     def has_node(self, key: NodeKey) -> bool:
         return key in self._nodes
 
     def has_subgraph(self, subgraph: str) -> bool:
-        return any(k.subgraph == subgraph for k in self._nodes)
+        return (None, subgraph) in self._read_index().buckets()
 
     def nodes(self, label: str | None = None, subgraph: str | None = None) -> list[Node]:
-        out = [
-            n
-            for k, n in self._nodes.items()
-            if (label is None or k.label == label)
-            and (subgraph is None or k.subgraph == subgraph)
-        ]
-        out.sort(key=lambda n: n.key)
-        return out
+        if label is None and subgraph is None:
+            return sorted(self._nodes.values(), key=_node_order)
+        return list(self._read_index().nodes(label, subgraph))
 
     def edges(
         self, edge_type: str | None = None, include_pending: bool = True
     ) -> list[Edge]:
-        out = [
-            e
-            for e in self._edges.values()
-            if (edge_type is None or e.edge_type == edge_type)
-            and (include_pending or not e.pending)
-        ]
-        out.sort(key=lambda e: e.key)
-        return out
+        if edge_type is None:
+            out = sorted(self._edges.values(), key=_edge_order)
+        else:
+            out = self._read_index().typed(edge_type)[0]
+        return [e for e in out if include_pending or not e.pending]
 
     def pending_edges(self) -> list[Edge]:
-        return sorted(
-            (e for e in self._edges.values() if e.pending), key=lambda e: e.key
-        )
+        return sorted((e for e in self._edges.values() if e.pending), key=_edge_order)
 
     def edge(self, key: tuple[str, NodeKey, NodeKey]) -> Edge:
         return self._edges[key]
@@ -341,24 +432,21 @@ def neighbors(
     """Deterministically ordered adjacent (edge, node) pairs.
 
     Pending edges are excluded by default: queries operate on approved
-    knowledge unless a caller opts in.
+    knowledge unless a caller opts in. Costs O(degree) once the
+    snapshot's index holds ``edge_type``.
+
+    Raises:
+        KeyError: ``key`` is not in the graph.
+        ValueError: ``direction`` is not ``out`` or ``in``.
     """
     if not graph.has_node(key):
         raise KeyError(key.to_text())
     if direction not in ("out", "in"):
         raise ValueError(f"direction must be out|in, not {direction!r}")
-    out: list[tuple[Edge, Node]] = []
-    for edge in graph._edges.values():
-        if edge.edge_type != edge_type:
-            continue
-        if edge.pending and not include_pending:
-            continue
-        if direction == "out" and edge.src == key:
-            out.append((edge, graph._nodes[edge.dst]))
-        elif direction == "in" and edge.dst == key:
-            out.append((edge, graph._nodes[edge.src]))
-    out.sort(key=lambda pair: pair[0].key)
-    return out
+    adjacency = graph._read_index().typed(edge_type)[1]
+    pairs = adjacency.get((key.subgraph, key.label, key.id, direction), ())
+    nodes = graph._nodes
+    return [(edge, nodes[other]) for edge, other in pairs if include_pending or not edge.pending]
 
 
 # -- canonical serialization ------------------------------------------

@@ -113,21 +113,25 @@ def _masking_assets(graph: Graph, node: Node) -> tuple[str, ...]:
     return tuple(sorted(str(asset.get("name", asset.key.id)) for _, asset in pairs))
 
 
-def is_silent(graph: Graph, node: Node) -> bool:
-    if _masking_assets(graph, node):
-        return True
+def _undetected_risk(graph: Graph, node: Node) -> bool:
+    """Marked a silent risk by the scientist, and no log signature detects it."""
     if not node.get("silent_failure_risk", False):
         return False
     return not neighbors(graph, node.key, "DETECTED_BY", "out")
 
 
+def is_silent(graph: Graph, node: Node) -> bool:
+    return bool(_masking_assets(graph, node)) or _undetected_risk(graph, node)
+
+
 def _ranked_row(graph: Graph, node: Node) -> RankedFailureRow:
+    masking_assets = _masking_assets(graph, node)
     return RankedFailureRow(
         id=node.key.id,
         name=str(node.get("name", "")),
         confidence=float(node.get("confidence", CONFIDENCE_FLOOR)),
-        silent=is_silent(graph, node),
-        masking_assets=_masking_assets(graph, node),
+        silent=bool(masking_assets) or _undetected_risk(graph, node),
+        masking_assets=masking_assets,
         confidence_method=str(node.get("confidence_method", "")),
         source_scientist=str(node.get("source_scientist", "")),
     )

@@ -428,6 +428,18 @@ class TestQuery:
         assert main(["query", "silent", "--graph", str(store), "--subgraph", "NOPE"]) == EXIT_INVARIANT
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "query, missing",
+        [
+            (["decision-points", "--step", "NOPE"], "ELISA:WorkflowStep:NOPE"),
+            (["cascades", "--root", "NOPE"], "ELISA:FailureMode:NOPE"),
+        ],
+    )
+    def test_missing_record_names_its_key(self, store, capsys, query, missing):
+        argv = ["query", query[0], "--graph", str(store), "--subgraph", "ELISA", *query[1:]]
+        assert main(argv) == EXIT_INVARIANT
+        assert capsys.readouterr().err == f"error: not found: {missing}\n"
+
     def test_bad_threshold_is_invariant_error(self, store, capsys):
         code = main(
             ["query", "low-confidence", "--graph", str(store), "--subgraph", "ELISA", "--threshold", "0.2"]

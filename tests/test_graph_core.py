@@ -469,3 +469,189 @@ class TestMergeProperties:
         path = tmp_path_factory.mktemp("store") / "t.skg.jsonl"
         save_store(g, path)
         assert load_store(path, builtin_registry()) == g
+
+
+# -- the lazy read index -------------------------------------------------------
+
+INDEX_SUBGRAPHS = ("SGA", "SGB", "SGC")
+INDEX_LABELS = ("FailureMode", "AutomationAsset")
+SAME_SUBGRAPH_TYPE = "CASCADES_TO"
+CROSS_TYPE = "MASKED_BY"  # cross-subgraph edges of this type may pend
+INDEX_KEYS = [
+    NodeKey(sg, label, id_) for sg in INDEX_SUBGRAPHS for label in INDEX_LABELS for id_ in "ab"
+]
+
+
+@st.composite
+def index_batches(draw):
+    """Valid merge batches over a small key pool; keys recur within and across batches."""
+    present: set[NodeKey] = set()
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        batch = []
+        for _ in range(draw(st.integers(min_value=1, max_value=8))):
+            if not present or draw(st.booleans()):
+                k = draw(st.sampled_from(INDEX_KEYS))
+                present.add(k)
+                batch.append(Node(k, {"name": Prop(draw(st.sampled_from(["x", "y"])))}))
+                continue
+            src = draw(st.sampled_from(sorted(present)))
+            dst = draw(st.sampled_from(sorted(present)))
+            crosses = src.subgraph != dst.subgraph
+            edge_type = CROSS_TYPE
+            if not crosses:
+                edge_type = draw(st.sampled_from([SAME_SUBGRAPH_TYPE, CROSS_TYPE]))
+            batch.append(Edge(edge_type, src, dst, pending=crosses and draw(st.booleans())))
+        batches.append(batch)
+    return batches
+
+
+def index_answers(g: Graph) -> dict:
+    """What the indexed readers return for every query over the key pool."""
+    out = {}
+    for k in INDEX_KEYS:
+        if not g.has_node(k):
+            continue
+        for edge_type in (SAME_SUBGRAPH_TYPE, CROSS_TYPE, "PRECEDES"):
+            for direction in ("out", "in"):
+                for pending in (False, True):
+                    out["neighbors", k, edge_type, direction, pending] = neighbors(
+                        g, k, edge_type, direction, pending
+                    )
+    for label in (*INDEX_LABELS, "WorkflowStep", None):
+        for sg in (*INDEX_SUBGRAPHS, "NOPE", None):
+            out["nodes", label, sg] = g.nodes(label, sg)
+    for sg in (*INDEX_SUBGRAPHS, "NOPE"):
+        out["has_subgraph", sg] = g.has_subgraph(sg)
+    for edge_type in (SAME_SUBGRAPH_TYPE, CROSS_TYPE, "PRECEDES", None):
+        for pending in (False, True):
+            out["edges", edge_type, pending] = g.edges(edge_type, pending)
+    return out
+
+
+def scanned_answers(g: Graph) -> dict:
+    """The same answers by a full scan of the snapshot's dicts."""
+    nodes = list(g._nodes.values())
+    edges = sorted(g._edges.values(), key=lambda e: e.key)
+    out = {}
+    for k in INDEX_KEYS:
+        if k not in g._nodes:
+            continue
+        for edge_type in (SAME_SUBGRAPH_TYPE, CROSS_TYPE, "PRECEDES"):
+            for direction in ("out", "in"):
+                for pending in (False, True):
+                    out["neighbors", k, edge_type, direction, pending] = [
+                        (e, g._nodes[e.dst if direction == "out" else e.src])
+                        for e in edges
+                        if e.edge_type == edge_type
+                        and (e.src if direction == "out" else e.dst) == k
+                        and (pending or not e.pending)
+                    ]
+    for label in (*INDEX_LABELS, "WorkflowStep", None):
+        for sg in (*INDEX_SUBGRAPHS, "NOPE", None):
+            out["nodes", label, sg] = sorted(
+                (
+                    n
+                    for n in nodes
+                    if label in (None, n.key.label) and sg in (None, n.key.subgraph)
+                ),
+                key=lambda n: n.key,
+            )
+    for sg in (*INDEX_SUBGRAPHS, "NOPE"):
+        out["has_subgraph", sg] = any(n.key.subgraph == sg for n in nodes)
+    for edge_type in (SAME_SUBGRAPH_TYPE, CROSS_TYPE, "PRECEDES", None):
+        for pending in (False, True):
+            out["edges", edge_type, pending] = [
+                e
+                for e in edges
+                if edge_type in (None, e.edge_type) and (pending or not e.pending)
+            ]
+    return out
+
+
+class TestReadIndex:
+    @settings(max_examples=60)
+    @given(index_batches())
+    def test_indexed_reads_match_a_full_scan(self, batches):
+        g = make_graph()
+        for batch in batches:
+            before = index_answers(g)  # builds the index of the older snapshot
+            g_next = merge(g, batch)
+            assert index_answers(g) == before  # the older snapshot is untouched
+            assert index_answers(g_next) == scanned_answers(g_next)
+            g = g_next
+
+    def test_results_are_copies(self):
+        a, b = key("a"), key("b")
+        g = merge(make_graph(), [named(a), named(b), Edge("CASCADES_TO", a, b)])
+        neighbors(g, a, "CASCADES_TO").clear()
+        g.nodes("FailureMode", "SGA").clear()
+        g.edges("CASCADES_TO").clear()
+        assert len(neighbors(g, a, "CASCADES_TO")) == 1
+        assert len(g.nodes("FailureMode", "SGA")) == 2
+        assert len(g.edges("CASCADES_TO")) == 1
+
+    def test_missing_node_names_its_key(self):
+        with pytest.raises(KeyError) as exc:
+            make_graph().node(key("zz"))
+        assert exc.value.args == ("SGA:FailureMode:zz",)
+
+
+class CountingDict(dict):
+    """A dict that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.passes += 1
+        return super().keys()
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
+def federation(base: Graph, copies: int) -> Graph:
+    """``copies`` renamed copies of ``base``, copy 1 under the original subgraph names."""
+    records: list[Node | Edge] = []
+    for copy in range(1, copies + 1):
+        suffix = "" if copy == 1 else f"_{copy}"
+
+        def rename(k: NodeKey) -> NodeKey:
+            return NodeKey(k.subgraph + suffix, k.label, k.id)
+
+        records += [Node(rename(n.key), n.properties) for n in base.nodes()]
+        records += [
+            Edge(e.edge_type, rename(e.src), rename(e.dst), e.properties, e.pending)
+            for e in base.edges()
+        ]
+    return merge(Graph(builtin_registry()), records)
+
+
+class TestNeighborsComplexity:
+    @pytest.mark.parametrize("copies", [1, 4])
+    def test_one_pass_over_edges_per_snapshot(self, federated, copies):
+        g = federation(federated, copies)
+        assert g.edge_count == copies * federated.edge_count
+        g._edges = counting = CountingDict(g._edges)
+        keys = [n.key for n in g.nodes("FailureMode")] + [n.key for n in g.nodes("UseCase")]
+        hops = [
+            ("MASKED_BY", "out"),
+            ("CASCADES_TO", "in"),
+            ("SUITABLE_FOR", "in"),
+            ("DETECTED_BY", "out"),
+        ]
+        found = 0
+        for i in range(100):
+            edge_type, direction = hops[i % len(hops)]
+            found += len(neighbors(g, keys[i * 7 % len(keys)], edge_type, direction))
+        assert found > 0
+        assert counting.passes <= 1
