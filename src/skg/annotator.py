@@ -18,11 +18,10 @@ quarantined until an operator approves the convergence.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
-from .canonical import reject_non_finite, render_number, render_record
+from .canonical import render_number, render_record, strict_loads
 from .errors import MalformedKey, RegistryMismatch, Rejected, SubgraphMismatch
 from .graph_core import (
     Edge,
@@ -490,10 +489,7 @@ def load_plan(data: bytes | str) -> MergePlan:
             statement in it is malformed; the message starts with its
             location, such as ``statements[3]: ``.
     """
-    raw = json.loads(
-        data if isinstance(data, str) else data.decode("utf-8"),
-        parse_constant=reject_non_finite,
-    )
+    raw = strict_loads(data if isinstance(data, str) else data.decode("utf-8"))
     if not isinstance(raw, dict) or raw.get("kind") != PLAN_KIND:
         raise ValueError("not a merge plan document")
     if raw.get("version") != PLAN_VERSION:

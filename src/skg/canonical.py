@@ -12,6 +12,7 @@ notation.
 from __future__ import annotations
 
 import math
+from json import JSONDecodeError, JSONDecoder
 from json.encoder import encode_basestring
 from typing import Any
 
@@ -39,8 +40,24 @@ def normalize_number(value: int | float) -> float:
 
 
 def reject_non_finite(literal: str):
-    """``json.loads`` parse_constant hook: NaN and Infinity have no canonical rendering."""
+    """JSON decoder parse_constant hook: NaN and Infinity have no canonical rendering."""
     raise ValueError(f"non-finite number literal: {literal}")
+
+
+# built once: json.loads builds a new decoder on every call given a hook
+_STRICT_DECODER = JSONDecoder(parse_constant=reject_non_finite)
+
+
+def strict_loads(text: str) -> Any:
+    """``json.loads(text, parse_constant=reject_non_finite)``, same errors.
+
+    Raises:
+        json.JSONDecodeError: malformed JSON, or a leading byte-order mark.
+        ValueError: a non-finite literal or an over-long integer.
+    """
+    if text.startswith("\ufeff"):
+        raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _STRICT_DECODER.decode(text)
 
 
 def render_value(value: Any) -> str:

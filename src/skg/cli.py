@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import hashlib
 import json
 import os
 import sys
@@ -21,15 +20,6 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-from . import queries
-from .annotator import (
-    apply_plan,
-    approve_pending,
-    compile_seo,
-    emit_cypher,
-    load_plan,
-    plan_to_bytes,
-)
 from .canonical import render_number, render_record, render_value
 from .errors import (
     ArityError,
@@ -51,15 +41,11 @@ from .graph_core import (
     parse_node_key,
     save_store,
 )
-from .metrics import (
-    ALIAS_ENV_VAR,
-    compare_extractions,
-    f1,
-    load_aliases,
-    match_failure_modes,
-)
 from .ontology import builtin_registry, schema_listing, validate_graph
-from .seo import parse_seo, validate_seo
+
+# The document parser, the compiler, the read queries and the matching
+# metrics are imported by the subcommands that run them, so a one-shot
+# query process does not pay to import the document side of the package.
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -69,11 +55,15 @@ EXIT_INVARIANT = 4
 
 
 def _aliases():
+    from .metrics import ALIAS_ENV_VAR, load_aliases
+
     path = os.environ.get(ALIAS_ENV_VAR)
     return load_aliases(path) if path else None
 
 
 def _read_doc(path: str):
+    from .seo import parse_seo
+
     return parse_seo(Path(path).read_bytes())
 
 
@@ -98,12 +88,16 @@ def _load(store: str) -> Graph:
 
 
 def cmd_validate(args) -> int:
+    from .seo import validate_seo
+
     report = validate_seo(_read_doc(args.document))
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.ok else EXIT_REJECTED
 
 
 def cmd_compile(args) -> int:
+    from .annotator import compile_seo, emit_cypher, plan_to_bytes
+
     plan = compile_seo(_read_doc(args.document), args.subgraph, aliases=_aliases())
     if args.emit_cypher:
         Path(args.emit_cypher).write_text(emit_cypher(plan), encoding="utf-8")
@@ -112,6 +106,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    from .annotator import apply_plan, compile_seo, load_plan
+    from .seo import parse_seo
+
     raw = Path(args.input).read_bytes()
     # route on document shape: compiled plans are single merge_plan records
     if isinstance(sniffed := json.loads(raw), dict) and sniffed.get("kind") == "merge_plan":
@@ -140,6 +137,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from .annotator import approve_pending
+
     selectors = None
     if args.edge:
         selectors = [
@@ -164,6 +163,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from . import queries
+
     name = args.name
     if name != "reuse" and not args.subgraph:
         print("error: --subgraph is required for this query", file=sys.stderr)
@@ -205,12 +206,16 @@ def cmd_query(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import queries
+
     stats = queries.subgraph_stats(_load(args.graph), args.subgraph)
     sys.stdout.write(render_record(asdict(stats)) + "\n")
     return EXIT_OK
 
 
 def cmd_f1(args) -> int:
+    from .metrics import f1, load_aliases, match_failure_modes
+
     reference = Path(args.reference).read_text(encoding="utf-8").splitlines()
     candidate = Path(args.candidate).read_text(encoding="utf-8").splitlines()
     aliases = load_aliases(args.alias) if args.alias else _aliases()
@@ -226,6 +231,8 @@ def cmd_f1(args) -> int:
 
 
 def cmd_consistency(args) -> int:
+    from .metrics import compare_extractions
+
     runs = [_read_doc(path) for path in args.runs]
     reference = _read_doc(args.reference) if args.reference else None
     report = compare_extractions(runs, reference=reference, aliases=_aliases())
@@ -239,6 +246,8 @@ def cmd_schema(args) -> int:
 
 
 def cmd_hash(args) -> int:
+    import hashlib
+
     store = Path(args.graph)
     with _store_lock(store, exclusive=False):
         graph = load_store(store, builtin_registry())
@@ -265,6 +274,15 @@ def cmd_hash(args) -> int:
 
 
 # -- wiring ----------------------------------------------------------------
+
+
+class _AliasHelpFormatter(argparse.HelpFormatter):
+    """Names the alias variable in option help; only ``--help`` imports ``metrics``."""
+
+    def _get_help_string(self, action):
+        from .metrics import ALIAS_ENV_VAR
+
+        return action.help.replace("{alias_env}", ALIAS_ENV_VAR)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,10 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subgraph", required=True)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("f1", help="score candidate failure-mode names against a reference")
+    p = sub.add_parser(
+        "f1",
+        help="score candidate failure-mode names against a reference",
+        formatter_class=_AliasHelpFormatter,
+    )
     p.add_argument("--reference", required=True, help="file with one reference name per line")
     p.add_argument("--candidate", required=True, help="file with one candidate name per line")
-    p.add_argument("--alias", help="alias table; overrides " + ALIAS_ENV_VAR)
+    p.add_argument("--alias", help="alias table; overrides {alias_env}")
     p.set_defaults(func=cmd_f1)
 
     p = sub.add_parser("consistency", help="cross-run extraction agreement report")

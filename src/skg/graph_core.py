@@ -32,7 +32,6 @@ approved yet: re-upserting an approved edge never re-quarantines it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol
 
-from .canonical import normalize_number, reject_non_finite, render_number, render_record
+from .canonical import normalize_number, render_number, render_record, strict_loads
 from .errors import (
     CrossSubgraphViolation,
     DanglingEdge,
@@ -59,6 +58,10 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 class Provenance(str, Enum):
     SCHEMA_DEFAULT = "SCHEMA_DEFAULT"
     INTERVIEW_CONFIRMED = "INTERVIEW_CONFIRMED"
+
+
+# looking a member up here costs a tenth of calling the Enum
+_PROVENANCE_OF = {member.value: member for member in Provenance}
 
 
 class RegistryInfo(Protocol):
@@ -456,20 +459,31 @@ def key_record(key: NodeKey) -> dict:
     return {"subgraph": key.subgraph, "label": key.label, "id": key.id}
 
 
-def key_from_record(record: object, where: str) -> NodeKey:
+def key_from_record(
+    record: object, where: str, known: dict[tuple, NodeKey] | None = None
+) -> NodeKey:
     """Inverse of ``key_record``; other members of ``record`` are ignored.
+
+    ``known`` maps the parts of keys already built to the key, so a
+    caller reading many records builds and checks each distinct key once.
 
     Raises:
         RegistryMismatch: not an object with text subgraph, label and id,
             or a part that ``NodeKey`` refuses.
     """
     if isinstance(record, dict):
-        parts = [record.get("subgraph"), record.get("label"), record.get("id")]
-        if all(isinstance(part, str) for part in parts):
-            try:
-                return NodeKey(*parts)
-            except MalformedKey as exc:
-                raise RegistryMismatch(f"{where}: {exc}") from None
+        subgraph, label, id_ = record.get("subgraph"), record.get("label"), record.get("id")
+        if isinstance(subgraph, str) and isinstance(label, str) and isinstance(id_, str):
+            parts = (subgraph, label, id_)
+            key = None if known is None else known.get(parts)
+            if key is None:
+                try:
+                    key = NodeKey(*parts)
+                except MalformedKey as exc:
+                    raise RegistryMismatch(f"{where}: {exc}") from None
+                if known is not None:
+                    known[parts] = key
+            return key
     raise RegistryMismatch(f"{where}: malformed node key")
 
 
@@ -495,10 +509,15 @@ def props_from_record(record: object, where: str) -> dict[str, Prop]:
         raise RegistryMismatch(f"{where}: malformed properties")
     props = {}
     for name, prop in record.items():
-        if not isinstance(prop, dict) or set(prop) != {"provenance", "value"}:
+        if not (
+            isinstance(prop, dict) and len(prop) == 2 and "provenance" in prop and "value" in prop
+        ):
             raise RegistryMismatch(f"{where}: malformed property record for {name}")
+        text = prop["provenance"]
+        provenance = _PROVENANCE_OF.get(text) if isinstance(text, str) else None
         try:
-            props[name] = Prop(prop["value"], Provenance(prop["provenance"]))
+            # an unknown provenance raises the Enum's own ValueError
+            props[name] = Prop(prop["value"], provenance or Provenance(text))
         except (TypeError, ValueError) as exc:
             raise RegistryMismatch(
                 f"{where}: malformed property record for {name}: {exc}"
@@ -511,10 +530,15 @@ def node_record(key: NodeKey, properties: Mapping[str, Prop]) -> dict:
     return {"kind": "node", **key_record(key), "properties": props_record(properties)}
 
 
-def node_from_record(record: dict, where: str) -> Node:
-    """Inverse of ``node_record``; its ``kind`` member is left to the caller."""
+def node_from_record(
+    record: dict, where: str, known: dict[tuple, NodeKey] | None = None
+) -> Node:
+    """Inverse of ``node_record``; its ``kind`` member is left to the caller.
+
+    ``known`` is passed on to ``key_from_record``.
+    """
     properties = props_from_record(record.get("properties"), where)
-    return Node(key_from_record(record, where), properties)
+    return Node(key_from_record(record, where, known), properties)
 
 
 def canonical_serialize(graph: Graph) -> bytes:
@@ -556,6 +580,8 @@ def canonical_serialize(graph: Graph) -> bytes:
 
 def graph_hash(graph: Graph) -> str:
     """SHA-256 hex digest of the canonical serialization."""
+    import hashlib  # here, not at the top: a process that only reads never hashes
+
     return hashlib.sha256(canonical_serialize(graph)).hexdigest()
 
 
@@ -574,6 +600,8 @@ def save_store(graph: Graph, path: Path | str) -> str:
     """Rewrite the store file whole and refresh its digest sidecar."""
     path = Path(path)
     data = canonical_serialize(graph)
+    import hashlib
+
     digest = hashlib.sha256(data).hexdigest()
     path.write_bytes(data)
     digest_path(path).write_text(f"{digest}  {graph.registry_version}\n", encoding="utf-8")
@@ -582,15 +610,20 @@ def save_store(graph: Graph, path: Path | str) -> str:
 
 def _decode_line(line: str, where: str) -> object:
     try:
-        return json.loads(line, parse_constant=reject_non_finite)
+        return strict_loads(line)
     except json.JSONDecodeError as exc:
         raise RegistryMismatch(f"{where}: {exc.msg} at column {exc.colno}") from None
     except ValueError as exc:  # a non-finite literal or an over-long integer
         raise RegistryMismatch(f"{where}: {exc}") from None
 
 
-def _store_records(lines: list[str], path: Path) -> Iterator[Node | Edge]:
-    """Decode the records after the header line, one line at a time."""
+def _store_records(lines: list[str], path: Path) -> Iterator[tuple[str, Node | Edge]]:
+    """Decode the records after the header line, one line at a time.
+
+    Yields each record with its location. Edge endpoints reuse the key
+    of a node read earlier, so each distinct key is built once per load.
+    """
+    known: dict[tuple, NodeKey] = {}
     for i, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -598,15 +631,15 @@ def _store_records(lines: list[str], path: Path) -> Iterator[Node | Edge]:
         record = _decode_line(line, where)
         kind = record.get("kind") if isinstance(record, dict) else None
         if kind == "node":
-            yield node_from_record(record, where)
+            yield where, node_from_record(record, where, known)
         elif kind in ("edge", "pending_edge"):
             edge_type = record.get("edge_type")
             if not isinstance(edge_type, str):
                 raise RegistryMismatch(f"{where}: malformed edge_type")
-            src = key_from_record(record.get("src"), f"{where}: src")
-            dst = key_from_record(record.get("dst"), f"{where}: dst")
+            src = key_from_record(record.get("src"), f"{where}: src", known)
+            dst = key_from_record(record.get("dst"), f"{where}: dst", known)
             props = props_from_record(record.get("properties"), where)
-            yield Edge(edge_type, src, dst, props, pending=kind == "pending_edge")
+            yield where, Edge(edge_type, src, dst, props, pending=kind == "pending_edge")
         else:
             raise RegistryMismatch(f"{where}: unknown record kind {kind!r}")
 
@@ -617,7 +650,8 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     Raises:
         RegistryMismatch: header registry_version differs from ``registry``,
             or a line is not a well-formed record.
-        DanglingEdge: an edge record references an absent node.
+        DanglingEdge, TypeConflict, CrossSubgraphViolation: ``merge``
+            rejects a record; the message starts with its ``<file>:<line>``.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -635,4 +669,15 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
             f"{path}: written under {header.get('registry_version')!r}, "
             f"loaded with {registry.version!r}"
         )
-    return merge(Graph(registry), _store_records(lines[1:], path))
+    where = ""
+
+    def records() -> Iterator[Node | Edge]:
+        nonlocal where
+        for where, record in _store_records(lines[1:], path):
+            yield record
+
+    try:
+        return merge(Graph(registry), records())
+    except (DanglingEdge, TypeConflict, CrossSubgraphViolation) as exc:
+        # merge fails on the record it was given last
+        raise type(exc)(f"{where}: {exc}") from None

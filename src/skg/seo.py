@@ -38,7 +38,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import datetime
 import re
 
-from .canonical import normalize_number, reject_non_finite, render_record
+from .canonical import normalize_number, render_record, strict_loads
 from .errors import (
     NoHedgeDetected,
     RangeError,
@@ -362,7 +362,7 @@ def parse_seo(data: bytes | str) -> SeoDocument:
     if not text.strip():
         raise SeoParseError("empty document")
     try:
-        raw = json.loads(text, parse_constant=reject_non_finite)
+        raw = strict_loads(text)
     except json.JSONDecodeError as exc:
         raise SeoParseError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:  # a non-finite literal or an over-long integer

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from skg.canonical import (
     normalize_number,
+    reject_non_finite,
     render_number,
     render_record,
     render_text,
     render_value,
+    strict_loads,
 )
 
 
@@ -127,3 +129,21 @@ class TestRenderValue:
 
     def test_six_digit_rounding(self):
         assert render_number(math.pi) == "3.141593"
+
+
+class TestStrictLoads:
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a": [1, 2.5, "x"]}', "\ufeff{}", '{"a": NaN}', "-Infinity", "[1,", "1" * 5000, ""],
+        ids=["object", "byte-order-mark", "nan", "infinity", "truncated", "long-integer", "empty"],
+    )
+    def test_matches_json_loads_with_the_hook(self, text):
+        def outcome(load):
+            try:
+                return load(text)
+            except ValueError as exc:  # JSONDecodeError included
+                return type(exc), str(exc)
+
+        assert outcome(strict_loads) == outcome(
+            lambda t: json.loads(t, parse_constant=reject_non_finite)
+        )

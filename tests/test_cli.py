@@ -1,6 +1,7 @@
 """End-to-end command-line flows, run in process through ``main(argv)``."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,34 @@ class TestCompile:
         golden = fixtures_dir / "golden" / "elisa_plan.cypher"
         assert cypher.read_bytes() == golden.read_bytes()
         capsys.readouterr()
+
+    def test_alias_file_variable_resolves_cascade_targets(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch
+    ):
+        doc = json.loads((fixtures_dir / "elisa.seo.json").read_text())
+        # a spelling of "Standard Curve Failure" that the default table lacks
+        doc["protocol"]["steps"][0]["failure_modes"][0]["cascades_to"] = ["Curve Fit Collapse"]
+        path = tmp_path / "elisa.seo.json"
+        path.write_text(json.dumps(doc))
+        aliases = tmp_path / "aliases.txt"
+        aliases.write_text("curve fit collapse = standard curve failure\n")
+        argv = ["compile", str(path), "--subgraph", "ELISA"]
+
+        def cascade_targets():
+            """Where the edited failure mode, Inconsistent Antigen Coating, cascades to."""
+            assert main(argv) == EXIT_OK
+            plan = json.loads(capsys.readouterr().out)
+            return [
+                s["dst"]
+                for s in plan["statements"]
+                if s.get("edge_type") == "CASCADES_TO"
+                and s["src"] == "ELISA:FailureMode:FM-ELISA-002"
+            ]
+
+        monkeypatch.delenv("SKG_ALIAS_FILE", raising=False)
+        assert cascade_targets() == ["ELISA:FailureMode:FM-curve-fit-collapse"]  # a stub
+        monkeypatch.setenv("SKG_ALIAS_FILE", str(aliases))
+        assert cascade_targets() == ["ELISA:FailureMode:FM-ELISA-018"]  # the claimed mode
 
     def test_wrong_subgraph_rejected(self, fixtures_dir, capsys):
         code = main(["compile", str(fixtures_dir / "elisa.seo.json"), "--subgraph", "LCMS_PRM"])
@@ -581,6 +610,44 @@ STORE_CORRUPTIONS = [
 ]
 
 
+def dangling_dst(lines):
+    retarget = edit_record(lambda record: {**record, "dst": {**record["dst"], "id": "NOPE-999"}})
+    lines[121] = retarget(lines[121])
+    return 122
+
+
+def name_turned_number(lines):
+    number = {"name": {"provenance": "INTERVIEW_CONFIRMED", "value": 405}}
+    renumber = edit_record(
+        lambda record: {**record, "properties": {**record["properties"], **number}}
+    )
+    lines.insert(2, renumber(lines[1]))  # a second copy of node line 2
+    return 3
+
+
+def same_subgraph_edge_pending(lines):
+    lines.append(edit_record(lambda record: {**record, "kind": "pending_edge"})(lines[121]))
+    return len(lines)
+
+
+# (edit of the store's lines returning the line number merge rejects, message)
+STORE_INVARIANT_BREACHES = [
+    pytest.param(
+        dangling_dst, "missing dst ELISA:CalibrationRecord:NOPE-999", id="dangling-endpoint"
+    ),
+    pytest.param(
+        name_turned_number,
+        "AUTOMATION:AutomationAsset:AA-405-ts-washer.name: kind text cannot merge with number",
+        id="kind-conflict",
+    ),
+    pytest.param(
+        same_subgraph_edge_pending,
+        "pending is reserved for unapproved cross-subgraph edges (CALIBRATED_BY)",
+        id="same-subgraph-edge-pending",
+    ),
+]
+
+
 class TestCorruptStore:
     @pytest.mark.parametrize(("line_no", "rewrite"), STORE_CORRUPTIONS)
     def test_malformed_record_is_rejected_with_its_location(
@@ -592,6 +659,19 @@ class TestCorruptStore:
         path.write_text("".join(lines), encoding="utf-8")
         assert main(["hash", "--graph", str(path)]) == EXIT_REJECTED
         assert capsys.readouterr().err.startswith(f"error: {path}:{line_no}: ")
+
+    @pytest.mark.parametrize(("breach", "message"), STORE_INVARIANT_BREACHES)
+    def test_invariant_breach_is_reported_with_its_location(
+        self, fixtures_dir, tmp_path, capsys, breach, message
+    ):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        line_no = breach(lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["hash", "--graph", str(path)]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:{line_no}: {message}\n"
 
     def test_verify_rejects_non_canonical_bytes(self, fixtures_dir, tmp_path, capsys):
         path = copy_fixture_store(fixtures_dir, tmp_path)
@@ -698,6 +778,31 @@ class TestProcessEntry:
         )
         assert proc.returncode == EXIT_OK
         assert "skg-ontology-1" in proc.stdout
+
+    def test_query_process_imports_only_what_it_runs(self, fixtures_dir, tmp_path):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        argv = ["query", "silent", "--graph", str(path), "--subgraph", "ELISA"]
+        script = (
+            "import json, sys\n"
+            "import skg\n"
+            "bare = [m for m in sys.modules if m.startswith('skg.')]\n"
+            "import skg.cli\n"
+            f"code = skg.cli.main({argv!r})\n"
+            "loaded = [m for m in sys.modules if m.startswith('skg.')]\n"
+            "sys.stderr.write(json.dumps({'bare': bare, 'code': code, 'loaded': loaded}))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path_entries = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stderr)
+        assert seen["bare"] == []
+        assert seen["code"] == EXIT_OK
+        assert "FM-ELISA-001" in proc.stdout
+        assert {"skg.seo", "skg.annotator", "skg.metrics"}.isdisjoint(seen["loaded"])
 
     def test_fixture_checker_passes(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "check_fixtures.py"
