@@ -392,7 +392,7 @@ def compile_seo(
         for dp_key in dp_keys:
             b.edge("CALIBRATED_BY", dp_key, cal_key)
 
-    edges = sorted(b.edges.values(), key=lambda e: e.key)
+    edges = sorted(b.edges.values())  # edge keys are unique, so this sorts by key
     return MergePlan(
         provenance=PlanProvenance(
             doc_sha256=doc_sha,
@@ -451,19 +451,27 @@ def _edge_from_record(record: dict, where: str) -> Edge:
     return edge
 
 
-def plan_to_jsonable(plan: MergePlan) -> dict:
-    return {
+def _plan_record(plan: MergePlan) -> tuple[dict, bool]:
+    """The plan as one JSON object, and whether its numbers are all plain."""
+    nodes = [node_record(node.key, node.properties) for node in plan.nodes]
+    record = {
         "kind": PLAN_KIND,
         "version": PLAN_VERSION,
         "provenance": asdict(plan.provenance),
-        "statements": [node_record(node.key, node.properties) for node in plan.nodes]
+        "statements": [statement for statement, _ in nodes]
         + [_edge_record(edge) for edge in plan.edges],
         "pending_edges": [_edge_record(edge) for edge in plan.pending_edges],
     }
+    return record, all(plain for _, plain in nodes)
+
+
+def plan_to_jsonable(plan: MergePlan) -> dict:
+    return _plan_record(plan)[0]
 
 
 def plan_to_bytes(plan: MergePlan) -> bytes:
-    return (render_record(plan_to_jsonable(plan)) + "\n").encode("utf-8")
+    record, plain = _plan_record(plan)
+    return (render_record(record, plain) + "\n").encode("utf-8")
 
 
 def _objects(raw: dict, name: str) -> list[tuple[str, dict]]:
@@ -570,7 +578,7 @@ def approve_pending(
             keys.append(key)
     # an approved copy merged over a pending edge approves it
     graph = merge(graph, [Edge(*key) for key in keys])
-    return graph, tuple(sorted(keys, key=lambda k: (k[0], k[1], k[2])))
+    return graph, tuple(sorted(keys))
 
 
 # -- graph-database export ----------------------------------------------

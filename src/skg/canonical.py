@@ -1,18 +1,22 @@
 """Canonical JSON rendering.
 
 Store files, merge plans, and content hashes all depend on byte-stable
-output, so this module renders JSON itself instead of trusting
-``json.dumps`` float formatting. Rules: object keys sorted, no
-insignificant whitespace beyond single spaces after ``:`` and ``,``,
-UTF-8 passthrough for non-ASCII, and numbers in fixed-point with at
-most six fractional digits, trailing zeros trimmed, never in exponent
-notation.
+output. Rules: object keys sorted, no insignificant whitespace beyond
+single spaces after ``:`` and ``,``, UTF-8 passthrough for non-ASCII,
+and numbers in fixed-point with at most six fractional digits, trailing
+zeros trimmed, never in exponent notation.
+
+``render_record`` renders any record by these rules in Python, or, when
+its caller says every number in the record is plain (an int, or a float
+that ``plain_number`` returned), through the json module's C encoder,
+which gives the same bytes for such a record. Store lines and plan
+bytes are built with plain numbers wherever they can be.
 """
 
 from __future__ import annotations
 
 import math
-from json import JSONDecodeError, JSONDecoder
+from json import JSONDecodeError, JSONDecoder, JSONEncoder
 from json.encoder import encode_basestring
 from typing import Any
 
@@ -60,6 +64,25 @@ def strict_loads(text: str) -> Any:
     return _STRICT_DECODER.decode(text)
 
 
+def plain_number(value: float) -> int | float | None:
+    """``value`` in a form that ``repr`` renders as ``render_number(value)``, or None.
+
+    That is an int for an integral value and the float itself when its
+    ``repr`` is already canonical. Other floats, such as ``5e-05``, or a
+    value whose ``repr`` holds more than six fractional digits, have none.
+    """
+    if value.is_integer():
+        return int(value)
+    return value if repr(value) == render_number(value) else None
+
+
+# sort_keys and the separators give render_record's layout; ensure_ascii
+# off makes strings go through render_text's C escaper
+_ENCODER = JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(", ", ": "), check_circular=False
+)
+
+
 def render_value(value: Any) -> str:
     if value is None:
         return "null"
@@ -81,6 +104,12 @@ def render_value(value: Any) -> str:
     raise TypeError(f"unserializable value: {type(value).__name__}")
 
 
-def render_record(record: dict) -> str:
-    """One canonical JSON object, no trailing newline."""
-    return render_value(record)
+def render_record(record: dict, plain: bool = False) -> str:
+    """One canonical JSON object, no trailing newline.
+
+    ``plain`` promises that every number in ``record`` is plain: an int
+    that a float holds exactly, or a float from ``plain_number``. The
+    record then goes through the json module's C encoder, which renders
+    any other float by its ``repr``, not canonically.
+    """
+    return _ENCODER.encode(record) if plain else render_value(record)

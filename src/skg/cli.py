@@ -256,8 +256,8 @@ def cmd_hash(args) -> int:
             recorded = digest_path(store).read_text(encoding="utf-8", errors="replace").split()
     digest = graph_hash(graph)
     if args.verify:
-        # the loader merges what it reads, so a store with duplicate or
-        # reordered records still yields the canonical digest
+        # the loader reads any spacing and member order within a line,
+        # so a store that loads can still differ from its canonical bytes
         actual = hashlib.sha256(data).hexdigest()
         if actual != digest:
             print(

@@ -3,9 +3,14 @@
 Graphs are immutable snapshots: ``merge`` copies the node and edge dicts
 once per batch of records and returns a new ``Graph``, never touching its
 input, so callers can hold multiple versions of federation state at once.
+The records in them (``NodeKey``, ``Prop``, ``Node``, ``Edge``) are
+immutable tuples that check their fields on construction, so keys hash,
+compare and sort in C; nodes and edges sort by their keys.
 Canonical serialization emits newline-delimited JSON in a fixed order
 (header, nodes, approved edges, pending edges), which makes byte equality
 the definition of graph equality and gives a stable SHA-256 content hash.
+``load_store`` accepts records only in that order, each section strictly
+ascending by key.
 
 Reads go through a lazy per-snapshot index, so no reader scans the whole
 graph per call. A snapshot pays one O(E) pass grouping its edges by type
@@ -34,12 +39,18 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol
 
-from .canonical import normalize_number, render_number, render_record, strict_loads
+from .canonical import (
+    normalize_number,
+    plain_number,
+    render_number,
+    render_record,
+    strict_loads,
+)
 from .errors import (
     CrossSubgraphViolation,
     DanglingEdge,
@@ -86,19 +97,37 @@ def value_kind(value: object) -> str:
     raise TypeError(f"unsupported property value: {type(value).__name__}")
 
 
-@dataclass(frozen=True, order=True)
-class NodeKey:
-    """Namespaced node identity: (subgraph, label, id)."""
+# Graph records are immutable tuples. A ``NamedTuple`` base names the
+# fields and a subclass with empty ``__slots__`` checks and normalizes
+# them in ``__new__``, so keys hash, compare and sort in C, and a record
+# equals the plain tuple of its fields. A node's or an edge's key leads
+# its tuple and a snapshot holds each key once, so sorting records never
+# compares past their keys. ``copy`` and ``pickle`` (protocol 2 and up)
+# construct through ``__new__``; ``_replace`` and ``_make`` skip it, so
+# nothing may call them.
 
+_NO_PROPERTIES: Mapping[str, Prop] = MappingProxyType({})
+
+
+class _NodeKeyFields(NamedTuple):
     subgraph: str
     label: str
     id: str
 
-    def __post_init__(self):
-        if not self.subgraph or not self.label or not self.id:
-            raise MalformedKey(f"empty key part in {self!r}")
-        if not _ID_RE.match(self.id):
-            raise MalformedKey(f"id {self.id!r} outside [A-Za-z0-9_-]+")
+
+class NodeKey(_NodeKeyFields):
+    """Namespaced node identity: (subgraph, label, id)."""
+
+    __slots__ = ()
+
+    def __new__(cls, subgraph: str, label: str, id: str):
+        if not subgraph or not label or not id:
+            raise MalformedKey(
+                f"empty key part in NodeKey(subgraph={subgraph!r}, label={label!r}, id={id!r})"
+            )
+        if not _ID_RE.match(id):
+            raise MalformedKey(f"id {id!r} outside [A-Za-z0-9_-]+")
+        return tuple.__new__(cls, (subgraph, label, id))
 
     def to_text(self) -> str:
         return f"{self.subgraph}:{self.label}:{self.id}"
@@ -111,79 +140,78 @@ def parse_node_key(text: str) -> NodeKey:
     return NodeKey(*parts)
 
 
-@dataclass(frozen=True)
-class Prop:
+class _PropFields(NamedTuple):
+    value: object
+    provenance: Provenance
+
+
+class Prop(_PropFields):
     """A single property value with its provenance tag.
 
     Numbers are quantized to the canonical decimal at construction so
     that float equality and canonical-byte equality coincide.
     """
 
-    value: object
-    provenance: Provenance = Provenance.INTERVIEW_CONFIRMED
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = self.value
-        if isinstance(v, list):
-            v = tuple(v)
-            object.__setattr__(self, "value", v)
-        kind = value_kind(v)
-        if kind == "number":
-            object.__setattr__(self, "value", normalize_number(v))
-        elif kind == "text_list":
-            if not all(isinstance(item, str) for item in v):
+    def __new__(cls, value: object, provenance: Provenance | str = Provenance.INTERVIEW_CONFIRMED):
+        if value.__class__ is not str:  # text, the most common kind, needs no work
+            if isinstance(value, list):
+                value = tuple(value)
+            kind = value_kind(value)
+            if kind == "number":
+                value = normalize_number(value)
+            elif kind == "text_list" and not all(isinstance(item, str) for item in value):
                 raise TypeError("text_list items must be text")
-        if not isinstance(self.provenance, Provenance):
-            object.__setattr__(self, "provenance", Provenance(self.provenance))
+        if provenance.__class__ is not Provenance:
+            provenance = Provenance(provenance)
+        return tuple.__new__(cls, (value, provenance))
 
     @property
     def kind(self) -> str:
         return value_kind(self.value)
 
 
-@dataclass(frozen=True)
-class Node:
+class _NodeFields(NamedTuple):
     key: NodeKey
-    properties: Mapping[str, Prop] = field(default_factory=dict)
+    properties: Mapping[str, Prop]
 
-    def __post_init__(self):
-        object.__setattr__(self, "properties", dict(self.properties))
+
+class Node(_NodeFields):
+    __slots__ = ()
+
+    def __new__(cls, key: NodeKey, properties: Mapping[str, Prop] = _NO_PROPERTIES):
+        return tuple.__new__(cls, (key, dict(properties)))
 
     def get(self, name: str, default: object = None) -> object:
         prop = self.properties.get(name)
         return default if prop is None else prop.value
 
 
-@dataclass(frozen=True)
-class Edge:
+class _EdgeFields(NamedTuple):
     edge_type: str
     src: NodeKey
     dst: NodeKey
-    properties: Mapping[str, Prop] = field(default_factory=dict)
-    pending: bool = False
+    properties: Mapping[str, Prop]
+    pending: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "properties", dict(self.properties))
+
+class Edge(_EdgeFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        edge_type: str,
+        src: NodeKey,
+        dst: NodeKey,
+        properties: Mapping[str, Prop] = _NO_PROPERTIES,
+        pending: bool = False,
+    ):
+        return tuple.__new__(cls, (edge_type, src, dst, dict(properties), pending))
 
     @property
     def key(self) -> tuple[str, NodeKey, NodeKey]:
         return (self.edge_type, self.src, self.dst)
-
-
-# Orders and index keys are built from the text parts of a ``NodeKey``:
-# its dataclass ``__hash__``, ``__eq__`` and ``__lt__`` run in Python,
-# while tuples of text hash and compare in C, in the same order.
-
-
-def _node_order(node: Node) -> tuple[str, str, str]:
-    key = node.key
-    return (key.subgraph, key.label, key.id)
-
-
-def _edge_order(edge: Edge) -> tuple[str, ...]:
-    """``Edge.key`` order."""
-    src, dst = edge.src, edge.dst
-    return (edge.edge_type, src.subgraph, src.label, src.id, dst.subgraph, dst.label, dst.id)
 
 
 class _Index:
@@ -194,9 +222,8 @@ class _Index:
 
     * edges grouped by type, in one pass over all edges;
     * per edge type, on the first request for it: the group sorted by
-      ``Edge.key``, and adjacency lists keyed by
-      ``(subgraph, label, id, direction)`` of the near end, holding
-      ``(edge, far key)`` in that order;
+      ``Edge.key``, and adjacency lists keyed by ``(near key, direction)``,
+      holding ``(edge, far key)`` in that order;
     * node buckets per ``(label, subgraph)``, ``(label, None)`` and
       ``(None, subgraph)``, collected in one pass over all nodes and
       each sorted on first use.
@@ -221,12 +248,12 @@ class _Index:
             self._by_type = {}
             for edge in self._edges.values():
                 self._by_type.setdefault(edge.edge_type, []).append(edge)
-        group = sorted(self._by_type.get(edge_type, ()), key=_edge_order)
-        adjacency: dict[tuple[str, str, str, str], list[tuple[Edge, NodeKey]]] = {}
+        group = sorted(self._by_type.get(edge_type, ()))
+        adjacency: dict[tuple[NodeKey, str], list[tuple[Edge, NodeKey]]] = {}
         for edge in group:  # in key order, so every list comes out sorted
             src, dst = edge.src, edge.dst
-            adjacency.setdefault((src.subgraph, src.label, src.id, "out"), []).append((edge, dst))
-            adjacency.setdefault((dst.subgraph, dst.label, dst.id, "in"), []).append((edge, src))
+            adjacency.setdefault((src, "out"), []).append((edge, dst))
+            adjacency.setdefault((dst, "in"), []).append((edge, src))
         entry = self._typed[edge_type] = (group, adjacency)
         return entry
 
@@ -244,7 +271,7 @@ class _Index:
         bucket = (label, subgraph)
         out = self._sorted.get(bucket)
         if out is None:
-            out = self._sorted[bucket] = sorted(self.buckets().get(bucket, ()), key=_node_order)
+            out = self._sorted[bucket] = sorted(self.buckets().get(bucket, ()))
         return out
 
 
@@ -285,20 +312,20 @@ class Graph:
 
     def nodes(self, label: str | None = None, subgraph: str | None = None) -> list[Node]:
         if label is None and subgraph is None:
-            return sorted(self._nodes.values(), key=_node_order)
+            return sorted(self._nodes.values())
         return list(self._read_index().nodes(label, subgraph))
 
     def edges(
         self, edge_type: str | None = None, include_pending: bool = True
     ) -> list[Edge]:
         if edge_type is None:
-            out = sorted(self._edges.values(), key=_edge_order)
+            out = sorted(self._edges.values())
         else:
             out = self._read_index().typed(edge_type)[0]
         return [e for e in out if include_pending or not e.pending]
 
     def pending_edges(self) -> list[Edge]:
-        return sorted((e for e in self._edges.values() if e.pending), key=_edge_order)
+        return sorted(e for e in self._edges.values() if e.pending)
 
     def edge(self, key: tuple[str, NodeKey, NodeKey]) -> Edge:
         return self._edges[key]
@@ -447,7 +474,7 @@ def neighbors(
     if direction not in ("out", "in"):
         raise ValueError(f"direction must be out|in, not {direction!r}")
     adjacency = graph._read_index().typed(edge_type)[1]
-    pairs = adjacency.get((key.subgraph, key.label, key.id, direction), ())
+    pairs = adjacency.get((key, direction), ())
     nodes = graph._nodes
     return [(edge, nodes[other]) for edge, other in pairs if include_pending or not edge.pending]
 
@@ -487,15 +514,27 @@ def key_from_record(
     raise RegistryMismatch(f"{where}: malformed node key")
 
 
-def props_record(properties: Mapping[str, Prop]) -> dict:
-    """Property map as ``{name: {"provenance", "value"}}``, text lists as JSON arrays."""
-    return {
-        name: {
-            "provenance": prop.provenance.value,
-            "value": list(prop.value) if isinstance(prop.value, tuple) else prop.value,
-        }
-        for name, prop in properties.items()
-    }
+def props_record(properties: Mapping[str, Prop]) -> tuple[dict, bool]:
+    """Property map as ``{name: {"provenance", "value"}}``, and whether it is plain.
+
+    Text lists become JSON arrays, and numbers take their plain form
+    (``plain_number``) where they have one. The map is plain when every
+    number has one, and may then be rendered with ``plain=True``.
+    """
+    record = {}
+    plain = True
+    for name, (value, provenance) in properties.items():
+        if value.__class__ is float:  # Prop makes every number a float
+            number = plain_number(value)
+            if number is None:
+                plain = False
+            else:
+                value = number
+        elif isinstance(value, tuple):
+            value = list(value)
+        # a Provenance is a str, and JSON renders it as its value
+        record[name] = {"provenance": provenance, "value": value}
+    return record, plain
 
 
 def props_from_record(record: object, where: str) -> dict[str, Prop]:
@@ -525,9 +564,13 @@ def props_from_record(record: object, where: str) -> dict[str, Prop]:
     return props
 
 
-def node_record(key: NodeKey, properties: Mapping[str, Prop]) -> dict:
-    """A node as stores and merge plans both write it."""
-    return {"kind": "node", **key_record(key), "properties": props_record(properties)}
+def node_record(key: NodeKey, properties: Mapping[str, Prop]) -> tuple[dict, bool]:
+    """A node as stores and merge plans both write it, and whether it is plain.
+
+    See ``props_record``.
+    """
+    props, plain = props_record(properties)
+    return {"kind": "node", **key_record(key), "properties": props}, plain
 
 
 def node_from_record(
@@ -548,33 +591,29 @@ def canonical_serialize(graph: Graph) -> bytes:
     edges sorted by (type, src, dst), then the pending section with the
     same edge ordering. Two graphs serialize identically iff they are equal.
     """
-    lines = [
-        render_record(
-            {
-                "format": FORMAT_NAME,
-                "kind": "header",
-                "registry_version": graph.registry_version,
-                "version": FORMAT_VERSION,
-            }
-        )
-    ]
+    header = {
+        "format": FORMAT_NAME,
+        "kind": "header",
+        "registry_version": graph.registry_version,
+        "version": FORMAT_VERSION,
+    }
+    lines = [render_record(header, plain=True)]
     for node in graph.nodes():
-        lines.append(render_record(node_record(node.key, node.properties)))
+        record, plain = node_record(node.key, node.properties)
+        lines.append(render_record(record, plain))
     approved = [e for e in graph.edges() if not e.pending]
     pending = graph.pending_edges()
     for kind, group in (("edge", approved), ("pending_edge", pending)):
         for edge in group:
-            lines.append(
-                render_record(
-                    {
-                        "kind": kind,
-                        "edge_type": edge.edge_type,
-                        "src": key_record(edge.src),
-                        "dst": key_record(edge.dst),
-                        "properties": props_record(edge.properties),
-                    }
-                )
-            )
+            props, plain = props_record(edge.properties)
+            record = {
+                "kind": kind,
+                "edge_type": edge.edge_type,
+                "src": key_record(edge.src),
+                "dst": key_record(edge.dst),
+                "properties": props,
+            }
+            lines.append(render_record(record, plain))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -647,9 +686,13 @@ def _store_records(lines: list[str], path: Path) -> Iterator[tuple[str, Node | E
 def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     """Load a store file, re-enforcing referential integrity through one merge.
 
+    Records must come in canonical order: nodes, then approved edges,
+    then pending edges, each section strictly ascending by key.
+
     Raises:
         RegistryMismatch: header registry_version differs from ``registry``,
-            or a line is not a well-formed record.
+            a line is not a well-formed record, or a record does not sort
+            strictly after the one before it.
         DanglingEdge, TypeConflict, CrossSubgraphViolation: ``merge``
             rejects a record; the message starts with its ``<file>:<line>``.
     """
@@ -673,8 +716,19 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
 
     def records() -> Iterator[Node | Edge]:
         nonlocal where
+        last = None
         for where, record in _store_records(lines[1:], path):
+            if isinstance(record, Node):
+                place = (0, record.key)
+            else:
+                place = (2 if record.pending else 1, record.key)
+            if last is not None and place < last:
+                raise RegistryMismatch(f"{where}: record out of canonical order")
             yield record
+            # merge sees a repeated record first, so a conflict in it is reported as one
+            if place == last:
+                raise RegistryMismatch(f"{where}: repeats the record before it")
+            last = place
 
     try:
         return merge(Graph(registry), records())

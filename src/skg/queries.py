@@ -204,18 +204,20 @@ def cascade_paths(
     root_key = NodeKey(subgraph, "FailureMode", failure_mode_id)
     root = graph.node(root_key)
     paths: list[tuple[str, ...]] = []
-
-    def walk(key: NodeKey, names: tuple[str, ...], visited: frozenset, depth: int) -> None:
-        if depth == max_depth:
-            return
+    # an explicit stack: a nested function that recurses through its own
+    # closure cell is a reference cycle, which keeps the graph alive until
+    # the next garbage collection
+    stack = [(root_key, (str(root.get("name", failure_mode_id)),), frozenset({root_key}))]
+    while stack:
+        key, names, visited = stack.pop()
+        if len(names) > max_depth:  # the root's name and one per hop
+            continue
         for _, nxt in neighbors(graph, key, "CASCADES_TO", hop):
             if nxt.key in visited:
                 continue
             path = names + (str(nxt.get("name", nxt.key.id)),)
             paths.append(path)
-            walk(nxt.key, path, visited | {nxt.key}, depth + 1)
-
-    walk(root_key, (str(root.get("name", failure_mode_id)),), frozenset({root_key}), 0)
+            stack.append((nxt.key, path, visited | {nxt.key}))
     paths.sort(key=lambda p: (len(p), p))
     return paths
 

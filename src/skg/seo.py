@@ -300,6 +300,21 @@ def _read_record(cls: type, obj: object, path: str):
     return cls(**{f.name: _read_field(f, obj, path) for f in table.values()})
 
 
+# seo.schema.json's pattern for dates; from Python 3.11 on, fromisoformat
+# alone also takes forms such as "20260714" and "2026-W29-2"
+_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _is_iso_date(text: str) -> bool:
+    if not _ISO_DATE_RE.fullmatch(text):
+        return False
+    try:
+        datetime.date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_field(f: _Field, obj: dict, path: str):
     where = _join(path, f.json)
     if f.json not in obj:
@@ -334,11 +349,8 @@ def _read_field(f: _Field, obj: dict, path: str):
         raise ValueKindMismatch(where, kind, type(value).__name__)
     if f.choices and value not in f.choices:
         raise ValueKindMismatch(where, f"one of {sorted(f.choices)}", repr(value))
-    if f.iso_date:
-        try:
-            datetime.date.fromisoformat(value)
-        except ValueError:
-            raise ValueKindMismatch(where, "ISO-8601 date", repr(value)) from None
+    if f.iso_date and not _is_iso_date(value):
+        raise ValueKindMismatch(where, "ISO-8601 date", repr(value))
     return value if f.cls is None else f.cls(value)
 
 

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skg.annotator import MergePlan, PlanProvenance, plan_to_bytes
+from skg.graph_core import Edge, Node, NodeKey, Prop, Provenance, node_record, props_record
 from skg.canonical import (
     normalize_number,
+    plain_number,
     reject_non_finite,
     render_number,
     render_record,
@@ -147,3 +150,114 @@ class TestStrictLoads:
         assert outcome(strict_loads) == outcome(
             lambda t: json.loads(t, parse_constant=reject_non_finite)
         )
+
+
+# -- the C encoder path ---------------------------------------------------
+#
+# Store lines and plan bytes go through the json module's encoder when
+# every number in them is plain; these tests hold that path to the bytes
+# render_value gives for the record as it was built before plain numbers.
+
+EDGE_NUMBERS = [0.00005, 5e-05, 1e-7, 5.0, -0.0, 1e20, 2**40 + 0.5, 123456789.123456,
+                999999999999999.9, 1e300, -2.5, 0.885]
+
+numbers = st.one_of(
+    st.sampled_from(EDGE_NUMBERS),
+    st.integers(min_value=-(10**18), max_value=10**18),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-3, max_value=1e-3),
+)
+texts = st.text(
+    st.one_of(
+        st.characters(blacklist_categories=("Cs",)),  # UTF-8 has no lone surrogates
+        st.sampled_from(['"', "\\", "\u2028", "\u2029", "\x85", "\x00", "\x1f", "\x7f", "µ"]),
+    ),
+    max_size=12,
+)
+prop_values = st.one_of(st.booleans(), numbers, texts, st.lists(texts, max_size=3))
+provenances = st.sampled_from(list(Provenance))
+keys = st.builds(
+    NodeKey,
+    st.sampled_from(["ELISA", "SG_2", "µ"]),
+    st.sampled_from(["FailureMode", "Étape"]),
+    st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True),
+)
+properties = st.dictionaries(texts, st.builds(Prop, prop_values, provenances), max_size=5)
+
+
+def legacy_props(props):
+    """props_record's map as it was before numbers became plain."""
+    return {
+        name: {
+            "provenance": prop.provenance.value,
+            "value": list(prop.value) if isinstance(prop.value, tuple) else prop.value,
+        }
+        for name, prop in props.items()
+    }
+
+
+def legacy_key(key):
+    return {"subgraph": key.subgraph, "label": key.label, "id": key.id}
+
+
+class TestPlainRendering:
+    @given(keys, properties)
+    def test_store_node_line(self, key, props):
+        record, plain = node_record(key, props)
+        legacy = {"kind": "node", **legacy_key(key), "properties": legacy_props(props)}
+        assert render_record(record, plain) == render_value(legacy)
+
+    @given(keys, keys, properties, st.booleans())
+    def test_store_edge_line(self, src, dst, props, pending):
+        record, plain = props_record(props)
+        shape = {"kind": "pending_edge" if pending else "edge", "edge_type": "CASCADES_TO",
+                 "src": legacy_key(src), "dst": legacy_key(dst)}
+        rendered = render_record({**shape, "properties": record}, plain)
+        assert rendered == render_value({**shape, "properties": legacy_props(props)})
+
+    @given(st.lists(st.tuples(keys, properties), max_size=4), texts)
+    def test_plan_bytes(self, nodes, scientist):
+        nodes = {key: props for key, props in nodes}  # a plan holds each key once
+        plan = MergePlan(
+            provenance=PlanProvenance("0" * 64, scientist, "DESIGN_EXPERT", "ELISA", "skg-ontology-1"),
+            nodes=tuple(Node(key, props) for key, props in sorted(nodes.items())),
+            edges=tuple(Edge("CASCADES_TO", key, key) for key in sorted(nodes)[:1]),
+            pending_edges=(),
+        )
+        legacy = {
+            "kind": "merge_plan",
+            "version": 1,
+            "provenance": {"doc_sha256": "0" * 64, "registry_version": "skg-ontology-1",
+                           "session_mode": "DESIGN_EXPERT", "source_scientist": scientist,
+                           "subgraph": "ELISA"},
+            "statements": [
+                {"kind": "node", **legacy_key(node.key), "properties": legacy_props(node.properties)}
+                for node in plan.nodes
+            ] + [
+                {"kind": "edge", "edge_type": e.edge_type, "src": e.src.to_text(), "dst": e.dst.to_text()}
+                for e in plan.edges
+            ],
+            "pending_edges": [],
+        }
+        assert plan_to_bytes(plan) == (render_value(legacy) + "\n").encode("utf-8")
+
+    @given(numbers)
+    def test_plain_number_renders_canonically_or_is_refused(self, x):
+        x = normalize_number(x)  # every number a Prop holds went through this
+        number = plain_number(x)
+        if number is None:
+            assert repr(x) != render_number(x) and not x.is_integer()
+        else:
+            assert json.dumps(number) == render_number(x)
+        if not x.is_integer() and repr(x) != render_number(x):
+            assert number is None
+            assert props_record({"n": Prop(x)})[1] is False
+
+    @pytest.mark.parametrize(
+        ("value", "plain"),
+        [(5e-05, None), (999999999999999.9, None), (5.0, 5), (-0.0, 0), (1e20, 10**20),
+         (2**40 + 0.5, 2**40 + 0.5), (123456789.123456, 123456789.123456)],
+    )
+    def test_plain_number_examples(self, value, plain):
+        number = plain_number(normalize_number(value))
+        assert number == plain and type(number) is type(plain)

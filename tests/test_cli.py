@@ -630,6 +630,31 @@ def same_subgraph_edge_pending(lines):
     return len(lines)
 
 
+def swap(lines, first):
+    """Swap store lines ``first`` and ``first + 1`` (1-based); the second is out of order."""
+    lines[first - 1], lines[first] = lines[first], lines[first - 1]
+    return first + 1
+
+
+def repeat_first_node(lines):
+    lines.insert(2, lines[1])
+    return 3
+
+
+# (edit of the store's lines returning the line number the loader rejects, message)
+STORE_ORDER_BREACHES = [
+    pytest.param(repeat_first_node, "repeats the record before it", id="duplicated-line"),
+    pytest.param(lambda lines: swap(lines, 2), "record out of canonical order", id="swapped-nodes"),
+    pytest.param(
+        lambda lines: swap(lines, 122), "record out of canonical order", id="swapped-edges"
+    ),
+    # the last node (line 121) and the first edge trade places
+    pytest.param(
+        lambda lines: swap(lines, 121), "record out of canonical order", id="node-after-an-edge"
+    ),
+]
+
+
 # (edit of the store's lines returning the line number merge rejects, message)
 STORE_INVARIANT_BREACHES = [
     pytest.param(
@@ -673,11 +698,29 @@ class TestCorruptStore:
         assert captured.out == ""
         assert captured.err == f"error: {path}:{line_no}: {message}\n"
 
+    @pytest.mark.parametrize(("breach", "message"), STORE_ORDER_BREACHES)
+    def test_record_out_of_order_is_rejected_with_its_location(
+        self, fixtures_dir, tmp_path, capsys, breach, message
+    ):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        line_no = breach(lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["hash", "--graph", str(path)]) == EXIT_REJECTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:{line_no}: {message}\n"
+
     def test_verify_rejects_non_canonical_bytes(self, fixtures_dir, tmp_path, capsys):
         path = copy_fixture_store(fixtures_dir, tmp_path)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines[:2] + lines[1:]), encoding="utf-8")
-        # the duplicate merges away, so the graph itself still hashes canonically
+        # a repeated record breaks the canonical order, so a plain hash refuses it too
+        assert main(["hash", "--graph", str(path)]) == EXIT_REJECTED
+        assert capsys.readouterr().err == f"error: {path}:3: repeats the record before it\n"
+        # insignificant whitespace decodes to the same record, so only --verify sees it
+        padded = lines[:1] + [lines[1].rstrip("\n") + " \n"] + lines[2:]
+        path.write_text("".join(padded), encoding="utf-8")
         assert main(["hash", "--graph", str(path)]) == EXIT_OK
         assert capsys.readouterr().out.strip() == FEDERATED_DIGEST
         assert main(["hash", "--graph", str(path), "--verify"]) == EXIT_INVARIANT

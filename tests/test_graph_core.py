@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +78,32 @@ class TestNodeKey:
         c = NodeKey("B", "A", "0")
         assert sorted([c, b, a]) == [a, b, c]
 
+    @given(st.lists(st.tuples(*[st.sampled_from(["A", "B", "a", "A_2", "B-1"])] * 3)))
+    def test_sorts_by_subgraph_then_label_then_id(self, parts):
+        keys = [NodeKey(*p) for p in parts]
+        assert sorted(keys) == sorted(keys, key=lambda k: (k.subgraph, k.label, k.id))
+
+    def test_equals_and_hashes_as_the_tuple_of_its_fields(self):
+        k = NodeKey("A", "L", "1")
+        assert k == ("A", "L", "1") and hash(k) == hash(("A", "L", "1"))
+        assert {("A", "L", "1"): "found"}[k] == "found"
+
+    def test_repr_names_the_fields(self):
+        assert repr(NodeKey("A", "L", "1")) == "NodeKey(subgraph='A', label='L', id='1')"
+
+    @pytest.mark.parametrize(
+        "parts", [("", "FailureMode", "x"), ("SG", "FailureMode", "a b")], ids=["empty", "bad-id"]
+    )
+    def test_malformed_key_is_rejected_by_pickle_and_copy(self, parts):
+        bad = tuple.__new__(NodeKey, parts)  # skips the checks that pickle and copy must run
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # 0 and 1 bypass __new__
+            data = pickle.dumps(bad, protocol)
+            with pytest.raises(MalformedKey):
+                pickle.loads(data)
+        for clone in (copy.copy, copy.deepcopy):
+            with pytest.raises(MalformedKey):
+                clone(bad)
+
 
 class TestProp:
     def test_numbers_quantized_at_construction(self):
@@ -108,6 +137,55 @@ class TestProp:
     def test_unsupported_values(self, bad):
         with pytest.raises(TypeError):
             Prop(bad)
+
+    def test_pickle_and_copy_quantize_and_coerce(self):
+        raw = tuple.__new__(Prop, (2 / 3, "SCHEMA_DEFAULT"))  # skips the normalization
+        for clone in (lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy):
+            prop = clone(raw)
+            assert type(prop) is Prop
+            assert prop.value == 0.666667 and prop.provenance is SD
+
+
+class TestRecords:
+    def records(self):
+        a, b = key("a"), key("b", "SGB")
+        props = {"name": Prop("x"), "tags": Prop(["t"]), "confidence": Prop(0.5, SD)}
+        return [a, Prop(1.5, SD), Node(a, props), Edge("MASKED_BY", a, b, props, pending=True)]
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for record in self.records():
+            for clone in (lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy):
+                copied = clone(record)
+                assert type(copied) is type(record)
+                assert copied == record
+
+    def test_a_record_equals_the_tuple_of_its_fields(self):
+        a = key("a")
+        assert Node(a, {"name": Prop("x")}) == (a, {"name": ("x", IC)})
+        assert Edge("CASCADES_TO", a, a).key == ("CASCADES_TO", ("SGA", "FailureMode", "a"), a)
+
+    def test_property_maps_are_copied(self):
+        props = {"name": Prop("x")}
+        node = Node(key("a"), props)
+        props["name"] = Prop("y")
+        assert node.get("name") == "x"
+
+    def test_records_are_immutable(self):
+        node = Node(key("a"))
+        with pytest.raises(AttributeError):
+            node.key = key("b")
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+    def test_graph_equality_compares_contents(self, federated, tmp_path):
+        path = tmp_path / "g.skg.jsonl"
+        save_store(federated, path)
+        loaded = load_store(path, builtin_registry())
+        assert loaded == federated
+        changed = merge(loaded, [Node(federated.nodes()[0].key, {"note": Prop("new")})])
+        assert changed != federated
+        records = [*federated.nodes(), *federated.edges()]
+        assert merge(make_graph(), copy.deepcopy(records)) == federated
 
 
 class TestMergePolicy:

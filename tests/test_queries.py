@@ -1,5 +1,6 @@
 """Read-side queries, checked against the frozen federated store and small synthetic graphs."""
 
+import gc
 import json
 
 import pytest
@@ -266,6 +267,16 @@ class TestCascadePaths:
 
     def test_depth_zero_is_empty(self, federated):
         assert cascade_paths(federated, "ELISA", "FM-ELISA-001", 0) == []
+
+    def test_leaves_no_reference_cycle(self, federated):
+        # a cycle would keep the graph alive until the next collection
+        gc.collect()
+        gc.disable()
+        try:
+            assert cascade_paths(federated, "ELISA", "FM-ELISA-001", 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_unknown_root(self, federated):
         with pytest.raises(KeyError):

@@ -217,6 +217,20 @@ class TestStrictParse:
             parse(obj)
         assert err.value.path == "twin_metadata.session_date"
 
+    # fromisoformat takes these from Python 3.11 on; the schema's pattern does not
+    @pytest.mark.parametrize("date", ["20260714", "2026-W29-2"])
+    def test_session_date_outside_the_schema_pattern(self, date):
+        obj = minimal_json()
+        obj["twin_metadata"]["session_date"] = date
+        with pytest.raises(ValueKindMismatch) as err:
+            parse(obj)
+        assert err.value.path == "twin_metadata.session_date"
+
+    def test_session_date_in_the_schema_pattern(self):
+        obj = minimal_json()
+        obj["twin_metadata"]["session_date"] = "2026-07-14"
+        assert parse(obj).twin_metadata.session_date == "2026-07-14"
+
     @pytest.mark.parametrize(
         ("layer", "path"),
         [("protocol", "protocol.workflow_id"), ("decision_model", "decision_model._elicitation_scope")],
