@@ -6,10 +6,14 @@ never looks at a document. Plans are canonical JSON, so the same
 document always compiles to the same bytes and a plan can be diffed,
 stored, or shipped to another site before being applied.
 
-Referenced-but-unowned records (instruments named as masking assets,
-cascade targets nobody described, workflows cited by program inputs)
-become schema-default stubs with ``flagged_for_review`` set, so a later
-session can confirm them without ever demoting confirmed knowledge.
+A claim node's properties are the claim's own text, number and boolean
+fields, read off the document's field table, so the document dataclasses
+stay the one description of what a claim carries. Referenced-but-unowned
+records (instruments named as masking assets, cascade targets nobody
+described, workflows cited by program inputs) become stubs holding every
+property the registry requires of their label, at the schema default,
+with ``flagged_for_review`` set, so a later session can confirm them
+without ever demoting confirmed knowledge.
 
 Cross-subgraph edges always enter the plan pending; they stay
 quarantined until an operator approves the convergence.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from typing import Mapping
 
 from .canonical import render_number, render_record, strict_loads
@@ -36,8 +41,8 @@ from .graph_core import (
     parse_node_key,
 )
 from .metrics import default_aliases, label_slug, normalize_label
-from .ontology import SchemaRegistry, builtin_registry
-from .seo import SeoDocument, serialize_seo, validate_seo
+from .ontology import CONFIDENCE_FLOOR, NodeTypeDef, SchemaRegistry, builtin_registry
+from .seo import SeoDocument, _fields, serialize_seo, validate_seo
 
 PLAN_KIND = "merge_plan"
 PLAN_VERSION = 1
@@ -67,56 +72,84 @@ class MergePlan:
     pending_edges: tuple[Edge, ...]
 
 
-class _Builder:
-    """Accumulates plan records; stubs never displace real nodes."""
+def _tag(pre_extracted: bool) -> Provenance:
+    return _SD if pre_extracted else _IC
 
-    def __init__(self):
+
+# fields that name a claim's record or pick its tag; they are not properties
+_NAMING_FIELDS = frozenset({"id", "step_id", "pre_extracted"})
+
+
+@lru_cache(maxsize=None)
+def _property_fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    """(name, is boolean) of each text, number or boolean field of a claim class."""
+    return tuple(
+        (f.name, f.kind == "boolean")
+        for f in _fields(cls).values()
+        if f.kind in ("text", "number", "boolean") and f.name not in _NAMING_FIELDS
+    )
+
+
+def _claim_props(claim, tag: Provenance, flag_tag: Provenance | None = None) -> dict[str, Prop]:
+    """A claim's stated text, number and boolean fields as properties tagged ``tag``.
+
+    An unstated boolean is false, tagged as the schema default. A claim
+    class with no ``flagged_for_review`` field of its own gets it false,
+    tagged ``flag_tag`` (``tag`` when omitted).
+    """
+    props = {"flagged_for_review": Prop(False, tag if flag_tag is None else flag_tag)}
+    for name, boolean in _property_fields(type(claim)):
+        value = getattr(claim, name)
+        if value is not None:
+            props[name] = Prop(value, tag)
+        elif boolean:
+            props[name] = Prop(False, _SD)
+    return props
+
+
+_STUB_VALUES = {"text": "", "number": 0, "boolean": False}
+
+
+@lru_cache(maxsize=None)
+def _stub_defaults(ndef: NodeTypeDef) -> tuple[tuple[str, object], ...]:
+    """Every required property of a label at its default, flagged for review."""
+    defaults = {name: _STUB_VALUES[kind] for name, kind in ndef.required}
+    if "confidence" in defaults:
+        defaults["confidence"] = CONFIDENCE_FLOOR
+    defaults["flagged_for_review"] = True
+    return tuple(defaults.items())
+
+
+class _Builder:
+    """Accumulates plan records; stubs never displace described nodes."""
+
+    def __init__(self, registry: SchemaRegistry):
+        self.registry = registry
         self.props: dict[NodeKey, dict[str, Prop]] = {}
-        self.is_stub: dict[NodeKey, bool] = {}
+        self.stubs: set[NodeKey] = set()
         self.edges: dict[tuple[str, NodeKey, NodeKey], Edge] = {}
 
-    def node(self, key: NodeKey, props: dict[str, Prop], stub: bool = False) -> NodeKey:
-        if key in self.props:
-            if not stub:
-                if self.is_stub[key]:
-                    self.props[key] = dict(props)
-                    self.is_stub[key] = False
-                else:
-                    self.props[key].update(props)
-            return key
-        self.props[key] = dict(props)
-        self.is_stub[key] = stub
+    def node(self, key: NodeKey, props: dict[str, Prop]) -> NodeKey:
+        """A described record: it replaces a stub and extends an earlier description."""
+        if key in self.props and key not in self.stubs:
+            self.props[key].update(props)
+        else:
+            self.props[key] = props
+            self.stubs.discard(key)
+        return key
+
+    def stub(self, key: NodeKey, name: str) -> NodeKey:
+        """A record named here but not described: its label's schema defaults."""
+        if key not in self.props:
+            defaults = _stub_defaults(self.registry.node_types[key.label])
+            self.props[key] = {prop: Prop(value, _SD) for prop, value in defaults}
+            self.props[key]["name"] = Prop(name, _SD)
+            self.stubs.add(key)
         return key
 
     def edge(self, edge_type: str, src: NodeKey, dst: NodeKey) -> None:
         edge = Edge(edge_type, src, dst, pending=src.subgraph != dst.subgraph)
         self.edges[edge.key] = edge
-
-
-def _tag(pre_extracted: bool) -> Provenance:
-    return _SD if pre_extracted else _IC
-
-
-def _own_or_default(value: object | None, default: object, pre: bool) -> Prop:
-    if value is None:
-        return Prop(default, _SD)
-    return Prop(value, _tag(pre))
-
-
-def _fm_stub(name: str) -> dict[str, Prop]:
-    return {
-        "name": Prop(name, _SD),
-        "confidence": Prop(0.60, _SD),
-        "confidence_method": Prop("", _SD),
-        "source_scientist": Prop("", _SD),
-        "silent_failure_risk": Prop(False, _SD),
-        "is_critical_path": Prop(False, _SD),
-        "flagged_for_review": Prop(True, _SD),
-    }
-
-
-def _named_stub(name: str) -> dict[str, Prop]:
-    return {"name": Prop(name, _SD), "flagged_for_review": Prop(True, _SD)}
 
 
 def compile_seo(
@@ -130,7 +163,8 @@ def compile_seo(
     Args:
         doc: a parsed extraction document.
         subgraph: namespace the document's claims belong to.
-        registry: schema registry; the built-in one when omitted.
+        registry: schema registry; the built-in one when omitted. Stubs
+            take their properties from its required lists.
         aliases: label alias table for resolving cascade targets named
             informally; the packaged defaults when omitted.
 
@@ -148,7 +182,7 @@ def compile_seo(
             f"document claims subgraph {doc.protocol.subgraph!r}, compiling into {subgraph!r}"
         )
 
-    b = _Builder()
+    b = _Builder(registry)
     meta = doc.twin_metadata
     fm_claims: list[tuple] = []  # (claim, node key)
     dp_keys: list[NodeKey] = []
@@ -157,15 +191,7 @@ def compile_seo(
     def step_for(step_id: str) -> NodeKey:
         """The step a decision point or alternative names, stubbed if undescribed."""
         if step_id not in step_key_by_id:
-            step_key_by_id[step_id] = b.node(
-                NodeKey(subgraph, "WorkflowStep", step_id),
-                {
-                    "name": Prop(step_id, _SD),
-                    "step_index": Prop(0, _SD),
-                    "flagged_for_review": Prop(True, _SD),
-                },
-                stub=True,
-            )
+            step_key_by_id[step_id] = b.stub(NodeKey(subgraph, "WorkflowStep", step_id), step_id)
         return step_key_by_id[step_id]
 
     if doc.protocol is not None:
@@ -183,15 +209,7 @@ def compile_seo(
         for step in ordered:
             pre = proto.pre_extracted or step.pre_extracted
             step_id = step.id or f"ST-{subgraph}-{int(step.step_index):03d}"
-            props = {
-                "name": Prop(step.name, _tag(pre)),
-                "step_index": Prop(step.step_index, _tag(pre)),
-                "is_critical_path": _own_or_default(step.is_critical_path, False, pre),
-                "flagged_for_review": Prop(False, _tag(pre)),
-            }
-            if step.description is not None:
-                props["description"] = Prop(step.description, _tag(pre))
-            key = b.node(NodeKey(subgraph, "WorkflowStep", step_id), props)
+            key = b.node(NodeKey(subgraph, "WorkflowStep", step_id), _claim_props(step, _tag(pre)))
             step_keys.append(key)
             step_key_by_id[step_id] = key
             if step.id is not None:
@@ -199,41 +217,18 @@ def compile_seo(
             b.edge("HAS_STEP", wf_key, key)
 
             for uc_name in step.required_use_cases:
-                uc_key = b.node(
-                    NodeKey(EXECUTION_SUBGRAPH, "UseCase", f"UC-{label_slug(uc_name)}"),
-                    _named_stub(uc_name),
-                    stub=True,
+                uc_key = b.stub(
+                    NodeKey(EXECUTION_SUBGRAPH, "UseCase", f"UC-{label_slug(uc_name)}"), uc_name
                 )
                 b.edge("REQUIRES_AUTOMATION", key, uc_key)
 
             for fm in step.failure_modes:
                 fm_counter += 1
-                fm_pre = pre or fm.pre_extracted
                 fm_id = fm.id or f"FM-{subgraph}-{fm_counter:03d}"
-                fm_props = {
-                    "name": Prop(fm.name, _tag(fm_pre)),
-                    "confidence": Prop(fm.confidence, _tag(fm_pre)),
-                    "confidence_method": Prop(fm.confidence_method, _tag(fm_pre)),
-                    "source_scientist": Prop(fm.source_scientist, _tag(fm_pre)),
-                    "silent_failure_risk": _own_or_default(
-                        fm.silent_failure_risk, False, fm_pre
-                    ),
-                    "is_critical_path": _own_or_default(fm.is_critical_path, False, fm_pre),
-                    "flagged_for_review": _own_or_default(
-                        fm.flagged_for_review, False, fm_pre
-                    ),
-                }
-                for opt in (
-                    "description",
-                    "source_phrase",
-                    "frequency_min",
-                    "frequency_best",
-                    "frequency_max",
-                ):
-                    value = getattr(fm, opt)
-                    if value is not None:
-                        fm_props[opt] = Prop(value, _tag(fm_pre))
-                fm_key = b.node(NodeKey(subgraph, "FailureMode", fm_id), fm_props)
+                fm_key = b.node(
+                    NodeKey(subgraph, "FailureMode", fm_id),
+                    _claim_props(fm, _tag(pre or fm.pre_extracted)),
+                )
                 fm_claims.append((fm, fm_key))
                 b.edge("CAUSES_IF_INCOMPLETE", key, fm_key)
 
@@ -248,65 +243,36 @@ def compile_seo(
             for target in fm.cascades_to:
                 dst = fm_by_norm.get(normalize_label(target, aliases))
                 if dst is None:
-                    dst = b.node(
-                        NodeKey(subgraph, "FailureMode", f"FM-{label_slug(target)}"),
-                        _fm_stub(target),
-                        stub=True,
+                    dst = b.stub(
+                        NodeKey(subgraph, "FailureMode", f"FM-{label_slug(target)}"), target
                     )
                 b.edge("CASCADES_TO", fm_key, dst)
             for asset_name in fm.masked_by_assets:
-                asset = b.node(
-                    NodeKey(
-                        EXECUTION_SUBGRAPH, "AutomationAsset", f"AA-{label_slug(asset_name)}"
-                    ),
-                    _named_stub(asset_name),
-                    stub=True,
+                asset = b.stub(
+                    NodeKey(EXECUTION_SUBGRAPH, "AutomationAsset", f"AA-{label_slug(asset_name)}"),
+                    asset_name,
                 )
                 b.edge("MASKED_BY", fm_key, asset)
             for signature in fm.detected_by:
-                sig = b.node(
-                    NodeKey(subgraph, "ErrorSignature", f"ES-{label_slug(signature)}"),
-                    _named_stub(signature),
-                    stub=True,
+                sig = b.stub(
+                    NodeKey(subgraph, "ErrorSignature", f"ES-{label_slug(signature)}"), signature
                 )
                 b.edge("DETECTED_BY", fm_key, sig)
 
     if doc.decision_model is not None and doc.decision_model.decision_points is not None:
         for n, dp in enumerate(doc.decision_model.decision_points, start=1):
-            dp_id = dp.id or f"DP-{subgraph}-{n:03d}"
-            props = {
-                "condition_type": Prop(dp.condition_type, _IC),
-                "threshold_value": Prop(dp.threshold_value, _IC),
-                "comparator": Prop(dp.comparator, _IC),
-                "units": Prop(dp.units, _IC),
-                "pass_action": Prop(dp.pass_action, _IC),
-                "fail_action": Prop(dp.fail_action, _IC),
-                "escalation_action": Prop(dp.escalation_action, _IC),
-                "confidence": Prop(dp.confidence, _IC),
-                "confidence_method": Prop(dp.confidence_method, _IC),
-                "source_scientist": Prop(dp.source_scientist, _IC),
-                "flagged_for_review": Prop(False, _SD),
-            }
-            if dp.name is not None:
-                props["name"] = Prop(dp.name, _IC)
-            if dp.source_phrase is not None:
-                props["source_phrase"] = Prop(dp.source_phrase, _IC)
-            dp_key = b.node(NodeKey(subgraph, "DecisionPoint", dp_id), props)
+            dp_key = b.node(
+                NodeKey(subgraph, "DecisionPoint", dp.id or f"DP-{subgraph}-{n:03d}"),
+                _claim_props(dp, _IC, flag_tag=_SD),
+            )
             dp_keys.append(dp_key)
             b.edge("HAS_DECISION_POINT", step_for(dp.step_id), dp_key)
 
     if doc.method_alternatives is not None:
         for n, ma in enumerate(doc.method_alternatives, start=1):
-            props = {
-                "name": Prop(ma.name, _IC),
-                "flagged_for_review": Prop(False, _IC),
-            }
-            if ma.description is not None:
-                props["description"] = Prop(ma.description, _IC)
-            if ma.tradeoff is not None:
-                props["tradeoff"] = Prop(ma.tradeoff, _IC)
             ma_key = b.node(
-                NodeKey(subgraph, "MethodAlternative", f"MA-{subgraph}-{n:03d}"), props
+                NodeKey(subgraph, "MethodAlternative", f"MA-{subgraph}-{n:03d}"),
+                _claim_props(ma, _IC),
             )
             b.edge("HAS_ALTERNATIVE", step_for(ma.step_id), ma_key)
 
@@ -338,7 +304,7 @@ def compile_seo(
         for n, pm in enumerate(doc.strategic.program_milestones, start=1):
             pm_key = b.node(
                 NodeKey(subgraph, "ProgramMilestone", pm.id or f"PM-{subgraph}-{n:03d}"),
-                {"name": Prop(pm.name, _IC), "flagged_for_review": Prop(False, _IC)},
+                _claim_props(pm, _IC),
             )
             for ei in pm.evidentiary_inputs:
                 ei_counter += 1
@@ -346,21 +312,14 @@ def compile_seo(
                     NodeKey(
                         subgraph, "EvidentiaryInput", ei.id or f"EI-{subgraph}-{ei_counter:03d}"
                     ),
-                    {
-                        "name": Prop(ei.name, _IC),
-                        "required_output": Prop(ei.required_output, _IC),
-                        "quality_threshold": Prop(ei.quality_threshold, _IC),
-                        "decision_consequence": Prop(ei.decision_consequence, _IC),
-                        "flagged_for_review": Prop(False, _IC),
-                    },
+                    _claim_props(ei, _IC),
                 )
                 b.edge("REQUIRES_EVIDENCE", pm_key, ei_key)
                 source = ei.sourced_from
                 if source is not None:
-                    wf = b.node(
+                    wf = b.stub(
                         NodeKey(source.subgraph, "AssayWorkflow", source.workflow_id),
-                        _named_stub(source.workflow_id),
-                        stub=True,
+                        source.workflow_id,
                     )
                     b.edge("SOURCED_FROM", ei_key, wf)
 
@@ -463,10 +422,6 @@ def _plan_record(plan: MergePlan) -> tuple[dict, bool]:
         "pending_edges": [_edge_record(edge) for edge in plan.pending_edges],
     }
     return record, all(plain for _, plain in nodes)
-
-
-def plan_to_jsonable(plan: MergePlan) -> dict:
-    return _plan_record(plan)[0]
 
 
 def plan_to_bytes(plan: MergePlan) -> bytes:

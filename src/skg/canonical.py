@@ -26,10 +26,18 @@ render_text = encode_basestring
 
 
 def render_number(value: int | float) -> str:
-    """Render a number in canonical fixed-point form."""
+    """Render a number in canonical fixed-point form.
+
+    Raises:
+        ValueError: the number is infinite, NaN, or an int too large for a float.
+    """
     if isinstance(value, bool):  # bool is an int subclass; reject here
         raise TypeError("boolean is not a number")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError("integer beyond the float range") from None
+    if not finite:
         raise ValueError(f"non-finite number: {value!r}")
     s = f"{value:.6f}"
     s = s.rstrip("0").rstrip(".")

@@ -53,9 +53,12 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
 
+# names a `variant = canonical` table that replaces the packaged aliases
+ALIAS_ENV_VAR = "SKG_ALIAS_FILE"
+
 
 def _aliases():
-    from .metrics import ALIAS_ENV_VAR, load_aliases
+    from .metrics import load_aliases
 
     path = os.environ.get(ALIAS_ENV_VAR)
     return load_aliases(path) if path else None
@@ -276,15 +279,6 @@ def cmd_hash(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
-class _AliasHelpFormatter(argparse.HelpFormatter):
-    """Names the alias variable in option help; only ``--help`` imports ``metrics``."""
-
-    def _get_help_string(self, action):
-        from .metrics import ALIAS_ENV_VAR
-
-        return action.help.replace("{alias_env}", ALIAS_ENV_VAR)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skg",
@@ -359,14 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subgraph", required=True)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser(
-        "f1",
-        help="score candidate failure-mode names against a reference",
-        formatter_class=_AliasHelpFormatter,
-    )
+    p = sub.add_parser("f1", help="score candidate failure-mode names against a reference")
     p.add_argument("--reference", required=True, help="file with one reference name per line")
     p.add_argument("--candidate", required=True, help="file with one candidate name per line")
-    p.add_argument("--alias", help="alias table; overrides {alias_env}")
+    p.add_argument("--alias", help=f"alias table; overrides {ALIAS_ENV_VAR}")
     p.set_defaults(func=cmd_f1)
 
     p = sub.add_parser("consistency", help="cross-run extraction agreement report")

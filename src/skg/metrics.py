@@ -18,8 +18,6 @@ from typing import Iterable, Mapping
 
 from .errors import ArityError
 
-ALIAS_ENV_VAR = "SKG_ALIAS_FILE"
-
 _BRACKETED = re.compile(r"\([^)]*\)|\[[^\]]*\]")
 _NON_ALNUM = re.compile(r"[^0-9a-z]+")
 

@@ -336,7 +336,11 @@ def _read_field(f: _Field, obj: dict, path: str):
     if kind == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueKindMismatch(where, kind, type(value).__name__)
-        return normalize_number(value)
+        try:
+            return normalize_number(value)
+        except ValueError:  # 1e999 decodes as inf, and a long integer overflows a float
+            got = repr(value) if isinstance(value, float) else "integer beyond the float range"
+            raise ValueKindMismatch(where, "finite number", got) from None
     if kind == "boolean":
         if not isinstance(value, bool):
             raise ValueKindMismatch(where, kind, type(value).__name__)
@@ -495,6 +499,26 @@ def _stub_violations(dm: DecisionModelLayer) -> list[str]:
     return problems
 
 
+_OPERATIONAL_ONLY = "OPERATIONAL sessions cannot populate it"
+_DESIGN_ONLY = "reserved for DESIGN_EXPERT sessions"
+
+# session mode -> layer it must leave null -> issue detail; the
+# OPERATIONAL decision-model stub has its own contamination guard
+_MODE_GATES = {
+    SessionMode.OPERATIONAL: {
+        "strategic": _OPERATIONAL_ONLY,
+        "method_alternatives": _OPERATIONAL_ONLY,
+        "automation_context": _OPERATIONAL_ONLY,
+    },
+    SessionMode.DESIGN_EXPERT: {"strategic": "reserved for DIRECTOR sessions"},
+    SessionMode.DIRECTOR: {
+        "protocol": "DIRECTOR sessions carry no protocol layer",
+        "method_alternatives": _DESIGN_ONLY,
+        "automation_context": _DESIGN_ONLY,
+    },
+}
+
+
 def validate_seo(doc: SeoDocument) -> ValidationReport:
     """Content validation: mode gates, contamination guard, mandatory fields.
 
@@ -521,45 +545,18 @@ def validate_seo(doc: SeoDocument) -> ValidationReport:
                 f"{meta.session_mode} disagrees with document mode {mode.value}",
             )
 
-    # session-mode layer gates
-    if mode is SessionMode.OPERATIONAL:
-        if doc.decision_model is not None:
-            problems = _stub_violations(doc.decision_model)
-            if problems:
-                out.add(
-                    "ContaminationGuardViolation",
-                    "decision_model",
-                    "OPERATIONAL sessions must not carry decision-model content: "
-                    + "; ".join(problems),
-                )
-        if doc.strategic is not None:
-            out.add("ModeGateViolation", "strategic", "OPERATIONAL sessions cannot populate it")
-        if doc.method_alternatives is not None:
+    if mode is SessionMode.OPERATIONAL and doc.decision_model is not None:
+        problems = _stub_violations(doc.decision_model)
+        if problems:
             out.add(
-                "ModeGateViolation",
-                "method_alternatives",
-                "OPERATIONAL sessions cannot populate it",
+                "ContaminationGuardViolation",
+                "decision_model",
+                "OPERATIONAL sessions must not carry decision-model content: "
+                + "; ".join(problems),
             )
-        if doc.automation_context is not None:
-            out.add(
-                "ModeGateViolation",
-                "automation_context",
-                "OPERATIONAL sessions cannot populate it",
-            )
-    elif mode is SessionMode.DESIGN_EXPERT:
-        if doc.strategic is not None:
-            out.add("ModeGateViolation", "strategic", "reserved for DIRECTOR sessions")
-    elif mode is SessionMode.DIRECTOR:
-        if doc.protocol is not None:
-            out.add("ModeGateViolation", "protocol", "DIRECTOR sessions carry no protocol layer")
-        if doc.method_alternatives is not None:
-            out.add(
-                "ModeGateViolation", "method_alternatives", "reserved for DESIGN_EXPERT sessions"
-            )
-        if doc.automation_context is not None:
-            out.add(
-                "ModeGateViolation", "automation_context", "reserved for DESIGN_EXPERT sessions"
-            )
+    for layer, detail in _MODE_GATES[mode].items():
+        if getattr(doc, layer) is not None:
+            out.add("ModeGateViolation", layer, detail)
 
     seen_ids: dict[str, str] = {}
 

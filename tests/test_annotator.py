@@ -10,6 +10,7 @@ from skg import (
     EXECUTION_SUBGRAPH,
     Graph,
     NodeKey,
+    Prop,
     Provenance,
     RegistryMismatch,
     Rejected,
@@ -25,8 +26,9 @@ from skg import (
     parse_seo,
     plan_to_bytes,
     serialize_seo,
+    validate_graph,
 )
-from skg.annotator import MergePlan, PlanProvenance, plan_to_jsonable
+from skg.annotator import MergePlan, PlanProvenance
 
 SD = Provenance.SCHEMA_DEFAULT
 IC = Provenance.INTERVIEW_CONFIRMED
@@ -77,6 +79,57 @@ def claim(name, **overrides):
     }
     fields.update(overrides)
     return fields
+
+
+def named_stub(name):
+    """The property map of a stub whose label requires only ``name``."""
+    return {"name": Prop(name, SD), "flagged_for_review": Prop(True, SD)}
+
+
+DECISION_POINT = {
+    "condition_type": "threshold",
+    "threshold_value": 1.0,
+    "comparator": "<",
+    "units": "au",
+    "pass_action": "go",
+    "fail_action": "stop",
+    "escalation_action": "ask",
+    "confidence": 0.81,
+    "confidence_method": "linguistic_approximation",
+    "source_scientist": "T. Example",
+}
+
+
+def director_doc(source):
+    """A DIRECTOR session whose one evidentiary input is sourced from ``source``."""
+    return parse_seo(
+        json.dumps(
+            {
+                "session_mode": "DIRECTOR",
+                "protocol": None,
+                "decision_model": None,
+                "strategic": {
+                    "program_milestones": [
+                        {
+                            "name": "First in human",
+                            "evidentiary_inputs": [
+                                {
+                                    "name": "PK exposure",
+                                    "required_output": "AUC",
+                                    "quality_threshold": "CV < 20 %",
+                                    "decision_consequence": "dose escalation",
+                                    "sourced_from": source,
+                                }
+                            ],
+                        }
+                    ]
+                },
+                "method_alternatives": None,
+                "automation_context": None,
+                "twin_metadata": {"source_scientist": "D. Irector", "session_mode": "DIRECTOR"},
+            }
+        )
+    )
 
 
 def node_by_id(plan, node_id):
@@ -165,10 +218,15 @@ class TestCompile:
         # the claimed target resolves to its claim node, the unknown one stubs
         assert "FM-ghost-failure" in ids
         assert "FM-known-downstream" not in ids
-        stub = node_by_id(plan, "FM-ghost-failure")
-        assert stub.properties["name"].provenance is SD
-        assert stub.properties["flagged_for_review"].value is True
-        assert stub.properties["confidence"].value == 0.6
+        assert node_by_id(plan, "FM-ghost-failure").properties == {
+            "name": Prop("Ghost Failure", SD),
+            "confidence": Prop(0.6, SD),
+            "confidence_method": Prop("", SD),
+            "source_scientist": Prop("", SD),
+            "silent_failure_risk": Prop(False, SD),
+            "is_critical_path": Prop(False, SD),
+            "flagged_for_review": Prop(True, SD),
+        }
 
     def test_masking_and_detection_stubs(self):
         doc = json_doc(
@@ -186,16 +244,18 @@ class TestCompile:
         asset = node_by_id(plan, "AA-plate-washer-x")
         assert asset.key.subgraph == EXECUTION_SUBGRAPH
         assert asset.key.label == "AutomationAsset"
+        assert asset.properties == named_stub("Plate Washer X")
         signature = node_by_id(plan, "ES-cv-spike")
         assert signature.key.subgraph == "TESTSG"
         assert signature.key.label == "ErrorSignature"
+        assert signature.properties == named_stub("CV spike")
 
     def test_required_use_cases_stub_into_execution_subgraph(self):
         doc = json_doc(steps=[{"name": "one", "step_index": 1, "required_use_cases": ["Plate Washing"]}])
         plan = compile_seo(doc, "TESTSG")
         uc = node_by_id(plan, "UC-plate-washing")
         assert uc.key.subgraph == EXECUTION_SUBGRAPH
-        assert uc.properties["flagged_for_review"].value is True
+        assert uc.properties == named_stub("Plate Washing")
 
     def test_real_statement_displaces_stub_within_one_plan(self):
         doc = json_doc(
@@ -210,28 +270,62 @@ class TestCompile:
         assert uc.properties["flagged_for_review"].value is False
 
     def test_unknown_decision_step_gets_a_stub(self):
-        doc = json_doc(
-            decision_points=[
-                {
-                    "step_id": "ST-ELSEWHERE-001",
-                    "condition_type": "threshold",
-                    "threshold_value": 1.0,
-                    "comparator": "<",
-                    "units": "au",
-                    "pass_action": "go",
-                    "fail_action": "stop",
-                    "escalation_action": "ask",
-                    "confidence": 0.81,
-                    "confidence_method": "linguistic_approximation",
-                    "source_scientist": "T. Example",
-                }
-            ]
-        )
+        doc = json_doc(decision_points=[dict(DECISION_POINT, step_id="ST-ELSEWHERE-001")])
         plan = compile_seo(doc, "TESTSG")
         stub = node_by_id(plan, "ST-ELSEWHERE-001")
         assert stub.key.label == "WorkflowStep"
-        assert stub.properties["step_index"].value == 0
-        assert stub.properties["flagged_for_review"].value is True
+        assert stub.properties == {
+            "name": Prop("ST-ELSEWHERE-001", SD),
+            "step_index": Prop(0, SD),
+            "flagged_for_review": Prop(True, SD),
+        }
+
+    def test_sourced_workflow_gets_a_stub_in_its_own_subgraph(self):
+        source = {"subgraph": "ELSEWHERE", "workflow_id": "WF-ELSEWHERE-01"}
+        plan = compile_seo(director_doc(source), "PROGRAM")
+        stub = node_by_id(plan, "WF-ELSEWHERE-01")
+        assert (stub.key.subgraph, stub.key.label) == ("ELSEWHERE", "AssayWorkflow")
+        assert stub.properties == named_stub("WF-ELSEWHERE-01")
+        (edge,) = plan.pending_edges
+        assert (edge.edge_type, edge.dst) == ("SOURCED_FROM", stub.key)
+
+    def test_every_stub_kind_passes_graph_validation(self, registry):
+        doc = json_doc(
+            steps=[
+                {
+                    "name": "one",
+                    "step_index": 1,
+                    "required_use_cases": ["Plate Washing"],
+                    "failure_modes": [
+                        claim(
+                            "f",
+                            cascades_to=["Ghost Failure"],
+                            masked_by_assets=["Plate Washer X"],
+                            detected_by=["CV spike"],
+                        )
+                    ],
+                }
+            ],
+            decision_points=[dict(DECISION_POINT, step_id="ST-ELSEWHERE-001")],
+            method_alternatives=[{"step_id": "ST-ELSEWHERE-002", "name": "other way"}],
+        )
+        source = {"subgraph": "ELSEWHERE", "workflow_id": "WF-ELSEWHERE-01"}
+        plans = [compile_seo(doc, "TESTSG"), compile_seo(director_doc(source), "PROGRAM")]
+        stubs = [node for plan in plans for node in plan.nodes if node.get("flagged_for_review")]
+        assert sorted(node.key.label for node in stubs) == [
+            "AssayWorkflow",
+            "AutomationAsset",
+            "ErrorSignature",
+            "FailureMode",
+            "UseCase",
+            "WorkflowStep",
+            "WorkflowStep",
+        ]
+        graph = Graph(registry)
+        for plan in plans:
+            graph = apply_plan(graph, plan)
+        assert validate_graph(graph, registry).ok
+        assert validate_graph(approve_pending(graph)[0], registry).ok
 
     def test_pre_extracted_claims_carry_default_provenance(self):
         doc = json_doc(
@@ -335,13 +429,13 @@ class TestPlanSerialization:
             load_plan(b'{"kind": "grocery_list"}')
 
     def test_load_rejects_future_versions(self, elisa_doc):
-        raw = plan_to_jsonable(compile_seo(elisa_doc, "ELISA"))
+        raw = json.loads(plan_to_bytes(compile_seo(elisa_doc, "ELISA")))
         raw["version"] = 99
         with pytest.raises(ValueError):
             load_plan(json.dumps(raw))
 
     def test_load_rejects_unknown_statement_kinds(self, elisa_doc):
-        raw = plan_to_jsonable(compile_seo(elisa_doc, "ELISA"))
+        raw = json.loads(plan_to_bytes(compile_seo(elisa_doc, "ELISA")))
         raw["statements"].append({"kind": "wish"})
         with pytest.raises(ValueError):
             load_plan(json.dumps(raw))
@@ -353,11 +447,20 @@ class TestPlanSerialization:
             lambda node: node.update(properties={"name": {"value": "x"}}),
             lambda node: node.update(properties={"name": {"provenance": "X", "value": "x"}}),
             lambda node: node.update(id="bad id"),
+            lambda node: node.update(
+                properties={"name": {"provenance": "SCHEMA_DEFAULT", "value": 10**400}}
+            ),
         ],
-        ids=["missing-id", "missing-provenance", "unknown-provenance", "id-bad-characters"],
+        ids=[
+            "missing-id",
+            "missing-provenance",
+            "unknown-provenance",
+            "id-bad-characters",
+            "integer-beyond-float-range",
+        ],
     )
     def test_load_rejects_malformed_node_statements(self, elisa_doc, change):
-        raw = plan_to_jsonable(compile_seo(elisa_doc, "ELISA"))
+        raw = json.loads(plan_to_bytes(compile_seo(elisa_doc, "ELISA")))
         change(raw["statements"][0])
         with pytest.raises(RegistryMismatch, match=r"^statements\[0\]: "):
             load_plan(json.dumps(raw))
@@ -422,7 +525,7 @@ class TestPlanSerialization:
         ],
     )
     def test_load_rejects_malformed_plans(self, elisa_doc, change, location):
-        raw = plan_to_jsonable(compile_seo(elisa_doc, "ELISA"))
+        raw = json.loads(plan_to_bytes(compile_seo(elisa_doc, "ELISA")))
         assert raw["statements"][-1]["kind"] == "edge" and raw["pending_edges"]
         change(raw)
         with pytest.raises(RegistryMismatch, match="^" + location):

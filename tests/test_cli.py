@@ -100,6 +100,20 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "absent.json")]) == EXIT_IO
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "apply"])
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "1e999"], ids=["integer", "exponent"])
+    def test_number_beyond_float_range(self, tmp_path, fixtures_dir, capsys, command, literal):
+        text = (fixtures_dir / "elisa.seo.json").read_text()
+        bad = tmp_path / "bad.seo.json"
+        bad.write_text(text.replace('"step_index": 1,', f'"step_index": {literal},', 1))
+        argv = [command, str(bad)]
+        if command == "apply":
+            argv += ["--graph", str(tmp_path / "x.skg.jsonl")]
+        assert main(argv) == EXIT_REJECTED
+        assert capsys.readouterr().err.startswith(
+            "error: protocol.steps[0].step_index: expected finite number, got "
+        )
+
 
 class TestCompile:
     def test_plan_on_stdout(self, fixtures_dir, capsys):
@@ -517,6 +531,14 @@ class TestScoring:
         assert main(["f1", "--reference", str(reference), "--candidate", str(candidate)]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1] == "1\t1\t1"
 
+    def test_f1_help_names_the_alias_variable(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["f1", "--help"])
+        assert stop.value.code == EXIT_OK
+        assert "--alias ALIAS alias table; overrides SKG_ALIAS_FILE" in " ".join(
+            capsys.readouterr().out.split()
+        )
+
     def test_f1_alias_table(self, tmp_path, capsys):
         reference = tmp_path / "reference.txt"
         candidate = tmp_path / "candidate.txt"
@@ -606,6 +628,18 @@ STORE_CORRUPTIONS = [
         2,
         with_properties({"name": {"provenance": "SCHEMA_DEFAULT", "value": float("nan")}}),
         id="non-finite-literal",
+    ),
+    pytest.param(
+        2,
+        with_properties({"name": {"provenance": "SCHEMA_DEFAULT", "value": -(10**400)}}),
+        id="integer-beyond-float-range",
+    ),
+    pytest.param(
+        2,
+        lambda line: with_properties({"name": {"provenance": "SCHEMA_DEFAULT", "value": 0}})(
+            line
+        ).replace('"value": 0', '"value": 1e999'),
+        id="number-beyond-float-range",
     ),
 ]
 
@@ -763,6 +797,10 @@ class TestMalformedPlan:
                 ),
                 "error: pending_edges[",
             ),
+            (
+                lambda raw: raw["statements"][0]["properties"]["name"].update(value=10**400),
+                "error: statements[0]: ",
+            ),
         ],
         ids=[
             "edge-src-not-text",
@@ -771,6 +809,7 @@ class TestMalformedPlan:
             "edge-src-id-bad-characters",
             "cross-subgraph-edge-approved",
             "same-subgraph-edge-pending",
+            "integer-beyond-float-range",
         ],
     )
     def test_apply_rejects_with_its_location(

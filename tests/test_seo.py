@@ -226,6 +226,33 @@ class TestStrictParse:
             parse(obj)
         assert err.value.path == "twin_metadata.session_date"
 
+    @pytest.mark.parametrize(
+        ("literal", "got"),
+        [
+            ("1" + "0" * 400, "integer beyond the float range"),
+            ("-1" + "0" * 400, "integer beyond the float range"),
+            ("1e999", "inf"),
+            ("-1e999", "-inf"),
+        ],
+        ids=["integer", "negative-integer", "exponent", "negative-exponent"],
+    )
+    def test_number_beyond_float_range(self, literal, got):
+        obj = minimal_json("DESIGN_EXPERT")
+        obj["protocol"] = {
+            "workflow_id": "WF-T-01",
+            "workflow_name": "T",
+            "subgraph": "T",
+            "steps": [{"name": "s", "step_index": 0}],
+        }
+        text = json.dumps(obj).replace('"step_index": 0', f'"step_index": {literal}')
+        with pytest.raises(ValueKindMismatch) as err:
+            parse_seo(text)
+        assert (err.value.path, err.value.expected, err.value.got) == (
+            "protocol.steps[0].step_index",
+            "finite number",
+            got,
+        )
+
     def test_session_date_in_the_schema_pattern(self):
         obj = minimal_json()
         obj["twin_metadata"]["session_date"] = "2026-07-14"
@@ -394,18 +421,31 @@ class TestValidateSeo:
         doc = SeoDocument(
             session_mode=SessionMode.OPERATIONAL,
             protocol=None,
-            decision_model=OPERATIONAL_STUB,
+            decision_model=DecisionModelLayer("full", None, None),
             strategic=StrategicLayer(),
             method_alternatives=(MethodAlternativeClaim("s1", "alt"),),
             automation_context=(AutomationContextClaim("robot"),),
             twin_metadata=meta("OPERATIONAL"),
         )
         report = validate_seo(doc)
-        assert report.codes().count("ModeGateViolation") == 3
+        detail = "OPERATIONAL sessions cannot populate it"
+        assert [(i.code, i.subject, i.detail) for i in report.issues] == [
+            (
+                "ContaminationGuardViolation",
+                "decision_model",
+                "OPERATIONAL sessions must not carry decision-model content: "
+                "_elicitation_scope is 'full'",
+            ),
+            ("ModeGateViolation", "strategic", detail),
+            ("ModeGateViolation", "method_alternatives", detail),
+            ("ModeGateViolation", "automation_context", detail),
+        ]
 
     def test_design_expert_cannot_carry_strategy(self):
         doc = design_doc([], strategic=StrategicLayer(capability_gaps=("x",)))
-        assert validate_seo(doc).has("ModeGateViolation")
+        assert [(i.code, i.subject, i.detail) for i in validate_seo(doc).issues] == [
+            ("ModeGateViolation", "strategic", "reserved for DIRECTOR sessions")
+        ]
 
     def test_director_gates(self):
         doc = SeoDocument(
@@ -418,7 +458,12 @@ class TestValidateSeo:
             twin_metadata=meta("DIRECTOR"),
         )
         report = validate_seo(doc)
-        assert report.codes().count("ModeGateViolation") == 3
+        detail = "reserved for DESIGN_EXPERT sessions"
+        assert [(i.code, i.subject, i.detail) for i in report.issues] == [
+            ("ModeGateViolation", "protocol", "DIRECTOR sessions carry no protocol layer"),
+            ("ModeGateViolation", "method_alternatives", detail),
+            ("ModeGateViolation", "automation_context", detail),
+        ]
 
     def test_metadata_missing(self):
         doc = design_doc([], twin_metadata=None)
