@@ -138,7 +138,7 @@ def check_store(fixtures: Path) -> None:
     check(not graph.pending_edges(), "store: must be fully converged")
     check(len(graph.nodes("AutomationAsset")) == 22, "store: expected 22 assets")
     check(len(graph.nodes("UseCase")) == 15, "store: expected 15 use cases")
-    ra = graph.edges("REQUIRES_AUTOMATION", include_pending=False)
+    ra = graph.edges("REQUIRES_AUTOMATION")  # none pend, as checked above
     check(len(ra) == 31, f"store: expected 31 automation requirements, got {len(ra)}")
     check(
         len(graph.nodes("FailureMode", "ELISA")) == 18

@@ -16,6 +16,7 @@ bytes are built with plain numbers wherever they can be.
 from __future__ import annotations
 
 import math
+import re
 from json import JSONDecodeError, JSONDecoder, JSONEncoder
 from json.encoder import encode_basestring
 from typing import Any
@@ -51,9 +52,13 @@ def normalize_number(value: int | float) -> float:
     return float(render_number(value))
 
 
+class _NonFiniteLiteral(ValueError):
+    pass
+
+
 def reject_non_finite(literal: str):
     """JSON decoder parse_constant hook: NaN and Infinity have no canonical rendering."""
-    raise ValueError(f"non-finite number literal: {literal}")
+    raise _NonFiniteLiteral(f"non-finite number literal: {literal}")
 
 
 # built once: json.loads builds a new decoder on every call given a hook
@@ -61,15 +66,23 @@ _STRICT_DECODER = JSONDecoder(parse_constant=reject_non_finite)
 
 
 def strict_loads(text: str) -> Any:
-    """``json.loads(text, parse_constant=reject_non_finite)``, same errors.
+    """``json.loads(text, parse_constant=reject_non_finite)``, with located constants.
 
     Raises:
-        json.JSONDecodeError: malformed JSON, or a leading byte-order mark.
-        ValueError: a non-finite literal or an over-long integer.
+        json.JSONDecodeError: malformed JSON, a leading byte-order mark,
+            or a non-finite literal, each at its position.
+        ValueError: an over-long integer.
     """
     if text.startswith("\ufeff"):
         raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    return _STRICT_DECODER.decode(text)
+    try:
+        return _STRICT_DECODER.decode(text)
+    except _NonFiniteLiteral as exc:
+        # everything before the literal decoded, so it is the first constant
+        # outside a string; the pattern matches a whole string or a constant
+        strings_or_constants = re.finditer(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)', text)
+        pos = next(m.start() for m in strings_or_constants if m.group(1))
+        raise JSONDecodeError(str(exc), text, pos) from None
 
 
 def plain_number(value: float) -> int | float | None:

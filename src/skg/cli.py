@@ -114,7 +114,11 @@ def cmd_apply(args) -> int:
 
     raw = Path(args.input).read_bytes()
     # route on document shape: compiled plans are single merge_plan records
-    if isinstance(sniffed := json.loads(raw), dict) and sniffed.get("kind") == "merge_plan":
+    try:
+        sniffed = json.loads(raw)
+    except ValueError:  # not JSON: parse_seo reports where, as validate does
+        sniffed = None
+    if isinstance(sniffed, dict) and sniffed.get("kind") == "merge_plan":
         plan = load_plan(raw)
         if args.subgraph and args.subgraph != plan.provenance.subgraph:
             raise SubgraphMismatch(

@@ -22,6 +22,11 @@ each ``neighbors`` hop costs O(degree), ``has_subgraph`` O(1), and
 sorted once. ``merge`` returns a snapshot without an index, so a cached
 index can never go stale.
 
+A traversal crosses approved edges only: a pending edge is not knowledge
+yet, so ``neighbors`` never returns the node at its far end. Listings
+show every edge; ``edges`` includes pending ones and ``pending_edges``
+is the review queue.
+
 Provenance-aware merge policy, applied per property on re-upsert:
 
 * an INTERVIEW_CONFIRMED value always overwrites;
@@ -223,7 +228,7 @@ class _Index:
     * edges grouped by type, in one pass over all edges;
     * per edge type, on the first request for it: the group sorted by
       ``Edge.key``, and adjacency lists keyed by ``(near key, direction)``,
-      holding ``(edge, far key)`` in that order;
+      holding the far ``Node`` of each approved edge in that order;
     * node buckets per ``(label, subgraph)``, ``(label, None)`` and
       ``(None, subgraph)``, collected in one pass over all nodes and
       each sorted on first use.
@@ -249,11 +254,13 @@ class _Index:
             for edge in self._edges.values():
                 self._by_type.setdefault(edge.edge_type, []).append(edge)
         group = sorted(self._by_type.get(edge_type, ()))
-        adjacency: dict[tuple[NodeKey, str], list[tuple[Edge, NodeKey]]] = {}
+        nodes = self._nodes
+        adjacency: dict[tuple[NodeKey, str], list[Node]] = {}
         for edge in group:  # in key order, so every list comes out sorted
-            src, dst = edge.src, edge.dst
-            adjacency.setdefault((src, "out"), []).append((edge, dst))
-            adjacency.setdefault((dst, "in"), []).append((edge, src))
+            if not edge.pending:
+                src, dst = edge.src, edge.dst
+                adjacency.setdefault((src, "out"), []).append(nodes[dst])
+                adjacency.setdefault((dst, "in"), []).append(nodes[src])
         entry = self._typed[edge_type] = (group, adjacency)
         return entry
 
@@ -315,14 +322,11 @@ class Graph:
             return sorted(self._nodes.values())
         return list(self._read_index().nodes(label, subgraph))
 
-    def edges(
-        self, edge_type: str | None = None, include_pending: bool = True
-    ) -> list[Edge]:
+    def edges(self, edge_type: str | None = None) -> list[Edge]:
+        """Every edge, or every edge of one type, pending ones included."""
         if edge_type is None:
-            out = sorted(self._edges.values())
-        else:
-            out = self._read_index().typed(edge_type)[0]
-        return [e for e in out if include_pending or not e.pending]
+            return sorted(self._edges.values())
+        return list(self._read_index().typed(edge_type)[0])
 
     def pending_edges(self) -> list[Edge]:
         return sorted(e for e in self._edges.values() if e.pending)
@@ -452,18 +456,11 @@ def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
     return merged
 
 
-def neighbors(
-    graph: Graph,
-    key: NodeKey,
-    edge_type: str,
-    direction: str = "out",
-    include_pending: bool = False,
-) -> list[tuple[Edge, Node]]:
-    """Deterministically ordered adjacent (edge, node) pairs.
+def neighbors(graph: Graph, key: NodeKey, edge_type: str, direction: str = "out") -> list[Node]:
+    """The nodes one approved ``edge_type`` edge away, in edge-key order.
 
-    Pending edges are excluded by default: queries operate on approved
-    knowledge unless a caller opts in. Costs O(degree) once the
-    snapshot's index holds ``edge_type``.
+    Pending edges are never crossed. Costs O(degree) once the snapshot's
+    index holds ``edge_type``.
 
     Raises:
         KeyError: ``key`` is not in the graph.
@@ -473,10 +470,7 @@ def neighbors(
         raise KeyError(key.to_text())
     if direction not in ("out", "in"):
         raise ValueError(f"direction must be out|in, not {direction!r}")
-    adjacency = graph._read_index().typed(edge_type)[1]
-    pairs = adjacency.get((key, direction), ())
-    nodes = graph._nodes
-    return [(edge, nodes[other]) for edge, other in pairs if include_pending or not edge.pending]
+    return list(graph._read_index().typed(edge_type)[1].get((key, direction), ()))
 
 
 # -- canonical serialization ------------------------------------------
@@ -652,7 +646,7 @@ def _decode_line(line: str, where: str) -> object:
         return strict_loads(line)
     except json.JSONDecodeError as exc:
         raise RegistryMismatch(f"{where}: {exc.msg} at column {exc.colno}") from None
-    except ValueError as exc:  # a non-finite literal or an over-long integer
+    except ValueError as exc:  # an over-long integer
         raise RegistryMismatch(f"{where}: {exc}") from None
 
 
@@ -690,9 +684,10 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     then pending edges, each section strictly ascending by key.
 
     Raises:
-        RegistryMismatch: header registry_version differs from ``registry``,
-            a line is not a well-formed record, or a record does not sort
-            strictly after the one before it.
+        RegistryMismatch: the header's format version is not ``FORMAT_VERSION``
+            or its registry_version differs from ``registry``, a line is
+            not a well-formed record, or a record does not sort strictly
+            after the one before it.
         DanglingEdge, TypeConflict, CrossSubgraphViolation: ``merge``
             rejects a record; the message starts with its ``<file>:<line>``.
     """
@@ -707,6 +702,9 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     kind = header.get("kind") if isinstance(header, dict) else None
     if kind != "header" or header.get("format") != FORMAT_NAME:
         raise RegistryMismatch(f"{path}: missing store header")
+    version = header.get("version")
+    if version.__class__ is not int or version != FORMAT_VERSION:
+        raise RegistryMismatch(f"{path}:1: unsupported store version {version!r}")
     if header.get("registry_version") != registry.version:
         raise RegistryMismatch(
             f"{path}: written under {header.get('registry_version')!r}, "

@@ -108,9 +108,13 @@ def _require_subgraph(graph: Graph, subgraph: str) -> None:
         raise KeyError(subgraph)
 
 
+def _name(node: Node) -> str:
+    """A record's name, or its id where it has none."""
+    return str(node.get("name", node.key.id))
+
+
 def _masking_assets(graph: Graph, node: Node) -> tuple[str, ...]:
-    pairs = neighbors(graph, node.key, "MASKED_BY", "out")
-    return tuple(sorted(str(asset.get("name", asset.key.id)) for _, asset in pairs))
+    return tuple(sorted(_name(asset) for asset in neighbors(graph, node.key, "MASKED_BY", "out")))
 
 
 def _undetected_risk(graph: Graph, node: Node) -> bool:
@@ -158,7 +162,7 @@ def step_decision_points(graph: Graph, subgraph: str, step_id: str) -> list[Deci
     """
     step = graph.node(NodeKey(subgraph, "WorkflowStep", step_id))
     rows = []
-    for _, dp in neighbors(graph, step.key, "HAS_DECISION_POINT", "out"):
+    for dp in neighbors(graph, step.key, "HAS_DECISION_POINT", "out"):
         rows.append(
             DecisionPointRow(
                 id=dp.key.id,
@@ -207,15 +211,15 @@ def cascade_paths(
     # an explicit stack: a nested function that recurses through its own
     # closure cell is a reference cycle, which keeps the graph alive until
     # the next garbage collection
-    stack = [(root_key, (str(root.get("name", failure_mode_id)),), frozenset({root_key}))]
+    stack = [(root_key, (_name(root),), frozenset({root_key}))]
     while stack:
         key, names, visited = stack.pop()
         if len(names) > max_depth:  # the root's name and one per hop
             continue
-        for _, nxt in neighbors(graph, key, "CASCADES_TO", hop):
+        for nxt in neighbors(graph, key, "CASCADES_TO", hop):
             if nxt.key in visited:
                 continue
-            path = names + (str(nxt.get("name", nxt.key.id)),)
+            path = names + (_name(nxt),)
             paths.append(path)
             stack.append((nxt.key, path, visited | {nxt.key}))
     paths.sort(key=lambda p: (len(p), p))
@@ -292,33 +296,26 @@ def masking_exposures(graph: Graph, subgraph: str) -> list[MaskingRow]:
     """
     _require_subgraph(graph, subgraph)
     rows = []
-    for edge in graph.edges("MASKED_BY", include_pending=False):
-        if edge.src.subgraph != subgraph:
+    for edge in graph.edges("MASKED_BY"):
+        if edge.pending or edge.src.subgraph != subgraph:
             continue
         fm = graph.node(edge.src)
         asset = graph.node(edge.dst)
-        loop_path: tuple[str, ...] = ()
-        for _, step in neighbors(graph, fm.key, "CAUSES_IF_INCOMPLETE", "in"):
-            if loop_path:
-                break
-            for _, use_case in neighbors(graph, step.key, "REQUIRES_AUTOMATION", "out"):
-                if loop_path:
-                    break
-                for _, candidate in neighbors(graph, use_case.key, "SUITABLE_FOR", "out"):
-                    if candidate.key == asset.key:
-                        loop_path = (
-                            str(step.get("name", step.key.id)),
-                            str(use_case.get("name", use_case.key.id)),
-                            str(asset.get("name", asset.key.id)),
-                            str(fm.get("name", fm.key.id)),
-                        )
-                        break
+        loop_path: tuple[str, ...] = next(
+            (
+                (_name(step), _name(use_case), _name(asset), _name(fm))
+                for step in neighbors(graph, fm.key, "CAUSES_IF_INCOMPLETE", "in")
+                for use_case in neighbors(graph, step.key, "REQUIRES_AUTOMATION", "out")
+                if asset in neighbors(graph, use_case.key, "SUITABLE_FOR", "out")
+            ),
+            (),
+        )
         rows.append(
             MaskingRow(
                 asset_id=asset.key.id,
-                asset_name=str(asset.get("name", asset.key.id)),
+                asset_name=_name(asset),
                 failure_mode_id=fm.key.id,
-                failure_mode_name=str(fm.get("name", fm.key.id)),
+                failure_mode_name=_name(fm),
                 loop=bool(loop_path),
                 loop_path=loop_path,
             )
@@ -339,8 +336,8 @@ def automation_reuse(graph: Graph) -> list[AssetReuseRow]:
     for asset in graph.nodes("AutomationAsset"):
         use_cases = neighbors(graph, asset.key, "SUITABLE_FOR", "in")
         serving: set[str] = set()
-        for _, use_case in use_cases:
-            for _, step in neighbors(graph, use_case.key, "REQUIRES_AUTOMATION", "in"):
+        for use_case in use_cases:
+            for step in neighbors(graph, use_case.key, "REQUIRES_AUTOMATION", "in"):
                 serving.add(step.key.subgraph)
         if len(serving) >= 2:
             tier = SHARED_TIER
@@ -351,8 +348,8 @@ def automation_reuse(graph: Graph) -> list[AssetReuseRow]:
         rows.append(
             AssetReuseRow(
                 id=asset.key.id,
-                name=str(asset.get("name", asset.key.id)),
-                use_cases=tuple(sorted(str(uc.get("name", uc.key.id)) for _, uc in use_cases)),
+                name=_name(asset),
+                use_cases=tuple(sorted(_name(uc) for uc in use_cases)),
                 serving_subgraphs=tuple(sorted(serving)),
                 tier=tier,
             )

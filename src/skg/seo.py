@@ -379,9 +379,9 @@ def parse_seo(data: bytes | str) -> SeoDocument:
         raise SeoParseError("empty document")
     try:
         raw = strict_loads(text)
-    except json.JSONDecodeError as exc:
-        raise SeoParseError(exc.msg, exc.lineno, exc.colno) from exc
-    except ValueError as exc:  # a non-finite literal or an over-long integer
+    except json.JSONDecodeError as exc:  # the message names the line and column
+        raise SeoParseError(str(exc), exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # an over-long integer
         raise SeoParseError(str(exc)) from None
     if not isinstance(raw, dict):
         raise ValueKindMismatch("$", "object", type(raw).__name__)

@@ -262,11 +262,7 @@ def test_c10_automation_reuse_census(federated):
         for row in rows:
             tiers[row.tier] = tiers.get(row.tier, 0) + 1
         assert tiers == {"SHARED_BOTH": 10, "ELISA_ONLY": 6, "LCMS_PRM_ONLY": 6}
-        requires = [
-            edge
-            for edge in federated.edges("REQUIRES_AUTOMATION", include_pending=False)
-            if not edge.pending
-        ]
+        requires = [e for e in federated.edges("REQUIRES_AUTOMATION") if not e.pending]
         assert len(requires) == 31
         assert len(federated.nodes("UseCase")) == 15
 

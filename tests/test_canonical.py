@@ -137,8 +137,8 @@ class TestRenderValue:
 class TestStrictLoads:
     @pytest.mark.parametrize(
         "text",
-        ['{"a": [1, 2.5, "x"]}', "\ufeff{}", '{"a": NaN}', "-Infinity", "[1,", "1" * 5000, ""],
-        ids=["object", "byte-order-mark", "nan", "infinity", "truncated", "long-integer", "empty"],
+        ['{"a": [1, 2.5, "x"]}', "\ufeff{}", "[1,", "1" * 5000, ""],
+        ids=["object", "byte-order-mark", "truncated", "long-integer", "empty"],
     )
     def test_matches_json_loads_with_the_hook(self, text):
         def outcome(load):
@@ -150,6 +150,23 @@ class TestStrictLoads:
         assert outcome(strict_loads) == outcome(
             lambda t: json.loads(t, parse_constant=reject_non_finite)
         )
+
+    @pytest.mark.parametrize(
+        ("text", "literal", "line", "column"),
+        [
+            ('{"a": NaN}', "NaN", 1, 7),
+            ("-Infinity", "-Infinity", 1, 1),
+            ('{"NaN": "x \\" NaN -Infinity", "b": [1,\n  Infinity]}', "Infinity", 2, 3),
+            ('["\\\\", NaN, Infinity]', "NaN", 1, 8),
+        ],
+        ids=["nan", "infinity", "after-strings-naming-constants", "after-escaped-backslash"],
+    )
+    def test_non_finite_literal_is_located(self, text, literal, line, column):
+        with pytest.raises(json.JSONDecodeError) as err:
+            strict_loads(text)
+        assert err.value.msg == f"non-finite number literal: {literal}"
+        assert (err.value.lineno, err.value.colno) == (line, column)
+        assert text[err.value.pos :].startswith(literal)
 
 
 # -- the C encoder path ---------------------------------------------------

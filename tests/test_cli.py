@@ -92,9 +92,10 @@ class TestValidate:
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "broken.seo.json"
-        bad.write_text("{not json")
-        assert main(["validate", str(bad)]) == EXIT_REJECTED
-        assert "error:" in capsys.readouterr().err
+        bad.write_text('{\n  "session_mode": \n}\n')
+        for argv in (["validate", str(bad)], ["apply", str(bad), "--graph", str(tmp_path / "x")]):
+            assert main(argv) == EXIT_REJECTED
+            assert capsys.readouterr().err == "error: Expecting value: line 3 column 1 (char 21)\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == EXIT_IO
@@ -112,6 +113,23 @@ class TestValidate:
         assert main(argv) == EXIT_REJECTED
         assert capsys.readouterr().err.startswith(
             "error: protocol.steps[0].step_index: expected finite number, got "
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "apply"])
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity"])
+    def test_non_finite_literal_is_located(self, tmp_path, fixtures_dir, capsys, command, literal):
+        text = (fixtures_dir / "elisa.seo.json").read_text()
+        pos = text.index('"confidence": ') + len('"confidence": ')
+        line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+        bad = tmp_path / "bad.seo.json"
+        bad.write_text(text[:pos] + literal + text[text.index(",", pos) :])
+        argv = [command, str(bad)]
+        if command == "apply":
+            argv += ["--graph", str(tmp_path / "x.skg.jsonl")]
+        assert main(argv) == EXIT_REJECTED
+        assert capsys.readouterr().err == (
+            f"error: non-finite number literal: {literal}: "
+            f"line {line} column {column} (char {pos})\n"
         )
 
 
@@ -641,6 +659,7 @@ STORE_CORRUPTIONS = [
         ).replace('"value": 0', '"value": 1e999'),
         id="number-beyond-float-range",
     ),
+    pytest.param(1, edit_record(lambda record: {**record, "version": 2}), id="unsupported-version"),
 ]
 
 
@@ -801,6 +820,10 @@ class TestMalformedPlan:
                 lambda raw: raw["statements"][0]["properties"]["name"].update(value=10**400),
                 "error: statements[0]: ",
             ),
+            (
+                lambda raw: raw["statements"][0]["properties"]["name"].update(value=float("nan")),
+                "error: non-finite number literal: NaN: line 1 column ",
+            ),
         ],
         ids=[
             "edge-src-not-text",
@@ -810,6 +833,7 @@ class TestMalformedPlan:
             "cross-subgraph-edge-approved",
             "same-subgraph-edge-pending",
             "integer-beyond-float-range",
+            "non-finite-literal",
         ],
     )
     def test_apply_rejects_with_its_location(

@@ -349,18 +349,21 @@ class TestNeighbors:
 
     def test_out_sorted(self):
         g = self.build()
-        found = [n.key.id for _, n in neighbors(g, key("a"), "CASCADES_TO")]
+        found = [n.key.id for n in neighbors(g, key("a"), "CASCADES_TO")]
         assert found == ["b", "d"]
 
     def test_in_direction(self):
         g = self.build()
-        found = [n.key.id for _, n in neighbors(g, key("b"), "CASCADES_TO", direction="in")]
+        found = [n.key.id for n in neighbors(g, key("b"), "CASCADES_TO", direction="in")]
         assert found == ["a"]
 
-    def test_pending_hidden_by_default(self):
+    def test_pending_edge_is_listed_but_not_crossed(self):
         g = self.build()
+        pending = g.edge(("MASKED_BY", key("a"), key("c", "SGB", "AutomationAsset")))
         assert neighbors(g, key("a"), "MASKED_BY") == []
-        assert len(neighbors(g, key("a"), "MASKED_BY", include_pending=True)) == 1
+        assert neighbors(g, key("c", "SGB", "AutomationAsset"), "MASKED_BY", "in") == []
+        assert g.edges("MASKED_BY") == [pending]
+        assert g.pending_edges() == [pending]
 
     def test_unknown_node(self):
         with pytest.raises(KeyError):
@@ -562,8 +565,12 @@ INDEX_KEYS = [
 
 @st.composite
 def index_batches(draw):
-    """Valid merge batches over a small key pool; keys recur within and across batches."""
+    """Valid merge batches over a small key pool; keys recur within and across batches.
+
+    Cross-subgraph edges may pend, and a later record may approve one.
+    """
     present: set[NodeKey] = set()
+    pending: list[tuple] = []
     batches = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         batch = []
@@ -573,13 +580,19 @@ def index_batches(draw):
                 present.add(k)
                 batch.append(Node(k, {"name": Prop(draw(st.sampled_from(["x", "y"])))}))
                 continue
+            if pending and draw(st.booleans()):
+                batch.append(Edge(*draw(st.sampled_from(pending)), pending=False))
+                continue
             src = draw(st.sampled_from(sorted(present)))
             dst = draw(st.sampled_from(sorted(present)))
             crosses = src.subgraph != dst.subgraph
             edge_type = CROSS_TYPE
             if not crosses:
                 edge_type = draw(st.sampled_from([SAME_SUBGRAPH_TYPE, CROSS_TYPE]))
-            batch.append(Edge(edge_type, src, dst, pending=crosses and draw(st.booleans())))
+            edge = Edge(edge_type, src, dst, pending=crosses and draw(st.booleans()))
+            if edge.pending:
+                pending.append(edge.key)
+            batch.append(edge)
         batches.append(batch)
     return batches
 
@@ -592,18 +605,15 @@ def index_answers(g: Graph) -> dict:
             continue
         for edge_type in (SAME_SUBGRAPH_TYPE, CROSS_TYPE, "PRECEDES"):
             for direction in ("out", "in"):
-                for pending in (False, True):
-                    out["neighbors", k, edge_type, direction, pending] = neighbors(
-                        g, k, edge_type, direction, pending
-                    )
+                out["neighbors", k, edge_type, direction] = neighbors(g, k, edge_type, direction)
     for label in (*INDEX_LABELS, "WorkflowStep", None):
         for sg in (*INDEX_SUBGRAPHS, "NOPE", None):
             out["nodes", label, sg] = g.nodes(label, sg)
     for sg in (*INDEX_SUBGRAPHS, "NOPE"):
         out["has_subgraph", sg] = g.has_subgraph(sg)
     for edge_type in (SAME_SUBGRAPH_TYPE, CROSS_TYPE, "PRECEDES", None):
-        for pending in (False, True):
-            out["edges", edge_type, pending] = g.edges(edge_type, pending)
+        out["edges", edge_type] = g.edges(edge_type)
+    out["pending_edges"] = g.pending_edges()
     return out
 
 
@@ -617,14 +627,13 @@ def scanned_answers(g: Graph) -> dict:
             continue
         for edge_type in (SAME_SUBGRAPH_TYPE, CROSS_TYPE, "PRECEDES"):
             for direction in ("out", "in"):
-                for pending in (False, True):
-                    out["neighbors", k, edge_type, direction, pending] = [
-                        (e, g._nodes[e.dst if direction == "out" else e.src])
-                        for e in edges
-                        if e.edge_type == edge_type
-                        and (e.src if direction == "out" else e.dst) == k
-                        and (pending or not e.pending)
-                    ]
+                out["neighbors", k, edge_type, direction] = [
+                    g._nodes[e.dst if direction == "out" else e.src]
+                    for e in edges
+                    if e.edge_type == edge_type
+                    and (e.src if direction == "out" else e.dst) == k
+                    and not e.pending
+                ]
     for label in (*INDEX_LABELS, "WorkflowStep", None):
         for sg in (*INDEX_SUBGRAPHS, "NOPE", None):
             out["nodes", label, sg] = sorted(
@@ -638,12 +647,8 @@ def scanned_answers(g: Graph) -> dict:
     for sg in (*INDEX_SUBGRAPHS, "NOPE"):
         out["has_subgraph", sg] = any(n.key.subgraph == sg for n in nodes)
     for edge_type in (SAME_SUBGRAPH_TYPE, CROSS_TYPE, "PRECEDES", None):
-        for pending in (False, True):
-            out["edges", edge_type, pending] = [
-                e
-                for e in edges
-                if edge_type in (None, e.edge_type) and (pending or not e.pending)
-            ]
+        out["edges", edge_type] = [e for e in edges if edge_type in (None, e.edge_type)]
+    out["pending_edges"] = [e for e in edges if e.pending]
     return out
 
 

@@ -133,8 +133,8 @@ class TestStrictParse:
     def test_bad_json_reports_position(self):
         with pytest.raises(SeoParseError) as err:
             parse_seo('{"session_mode": }')
-        assert err.value.line == 1
-        assert err.value.column > 1
+        assert (err.value.line, err.value.column) == (1, 18)
+        assert str(err.value) == "Expecting value: line 1 column 18 (char 17)"
 
     @pytest.mark.parametrize("blank", ["", "   \n", b""])
     def test_empty_document(self, blank):
@@ -286,9 +286,14 @@ class TestStrictParse:
 
     def test_non_finite_literals_rejected(self):
         obj = minimal_json()
-        text = json.dumps(obj).replace("null,", "NaN,", 1)
-        with pytest.raises(SeoParseError):
+        text = json.dumps(obj, indent=1).replace("null,", "NaN,", 1)
+        pos = text.index("NaN")
+        line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+        with pytest.raises(SeoParseError) as err:
             parse_seo(text)
+        assert line > 1
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value).startswith(f"non-finite number literal: NaN: line {line} column {column}")
 
     def test_numbers_are_normalized_at_parse(self):
         obj = minimal_json("DESIGN_EXPERT")
