@@ -26,9 +26,10 @@ from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Mapping
 
-from .canonical import render_number, render_record, strict_loads
+from .canonical import render_record, render_text, render_value, strict_loads
 from .errors import MalformedKey, RegistryMismatch, Rejected, SubgraphMismatch
 from .graph_core import (
+    KEY_PART_RE,
     Edge,
     Graph,
     Node,
@@ -41,7 +42,7 @@ from .graph_core import (
     parse_node_key,
 )
 from .metrics import default_aliases, label_slug, normalize_label
-from .ontology import CONFIDENCE_FLOOR, NodeTypeDef, SchemaRegistry, builtin_registry
+from .ontology import CONFIDENCE_FLOOR, REGISTRY_VERSION, builtin_registry
 from .seo import SeoDocument, _fields, serialize_seo, validate_seo
 
 PLAN_KIND = "merge_plan"
@@ -111,9 +112,10 @@ _STUB_VALUES = {"text": "", "number": 0, "boolean": False}
 
 
 @lru_cache(maxsize=None)
-def _stub_defaults(ndef: NodeTypeDef) -> tuple[tuple[str, object], ...]:
+def _stub_defaults(label: str) -> tuple[tuple[str, object], ...]:
     """Every required property of a label at its default, flagged for review."""
-    defaults = {name: _STUB_VALUES[kind] for name, kind in ndef.required}
+    required = builtin_registry().node_types[label].required
+    defaults = {name: _STUB_VALUES[kind] for name, kind in required}
     if "confidence" in defaults:
         defaults["confidence"] = CONFIDENCE_FLOOR
     defaults["flagged_for_review"] = True
@@ -123,8 +125,7 @@ def _stub_defaults(ndef: NodeTypeDef) -> tuple[tuple[str, object], ...]:
 class _Builder:
     """Accumulates plan records; stubs never displace described nodes."""
 
-    def __init__(self, registry: SchemaRegistry):
-        self.registry = registry
+    def __init__(self):
         self.props: dict[NodeKey, dict[str, Prop]] = {}
         self.stubs: set[NodeKey] = set()
         self.edges: dict[tuple[str, NodeKey, NodeKey], Edge] = {}
@@ -141,7 +142,7 @@ class _Builder:
     def stub(self, key: NodeKey, name: str) -> NodeKey:
         """A record named here but not described: its label's schema defaults."""
         if key not in self.props:
-            defaults = _stub_defaults(self.registry.node_types[key.label])
+            defaults = _stub_defaults(key.label)
             self.props[key] = {prop: Prop(value, _SD) for prop, value in defaults}
             self.props[key]["name"] = Prop(name, _SD)
             self.stubs.add(key)
@@ -153,26 +154,26 @@ class _Builder:
 
 
 def compile_seo(
-    doc: SeoDocument,
-    subgraph: str,
-    registry: SchemaRegistry | None = None,
-    aliases: Mapping[str, str] | None = None,
+    doc: SeoDocument, subgraph: str, *, aliases: Mapping[str, str] | None = None
 ) -> MergePlan:
     """Translate an accepted document into a sorted, deterministic plan.
+
+    Stubs take their properties from the built-in registry's required
+    lists, the registry ``validate_seo`` checks claims against.
 
     Args:
         doc: a parsed extraction document.
         subgraph: namespace the document's claims belong to.
-        registry: schema registry; the built-in one when omitted. Stubs
-            take their properties from its required lists.
         aliases: label alias table for resolving cascade targets named
             informally; the packaged defaults when omitted.
 
     Raises:
         Rejected: ``validate_seo`` found issues; the report rides along.
-        SubgraphMismatch: the protocol layer declares a different subgraph.
+        SubgraphMismatch: ``subgraph`` is not a key part, or the protocol
+            layer declares a different subgraph.
     """
-    registry = registry or builtin_registry()
+    if not KEY_PART_RE.fullmatch(subgraph):
+        raise SubgraphMismatch(f"subgraph {subgraph!r} outside {KEY_PART_RE.pattern}")
     aliases = default_aliases() if aliases is None else aliases
     report = validate_seo(doc)
     if not report.ok:
@@ -182,7 +183,7 @@ def compile_seo(
             f"document claims subgraph {doc.protocol.subgraph!r}, compiling into {subgraph!r}"
         )
 
-    b = _Builder(registry)
+    b = _Builder()
     meta = doc.twin_metadata
     fm_claims: list[tuple] = []  # (claim, node key)
     dp_keys: list[NodeKey] = []
@@ -358,7 +359,7 @@ def compile_seo(
             source_scientist=(meta.source_scientist if meta else "") or "",
             session_mode=doc.session_mode.value,
             subgraph=subgraph,
-            registry_version=registry.version,
+            registry_version=REGISTRY_VERSION,
         ),
         nodes=tuple(Node(key, b.props[key]) for key in sorted(b.props)),
         edges=tuple(e for e in edges if not e.pending),
@@ -455,8 +456,9 @@ def load_plan(data: bytes | str) -> MergePlan:
     raw = strict_loads(data if isinstance(data, str) else data.decode("utf-8"))
     if not isinstance(raw, dict) or raw.get("kind") != PLAN_KIND:
         raise ValueError("not a merge plan document")
-    if raw.get("version") != PLAN_VERSION:
-        raise ValueError(f"unsupported plan version {raw.get('version')!r}")
+    version = raw.get("version")
+    if version.__class__ is not int or version != PLAN_VERSION:
+        raise ValueError(f"unsupported plan version {version!r}")
     prov = raw.get("provenance")
     if not isinstance(prov, dict):
         raise RegistryMismatch("provenance: not an object")
@@ -539,26 +541,10 @@ def approve_pending(
 # -- graph-database export ----------------------------------------------
 
 
-def _cypher_text(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _cypher_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return render_number(value)
-    if isinstance(value, str):
-        return _cypher_text(value)
-    if isinstance(value, tuple):
-        return "[" + ", ".join(_cypher_value(v) for v in value) + "]"
-    raise TypeError(f"unsupported value in plan: {type(value).__name__}")
-
-
 def _cypher_anchor(var: str, key: NodeKey) -> str:
     return (
-        f"({var}:{key.label} {{subgraph:{_cypher_text(key.subgraph)}, "
-        f"id:{_cypher_text(key.id)}}})"
+        f"({var}:{key.label} {{subgraph:{render_text(key.subgraph)}, "
+        f"id:{render_text(key.id)}}})"
     )
 
 
@@ -575,13 +561,15 @@ def _edge_line(edge: Edge) -> str:
 def emit_cypher(plan: MergePlan) -> str:
     """Render a plan as idempotent graph-database statements.
 
+    Literals are rendered as canonical JSON, which Cypher reads; text
+    escapes its control characters, so each statement is one line.
     Property provenance tags do not survive the export; the plan file
     stays the system of record.
     """
     lines: list[str] = []
     for node in plan.nodes:
         sets = ", ".join(
-            f"n.{name} = {_cypher_value(node.properties[name].value)}"
+            f"n.{name} = {render_value(node.properties[name].value)}"
             for name in sorted(node.properties)
         )
         anchor = f"MERGE {_cypher_anchor('n', node.key)}"

@@ -68,7 +68,8 @@ FORMAT_NAME = "skg.jsonl"
 FORMAT_VERSION = 1
 CONFLICT_LOG = "conflict_log"
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+# what a key's subgraph and id may hold, matched whole (fullmatch)
+KEY_PART_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class Provenance(str, Enum):
@@ -130,8 +131,10 @@ class NodeKey(_NodeKeyFields):
             raise MalformedKey(
                 f"empty key part in NodeKey(subgraph={subgraph!r}, label={label!r}, id={id!r})"
             )
-        if not _ID_RE.match(id):
-            raise MalformedKey(f"id {id!r} outside [A-Za-z0-9_-]+")
+        if not KEY_PART_RE.fullmatch(id):
+            raise MalformedKey(f"id {id!r} outside {KEY_PART_RE.pattern}")
+        if not KEY_PART_RE.fullmatch(subgraph):
+            raise MalformedKey(f"subgraph {subgraph!r} outside {KEY_PART_RE.pattern}")
         return tuple.__new__(cls, (subgraph, label, id))
 
     def to_text(self) -> str:

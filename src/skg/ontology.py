@@ -7,6 +7,11 @@ vocabulary splits into the core failure-mode relations and the
 structural plumbing needed to make the graph navigable; the registry
 records which is which.
 
+``claim_issues`` is the one statement of the claim rules (confidence
+range, SHELF frequency triples): ``validate_graph`` and
+``seo.validate_seo`` both apply it, so a valid document compiles to a
+valid graph.
+
 Registry objects are immutable; validation never mutates the graph and
 reports a deterministically ordered issue list.
 """
@@ -16,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
-from .graph_core import Graph, Node, value_kind
+from .graph_core import Graph, value_kind
 from .validation import IssueCollector, ValidationReport
 
 REGISTRY_VERSION = "skg-ontology-1"
@@ -265,32 +270,52 @@ def builtin_registry() -> SchemaRegistry:
     )
 
 
-def _check_shelf_triple(node: Node, out: IssueCollector) -> None:
-    values = [node.get(f"frequency_{part}") for part in ("min", "best", "max")]
-    present = [v for v in values if v is not None]
-    if not present:
+_FREQUENCIES = ("frequency_min", "frequency_best", "frequency_max")
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def claim_issues(label: str, get: Callable[[str], object]) -> Iterator[tuple[str, str]]:
+    """(code, detail) of each claim rule that a ``label`` node or document claim breaks.
+
+    ``get(name)`` is the value stated for ``name``, or None. Only numbers
+    are compared; a value of another kind is left to the caller's kind check.
+    """
+    confidence = get("confidence")
+    if _is_number(confidence) and not CONFIDENCE_FLOOR <= confidence <= CONFIDENCE_CEILING:
+        bounds = f"[{CONFIDENCE_FLOOR}, {CONFIDENCE_CEILING}]"
+        yield "ConfidenceOutOfRange", f"confidence {confidence} outside {bounds}"
+    if label != "FailureMode":
         return
-    if len(present) < 3:
-        out.add(
-            "ShelfOrderViolation",
-            node.key.to_text(),
-            "incomplete frequency triple (need min, best, max)",
-        )
+    triple = [get(name) for name in _FREQUENCIES]
+    estimated = triple != [None, None, None]
+    if estimated or get("confidence_method") == "SHELF_elicited":
+        for name, value in zip(_FREQUENCIES, triple):
+            if value is None:
+                yield "MissingMandatoryField", f"{name} is required in a SHELF frequency triple"
+    if not estimated:
         return
-    fmin, fbest, fmax = values
-    if not (fmin <= fbest <= fmax):
-        out.add(
-            "ShelfOrderViolation",
-            node.key.to_text(),
-            f"frequency triple unordered: {fmin} <= {fbest} <= {fmax} fails",
-        )
+    if get("silent_failure_risk") is not True and get("is_critical_path") is not True:
+        detail = "frequency estimates need silent_failure_risk or is_critical_path"
+        yield "ShelfEligibilityViolation", detail
+    for name, value in zip(_FREQUENCIES, triple):
+        if _is_number(value) and not 0.0 <= value <= 1.0:
+            yield "FrequencyOutOfRange", f"{name} {value} outside [0, 1]"
+    fmin, fbest, fmax = triple
+    if all(_is_number(v) and 0.0 <= v <= 1.0 for v in triple) and not fmin <= fbest <= fmax:
+        yield "ShelfOrderViolation", f"{fmin} <= {fbest} <= {fmax} fails"
 
 
 def validate_graph(graph: Graph, registry: SchemaRegistry) -> ValidationReport:
     """Check every node and edge against the registry; graph is untouched.
 
+    Each node also obeys ``claim_issues``, as each document claim does.
+
     Issue codes: UnknownLabel, UnknownEdgeType, EndpointLabelViolation,
     MissingRequiredProperty, ValueKindMismatch, ConfidenceOutOfRange,
+    MissingMandatoryField, ShelfEligibilityViolation, FrequencyOutOfRange,
     ShelfOrderViolation, CrossSubgraphViolation, TierViolation.
     """
     out = IssueCollector()
@@ -313,15 +338,8 @@ def validate_graph(graph: Graph, registry: SchemaRegistry) -> ValidationReport:
                 out.add(
                     "ValueKindMismatch", where, f"{name}: expected {expected}, got {actual}"
                 )
-        confidence = node.get("confidence")
-        if isinstance(confidence, (int, float)) and not isinstance(confidence, bool):
-            if not CONFIDENCE_FLOOR <= confidence <= CONFIDENCE_CEILING:
-                out.add(
-                    "ConfidenceOutOfRange",
-                    where,
-                    f"confidence {confidence} outside [{CONFIDENCE_FLOOR}, {CONFIDENCE_CEILING}]",
-                )
-        _check_shelf_triple(node, out)
+        for code, detail in claim_issues(node.key.label, node.get):
+            out.add(code, where, detail)
     for edge in graph.edges():
         where = f"{edge.edge_type}[{edge.src.to_text()} -> {edge.dst.to_text()}]"
         edef = registry.edge_types.get(edge.edge_type)

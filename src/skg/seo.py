@@ -46,8 +46,16 @@ from .errors import (
     UnknownField,
     ValueKindMismatch,
 )
+from .graph_core import KEY_PART_RE
 from .metrics import normalize_label
-from .ontology import COMPARATORS, CONFIDENCE_CEILING, CONFIDENCE_FLOOR, CONFIDENCE_METHODS
+from .ontology import (
+    COMPARATORS,
+    CONFIDENCE_CEILING,
+    CONFIDENCE_FLOOR,
+    CONFIDENCE_METHODS,
+    builtin_registry,
+    claim_issues,
+)
 from .validation import IssueCollector, ValidationReport
 
 OPERATIONAL_SCOPE = "operational_only"
@@ -230,6 +238,7 @@ class _Field:
     cls: type | None  # record class for object/array, Enum class for text
     choices: tuple[str, ...]
     iso_date: bool
+    key_part: bool  # text that becomes a node key's subgraph or id
 
 
 def _kind(types: tuple) -> tuple[str, type | None]:
@@ -249,6 +258,10 @@ def _kind(types: tuple) -> tuple[str, type | None]:
         item = get_args(tp)[0]
         return ("text list", None) if item is str else ("array", item)
     raise TypeError(f"no JSON kind for {tp!r}")
+
+
+# fields, wherever they occur, that name a node key's subgraph or id
+_KEY_PART_FIELDS = frozenset({"id", "step_id", "workflow_id", "subgraph"})
 
 
 @lru_cache(maxsize=None)
@@ -275,6 +288,7 @@ def _fields(cls: type) -> dict[str, _Field]:
             cls=sub,
             choices=choices,
             iso_date=f.metadata.get("iso_date", False),
+            key_part=f.name in _KEY_PART_FIELDS,
         )
     return table
 
@@ -355,6 +369,8 @@ def _read_field(f: _Field, obj: dict, path: str):
         raise ValueKindMismatch(where, f"one of {sorted(f.choices)}", repr(value))
     if f.iso_date and not _is_iso_date(value):
         raise ValueKindMismatch(where, "ISO-8601 date", repr(value))
+    if f.key_part and not KEY_PART_RE.fullmatch(value):
+        raise ValueKindMismatch(where, f"text matching {KEY_PART_RE.pattern}", repr(value))
     return value if f.cls is None else f.cls(value)
 
 
@@ -434,20 +450,20 @@ def serialize_seo(doc: SeoDocument) -> bytes:
 # -- validation --------------------------------------------------------
 
 
-def _validate_claim_confidence(
-    out: IssueCollector, path: str, claim: FailureModeClaim | DecisionPointClaim
-) -> None:
-    for name in ("confidence", "confidence_method", "source_scientist"):
-        if getattr(claim, name) is None:
-            out.add("MissingMandatoryField", path, f"{name} is mandatory on every claim")
-    confidence, phrase = claim.confidence, claim.source_phrase
-    if confidence is not None and not CONFIDENCE_FLOOR <= confidence <= CONFIDENCE_CEILING:
-        out.add(
-            "ConfidenceOutOfRange",
-            path,
-            f"confidence {confidence} outside [{CONFIDENCE_FLOOR}, {CONFIDENCE_CEILING}]",
-        )
-    if claim.confidence_method == "linguistic_approximation" and phrase:
+def _validate_claim(out: IssueCollector, path: str, label: str, claim) -> None:
+    """Check a claim that compiles to a ``label`` node: stated fields, claim rules, hedge band."""
+
+    def get(name: str):
+        return getattr(claim, name, None)
+
+    for name, kind in builtin_registry().node_types[label].required:
+        # compile records an unstated boolean as false
+        if kind != "boolean" and get(name) is None:
+            out.add("MissingMandatoryField", path, f"{name} is required on every {label}")
+    for code, detail in claim_issues(label, get):
+        out.add(code, path, detail)
+    confidence, phrase = get("confidence"), get("source_phrase")
+    if get("confidence_method") == "linguistic_approximation" and phrase:
         band = match_hedge(phrase)
         if band is None:
             out.add(
@@ -459,33 +475,6 @@ def _validate_claim_confidence(
                 path,
                 f"confidence {confidence} outside {band.name} [{band.low}, {band.high}]",
             )
-
-
-def _validate_shelf_fields(out: IssueCollector, path: str, claim: FailureModeClaim) -> None:
-    triple = (claim.frequency_min, claim.frequency_best, claim.frequency_max)
-    present = [v for v in triple if v is not None]
-    if claim.confidence_method == "SHELF_elicited":
-        for name, value in zip(("frequency_min", "frequency_best", "frequency_max"), triple):
-            if value is None:
-                out.add(
-                    "MissingMandatoryField",
-                    path,
-                    f"{name} is mandatory when confidence_method is SHELF_elicited",
-                )
-    if not present:
-        return
-    if not (claim.silent_failure_risk or claim.is_critical_path):
-        out.add(
-            "ShelfEligibilityViolation",
-            path,
-            "frequency estimates need silent_failure_risk or is_critical_path",
-        )
-    for name, value in zip(("frequency_min", "frequency_best", "frequency_max"), triple):
-        if value is not None and not 0.0 <= value <= 1.0:
-            out.add("FrequencyOutOfRange", path, f"{name} {value} outside [0, 1]")
-    fmin, fbest, fmax = triple
-    if all(v is not None and 0.0 <= v <= 1.0 for v in triple) and not fmin <= fbest <= fmax:
-        out.add("ShelfOrderViolation", path, f"{fmin} <= {fbest} <= {fmax} fails")
 
 
 def _stub_violations(dm: DecisionModelLayer) -> list[str]:
@@ -520,12 +509,20 @@ _MODE_GATES = {
 
 
 def validate_seo(doc: SeoDocument) -> ValidationReport:
-    """Content validation: mode gates, contamination guard, mandatory fields.
+    """Content validation: mode gates, contamination guard, claims.
 
-    Issue codes: ContaminationGuardViolation, ModeGateViolation,
-    MissingMandatoryField, ConfidenceOutOfRange, ConfidenceOutsideHedgeBand,
-    ShelfOrderViolation, ShelfEligibilityViolation, FrequencyOutOfRange,
-    MetadataMissing, MetadataInconsistent, StepIndexViolation, DuplicateId.
+    Each failure mode, decision point and evidentiary input must state
+    every non-boolean property the registry requires of its label, and
+    obeys the claim rules ``validate_graph`` also applies
+    (``ontology.claim_issues``). A linguistic claim's confidence must
+    also lie in its phrase's hedge band. A claim's issues come in that
+    order.
+
+    Issue codes: MetadataMissing, MetadataInconsistent,
+    ContaminationGuardViolation, ModeGateViolation, StepIndexViolation,
+    DuplicateId, MissingMandatoryField, ConfidenceOutOfRange,
+    ShelfEligibilityViolation, FrequencyOutOfRange, ShelfOrderViolation,
+    ConfidenceOutsideHedgeBand.
     """
     out = IssueCollector()
     mode = doc.session_mode
@@ -593,27 +590,13 @@ def validate_seo(doc: SeoDocument) -> ValidationReport:
                     )
                 else:
                     seen_fm_names[norm] = fpath
-                _validate_claim_confidence(out, fpath, fm)
-                _validate_shelf_fields(out, fpath, fm)
+                _validate_claim(out, fpath, "FailureMode", fm)
 
     if doc.decision_model is not None and doc.decision_model.decision_points is not None:
         for i, dp in enumerate(doc.decision_model.decision_points):
             dpath = f"decision_model.decision_points[{i}]"
             check_id(dp.id, dpath)
-            _validate_claim_confidence(out, dpath, dp)
-            for name in (
-                "condition_type",
-                "threshold_value",
-                "comparator",
-                "units",
-                "pass_action",
-                "fail_action",
-                "escalation_action",
-            ):
-                if getattr(dp, name) is None:
-                    out.add(
-                        "MissingMandatoryField", dpath, f"{name} is required on decision points"
-                    )
+            _validate_claim(out, dpath, "DecisionPoint", dp)
 
     if doc.strategic is not None and doc.strategic.program_milestones is not None:
         for i, pm in enumerate(doc.strategic.program_milestones):
@@ -622,13 +605,7 @@ def validate_seo(doc: SeoDocument) -> ValidationReport:
             for j, ei in enumerate(pm.evidentiary_inputs):
                 epath = f"{ppath}.evidentiary_inputs[{j}]"
                 check_id(ei.id, epath)
-                for name in ("required_output", "quality_threshold", "decision_consequence"):
-                    if getattr(ei, name) is None:
-                        out.add(
-                            "MissingMandatoryField",
-                            epath,
-                            f"{name} is required on evidentiary inputs",
-                        )
+                _validate_claim(out, epath, "EvidentiaryInput", ei)
 
     return out.report()
 

@@ -86,7 +86,7 @@ def build_federated(docs: dict, registry, *, approve: bool = True) -> Graph:
     graph = Graph(registry)
     for name, subgraph in DOC_SUBGRAPHS:
         del name
-        plan = compile_seo(docs[subgraph], subgraph, registry)
+        plan = compile_seo(docs[subgraph], subgraph)
         graph = apply_plan(graph, plan)
     if approve:
         graph, _ = approve_pending(graph)

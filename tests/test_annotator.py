@@ -1,10 +1,13 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 
 import pytest
-from conftest import DOC_SUBGRAPHS
+from conftest import DOC_SUBGRAPHS, FIXTURES
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skg import (
     EXECUTION_SUBGRAPH,
@@ -27,8 +30,18 @@ from skg import (
     plan_to_bytes,
     serialize_seo,
     validate_graph,
+    validate_seo,
 )
-from skg.annotator import MergePlan, PlanProvenance
+from skg.annotator import MergePlan, PlanProvenance, _property_fields
+from skg.seo import (
+    DecisionPointClaim,
+    EvidentiaryInputClaim,
+    FailureModeClaim,
+    MethodAlternativeClaim,
+    ProgramMilestoneClaim,
+    StepRecord,
+    _fields,
+)
 
 SD = Provenance.SCHEMA_DEFAULT
 IC = Provenance.INTERVIEW_CONFIRMED
@@ -402,6 +415,86 @@ class TestCompile:
         assert {e.dst.id for e in sourced} == {"WF-ELISA-PK-01", "WF-LCMS-PRM-01"}
 
 
+ELISA_JSON = json.loads((FIXTURES / "elisa.seo.json").read_text(encoding="utf-8"))
+
+confidences = st.sampled_from([0.59, 0.6, 0.7, 0.85, 0.88, 0.92, 1.0, 1.01])
+methods = st.sampled_from(["linguistic_approximation", "SHELF_elicited"])
+frequency = st.one_of(st.none(), st.sampled_from([-0.1, 0.0, 0.05, 0.2, 0.5, 1.0, 1.2]))
+triples = st.one_of(
+    st.just((None, None, None)),
+    st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]), min_size=3, max_size=3).map(sorted),
+    st.tuples(frequency, frequency, frequency),
+)
+risks = st.sampled_from([None, False, True])
+# a change absent from the drawn dict keeps the fixture's value
+failure_mode_changes = st.builds(
+    lambda changes, triple: dict(
+        changes, **dict(zip(("frequency_min", "frequency_best", "frequency_max"), triple))
+    ),
+    st.fixed_dictionaries(
+        {
+            "confidence": confidences,
+            "confidence_method": methods,
+            "silent_failure_risk": risks,
+            "is_critical_path": risks,
+        },
+        optional={"source_phrase": st.none()},
+    ),
+    triples,
+)
+decision_point_changes = st.fixed_dictionaries(
+    {},
+    optional={
+        "confidence": st.one_of(st.none(), confidences),
+        "confidence_method": st.one_of(st.none(), methods),
+        "threshold_value": st.none(),
+        "source_phrase": st.none(),
+    },
+)
+
+
+class TestClaimRulesAgree:
+    """Documents and graphs are held to one set of claim rules."""
+
+    @example(
+        fm={
+            "confidence_method": "linguistic_approximation",
+            "silent_failure_risk": True,
+            "frequency_min": 0.1,
+        },
+        dp={},
+    )
+    @given(fm=failure_mode_changes, dp=decision_point_changes)
+    @settings(max_examples=300)
+    def test_a_valid_document_compiles_to_a_valid_graph(self, registry, fm, dp):
+        raw = copy.deepcopy(ELISA_JSON)
+        raw["protocol"]["steps"][0]["failure_modes"][0].update(fm)
+        raw["decision_model"]["decision_points"][0].update(dp)
+        doc = parse_seo(json.dumps(raw))
+        if not validate_seo(doc).ok:
+            return
+        graph = apply_plan(Graph(registry), compile_seo(doc, "ELISA"))
+        assert validate_graph(graph, registry).issues == ()
+
+    @pytest.mark.parametrize(
+        ("cls", "label"),
+        [
+            (FailureModeClaim, "FailureMode"),
+            (DecisionPointClaim, "DecisionPoint"),
+            (StepRecord, "WorkflowStep"),
+            (MethodAlternativeClaim, "MethodAlternative"),
+            (ProgramMilestoneClaim, "ProgramMilestone"),
+            (EvidentiaryInputClaim, "EvidentiaryInput"),
+        ],
+    )
+    def test_claim_properties_are_declared_with_their_kind(self, registry, cls, label):
+        # one way only: a label may declare properties no claim states
+        declared = registry.node_types[label].declared_kinds()
+        kinds = {f.name: f.kind for f in _fields(cls).values()}
+        for name, _ in _property_fields(cls):
+            assert declared.get(name) == kinds[name], name
+
+
 class TestPlanSerialization:
     @pytest.mark.parametrize("subgraph", ["ELISA", "AUTOMATION", "PROGRAM"])
     def test_round_trip(self, all_docs, subgraph):
@@ -585,7 +678,7 @@ class TestApplyAndApprove:
             approve_pending(converged, [first])
 
     def test_every_apply_order_converges_to_the_pinned_digest(self, all_docs, registry):
-        plans = [compile_seo(all_docs[sg], sg, registry) for _, sg in DOC_SUBGRAPHS]
+        plans = [compile_seo(all_docs[sg], sg) for _, sg in DOC_SUBGRAPHS]
         for order in itertools.permutations(plans):
             graph = Graph(registry)
             for plan in order:
@@ -639,10 +732,13 @@ class TestEmitCypher:
 
     def test_string_escaping(self):
         doc = json_doc(
-            steps=[{"name": 'say "when" \\ stop', "step_index": 1}]
+            steps=[{"name": 'say "when" \\ stop\nnow', "step_index": 1}]
         )
-        text = emit_cypher(compile_seo(doc, "TESTSG"))
-        assert 'n.name = "say \\"when\\" \\\\ stop"' in text
+        plan = compile_seo(doc, "TESTSG")
+        text = emit_cypher(plan)
+        assert 'n.name = "say \\"when\\" \\\\ stop\\nnow"' in text
+        # a control character is escaped, so every statement stays on one line
+        assert len(text.splitlines()) == len(plan.nodes) + len(plan.edges)
 
     def test_list_values(self, elisa_doc):
         text = emit_cypher(compile_seo(elisa_doc, "ELISA"))

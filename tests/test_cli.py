@@ -116,6 +116,41 @@ class TestValidate:
         )
 
     @pytest.mark.parametrize("command", ["validate", "apply"])
+    def test_id_outside_the_id_pattern(self, tmp_path, fixtures_dir, capsys, command):
+        doc = json.loads((fixtures_dir / "elisa.seo.json").read_text())
+        doc["protocol"]["steps"][0]["failure_modes"][0]["id"] = "FM bad"
+        bad = tmp_path / "bad.seo.json"
+        bad.write_text(json.dumps(doc))
+        argv = [command, str(bad)]
+        if command == "apply":
+            argv += ["--graph", str(tmp_path / "x.skg.jsonl")]
+        assert main(argv) == EXIT_REJECTED
+        assert capsys.readouterr().err == (
+            "error: protocol.steps[0].failure_modes[0].id: "
+            "expected text matching [A-Za-z0-9_-]+, got 'FM bad'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "apply"])
+    def test_partial_frequency_triple(self, tmp_path, fixtures_dir, capsys, command):
+        doc = json.loads((fixtures_dir / "elisa.seo.json").read_text())
+        doc["protocol"]["steps"][0]["failure_modes"][0].update(
+            silent_failure_risk=True, frequency_min=0.1
+        )
+        bad = tmp_path / "bad.seo.json"
+        bad.write_text(json.dumps(doc))
+        argv = [command, str(bad)]
+        if command == "apply":
+            argv += ["--graph", str(tmp_path / "x.skg.jsonl")]
+        assert main(argv) == EXIT_REJECTED
+        captured = capsys.readouterr()
+        report = captured.out if command == "validate" else captured.err
+        assert [line.split("\t")[0] for line in report.splitlines()] == [
+            "MissingMandatoryField",
+            "MissingMandatoryField",
+        ]
+        assert not (tmp_path / "x.skg.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "apply"])
     @pytest.mark.parametrize("literal", ["NaN", "-Infinity"])
     def test_non_finite_literal_is_located(self, tmp_path, fixtures_dir, capsys, command, literal):
         text = (fixtures_dir / "elisa.seo.json").read_text()
@@ -194,6 +229,17 @@ class TestCompile:
         assert cascade_targets() == ["ELISA:FailureMode:FM-curve-fit-collapse"]  # a stub
         monkeypatch.setenv("SKG_ALIAS_FILE", str(aliases))
         assert cascade_targets() == ["ELISA:FailureMode:FM-ELISA-018"]  # the claimed mode
+
+    @pytest.mark.parametrize("command", ["compile", "apply"])
+    @pytest.mark.parametrize("subgraph", ["P:Q", "P Q"])
+    def test_subgraph_outside_the_id_pattern(self, tmp_path, fixtures_dir, capsys, command, subgraph):
+        argv = [command, str(fixtures_dir / "program.seo.json"), "--subgraph", subgraph]
+        if command == "apply":
+            argv += ["--graph", str(tmp_path / "x.skg.jsonl")]
+        assert main(argv) == EXIT_REJECTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: subgraph {subgraph!r} outside [A-Za-z0-9_-]+\n"
 
     def test_wrong_subgraph_rejected(self, fixtures_dir, capsys):
         code = main(["compile", str(fixtures_dir / "elisa.seo.json"), "--subgraph", "LCMS_PRM"])
@@ -338,6 +384,45 @@ class TestCheck:
         save_store(graph, path)
         assert main(["check", "--graph", str(path)]) == EXIT_REJECTED
         assert "MissingRequiredProperty" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("frequencies", "report"),
+        [
+            (
+                {"frequency_min": 0.1},
+                "MissingMandatoryField\tSYN:FailureMode:FM-SYN-001\t"
+                "frequency_best is required in a SHELF frequency triple\n"
+                "MissingMandatoryField\tSYN:FailureMode:FM-SYN-001\t"
+                "frequency_max is required in a SHELF frequency triple\n",
+            ),
+            (
+                {"frequency_min": "low", "frequency_best": 0.2, "frequency_max": 0.3},
+                "ValueKindMismatch\tSYN:FailureMode:FM-SYN-001\t"
+                "frequency_min: expected number, got text\n",
+            ),
+        ],
+        ids=["partial-triple", "text-frequency"],
+    )
+    def test_claim_rules_are_checked(self, tmp_path, capsys, frequencies, report):
+        props = {
+            "name": "bare",
+            "confidence": 0.8,
+            "confidence_method": "linguistic_approximation",
+            "source_scientist": "T. Example",
+            "silent_failure_risk": True,
+            "is_critical_path": False,
+            "flagged_for_review": False,
+            **frequencies,
+        }
+        graph = merge(
+            Graph(builtin_registry()),
+            [Node(NodeKey("SYN", "FailureMode", "FM-SYN-001"), {k: Prop(v) for k, v in props.items()})],
+        )
+        path = tmp_path / "claims.skg.jsonl"
+        save_store(graph, path)
+        assert main(["check", "--graph", str(path)]) == EXIT_REJECTED
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (report, "")
 
 
 class TestQuery:
@@ -824,6 +909,8 @@ class TestMalformedPlan:
                 lambda raw: raw["statements"][0]["properties"]["name"].update(value=float("nan")),
                 "error: non-finite number literal: NaN: line 1 column ",
             ),
+            (lambda raw: raw.update(version=True), "error: unsupported plan version True"),
+            (lambda raw: raw.update(version=1.0), "error: unsupported plan version 1.0"),
         ],
         ids=[
             "edge-src-not-text",
@@ -834,6 +921,8 @@ class TestMalformedPlan:
             "same-subgraph-edge-pending",
             "integer-beyond-float-range",
             "non-finite-literal",
+            "version-true",
+            "version-float",
         ],
     )
     def test_apply_rejects_with_its_location(
@@ -885,9 +974,14 @@ class TestProcessEntry:
         assert proc.returncode == EXIT_OK
         assert "skg-ontology-1" in proc.stdout
 
-    def test_query_process_imports_only_what_it_runs(self, fixtures_dir, tmp_path):
+    @pytest.mark.parametrize(
+        ("command", "shown"),
+        [(["query", "silent", "--subgraph", "ELISA"], "FM-ELISA-001"), (["check"], "OK")],
+        ids=["query", "check"],
+    )
+    def test_query_process_imports_only_what_it_runs(self, fixtures_dir, tmp_path, command, shown):
         path = copy_fixture_store(fixtures_dir, tmp_path)
-        argv = ["query", "silent", "--graph", str(path), "--subgraph", "ELISA"]
+        argv = command + ["--graph", str(path)]
         script = (
             "import json, sys\n"
             "import skg\n"
@@ -907,7 +1001,7 @@ class TestProcessEntry:
         seen = json.loads(proc.stderr)
         assert seen["bare"] == []
         assert seen["code"] == EXIT_OK
-        assert "FM-ELISA-001" in proc.stdout
+        assert shown in proc.stdout
         assert {"skg.seo", "skg.annotator", "skg.metrics"}.isdisjoint(seen["loaded"])
 
     def test_fixture_checker_passes(self):

@@ -62,10 +62,13 @@ class TestNodeKey:
         with pytest.raises(MalformedKey):
             NodeKey(*parts)
 
-    @pytest.mark.parametrize("bad_id", ["a b", "a:b", "µ", "x/y", "a.b"])
+    @pytest.mark.parametrize("bad_id", ["a b", "a:b", "µ", "x/y", "a.b", "a\n"])
     def test_id_charset(self, bad_id):
-        with pytest.raises(MalformedKey):
+        with pytest.raises(MalformedKey, match="^id "):
             NodeKey("SG", "FailureMode", bad_id)
+        # a subgraph is held to the same pattern
+        with pytest.raises(MalformedKey, match="^subgraph "):
+            NodeKey(bad_id, "FailureMode", "x")
 
     @pytest.mark.parametrize("text", ["a:b", "a:b:c:d", "plain"])
     def test_parse_arity(self, text):

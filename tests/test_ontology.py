@@ -202,13 +202,21 @@ class TestValidateGraph:
         assert validate_graph(g, registry).has("ShelfOrderViolation")
 
     def test_shelf_triple_must_be_complete(self, registry):
-        g = merge(Graph(registry), [fm_node("f1", frequency_min=0.1)])
-        assert validate_graph(g, registry).has("ShelfOrderViolation")
+        g = merge(Graph(registry), [fm_node("f1", is_critical_path=True, frequency_min=0.1)])
+        report = validate_graph(g, registry)
+        assert report.codes() == ["MissingMandatoryField"] * 2
+        assert [i.detail.split()[0] for i in report.issues] == ["frequency_best", "frequency_max"]
 
     def test_degenerate_shelf_triple_is_fine(self, registry):
         g = merge(
             Graph(registry),
-            [fm_node("f1", frequency_min=0.1, frequency_best=0.1, frequency_max=0.1)],
+            [fm_node(
+                "f1",
+                is_critical_path=True,
+                frequency_min=0.1,
+                frequency_best=0.1,
+                frequency_max=0.1,
+            )],
         )
         assert validate_graph(g, registry).ok
 

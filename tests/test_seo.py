@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -253,6 +254,37 @@ class TestStrictParse:
             got,
         )
 
+    @pytest.mark.parametrize(
+        ("document", "path"),
+        [
+            ("elisa", "protocol.workflow_id"),
+            ("elisa", "protocol.subgraph"),
+            ("elisa", "protocol.steps[0].id"),
+            ("elisa", "protocol.steps[0].failure_modes[0].id"),
+            ("elisa", "decision_model.decision_points[0].step_id"),
+            ("elisa", "decision_model.decision_points[0].id"),
+            ("elisa", "method_alternatives[0].step_id"),
+            ("program", "strategic.program_milestones[0].id"),
+            ("program", "strategic.program_milestones[0].evidentiary_inputs[0].id"),
+            ("program", "strategic.program_milestones[0].evidentiary_inputs[0].sourced_from.subgraph"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["FM bad", "", "ELISA\n"])
+    def test_key_part_outside_the_id_pattern(self, fixtures_dir, document, path, value):
+        obj = json.loads((fixtures_dir / f"{document}.seo.json").read_text(encoding="utf-8"))
+        *parents, name = re.split(r"\.|\[(\d+)\]\.?", path)
+        record = obj
+        for part in filter(None, parents):
+            record = record[int(part) if part.isdigit() else part]
+        record[name] = value
+        with pytest.raises(ValueKindMismatch) as err:
+            parse(obj)
+        assert (err.value.path, err.value.expected, err.value.got) == (
+            path,
+            "text matching [A-Za-z0-9_-]+",
+            repr(value),
+        )
+
     def test_session_date_in_the_schema_pattern(self):
         obj = minimal_json()
         obj["twin_metadata"]["session_date"] = "2026-07-14"
@@ -369,6 +401,8 @@ class TestSchemaAgreement:
             for name, f in table.items():
                 if f.kind in ("object", "array"):
                     check(self.object_schema(node["properties"][name], defs), f.cls)
+                if f.key_part:
+                    assert node["properties"][name]["pattern"] == "^[A-Za-z0-9_-]+$", name
 
         check(schema, SeoDocument)
         objects = [d for d in defs.values() if d.get("type") == "object"]
@@ -542,6 +576,7 @@ class TestValidateSeo:
         report = validate_seo(design_doc([StepRecord("a", 1, id="s1")], decision_points=[dp]))
         missing = [i for i in report.issues if i.code == "MissingMandatoryField"]
         assert len(missing) == 10  # trio plus the seven decision fields
+        assert missing[0].detail == "confidence is required on every DecisionPoint"
 
     def test_confidence_range_on_claims(self):
         report = validate_seo(design_doc([StepRecord("a", 1, failure_modes=(fm("f", confidence=0.5),))]))
@@ -552,6 +587,18 @@ class TestValidateSeo:
         report = validate_seo(design_doc([StepRecord("a", 1, failure_modes=(claim,))]))
         missing = [i for i in report.issues if i.code == "MissingMandatoryField"]
         assert len(missing) == 3
+
+    @pytest.mark.parametrize("method", ["linguistic_approximation", "SHELF_elicited"])
+    @pytest.mark.parametrize("stated", ["frequency_min", "frequency_best", "frequency_max"])
+    def test_a_stated_frequency_needs_the_whole_triple(self, method, stated):
+        claim = fm("f", confidence_method=method, silent_failure_risk=True, **{stated: 0.1})
+        report = validate_seo(design_doc([StepRecord("a", 1, failure_modes=(claim,))]))
+        assert report.codes() == ["MissingMandatoryField"] * 2
+        assert [i.detail for i in report.issues] == [
+            f"{name} is required in a SHELF frequency triple"
+            for name in ("frequency_min", "frequency_best", "frequency_max")
+            if name != stated
+        ]
 
     def test_shelf_triple_needs_eligibility(self):
         claim = fm("f", frequency_min=0.1, frequency_best=0.2, frequency_max=0.3)
