@@ -22,7 +22,7 @@ quarantined until an operator approves the convergence.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Mapping
 
@@ -38,7 +38,7 @@ from .graph_core import (
     Provenance,
     merge,
     node_from_record,
-    node_record,
+    node_line,
     parse_node_key,
 )
 from .metrics import default_aliases, label_slug, normalize_label
@@ -370,37 +370,42 @@ def compile_seo(
 # -- plan serialization -------------------------------------------------
 
 
-def _edge_record(edge: Edge) -> dict:
-    return {
-        "kind": "pending_edge" if edge.pending else "edge",
-        "edge_type": edge.edge_type,
-        "src": edge.src.to_text(),
-        "dst": edge.dst.to_text(),
-    }
-
-
-def _key_from_text(value: object, where: str) -> NodeKey:
+def _key_from_text(value: object, where: str, known: dict[str, NodeKey]) -> NodeKey:
+    """The key a plan names by its text; ``known`` maps text already read to its key."""
     if not isinstance(value, str):
         raise RegistryMismatch(f"{where}: malformed node key")
-    try:
-        return parse_node_key(value)
-    except MalformedKey as exc:
-        raise RegistryMismatch(f"{where}: {exc}") from None
+    key = known.get(value)
+    if key is None:
+        try:
+            key = known[value] = parse_node_key(value)
+        except MalformedKey as exc:
+            raise RegistryMismatch(f"{where}: {exc}") from None
+    return key
 
 
-def _edge_from_record(record: dict, where: str) -> Edge:
-    """Inverse of ``_edge_record``; the caller has checked ``kind``.
+def _plan_edge_line(edge: Edge) -> str:
+    """An edge as a plan states it, endpoints as key text, members in sorted order."""
+    return (
+        f'{{"dst": {render_text(edge.dst.to_text())}, "edge_type": {render_text(edge.edge_type)}, '
+        f'"kind": "{"pending_edge" if edge.pending else "edge"}", '
+        f'"src": {render_text(edge.src.to_text())}}}'
+    )
+
+
+def _edge_from_record(record: dict, where: str, known: dict[str, NodeKey]) -> Edge:
+    """Inverse of ``_plan_edge_line``; the caller has checked ``kind``.
 
     An edge is pending exactly when it spans subgraphs, so a hand-edited
-    plan cannot move an edge past the convergence quarantine.
+    plan cannot move an edge past the convergence quarantine. ``known``
+    is passed on to ``_key_from_text``.
     """
     edge_type = record.get("edge_type")
     if not isinstance(edge_type, str):
         raise RegistryMismatch(f"{where}: malformed edge_type")
     edge = Edge(
         edge_type,
-        _key_from_text(record.get("src"), f"{where}: src"),
-        _key_from_text(record.get("dst"), f"{where}: dst"),
+        _key_from_text(record.get("src"), f"{where}: src", known),
+        _key_from_text(record.get("dst"), f"{where}: dst", known),
         pending=record["kind"] == "pending_edge",
     )
     if edge.pending != (edge.src.subgraph != edge.dst.subgraph):
@@ -411,23 +416,17 @@ def _edge_from_record(record: dict, where: str) -> Edge:
     return edge
 
 
-def _plan_record(plan: MergePlan) -> tuple[dict, bool]:
-    """The plan as one JSON object, and whether its numbers are all plain."""
-    nodes = [node_record(node.key, node.properties) for node in plan.nodes]
-    record = {
-        "kind": PLAN_KIND,
-        "version": PLAN_VERSION,
-        "provenance": asdict(plan.provenance),
-        "statements": [statement for statement, _ in nodes]
-        + [_edge_record(edge) for edge in plan.edges],
-        "pending_edges": [_edge_record(edge) for edge in plan.pending_edges],
-    }
-    return record, all(plain for _, plain in nodes)
-
-
 def plan_to_bytes(plan: MergePlan) -> bytes:
-    record, plain = _plan_record(plan)
-    return (render_record(record, plain) + "\n").encode("utf-8")
+    """The plan as one canonical JSON object and a newline, members in sorted order."""
+    statements = [node_line(node) for node in plan.nodes]
+    statements += [_plan_edge_line(edge) for edge in plan.edges]
+    pending = [_plan_edge_line(edge) for edge in plan.pending_edges]
+    text = (
+        f'{{"kind": {render_text(PLAN_KIND)}, "pending_edges": [{", ".join(pending)}], '
+        f'"provenance": {render_record(vars(plan.provenance), plain=True)}, '
+        f'"statements": [{", ".join(statements)}], "version": {PLAN_VERSION}}}\n'
+    )
+    return text.encode("utf-8")
 
 
 def _objects(raw: dict, name: str) -> list[tuple[str, dict]]:
@@ -468,18 +467,24 @@ def load_plan(data: bytes | str) -> MergePlan:
             raise RegistryMismatch(f"provenance: missing or non-text {name}")
     nodes: list[Node] = []
     edges: list[Edge] = []
+    # key text -> key, seeded with the plan's nodes, so an edge endpoint
+    # naming one reuses its key; a label holding ":" has no key text
+    known: dict[str, NodeKey] = {}
     for where, record in _objects(raw, "statements"):
         if record.get("kind") == "node":
-            nodes.append(node_from_record(record, where))
+            node = node_from_record(record, where)
+            nodes.append(node)
+            if ":" not in node.key.label:
+                known[node.key.to_text()] = node.key
         elif record.get("kind") == "edge":
-            edges.append(_edge_from_record(record, where))
+            edges.append(_edge_from_record(record, where, known))
         else:
             raise ValueError(f"unknown statement kind {record.get('kind')!r}")
     pending = []
     for where, record in _objects(raw, "pending_edges"):
         if record.get("kind") != "pending_edge":
             raise RegistryMismatch(f"{where}: kind {record.get('kind')!r}, not 'pending_edge'")
-        pending.append(_edge_from_record(record, where))
+        pending.append(_edge_from_record(record, where, known))
     return MergePlan(
         provenance=PlanProvenance(**{name: prov[name] for name in names}),
         nodes=tuple(nodes),

@@ -8,9 +8,12 @@ zeros trimmed, never in exponent notation.
 
 ``render_record`` renders any record by these rules in Python, or, when
 its caller says every number in the record is plain (an int, or a float
-that ``plain_number`` returned), through the json module's C encoder,
-which gives the same bytes for such a record. Store lines and plan
-bytes are built with plain numbers wherever they can be.
+that ``plain_number`` returned), through one json module C encoder,
+built once and reused for every such record, which gives the same bytes.
+Store lines and plan bytes are assembled from their records' fields in
+sorted member order, with ``render_text`` for strings and
+``render_record`` for property maps; documents are rendered whole by
+``render_record``. Numbers are made plain wherever they can be.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from json import JSONDecodeError, JSONDecoder, JSONEncoder
-from json.encoder import encode_basestring
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Any
 
 # the json module's own string escaper: quotes, backslash and C0 controls
@@ -102,6 +105,18 @@ def plain_number(value: float) -> int | float | None:
 _ENCODER = JSONEncoder(
     sort_keys=True, ensure_ascii=False, separators=(", ", ": "), check_circular=False
 )
+# JSONEncoder.encode builds a new C encoder on every call; build one with
+# _ENCODER's settings, the way encode does, and keep it
+if c_make_encoder is None:  # an interpreter without the json C accelerator
+    _encode = _ENCODER.encode
+else:
+    _iterencode = c_make_encoder(
+        None, _ENCODER.default, encode_basestring, None, _ENCODER.key_separator,
+        _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+    )
+
+    def _encode(record: dict) -> str:
+        return "".join(_iterencode(record, 0))
 
 
 def render_value(value: Any) -> str:
@@ -133,4 +148,4 @@ def render_record(record: dict, plain: bool = False) -> str:
     record then goes through the json module's C encoder, which renders
     any other float by its ``repr``, not canonically.
     """
-    return _ENCODER.encode(record) if plain else render_value(record)
+    return _encode(record) if plain else render_value(record)

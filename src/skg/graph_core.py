@@ -9,6 +9,9 @@ compare and sort in C; nodes and edges sort by their keys.
 Canonical serialization emits newline-delimited JSON in a fixed order
 (header, nodes, approved edges, pending edges), which makes byte equality
 the definition of graph equality and gives a stable SHA-256 content hash.
+Each line is assembled from its record's fields with members in sorted
+order; property maps go through ``canonical.render_record``, whose one
+C encoder serves every map with plain numbers.
 ``load_store`` accepts records only in that order, each section strictly
 ascending by key.
 
@@ -54,6 +57,7 @@ from .canonical import (
     plain_number,
     render_number,
     render_record,
+    render_text,
     strict_loads,
 )
 from .errors import (
@@ -479,14 +483,10 @@ def neighbors(graph: Graph, key: NodeKey, edge_type: str, direction: str = "out"
 # -- canonical serialization ------------------------------------------
 
 
-def key_record(key: NodeKey) -> dict:
-    return {"subgraph": key.subgraph, "label": key.label, "id": key.id}
-
-
 def key_from_record(
     record: object, where: str, known: dict[tuple, NodeKey] | None = None
 ) -> NodeKey:
-    """Inverse of ``key_record``; other members of ``record`` are ignored.
+    """Inverse of ``key_object``; other members of ``record`` are ignored.
 
     ``known`` maps the parts of keys already built to the key, so a
     caller reading many records builds and checks each distinct key once.
@@ -561,24 +561,50 @@ def props_from_record(record: object, where: str) -> dict[str, Prop]:
     return props
 
 
-def node_record(key: NodeKey, properties: Mapping[str, Prop]) -> tuple[dict, bool]:
-    """A node as stores and merge plans both write it, and whether it is plain.
+def _props_object(properties: Mapping[str, Prop]) -> str:
+    if not properties:  # most edges carry none
+        return "{}"
+    record, plain = props_record(properties)
+    return render_record(record, plain)
 
-    See ``props_record``.
-    """
-    props, plain = props_record(properties)
-    return {"kind": "node", **key_record(key), "properties": props}, plain
+
+def node_line(node: Node) -> str:
+    """A node as stores and merge plans both write it, members in sorted order."""
+    key = node.key
+    return (
+        f'{{"id": {render_text(key.id)}, "kind": "node", "label": {render_text(key.label)}, '
+        f'"properties": {_props_object(node.properties)}, '
+        f'"subgraph": {render_text(key.subgraph)}}}'
+    )
 
 
 def node_from_record(
     record: dict, where: str, known: dict[tuple, NodeKey] | None = None
 ) -> Node:
-    """Inverse of ``node_record``; its ``kind`` member is left to the caller.
+    """Inverse of ``node_line``; its ``kind`` member is left to the caller.
 
     ``known`` is passed on to ``key_from_record``.
     """
     properties = props_from_record(record.get("properties"), where)
     return Node(key_from_record(record, where, known), properties)
+
+
+def key_object(key: NodeKey) -> str:
+    """A node key as the object a store's edge line holds for an endpoint."""
+    return (
+        f'{{"id": {render_text(key.id)}, "label": {render_text(key.label)}, '
+        f'"subgraph": {render_text(key.subgraph)}}}'
+    )
+
+
+def edge_line(edge: Edge, key_objects: Mapping[NodeKey, str]) -> str:
+    """An edge as a store writes it; ``key_objects`` holds each endpoint's ``key_object``."""
+    kind = "pending_edge" if edge.pending else "edge"
+    return (
+        f'{{"dst": {key_objects[edge.dst]}, "edge_type": {render_text(edge.edge_type)}, '
+        f'"kind": "{kind}", "properties": {_props_object(edge.properties)}, '
+        f'"src": {key_objects[edge.src]}}}'
+    )
 
 
 def canonical_serialize(graph: Graph) -> bytes:
@@ -587,6 +613,7 @@ def canonical_serialize(graph: Graph) -> bytes:
     Order: header record, nodes sorted by (subgraph, label, id), approved
     edges sorted by (type, src, dst), then the pending section with the
     same edge ordering. Two graphs serialize identically iff they are equal.
+    Each node key's endpoint object is rendered once per call.
     """
     header = {
         "format": FORMAT_NAME,
@@ -595,22 +622,13 @@ def canonical_serialize(graph: Graph) -> bytes:
         "version": FORMAT_VERSION,
     }
     lines = [render_record(header, plain=True)]
-    for node in graph.nodes():
-        record, plain = node_record(node.key, node.properties)
-        lines.append(render_record(record, plain))
-    approved = [e for e in graph.edges() if not e.pending]
-    pending = graph.pending_edges()
-    for kind, group in (("edge", approved), ("pending_edge", pending)):
-        for edge in group:
-            props, plain = props_record(edge.properties)
-            record = {
-                "kind": kind,
-                "edge_type": edge.edge_type,
-                "src": key_record(edge.src),
-                "dst": key_record(edge.dst),
-                "properties": props,
-            }
-            lines.append(render_record(record, plain))
+    nodes = graph.nodes()
+    lines += [node_line(node) for node in nodes]
+    key_objects = {node.key: key_object(node.key) for node in nodes}
+    edges = graph.edges()
+    lines += [edge_line(edge, key_objects) for edge in edges if not edge.pending]
+    lines += [edge_line(edge, key_objects) for edge in edges if edge.pending]
+    del key_objects  # freed before the join, so the table adds nothing to the peak
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

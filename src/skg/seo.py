@@ -38,7 +38,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import datetime
 import re
 
-from .canonical import normalize_number, render_record, strict_loads
+from .canonical import normalize_number, plain_number, render_record, strict_loads
 from .errors import (
     NoHedgeDetected,
     RangeError,
@@ -420,31 +420,55 @@ def parse_seo(data: bytes | str) -> SeoDocument:
 # -- serialization -----------------------------------------------------
 
 
-def to_jsonable(record) -> dict:
-    """Plain-data form of a document, or of any record in it.
+def _jsonable(record) -> tuple[dict, bool]:
+    """``to_jsonable``'s form of ``record``, and whether every number in it is plain.
 
-    Every field is explicit, null included.
+    A number takes its plain form (``plain_number``) where it has one;
+    the form is plain when every number does.
     """
     out = {}
+    plain = True
     for f in _fields(type(record)).values():
         value = getattr(record, f.name)
         if value is None:
             pass
+        elif f.kind == "number":
+            try:  # plain_number takes a float: int.is_integer is new in 3.12
+                number = plain_number(float(value)) if value.__class__ in (int, float) else None
+            except (OverflowError, ValueError):  # render_value refuses these
+                number = None
+            if number is None:
+                plain = False
+            else:
+                value = number
         elif f.kind == "object":
-            value = to_jsonable(value)
+            value, inner = _jsonable(value)
+            plain = plain and inner
         elif f.kind == "array":
-            value = [to_jsonable(item) for item in value]
+            pairs = [_jsonable(item) for item in value]
+            value = [item for item, _ in pairs]
+            plain = plain and all(inner for _, inner in pairs)
         elif f.kind == "text list":
             value = list(value)
         elif isinstance(value, Enum):
             value = value.value
         out[f.json] = value
-    return out
+    return out, plain
+
+
+def to_jsonable(record) -> dict:
+    """Plain-data form of a document, or of any record in it.
+
+    Every field is explicit, null included. Numbers are plain where they
+    can be: an int for an integral value.
+    """
+    return _jsonable(record)[0]
 
 
 def serialize_seo(doc: SeoDocument) -> bytes:
     """Canonical bytes for a document; parse(serialize(doc)) == doc."""
-    return (render_record(to_jsonable(doc)) + "\n").encode("utf-8")
+    record, plain = _jsonable(doc)
+    return (render_record(record, plain) + "\n").encode("utf-8")
 
 
 # -- validation --------------------------------------------------------

@@ -495,11 +495,24 @@ class TestClaimRulesAgree:
             assert declared.get(name) == kinds[name], name
 
 
+def _name_colon_label(raw: dict) -> None:
+    """A node whose label holds ":", and an edge naming it by key text."""
+    node = dict(raw["statements"][0], label="Failure:Mode")
+    raw["statements"].insert(0, node)
+    raw["statements"][-1]["src"] = f"{node['subgraph']}:Failure:Mode:{node['id']}"
+
+
 class TestPlanSerialization:
     @pytest.mark.parametrize("subgraph", ["ELISA", "AUTOMATION", "PROGRAM"])
     def test_round_trip(self, all_docs, subgraph):
         plan = compile_seo(all_docs[subgraph], subgraph)
         assert load_plan(plan_to_bytes(plan)) == plan
+
+    def test_load_builds_each_key_once(self, elisa_doc):
+        plan = load_plan(plan_to_bytes(compile_seo(elisa_doc, "ELISA")))
+        keys = {id(node.key) for node in plan.nodes}
+        endpoints = [key for edge in plan.edges + plan.pending_edges for key in edge[1:3]]
+        assert all(id(key) in keys for key in endpoints)
 
     def test_statement_layout(self, elisa_doc):
         plan = compile_seo(elisa_doc, "ELISA")
@@ -571,6 +584,7 @@ class TestPlanSerialization:
                 lambda raw: raw["statements"][-1].update(src="ELISA:FailureMode:bad id"),
                 r"statements\[\d+\]: src: ",
             ),
+            (_name_colon_label, r"statements\[\d+\]: src: expected subgraph:Label:id"),
             (lambda raw: raw["statements"].insert(0, "node"), r"statements\[0\]: "),
             (lambda raw: raw.update(statements={}), r"statements: "),
             (lambda raw: raw["pending_edges"][0].update(src=["x"]), r"pending_edges\[0\]: src: "),
@@ -601,6 +615,7 @@ class TestPlanSerialization:
             "edge-dst-not-a-key",
             "edge-without-type",
             "edge-src-id-bad-characters",
+            "edge-src-label-with-colon",
             "statement-not-object",
             "statements-not-array",
             "pending-src-not-text",

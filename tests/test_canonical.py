@@ -6,7 +6,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skg.annotator import MergePlan, PlanProvenance, plan_to_bytes
-from skg.graph_core import Edge, Node, NodeKey, Prop, Provenance, node_record, props_record
+from skg.graph_core import (
+    Edge,
+    Graph,
+    Node,
+    NodeKey,
+    Prop,
+    Provenance,
+    canonical_serialize,
+    edge_line,
+    key_object,
+    merge,
+    node_line,
+    props_record,
+)
 from skg.canonical import (
     normalize_number,
     plain_number,
@@ -17,6 +30,7 @@ from skg.canonical import (
     render_value,
     strict_loads,
 )
+from skg.ontology import builtin_registry
 
 
 class TestRenderNumber:
@@ -218,20 +232,58 @@ def legacy_key(key):
     return {"subgraph": key.subgraph, "label": key.label, "id": key.id}
 
 
+def legacy_edge(edge):
+    return {"kind": "pending_edge" if edge.pending else "edge", "edge_type": edge.edge_type,
+            "src": legacy_key(edge.src), "dst": legacy_key(edge.dst),
+            "properties": legacy_props(edge.properties)}
+
+
+def rendered_edge(edge):
+    return edge_line(edge, {key: key_object(key) for key in (edge.src, edge.dst)})
+
+
+def merged_edge(*property_batches):
+    """A graph of one edge upserted with each batch in turn, and that edge."""
+    src, dst = NodeKey("ELISA", "FailureMode", "FM-1"), NodeKey("ELISA", "FailureMode", "FM-2")
+    records = [Node(src), Node(dst)]
+    records += [Edge("CASCADES_TO", src, dst, props) for props in property_batches]
+    graph = merge(Graph(builtin_registry()), records)
+    return graph, graph.edges()[0]
+
+
 class TestPlainRendering:
     @given(keys, properties)
     def test_store_node_line(self, key, props):
-        record, plain = node_record(key, props)
         legacy = {"kind": "node", **legacy_key(key), "properties": legacy_props(props)}
-        assert render_record(record, plain) == render_value(legacy)
+        assert node_line(Node(key, props)) == render_value(legacy)
 
     @given(keys, keys, properties, st.booleans())
     def test_store_edge_line(self, src, dst, props, pending):
-        record, plain = props_record(props)
-        shape = {"kind": "pending_edge" if pending else "edge", "edge_type": "CASCADES_TO",
-                 "src": legacy_key(src), "dst": legacy_key(dst)}
-        rendered = render_record({**shape, "properties": record}, plain)
-        assert rendered == render_value({**shape, "properties": legacy_props(props)})
+        edge = Edge("CASCADES_TO", src, dst, props, pending)
+        assert rendered_edge(edge) == render_value(legacy_edge(edge))
+
+    @pytest.mark.parametrize(
+        "graph_and_edge",
+        [
+            merged_edge({"weight": Prop(0.5)}, {"weight": Prop(0.75)}, {"weight": Prop(2.0)}),
+            merged_edge({"weight": Prop(5e-05), "note": Prop("µ\u2028\"")}),
+            merged_edge({"weight": Prop(1)}, {"weight": Prop(5e-05)}),
+        ],
+        ids=["conflict-log", "non-plain-number", "conflict-log-non-plain"],
+    )
+    def test_store_edge_line_with_properties(self, graph_and_edge):
+        graph, edge = graph_and_edge
+        assert edge.properties
+        legacy = render_value(legacy_edge(edge))
+        assert rendered_edge(edge) == legacy
+        assert canonical_serialize(graph).decode("utf-8").split("\n")[-2] == legacy
+
+    def test_merged_edge_carries_its_conflict_log(self):
+        _, edge = merged_edge({"weight": Prop(0.5)}, {"weight": Prop(5e-05)})
+        assert edge.properties["conflict_log"].value == ("weight: 0.5 -> 0.00005",)
+        assert '"weight": {"provenance": "INTERVIEW_CONFIRMED", "value": 0.00005}' in (
+            rendered_edge(edge)
+        )
 
     @given(st.lists(st.tuples(keys, properties), max_size=4), texts)
     def test_plan_bytes(self, nodes, scientist):

@@ -15,6 +15,7 @@ from skg import (
     serialize_seo,
     validate_seo,
 )
+from skg.canonical import render_value
 from skg.seo import (
     OPERATIONAL_STUB,
     AutomationContextClaim,
@@ -353,6 +354,24 @@ class TestSerializeRoundTrip:
         doc = parse_seo((fixtures_dir / name).read_bytes())
         data = serialize_seo(doc)
         assert parse_seo(data) == doc
+        assert serialize_seo(parse_seo(data)) == data
+
+    @pytest.mark.parametrize(
+        ("doc", "rendered"),
+        [
+            (design_doc([StepRecord("mix", 3, failure_modes=(fm("f", confidence=0.00005),))]),
+             b'"confidence": 0.00005, '),
+            (design_doc([StepRecord("mix", 3.0, failure_modes=(fm("f", confidence=2 / 3),))]),
+             b'"confidence": 0.666667, '),
+            (design_doc([StepRecord("mix", 10**17 + 1)]), b'"step_index": 100000000000000000}'),
+            (design_doc([StepRecord("mix", 3.0)]), b'"step_index": 3}'),
+        ],
+        ids=["non-plain-confidence", "long-fraction", "int-beyond-float-precision", "integral"],
+    )
+    def test_hash_bytes_match_python_rendering(self, doc, rendered):
+        data = serialize_seo(doc)
+        assert data == (render_value(to_jsonable(doc)) + "\n").encode("utf-8")
+        assert rendered in data
         assert serialize_seo(parse_seo(data)) == data
 
     def test_serialized_form_is_canonical(self):
