@@ -7,13 +7,14 @@ document always compiles to the same bytes and a plan can be diffed,
 stored, or shipped to another site before being applied.
 
 A claim node's properties are the claim's own text, number and boolean
-fields, read off the document's field table, so the document dataclasses
-stay the one description of what a claim carries. Referenced-but-unowned
-records (instruments named as masking assets, cascade targets nobody
-described, workflows cited by program inputs) become stubs holding every
-property the registry requires of their label, at the schema default,
-with ``flagged_for_review`` set, so a later session can confirm them
-without ever demoting confirmed knowledge.
+fields, read off the document's field table, so the document record
+classes stay the one description of what a claim carries.
+Referenced-but-unowned records (instruments named as masking assets,
+cascade targets nobody described, workflows cited by program inputs)
+become stubs holding every property the registry requires of their
+label, at the schema default, with ``flagged_for_review`` set, so a
+later session can confirm them without ever demoting confirmed
+knowledge. A plan and its provenance are ``NamedTuple`` records.
 
 Cross-subgraph edges always enter the plan pending; they stay
 quarantined until an operator approves the convergence.
@@ -22,9 +23,8 @@ quarantined until an operator approves the convergence.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .canonical import render_record, render_text, render_value, strict_loads
 from .errors import MalformedKey, RegistryMismatch, Rejected, SubgraphMismatch
@@ -56,8 +56,7 @@ _SD = Provenance.SCHEMA_DEFAULT
 _IC = Provenance.INTERVIEW_CONFIRMED
 
 
-@dataclass(frozen=True)
-class PlanProvenance:
+class PlanProvenance(NamedTuple):
     doc_sha256: str
     source_scientist: str
     session_mode: str
@@ -65,8 +64,7 @@ class PlanProvenance:
     registry_version: str
 
 
-@dataclass(frozen=True)
-class MergePlan:
+class MergePlan(NamedTuple):
     provenance: PlanProvenance
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
@@ -423,7 +421,7 @@ def plan_to_bytes(plan: MergePlan) -> bytes:
     pending = [_plan_edge_line(edge) for edge in plan.pending_edges]
     text = (
         f'{{"kind": {render_text(PLAN_KIND)}, "pending_edges": [{", ".join(pending)}], '
-        f'"provenance": {render_record(vars(plan.provenance), plain=True)}, '
+        f'"provenance": {render_record(plan.provenance._asdict(), plain=True)}, '
         f'"statements": [{", ".join(statements)}], "version": {PLAN_VERSION}}}\n'
     )
     return text.encode("utf-8")
@@ -461,7 +459,7 @@ def load_plan(data: bytes | str) -> MergePlan:
     prov = raw.get("provenance")
     if not isinstance(prov, dict):
         raise RegistryMismatch("provenance: not an object")
-    names = [f.name for f in fields(PlanProvenance)]
+    names = PlanProvenance._fields
     for name in names:
         if not isinstance(prov.get(name), str):
             raise RegistryMismatch(f"provenance: missing or non-text {name}")
@@ -486,7 +484,7 @@ def load_plan(data: bytes | str) -> MergePlan:
             raise RegistryMismatch(f"{where}: kind {record.get('kind')!r}, not 'pending_edge'")
         pending.append(_edge_from_record(record, where, known))
     return MergePlan(
-        provenance=PlanProvenance(**{name: prov[name] for name in names}),
+        provenance=PlanProvenance._make(prov[name] for name in names),
         nodes=tuple(nodes),
         edges=tuple(edges),
         pending_edges=tuple(pending),

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from .canonical import render_number, render_record, render_value
@@ -213,6 +212,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from dataclasses import asdict
+
     from . import queries
 
     stats = queries.subgraph_stats(_load(args.graph), args.subgraph)
@@ -243,7 +244,7 @@ def cmd_consistency(args) -> int:
     runs = [_read_doc(path) for path in args.runs]
     reference = _read_doc(args.reference) if args.reference else None
     report = compare_extractions(runs, reference=reference, aliases=_aliases())
-    sys.stdout.write(render_record(asdict(report)) + "\n")
+    sys.stdout.write(render_record(report.to_jsonable()) + "\n")
     return EXIT_OK
 
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 import hashlib
 import re
 import unicodedata
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ArityError
 
@@ -45,8 +43,8 @@ def load_aliases(path: Path | str) -> dict[str, str]:
 
 @lru_cache(maxsize=1)
 def default_aliases() -> Mapping[str, str]:
-    with resources.as_file(resources.files("skg.data") / "aliases.txt") as path:
-        return load_aliases(path)
+    # beside the module, not through importlib.resources: see seo.default_lexicon
+    return load_aliases(Path(__file__).with_name("data") / "aliases.txt")
 
 
 def normalize_label(name: str, aliases: Mapping[str, str] | None = None) -> str:
@@ -66,8 +64,7 @@ def label_slug(name: str) -> str:
     return _base_normalize(name).replace(" ", "-")
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     true_positives: int
     false_positives: int
     false_negatives: int
@@ -111,8 +108,7 @@ def f1(match: MatchResult) -> tuple[float, float, float]:
     return (round(precision, 4), round(recall, 4), round(score, 4))
 
 
-@dataclass(frozen=True)
-class PairScore:
+class PairScore(NamedTuple):
     left: str
     right: str
     precision: float
@@ -120,8 +116,7 @@ class PairScore:
     f1: float
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     mode: str  # "within_agent" | "cross_agent"
     fm_precision: float
     fm_recall: float
@@ -131,6 +126,10 @@ class ConsistencyReport:
     run_digests: tuple[str, ...]
     comparisons: tuple[PairScore, ...]
     warnings: tuple[str, ...] = ()
+
+    def to_jsonable(self) -> dict:
+        """Plain-data form of the report: an object per member, and per comparison."""
+        return {**self._asdict(), "comparisons": [pair._asdict() for pair in self.comparisons]}
 
 
 def _extract_fm_names(run: object) -> set[str]:

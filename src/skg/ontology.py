@@ -18,10 +18,9 @@ reports a deterministically ordered issue list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .graph_core import Graph, value_kind
 from .validation import IssueCollector, ValidationReport
@@ -42,8 +41,13 @@ class Tier(Enum):
     TIER3_EXECUTION = 3
 
 
-@dataclass(frozen=True)
-class NodeTypeDef:
+# Registry entries are immutable tuples, built the way ``graph_core``'s
+# records are: ``SchemaRegistry.__new__`` copies its maps and checks that
+# every edge type names registered labels. Its ``_replace`` and ``_make``
+# skip that, so nothing may call them.
+
+
+class NodeTypeDef(NamedTuple):
     label: str
     tier: Tier
     required: tuple[tuple[str, str], ...] = ()
@@ -53,8 +57,7 @@ class NodeTypeDef:
         return dict(self.required) | dict(self.optional)
 
 
-@dataclass(frozen=True)
-class EdgeTypeDef:
+class EdgeTypeDef(NamedTuple):
     name: str
     src_labels: frozenset[str]
     dst_labels: frozenset[str]
@@ -63,19 +66,27 @@ class EdgeTypeDef:
     core: bool = False  # core failure-mode vocabulary vs structural plumbing
 
 
-@dataclass(frozen=True)
-class SchemaRegistry:
+class _RegistryFields(NamedTuple):
     version: str
     node_types: Mapping[str, NodeTypeDef]
     edge_types: Mapping[str, EdgeTypeDef]
 
-    def __post_init__(self):
-        object.__setattr__(self, "node_types", dict(self.node_types))
-        object.__setattr__(self, "edge_types", dict(self.edge_types))
-        for edef in self.edge_types.values():
-            unknown = (edef.src_labels | edef.dst_labels) - set(self.node_types)
+
+class SchemaRegistry(_RegistryFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        version: str,
+        node_types: Mapping[str, NodeTypeDef],
+        edge_types: Mapping[str, EdgeTypeDef],
+    ):
+        node_types, edge_types = dict(node_types), dict(edge_types)
+        for edef in edge_types.values():
+            unknown = (edef.src_labels | edef.dst_labels) - set(node_types)
             if unknown:
                 raise ValueError(f"{edef.name} references unknown labels {sorted(unknown)}")
+        return tuple.__new__(cls, (version, node_types, edge_types))
 
     def tier_of(self, label: str) -> Tier:
         return self.node_types[label].tier

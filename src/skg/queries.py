@@ -1,8 +1,9 @@
 """Read-side queries over federation state.
 
-Every query returns a deterministically ordered list of frozen row
-dataclasses; rendering to TSV or canonical JSON is separate so the same
-rows back both the CLI and the tests.
+Every query returns a deterministically ordered list of rows, each a
+``NamedTuple`` that equals the plain tuple of its fields; rendering to
+TSV or canonical JSON is separate so the same rows back both the CLI and
+the tests.
 
 Pending cross-subgraph edges are invisible here: a masking relation or
 an automation requirement that has not been approved does not count as
@@ -15,8 +16,8 @@ risk and no log signature detects it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canonical import render_number, render_value
 from .errors import RangeError
@@ -30,8 +31,7 @@ EVALUATIVE_STEP = "EVALUATIVE_STEP"
 ELICITATION_GAP = "ELICITATION_GAP"
 
 
-@dataclass(frozen=True)
-class RankedFailureRow:
+class RankedFailureRow(NamedTuple):
     id: str
     name: str
     confidence: float
@@ -41,8 +41,7 @@ class RankedFailureRow:
     source_scientist: str
 
 
-@dataclass(frozen=True)
-class DecisionPointRow:
+class DecisionPointRow(NamedTuple):
     id: str
     name: str
     condition_type: str
@@ -55,8 +54,7 @@ class DecisionPointRow:
     confidence: float
 
 
-@dataclass(frozen=True)
-class StepGapRow:
+class StepGapRow(NamedTuple):
     id: str
     name: str
     step_index: float
@@ -64,8 +62,7 @@ class StepGapRow:
     decision_point_count: int
 
 
-@dataclass(frozen=True)
-class LowConfidenceRow:
+class LowConfidenceRow(NamedTuple):
     id: str
     label: str
     name: str
@@ -74,8 +71,7 @@ class LowConfidenceRow:
     flagged_for_review: bool | None
 
 
-@dataclass(frozen=True)
-class MaskingRow:
+class MaskingRow(NamedTuple):
     asset_id: str
     asset_name: str
     failure_mode_id: str
@@ -84,8 +80,7 @@ class MaskingRow:
     loop_path: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AssetReuseRow:
+class AssetReuseRow(NamedTuple):
     id: str
     name: str
     use_cases: tuple[str, ...]
@@ -93,6 +88,7 @@ class AssetReuseRow:
     tier: str
 
 
+# stays a dataclass: skgbench/run.py and scripts/check_fixtures.py render it with asdict
 @dataclass(frozen=True)
 class SubgraphStats:
     subgraph: str
@@ -417,13 +413,12 @@ def rows_to_tsv(rows: list) -> str:
     """Tab-separated rows with a header line; empty input renders as empty."""
     if not rows:
         return ""
-    names = [f.name for f in dataclasses.fields(rows[0])]
-    lines = ["\t".join(names)]
+    lines = ["\t".join(rows[0]._fields)]
     for row in rows:
-        lines.append("\t".join(_cell(getattr(row, name)) for name in names))
+        lines.append("\t".join(_cell(value) for value in row))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list) -> str:
     """Canonical JSON array of row objects, one line."""
-    return render_value([dataclasses.asdict(row) for row in rows]) + "\n"
+    return render_value([row._asdict() for row in rows]) + "\n"

@@ -6,9 +6,10 @@ value kinds are enforced) but deliberately does not judge content;
 ``validate_seo`` does that and reports issues instead of raising, so a
 whole document's problems surface at once.
 
-The frozen dataclasses below are the one description of the document
-format: parsing and serialization both walk a field table derived from
-their type hints, so the JSON shape and the dataclass shape cannot drift.
+The record classes below, each a ``NamedTuple``, are the one description
+of the document format: parsing and serialization both walk a field
+table derived from their type hints, so the JSON shape and the record
+shape cannot drift.
 
 The session mode gates which layers may carry content. OPERATIONAL
 sessions capture protocol knowledge only: their decision-model layer is
@@ -24,17 +25,14 @@ it without code changes). Three-point SHELF frequency estimates ride
 alongside and never replace the scalar.
 """
 
-from __future__ import annotations
-
-import dataclasses
+# hints stay evaluated (no ``from __future__ import annotations``):
+# NamedTuple would compile each string hint, and _fields evaluate it again
 import json
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
-from importlib import resources
+from functools import lru_cache
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Annotated, NamedTuple, Union, get_args, get_origin, get_type_hints
 import datetime
 import re
 
@@ -70,25 +68,25 @@ class SessionMode(str, Enum):
 
 # -- document model ----------------------------------------------------
 #
-# Each field's JSON kind comes from its type hint. A field with no
-# default must be present; ``X | None`` or a default admits null, which
-# reads as the default. Field metadata says only what a type cannot:
-# "choices" (an enumerated text), "json" (a JSON name that differs from
-# the attribute), "required" (present even though it has a default) and
-# "iso_date".
+# Each record class is a ``NamedTuple``, so a record equals the plain
+# tuple of its fields. Each field's JSON kind comes from its type hint.
+# A field with no default must be present; ``X | None`` or a default
+# admits null, which reads as the default. An ``Annotated`` hint's
+# metadata says only what a type cannot: "choices" (an enumerated text),
+# "json" (a JSON name that differs from the attribute), "required"
+# (present even though it has a default) and "iso_date".
 
 
-def _choice(values, default=None):
-    return field(default=default, metadata={"choices": tuple(values)})
+def _choice(values) -> dict:
+    return {"choices": tuple(values)}
 
 
-@dataclass(frozen=True)
-class FailureModeClaim:
+class FailureModeClaim(NamedTuple):
     name: str
     id: str | None = None
     description: str | None = None
     confidence: float | None = None
-    confidence_method: str | None = _choice(CONFIDENCE_METHODS)
+    confidence_method: Annotated[str | None, _choice(CONFIDENCE_METHODS)] = None
     source_scientist: str | None = None
     source_phrase: str | None = None
     silent_failure_risk: bool | None = None
@@ -103,8 +101,7 @@ class FailureModeClaim:
     pre_extracted: bool = False
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     name: str
     step_index: int | float
     id: str | None = None
@@ -115,38 +112,35 @@ class StepRecord:
     failure_modes: tuple[FailureModeClaim, ...] = ()
 
 
-@dataclass(frozen=True)
-class ProtocolLayer:
+class ProtocolLayer(NamedTuple):
     workflow_id: str
     workflow_name: str
     subgraph: str
     pre_extracted: bool = False
-    steps: tuple[StepRecord, ...] = field(default=(), metadata={"required": True})
+    steps: Annotated[tuple[StepRecord, ...], {"required": True}] = ()
 
 
-@dataclass(frozen=True)
-class DecisionPointClaim:
+class DecisionPointClaim(NamedTuple):
     step_id: str
     condition_type: str | None = None
     threshold_value: float | None = None
-    comparator: str | None = _choice(COMPARATORS)
+    comparator: Annotated[str | None, _choice(COMPARATORS)] = None
     units: str | None = None
     pass_action: str | None = None
     fail_action: str | None = None
     escalation_action: str | None = None
     confidence: float | None = None
-    confidence_method: str | None = _choice(CONFIDENCE_METHODS)
+    confidence_method: Annotated[str | None, _choice(CONFIDENCE_METHODS)] = None
     source_scientist: str | None = None
     source_phrase: str | None = None
     id: str | None = None
     name: str | None = None
 
 
-@dataclass(frozen=True)
-class DecisionModelLayer:
-    elicitation_scope: str = field(
-        metadata={"json": "_elicitation_scope", "choices": (FULL_SCOPE, OPERATIONAL_SCOPE)}
-    )
+class DecisionModelLayer(NamedTuple):
+    elicitation_scope: Annotated[
+        str, {"json": "_elicitation_scope", "choices": (FULL_SCOPE, OPERATIONAL_SCOPE)}
+    ]
     decision_points: tuple[DecisionPointClaim, ...] | None = None
     design_rationale: str | None = None
 
@@ -156,16 +150,14 @@ OPERATIONAL_STUB = DecisionModelLayer(
 )
 
 
-@dataclass(frozen=True)
-class WorkflowRef:
+class WorkflowRef(NamedTuple):
     """A workflow, possibly in another subgraph, that an input is sourced from."""
 
     subgraph: str
     workflow_id: str
 
 
-@dataclass(frozen=True)
-class EvidentiaryInputClaim:
+class EvidentiaryInputClaim(NamedTuple):
     name: str
     id: str | None = None
     required_output: str | None = None
@@ -174,47 +166,41 @@ class EvidentiaryInputClaim:
     sourced_from: WorkflowRef | None = None
 
 
-@dataclass(frozen=True)
-class ProgramMilestoneClaim:
+class ProgramMilestoneClaim(NamedTuple):
     name: str
     id: str | None = None
     evidentiary_inputs: tuple[EvidentiaryInputClaim, ...] = ()
 
 
-@dataclass(frozen=True)
-class StrategicLayer:
+class StrategicLayer(NamedTuple):
     cross_domain_knowledge: tuple[str, ...] = ()
     capability_gaps: tuple[str, ...] = ()
     future_design_questions: tuple[str, ...] = ()
     program_milestones: tuple[ProgramMilestoneClaim, ...] | None = None
 
 
-@dataclass(frozen=True)
-class MethodAlternativeClaim:
+class MethodAlternativeClaim(NamedTuple):
     step_id: str
     name: str
     description: str | None = None
     tradeoff: str | None = None
 
 
-@dataclass(frozen=True)
-class AutomationContextClaim:
+class AutomationContextClaim(NamedTuple):
     asset_name: str
     use_case_names: tuple[str, ...] = ()
     log_scope: str | None = None
 
 
-@dataclass(frozen=True)
-class TwinMetadata:
+class TwinMetadata(NamedTuple):
     source_scientist: str | None = None
-    session_mode: str | None = _choice(m.value for m in SessionMode)
+    session_mode: Annotated[str | None, _choice(m.value for m in SessionMode)] = None
     calibration_status: str | None = None
-    session_date: str | None = field(default=None, metadata={"iso_date": True})
+    session_date: Annotated[str | None, {"iso_date": True}] = None
     elicitation_agent: str | None = None
 
 
-@dataclass(frozen=True)
-class SeoDocument:
+class SeoDocument(NamedTuple):
     session_mode: SessionMode
     protocol: ProtocolLayer | None
     decision_model: DecisionModelLayer | None
@@ -227,8 +213,7 @@ class SeoDocument:
 # -- field table -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Field:
+class _Field(NamedTuple):
     name: str  # attribute name
     json: str  # JSON member name
     kind: str  # text | number | boolean | text list | object | array
@@ -250,13 +235,13 @@ def _kind(types: tuple) -> tuple[str, type | None]:
         return "text", None
     if tp is bool:
         return "boolean", None
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return "text", tp
-    if dataclasses.is_dataclass(tp):
-        return "object", tp
     if get_origin(tp) is tuple:
         item = get_args(tp)[0]
         return ("text list", None) if item is str else ("array", item)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return "text", tp
+    if isinstance(tp, type) and hasattr(tp, "_fields"):  # a record class
+        return "object", tp
     raise TypeError(f"no JSON kind for {tp!r}")
 
 
@@ -267,28 +252,31 @@ _KEY_PART_FIELDS = frozenset({"id", "step_id", "workflow_id", "subgraph"})
 @lru_cache(maxsize=None)
 def _fields(cls: type) -> dict[str, _Field]:
     """JSON name -> field description for one record class, in field order."""
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, include_extras=True)
+    defaults = cls._field_defaults
     table = {}
-    for f in dataclasses.fields(cls):
-        tp = hints[f.name]
+    for attr in cls._fields:
+        tp, meta = hints[attr], {}
+        if get_origin(tp) is Annotated:
+            tp, meta = get_args(tp)
         members = get_args(tp) if get_origin(tp) in (Union, UnionType) else (tp,)
         kind, sub = _kind(tuple(m for m in members if m is not NoneType))
-        has_default = f.default is not dataclasses.MISSING
-        choices = f.metadata.get("choices", ())
+        has_default = attr in defaults
+        choices = meta.get("choices", ())
         if sub is not None and issubclass(sub, Enum):
             choices = tuple(m.value for m in sub)
-        name = f.metadata.get("json", f.name)
+        name = meta.get("json", attr)
         table[name] = _Field(
-            name=f.name,
+            name=attr,
             json=name,
             kind=kind,
-            required=not has_default or f.metadata.get("required", False),
+            required=not has_default or meta.get("required", False),
             nullable=has_default or NoneType in members,
-            default=f.default if has_default else None,
+            default=defaults.get(attr),
             cls=sub,
             choices=choices,
-            iso_date=f.metadata.get("iso_date", False),
-            key_part=f.name in _KEY_PART_FIELDS,
+            iso_date=meta.get("iso_date", False),
+            key_part=attr in _KEY_PART_FIELDS,
         )
     return table
 
@@ -311,7 +299,7 @@ def _read_record(cls: type, obj: object, path: str):
         raise ValueKindMismatch(path, "object", type(obj).__name__)
     table = _fields(cls)
     _reject_unknown(obj, path, table)
-    return cls(**{f.name: _read_field(f, obj, path) for f in table.values()})
+    return cls(*[_read_field(f, obj, path) for f in table.values()])
 
 
 # seo.schema.json's pattern for dates; from Python 3.11 on, fromisoformat
@@ -413,7 +401,7 @@ def parse_seo(data: bytes | str) -> SeoDocument:
         # bookkeeping stub, not elicited knowledge: the scope marker must
         # exist on every OPERATIONAL document so downstream consumers can
         # tell "not asked" from "absent by accident"
-        doc = dataclasses.replace(doc, decision_model=OPERATIONAL_STUB)
+        doc = doc._replace(decision_model=OPERATIONAL_STUB)
     return doc
 
 
@@ -428,8 +416,7 @@ def _jsonable(record) -> tuple[dict, bool]:
     """
     out = {}
     plain = True
-    for f in _fields(type(record)).values():
-        value = getattr(record, f.name)
+    for f, value in zip(_fields(type(record)).values(), record):
         if value is None:
             pass
         elif f.kind == "number":
@@ -637,8 +624,7 @@ def validate_seo(doc: SeoDocument) -> ValidationReport:
 # -- linguistic confidence --------------------------------------------
 
 
-@dataclass(frozen=True)
-class HedgeBand:
+class HedgeBand(NamedTuple):
     name: str
     low: float
     high: float
@@ -649,18 +635,18 @@ class HedgeBand:
         return round((self.low + self.high) / 2, 3)
 
 
-@dataclass(frozen=True)
-class HedgeLexicon:
+class HedgeLexicon(NamedTuple):
     bands: tuple[HedgeBand, ...]
 
-    @cached_property
-    def _matchers(self) -> tuple[tuple[str, str, HedgeBand], ...]:
-        """(term, word-boundary regex, band), longest term first, then band order."""
-        pairs = [(term, band) for band in self.bands for term in band.terms]
-        pairs.sort(key=lambda pair: -len(pair[0]))  # stable: ties keep band order
-        return tuple(
-            (term, rf"(?<![0-9a-z]){re.escape(term)}(?![0-9a-z])", band) for term, band in pairs
-        )
+
+@lru_cache(maxsize=16)
+def _matchers(lexicon: HedgeLexicon) -> tuple[tuple[str, str, HedgeBand], ...]:
+    """(term, word-boundary regex, band), longest term first, then band order."""
+    pairs = [(term, band) for band in lexicon.bands for term in band.terms]
+    pairs.sort(key=lambda pair: -len(pair[0]))  # stable: ties keep band order
+    return tuple(
+        (term, rf"(?<![0-9a-z]){re.escape(term)}(?![0-9a-z])", band) for term, band in pairs
+    )
 
 
 def load_lexicon(path: Path | str) -> HedgeLexicon:
@@ -678,8 +664,9 @@ def load_lexicon(path: Path | str) -> HedgeLexicon:
 
 @lru_cache(maxsize=1)
 def default_lexicon() -> HedgeLexicon:
-    with resources.as_file(resources.files("skg.data") / "hedge_lexicon.json") as path:
-        return load_lexicon(path)
+    # read beside the module: importlib.resources costs a cold process its
+    # zipfile and tempfile imports, and inspect from Python 3.12 on
+    return load_lexicon(Path(__file__).with_name("data") / "hedge_lexicon.json")
 
 
 def match_hedge(phrase: str, lexicon: HedgeLexicon | None = None) -> HedgeBand | None:
@@ -689,7 +676,7 @@ def match_hedge(phrase: str, lexicon: HedgeLexicon | None = None) -> HedgeBand |
     breaks ties between terms of equal length.
     """
     haystack = phrase.casefold()
-    for term, pattern, band in (lexicon or default_lexicon())._matchers:
+    for term, pattern, band in _matchers(lexicon or default_lexicon()):
         # the substring test skips the regex (compiled once, in re's cache) for most terms
         if term in haystack and re.search(pattern, haystack):
             return band

@@ -1,12 +1,16 @@
-"""Issue records shared by graph and document validation."""
+"""Issue records shared by graph and document validation.
+
+Both are immutable tuples, built the way ``graph_core``'s records are:
+a report's ``__new__`` freezes its issues into a tuple, and ``_replace``
+and ``_make`` skip that, so nothing may call them.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     code: str
     subject: str  # node key, edge description, or document path
     detail: str
@@ -15,12 +19,15 @@ class Issue:
         return f"{self.code}\t{self.subject}\t{self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[Issue, ...] = ()
+class _ReportFields(NamedTuple):
+    issues: tuple[Issue, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "issues", tuple(self.issues))
+
+class ValidationReport(_ReportFields):
+    __slots__ = ()
+
+    def __new__(cls, issues: Iterable[Issue] = ()):
+        return tuple.__new__(cls, (tuple(issues),))
 
     @property
     def ok(self) -> bool:
@@ -48,4 +55,4 @@ class IssueCollector:
         self._issues.append(Issue(code, subject, detail))
 
     def report(self) -> ValidationReport:
-        return ValidationReport(tuple(self._issues))
+        return ValidationReport(self._issues)

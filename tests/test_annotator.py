@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -494,6 +493,30 @@ class TestClaimRulesAgree:
         for name, _ in _property_fields(cls):
             assert declared.get(name) == kinds[name], name
 
+    # each claim class's properties in field order, booleans marked
+    PROPERTY_FIELDS = {
+        DecisionPointClaim: (
+            "condition_type threshold_value comparator units pass_action fail_action "
+            "escalation_action confidence confidence_method source_scientist "
+            "source_phrase name"
+        ),
+        EvidentiaryInputClaim: "name required_output quality_threshold decision_consequence",
+        FailureModeClaim: (
+            "name description confidence confidence_method source_scientist "
+            "source_phrase silent_failure_risk:boolean is_critical_path:boolean "
+            "frequency_min frequency_best frequency_max flagged_for_review:boolean"
+        ),
+        MethodAlternativeClaim: "name description tradeoff",
+        ProgramMilestoneClaim: "name",
+        StepRecord: "name step_index description is_critical_path:boolean",
+    }
+
+    @pytest.mark.parametrize("cls", list(PROPERTY_FIELDS), ids=lambda cls: cls.__name__)
+    def test_property_fields_are_pinned(self, cls):
+        fields = _property_fields(cls)
+        got = " ".join(name + (":boolean" if boolean else "") for name, boolean in fields)
+        assert got == self.PROPERTY_FIELDS[cls]
+
 
 def _name_colon_label(raw: dict) -> None:
     """A node whose label holds ":", and an edge naming it by key text."""
@@ -653,9 +676,8 @@ class TestApplyAndApprove:
 
     def test_registry_version_is_enforced(self, elisa_doc, registry):
         plan = compile_seo(elisa_doc, "ELISA")
-        stale = dataclasses.replace(
-            plan,
-            provenance=dataclasses.replace(plan.provenance, registry_version="skg-ontology-0"),
+        stale = plan._replace(
+            provenance=plan.provenance._replace(registry_version="skg-ontology-0")
         )
         with pytest.raises(RegistryMismatch):
             apply_plan(Graph(registry), stale)

@@ -8,7 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from skg import Graph, Node, NodeKey, Prop, builtin_registry, merge, save_store
+from skg import (
+    Graph,
+    Node,
+    NodeKey,
+    Prop,
+    builtin_registry,
+    compile_seo,
+    merge,
+    parse_seo,
+    plan_to_bytes,
+    save_store,
+)
 from skg.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 
 DOCS = [
@@ -19,6 +30,52 @@ DOCS = [
 ]
 
 FEDERATED_DIGEST = "06e844a926fb227a8638fd80ff223d0a83f83c0539aeb234382fe3995a14faae"
+
+
+# stdout of `skg consistency` on the fixture documents, pinned byte for byte:
+# (runs, reference, stdout)
+CONSISTENCY_STDOUT = [
+    (
+        ["elisa", "lcms_prm", "program", "automation"],
+        None,
+        '{"comparisons": [{"f1": 0.0488, "left": "run0", "precision": 0.0435, '
+        '"recall": 0.0556, "right": "run1"}, {"f1": 0, "left": "run0", "precision": 0, '
+        '"recall": 0, "right": "run2"}, {"f1": 0, "left": "run0", "precision": 0, '
+        '"recall": 0, "right": "run3"}, {"f1": 0, "left": "run1", "precision": 0, '
+        '"recall": 0, "right": "run2"}, {"f1": 0, "left": "run1", "precision": 0, '
+        '"recall": 0, "right": "run3"}, {"f1": 1, "left": "run2", "precision": 1, '
+        '"recall": 1, "right": "run3"}], "fm_f1": 0.1748, "fm_f1_variance": 0.136509, '
+        '"fm_precision": 0.1739, "fm_recall": 0.1759, "method_alternative_recall": 0, '
+        '"mode": "within_agent", '
+        '"run_digests": ["196473fa65356cf47530356fc2b86b6d275da78605e4d78bc245e9e97b512f71", '
+        '"d9d27035351afdbb726b13ced72f0b6c4785a324ae3264bcf3fea964a5846a20", '
+        '"48398e43ef5fbe46793e6c4264247ba66c2eab8d6ff4fc7760f8fc4b4061db2c", '
+        '"803bbf7d23f948a968132a214c5986b230752d2a9838489adfa6e0ef095d6bb9"], '
+        '"warnings": ["run2/run3: both extractions empty"]}\n',
+    ),
+    (
+        ["lcms_prm", "elisa"],
+        "elisa",
+        '{"comparisons": [{"f1": 0.0488, "left": "reference", "precision": 0.0435, '
+        '"recall": 0.0556, "right": "run0"}, {"f1": 1, "left": "reference", '
+        '"precision": 1, "recall": 1, "right": "run1"}], "fm_f1": 0.5244, '
+        '"fm_f1_variance": 0.226195, "fm_precision": 0.5218, "fm_recall": 0.5278, '
+        '"method_alternative_recall": 0.5, "mode": "cross_agent", '
+        '"run_digests": ["d9d27035351afdbb726b13ced72f0b6c4785a324ae3264bcf3fea964a5846a20", '
+        '"196473fa65356cf47530356fc2b86b6d275da78605e4d78bc245e9e97b512f71"], '
+        '"warnings": []}\n',
+    ),
+    (
+        ["automation", "program"],
+        None,
+        '{"comparisons": [{"f1": 1, "left": "run0", "precision": 1, "recall": 1, '
+        '"right": "run1"}], "fm_f1": 1, "fm_f1_variance": 0, "fm_precision": 1, '
+        '"fm_recall": 1, "method_alternative_recall": null, "mode": "within_agent", '
+        '"run_digests": ["803bbf7d23f948a968132a214c5986b230752d2a9838489adfa6e0ef095d6bb9", '
+        '"48398e43ef5fbe46793e6c4264247ba66c2eab8d6ff4fc7760f8fc4b4061db2c"], '
+        '"warnings": ["run0/run1: both extractions empty"]}\n',
+    ),
+]
 
 
 def contaminated_operational_json() -> dict:
@@ -603,15 +660,10 @@ class TestQuery:
 class TestStats:
     def test_elisa_profile(self, store, capsys):
         assert main(["stats", "--graph", str(store), "--subgraph", "ELISA"]) == EXIT_OK
-        record = json.loads(capsys.readouterr().out)
-        assert record == {
-            "subgraph": "ELISA",
-            "n_failure_modes": 18,
-            "mean_confidence": 0.82,
-            "histogram": [0, 1, 0, 4, 6, 5, 2, 0],
-            "n_at_floor": 0,
-            "n_silent": 3,
-        }
+        assert capsys.readouterr().out == (
+            '{"histogram": [0, 1, 0, 4, 6, 5, 2, 0], "mean_confidence": 0.82, "n_at_floor": 0, '
+            '"n_failure_modes": 18, "n_silent": 3, "subgraph": "ELISA"}\n'
+        )
 
 
 class TestScoring:
@@ -672,6 +724,16 @@ class TestScoring:
         assert report["mode"] == "cross_agent"
         assert report["fm_f1"] == 1
         assert report["method_alternative_recall"] == 1
+
+    @pytest.mark.parametrize(
+        ("runs", "reference", "stdout"), CONSISTENCY_STDOUT, ids=["within", "reference", "empty"]
+    )
+    def test_consistency_stdout_is_pinned(self, fixtures_dir, capsys, runs, reference, stdout):
+        argv = ["consistency", "--runs"] + [str(fixtures_dir / f"{run}.seo.json") for run in runs]
+        if reference:
+            argv += ["--reference", str(fixtures_dir / f"{reference}.seo.json")]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == stdout
 
     def test_consistency_needs_two_runs(self, fixtures_dir, capsys):
         doc = str(fixtures_dir / "elisa.seo.json")
@@ -974,22 +1036,16 @@ class TestProcessEntry:
         assert proc.returncode == EXIT_OK
         assert "skg-ontology-1" in proc.stdout
 
-    @pytest.mark.parametrize(
-        ("command", "shown"),
-        [(["query", "silent", "--subgraph", "ELISA"], "FM-ELISA-001"), (["check"], "OK")],
-        ids=["query", "check"],
-    )
-    def test_query_process_imports_only_what_it_runs(self, fixtures_dir, tmp_path, command, shown):
-        path = copy_fixture_store(fixtures_dir, tmp_path)
-        argv = command + ["--graph", str(path)]
+    @staticmethod
+    def run_main_in_fresh_process(argv: list[str]) -> tuple[str, dict]:
+        """stdout of ``main(argv)`` in a new interpreter, and the modules it imported."""
         script = (
             "import json, sys\n"
             "import skg\n"
             "bare = [m for m in sys.modules if m.startswith('skg.')]\n"
             "import skg.cli\n"
             f"code = skg.cli.main({argv!r})\n"
-            "loaded = [m for m in sys.modules if m.startswith('skg.')]\n"
-            "sys.stderr.write(json.dumps({'bare': bare, 'code': code, 'loaded': loaded}))\n"
+            "sys.stderr.write(json.dumps({'bare': bare, 'code': code, 'loaded': list(sys.modules)}))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         path_entries = [src, os.environ.get("PYTHONPATH")]
@@ -1001,8 +1057,41 @@ class TestProcessEntry:
         seen = json.loads(proc.stderr)
         assert seen["bare"] == []
         assert seen["code"] == EXIT_OK
-        assert shown in proc.stdout
+        return proc.stdout, seen
+
+    @pytest.mark.parametrize(
+        ("command", "shown"),
+        [(["query", "silent", "--subgraph", "ELISA"], "FM-ELISA-001"), (["check"], "OK")],
+        ids=["query", "check"],
+    )
+    def test_query_process_imports_only_what_it_runs(self, fixtures_dir, tmp_path, command, shown):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        out, seen = self.run_main_in_fresh_process(command + ["--graph", str(path)])
+        assert shown in out
         assert {"skg.seo", "skg.annotator", "skg.metrics"}.isdisjoint(seen["loaded"])
+
+    @pytest.mark.parametrize(
+        ("command", "shown"),
+        [
+            (["apply", "{elisa}", "--graph", "{store}"], FEDERATED_DIGEST),
+            (["apply", "{plan}", "--graph", "{store}"], FEDERATED_DIGEST),
+            (["converge", "--graph", "{store}"], FEDERATED_DIGEST),
+            (["hash", "--verify", "--graph", "{store}"], FEDERATED_DIGEST),
+            (["check", "--graph", "{store}"], "OK"),
+            (["validate", "{elisa}"], "OK"),
+            (["compile", "{elisa}", "--subgraph", "ELISA"], '"kind": "merge_plan"'),
+        ],
+        ids=["apply-document", "apply-plan", "converge", "hash-verify", "check", "validate", "compile"],
+    )
+    def test_write_process_builds_no_dataclasses(self, fixtures_dir, tmp_path, command, shown):
+        # records are NamedTuples; dataclasses is the only importer of inspect here
+        elisa = fixtures_dir / "elisa.seo.json"
+        plan = tmp_path / "elisa.plan.json"
+        plan.write_bytes(plan_to_bytes(compile_seo(parse_seo(elisa.read_bytes()), "ELISA")))
+        names = {"elisa": elisa, "plan": plan, "store": copy_fixture_store(fixtures_dir, tmp_path)}
+        out, seen = self.run_main_in_fresh_process([arg.format(**names) for arg in command])
+        assert shown in out
+        assert {"dataclasses", "inspect"}.isdisjoint(seen["loaded"])
 
     def test_fixture_checker_passes(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "check_fixtures.py"

@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given
@@ -208,6 +207,6 @@ class TestCompareExtractions:
 
     def test_jsonable_round_trip(self):
         doc = doc_with_failures(["A", "B"])
-        raw = asdict(compare_extractions([doc, doc]))
+        raw = compare_extractions([doc, doc]).to_jsonable()
         assert raw["mode"] == "within_agent"
         assert json.loads(render_record(raw)) == json.loads(json.dumps(raw))

@@ -21,13 +21,16 @@ from skg.seo import (
     AutomationContextClaim,
     DecisionModelLayer,
     DecisionPointClaim,
+    EvidentiaryInputClaim,
     FailureModeClaim,
     MethodAlternativeClaim,
+    ProgramMilestoneClaim,
     ProtocolLayer,
     SeoDocument,
     StepRecord,
     StrategicLayer,
     TwinMetadata,
+    WorkflowRef,
     _fields,
     default_lexicon,
     load_lexicon,
@@ -426,6 +429,150 @@ class TestSchemaAgreement:
         check(schema, SeoDocument)
         objects = [d for d in defs.values() if d.get("type") == "object"]
         assert objects and all(id(d) in seen for d in objects)
+
+
+class TestFieldTable:
+    """The field table each record class's hints give, attribute by attribute."""
+
+    FIELD_TABLE = {
+        SeoDocument: (
+            "session_mode: text required cls=SessionMode choices=OPERATIONAL|DESIGN_EXPERT|DIRECTOR",
+            "protocol: object required nullable cls=ProtocolLayer",
+            "decision_model: object required nullable cls=DecisionModelLayer",
+            "strategic: object required nullable cls=StrategicLayer",
+            "method_alternatives: array required nullable cls=MethodAlternativeClaim",
+            "automation_context: array required nullable cls=AutomationContextClaim",
+            "twin_metadata: object required nullable cls=TwinMetadata",
+        ),
+        ProtocolLayer: (
+            "workflow_id: text required key_part",
+            "workflow_name: text required",
+            "subgraph: text required key_part",
+            "pre_extracted: boolean nullable default=False",
+            "steps: array required nullable default=() cls=StepRecord",
+        ),
+        StepRecord: (
+            "name: text required",
+            "step_index: number required",
+            "id: text nullable key_part",
+            "description: text nullable",
+            "is_critical_path: boolean nullable",
+            "pre_extracted: boolean nullable default=False",
+            "required_use_cases: text list nullable default=()",
+            "failure_modes: array nullable default=() cls=FailureModeClaim",
+        ),
+        FailureModeClaim: (
+            "name: text required",
+            "id: text nullable key_part",
+            "description: text nullable",
+            "confidence: number nullable",
+            "confidence_method: text nullable choices=linguistic_approximation|SHELF_elicited",
+            "source_scientist: text nullable",
+            "source_phrase: text nullable",
+            "silent_failure_risk: boolean nullable",
+            "is_critical_path: boolean nullable",
+            "frequency_min: number nullable",
+            "frequency_best: number nullable",
+            "frequency_max: number nullable",
+            "cascades_to: text list nullable default=()",
+            "masked_by_assets: text list nullable default=()",
+            "detected_by: text list nullable default=()",
+            "flagged_for_review: boolean nullable",
+            "pre_extracted: boolean nullable default=False",
+        ),
+        DecisionModelLayer: (
+            "elicitation_scope: text json=_elicitation_scope required choices=full|operational_only",
+            "decision_points: array nullable cls=DecisionPointClaim",
+            "design_rationale: text nullable",
+        ),
+        DecisionPointClaim: (
+            "step_id: text required key_part",
+            "condition_type: text nullable",
+            "threshold_value: number nullable",
+            "comparator: text nullable choices=<|<=|>|>=|==|within_range",
+            "units: text nullable",
+            "pass_action: text nullable",
+            "fail_action: text nullable",
+            "escalation_action: text nullable",
+            "confidence: number nullable",
+            "confidence_method: text nullable choices=linguistic_approximation|SHELF_elicited",
+            "source_scientist: text nullable",
+            "source_phrase: text nullable",
+            "id: text nullable key_part",
+            "name: text nullable",
+        ),
+        StrategicLayer: (
+            "cross_domain_knowledge: text list nullable default=()",
+            "capability_gaps: text list nullable default=()",
+            "future_design_questions: text list nullable default=()",
+            "program_milestones: array nullable cls=ProgramMilestoneClaim",
+        ),
+        ProgramMilestoneClaim: (
+            "name: text required",
+            "id: text nullable key_part",
+            "evidentiary_inputs: array nullable default=() cls=EvidentiaryInputClaim",
+        ),
+        EvidentiaryInputClaim: (
+            "name: text required",
+            "id: text nullable key_part",
+            "required_output: text nullable",
+            "quality_threshold: text nullable",
+            "decision_consequence: text nullable",
+            "sourced_from: object nullable cls=WorkflowRef",
+        ),
+        WorkflowRef: (
+            "subgraph: text required key_part",
+            "workflow_id: text required key_part",
+        ),
+        MethodAlternativeClaim: (
+            "step_id: text required key_part",
+            "name: text required",
+            "description: text nullable",
+            "tradeoff: text nullable",
+        ),
+        AutomationContextClaim: (
+            "asset_name: text required",
+            "use_case_names: text list nullable default=()",
+            "log_scope: text nullable",
+        ),
+        TwinMetadata: (
+            "source_scientist: text nullable",
+            "session_mode: text nullable choices=OPERATIONAL|DESIGN_EXPERT|DIRECTOR",
+            "calibration_status: text nullable",
+            "session_date: text nullable iso_date",
+            "elicitation_agent: text nullable",
+        ),
+    }
+
+    @staticmethod
+    def describe(f) -> str:
+        """Every attribute of a field: flags when true, values when set."""
+        parts = [f"{f.name}:", f.kind]
+        if f.json != f.name:
+            parts.append(f"json={f.json}")
+        flags = ("required", "nullable", "iso_date", "key_part")
+        parts += [flag for flag in flags if getattr(f, flag)]
+        if f.default is not None:
+            parts.append(f"default={f.default!r}")
+        if f.cls is not None:
+            parts.append(f"cls={f.cls.__name__}")
+        if f.choices:
+            parts.append(f"choices={'|'.join(f.choices)}")
+        return " ".join(parts)
+
+    @pytest.mark.parametrize("cls", list(FIELD_TABLE), ids=lambda cls: cls.__name__)
+    def test_hints_give_the_pinned_table(self, cls):
+        table = _fields(cls)
+        assert list(table) == [f.json for f in table.values()]
+        assert tuple(self.describe(f) for f in table.values()) == self.FIELD_TABLE[cls]
+
+    def test_every_record_class_is_pinned(self):
+        seen, todo = set(), [SeoDocument]
+        while todo:
+            cls = todo.pop()
+            seen.add(cls)
+            todo += [f.cls for f in _fields(cls).values() if f.kind in ("object", "array")]
+        assert seen == set(self.FIELD_TABLE)
 
 
 class TestValidateSeo:
