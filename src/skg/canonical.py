@@ -74,12 +74,15 @@ def strict_loads(text: str) -> Any:
     Raises:
         json.JSONDecodeError: malformed JSON, a leading byte-order mark,
             or a non-finite literal, each at its position.
-        ValueError: an over-long integer.
+        ValueError: an over-long integer, or arrays and objects nested
+            deeper than the interpreter's recursion limit.
     """
     if text.startswith("\ufeff"):
         raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
         return _STRICT_DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
     except _NonFiniteLiteral as exc:
         # everything before the literal decoded, so it is the first constant
         # outside a string; the pattern matches a whole string or a constant

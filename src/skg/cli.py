@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import json
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .canonical import render_number, render_record, render_value
+from .canonical import render_number, render_record, render_value, strict_loads
 from .errors import (
     ArityError,
     CrossSubgraphViolation,
@@ -114,8 +113,8 @@ def cmd_apply(args) -> int:
     raw = Path(args.input).read_bytes()
     # route on document shape: compiled plans are single merge_plan records
     try:
-        sniffed = json.loads(raw)
-    except ValueError:  # not JSON: parse_seo reports where, as validate does
+        sniffed = strict_loads(raw.decode("utf-8"))
+    except ValueError:  # not strict JSON: parse_seo reports why, as validate does
         sniffed = None
     if isinstance(sniffed, dict) and sniffed.get("kind") == "merge_plan":
         plan = load_plan(raw)

@@ -667,7 +667,7 @@ def _decode_line(line: str, where: str) -> object:
         return strict_loads(line)
     except json.JSONDecodeError as exc:
         raise RegistryMismatch(f"{where}: {exc.msg} at column {exc.colno}") from None
-    except ValueError as exc:  # an over-long integer
+    except ValueError as exc:  # an over-long integer, or nesting too deep
         raise RegistryMismatch(f"{where}: {exc}") from None
 
 

@@ -132,47 +132,18 @@ class ConsistencyReport(NamedTuple):
         return {**self._asdict(), "comparisons": [pair._asdict() for pair in self.comparisons]}
 
 
-def _extract_fm_names(run: object) -> set[str]:
+def _extraction(run: object) -> tuple[set[str], set[str], str]:
+    """A document's failure-mode names, method-alternative names and digest."""
     from . import seo  # late import: metrics stays importable on its own
-    from .graph_core import Graph
 
-    if isinstance(run, seo.SeoDocument):
-        names = set()
-        if run.protocol is not None:
-            for step in run.protocol.steps:
-                names.update(claim.name for claim in step.failure_modes)
-        return names
-    if isinstance(run, Graph):
-        return {
-            str(node.get("name", node.key.id)) for node in run.nodes(label="FailureMode")
-        }
-    raise TypeError(f"cannot extract failure modes from {type(run).__name__}")
-
-
-def _extract_ma_names(run: object) -> set[str]:
-    from . import seo
-    from .graph_core import Graph
-
-    if isinstance(run, seo.SeoDocument):
-        if run.method_alternatives is None:
-            return set()
-        return {claim.name for claim in run.method_alternatives}
-    if isinstance(run, Graph):
-        return {
-            str(node.get("name", node.key.id)) for node in run.nodes(label="MethodAlternative")
-        }
-    raise TypeError(f"cannot extract method alternatives from {type(run).__name__}")
-
-
-def _digest(run: object) -> str:
-    from . import seo
-    from .graph_core import Graph, graph_hash
-
-    if isinstance(run, seo.SeoDocument):
-        return hashlib.sha256(seo.serialize_seo(run)).hexdigest()
-    if isinstance(run, Graph):
-        return graph_hash(run)
-    raise TypeError(f"cannot digest {type(run).__name__}")
+    if not isinstance(run, seo.SeoDocument):
+        raise TypeError(f"cannot compare {type(run).__name__}, only an SeoDocument")
+    failure_modes = set()
+    if run.protocol is not None:
+        for step in run.protocol.steps:
+            failure_modes.update(claim.name for claim in step.failure_modes)
+    alternatives = {claim.name for claim in run.method_alternatives or ()}
+    return failure_modes, alternatives, hashlib.sha256(seo.serialize_seo(run)).hexdigest()
 
 
 def compare_extractions(
@@ -180,7 +151,7 @@ def compare_extractions(
     reference: object | None = None,
     aliases: Mapping[str, str] | None = None,
 ) -> ConsistencyReport:
-    """Score extraction consistency across runs.
+    """Score extraction consistency across runs, each an ``SeoDocument``.
 
     With a reference, each run is scored against it (cross-agent mode);
     without one, all run pairs are scored against each other
@@ -190,37 +161,38 @@ def compare_extractions(
 
     Raises:
         ArityError: fewer than two comparable inputs.
+        TypeError: a run or the reference is not an ``SeoDocument``.
     """
     if reference is not None:
         if len(runs) < 1:
             raise ArityError("cross-agent comparison needs at least one run")
-        pairs = [("reference", f"run{i}", reference, run) for i, run in enumerate(runs)]
         mode = "cross_agent"
     else:
         if len(runs) < 2:
             raise ArityError("within-agent comparison needs at least two runs")
+        mode = "within_agent"
+    extracted = [_extraction(run) for run in runs]
+    if reference is not None:
+        ref = _extraction(reference)
+        pairs = [("reference", f"run{i}", ref, run) for i, run in enumerate(extracted)]
+    else:
         pairs = [
-            (f"run{i}", f"run{j}", runs[i], runs[j])
+            (f"run{i}", f"run{j}", extracted[i], extracted[j])
             for i in range(len(runs))
             for j in range(i + 1, len(runs))
         ]
-        mode = "within_agent"
 
     warnings: list[str] = []
     scores: list[PairScore] = []
     ma_recalls: list[float] = []
     any_ma = False
-    for left_name, right_name, left, right in pairs:
-        left_fm = _extract_fm_names(left)
-        right_fm = _extract_fm_names(right)
+    for left_name, right_name, (left_fm, left_ma, _), (right_fm, right_ma, _) in pairs:
         if not left_fm and not right_fm:
             scores.append(PairScore(left_name, right_name, 1.0, 1.0, 1.0))
             warnings.append(f"{left_name}/{right_name}: both extractions empty")
         else:
             p, r, s = f1(match_failure_modes(left_fm, right_fm, aliases))
             scores.append(PairScore(left_name, right_name, p, r, s))
-        left_ma = _extract_ma_names(left)
-        right_ma = _extract_ma_names(right)
         if left_ma or right_ma:
             any_ma = True
             _, ma_recall, _ = f1(match_failure_modes(left_ma, right_ma, aliases))
@@ -238,7 +210,7 @@ def compare_extractions(
         method_alternative_recall=(
             round(sum(ma_recalls) / len(ma_recalls), 4) if any_ma else None
         ),
-        run_digests=tuple(_digest(run) for run in runs),
+        run_digests=tuple(digest for _, _, digest in extracted),
         comparisons=tuple(scores),
         warnings=tuple(warnings),
     )

@@ -20,8 +20,8 @@ contamination guard violation, never silently dropped.
 Every claim carries the scalar confidence the expert gave it. For a
 ``linguistic_approximation`` claim with a source phrase, validation
 checks that confidence against the band of the phrase's longest hedge
-term in a fixed hedge lexicon (a data file, so deployments can retune
-it without code changes). Three-point SHELF frequency estimates ride
+term in the packaged hedge lexicon (a data file, so it can be retuned
+without code changes). Three-point SHELF frequency estimates ride
 alongside and never replace the scalar.
 """
 
@@ -385,7 +385,7 @@ def parse_seo(data: bytes | str) -> SeoDocument:
         raw = strict_loads(text)
     except json.JSONDecodeError as exc:  # the message names the line and column
         raise SeoParseError(str(exc), exc.lineno, exc.colno) from exc
-    except ValueError as exc:  # an over-long integer
+    except ValueError as exc:  # an over-long integer, or nesting too deep
         raise SeoParseError(str(exc)) from None
     if not isinstance(raw, dict):
         raise ValueKindMismatch("$", "object", type(raw).__name__)
@@ -635,22 +635,13 @@ class HedgeBand(NamedTuple):
         return round((self.low + self.high) / 2, 3)
 
 
-class HedgeLexicon(NamedTuple):
-    bands: tuple[HedgeBand, ...]
+def load_lexicon(path: Path | str) -> tuple[HedgeBand, ...]:
+    """The bands of a hedge lexicon file, in file order.
 
-
-@lru_cache(maxsize=16)
-def _matchers(lexicon: HedgeLexicon) -> tuple[tuple[str, str, HedgeBand], ...]:
-    """(term, word-boundary regex, band), longest term first, then band order."""
-    pairs = [(term, band) for band in lexicon.bands for term in band.terms]
-    pairs.sort(key=lambda pair: -len(pair[0]))  # stable: ties keep band order
-    return tuple(
-        (term, rf"(?<![0-9a-z]){re.escape(term)}(?![0-9a-z])", band) for term, band in pairs
-    )
-
-
-def load_lexicon(path: Path | str) -> HedgeLexicon:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    Raises:
+        RangeError: a band reaches outside the confidence range.
+    """
+    raw = strict_loads(Path(path).read_text(encoding="utf-8"))
     bands = []
     for band in raw["bands"]:
         low, high = float(band["low"]), float(band["high"])
@@ -659,37 +650,47 @@ def load_lexicon(path: Path | str) -> HedgeLexicon:
         bands.append(
             HedgeBand(band["name"], low, high, tuple(t.casefold() for t in band["terms"]))
         )
-    return HedgeLexicon(tuple(bands))
+    return tuple(bands)
 
 
 @lru_cache(maxsize=1)
-def default_lexicon() -> HedgeLexicon:
+def default_lexicon() -> tuple[HedgeBand, ...]:
     # read beside the module: importlib.resources costs a cold process its
     # zipfile and tempfile imports, and inspect from Python 3.12 on
     return load_lexicon(Path(__file__).with_name("data") / "hedge_lexicon.json")
 
 
-def match_hedge(phrase: str, lexicon: HedgeLexicon | None = None) -> HedgeBand | None:
+@lru_cache(maxsize=1)
+def _matchers() -> tuple[tuple[str, str, HedgeBand], ...]:
+    """(term, word-boundary regex, band), longest term first, then band order."""
+    pairs = [(term, band) for band in default_lexicon() for term in band.terms]
+    pairs.sort(key=lambda pair: -len(pair[0]))  # stable: ties keep band order
+    return tuple(
+        (term, rf"(?<![0-9a-z]){re.escape(term)}(?![0-9a-z])", band) for term, band in pairs
+    )
+
+
+def match_hedge(phrase: str) -> HedgeBand | None:
     """The band of the longest hedge term in a phrase, or None.
 
     Matching is case-insensitive on word boundaries; lexicon band order
     breaks ties between terms of equal length.
     """
     haystack = phrase.casefold()
-    for term, pattern, band in _matchers(lexicon or default_lexicon()):
+    for term, pattern, band in _matchers():
         # the substring test skips the regex (compiled once, in re's cache) for most terms
         if term in haystack and re.search(pattern, haystack):
             return band
     return None
 
 
-def score_linguistic(phrase: str, lexicon: HedgeLexicon | None = None) -> tuple[float, str]:
+def score_linguistic(phrase: str) -> tuple[float, str]:
     """Map a source phrase to (confidence, band name) by ``match_hedge``.
 
     Raises:
         NoHedgeDetected: nothing in the lexicon matched.
     """
-    band = match_hedge(phrase, lexicon)
+    band = match_hedge(phrase)
     if band is None:
         raise NoHedgeDetected(f"no hedge term found in {phrase!r}")
     return (band.score, band.name)

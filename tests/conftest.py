@@ -25,6 +25,10 @@ settings.load_profile("suite")
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
+# Arrays nested deeper than the recursion limit of any supported Python
+# (3.10 to 3.13), so the JSON decoder gives up on them.
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+
 # Compile order for the federated corpus.  Later documents resolve stubs
 # introduced by earlier ones, but any order must converge to the same graph.
 DOC_SUBGRAPHS = (

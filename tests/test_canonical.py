@@ -1,11 +1,15 @@
+import hashlib
+import importlib.util
 import json
+import json.encoder
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skg.annotator import MergePlan, PlanProvenance, plan_to_bytes
+from skg import canonical
+from skg.annotator import MergePlan, PlanProvenance, compile_seo, plan_to_bytes
 from skg.graph_core import (
     Edge,
     Graph,
@@ -16,6 +20,7 @@ from skg.graph_core import (
     canonical_serialize,
     edge_line,
     key_object,
+    load_store,
     merge,
     node_line,
     props_record,
@@ -31,6 +36,8 @@ from skg.canonical import (
     strict_loads,
 )
 from skg.ontology import builtin_registry
+
+from conftest import DEEP_NESTING, ROOT
 
 
 class TestRenderNumber:
@@ -182,6 +189,15 @@ class TestStrictLoads:
         assert (err.value.lineno, err.value.colno) == (line, column)
         assert text[err.value.pos :].startswith(literal)
 
+    @pytest.mark.parametrize(
+        "text",
+        [DEEP_NESTING, '{"a": ' * 100_000 + "0" + "}" * 100_000],
+        ids=["arrays", "objects"],
+    )
+    def test_deep_nesting_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="^JSON nested too deeply to decode$"):
+            strict_loads(text)
+
 
 # -- the C encoder path ---------------------------------------------------
 #
@@ -331,3 +347,31 @@ class TestPlainRendering:
     def test_plain_number_examples(self, value, plain):
         number = plain_number(normalize_number(value))
         assert number == plain and type(number) is type(plain)
+
+
+def test_encoder_fallback_keeps_the_pinned_bytes(monkeypatch, fixtures_dir, registry, all_docs):
+    # an interpreter without the json C accelerator encodes plain records
+    # with JSONEncoder.encode, which then runs the json module's Python
+    # encoder; the store and plan digests must not move
+    spec = importlib.util.spec_from_file_location(
+        "check_fixtures", ROOT / "scripts" / "check_fixtures.py"
+    )
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    encoded = []
+
+    def fallback(record):
+        encoded.append(record)
+        return canonical._ENCODER.encode(record)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(json.encoder, "encode_basestring", json.encoder.py_encode_basestring)
+    monkeypatch.setattr(canonical, "_encode", fallback)
+    store = load_store(fixtures_dir / "stores" / "federated.skg.jsonl", registry)
+    assert hashlib.sha256(canonical_serialize(store)).hexdigest() == (
+        "06e844a926fb227a8638fd80ff223d0a83f83c0539aeb234382fe3995a14faae"
+    )
+    for (_, subgraph), digest in checker.PLAN_DIGESTS.items():
+        plan = plan_to_bytes(compile_seo(all_docs[subgraph], subgraph))
+        assert hashlib.sha256(plan).hexdigest() == digest, subgraph
+    assert encoded

@@ -22,6 +22,8 @@ from skg import (
 )
 from skg.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 
+from conftest import DEEP_NESTING
+
 DOCS = [
     ("elisa.seo.json", None),
     ("lcms_prm.seo.json", None),
@@ -171,6 +173,19 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(
             "error: protocol.steps[0].step_index: expected finite number, got "
         )
+
+    @pytest.mark.parametrize("command", ["validate", "apply"])
+    def test_deep_nesting(self, tmp_path, fixtures_dir, capsys, command):
+        text = (fixtures_dir / "elisa.seo.json").read_text()
+        bad = tmp_path / "bad.seo.json"
+        bad.write_text(text.replace('"step_index": 1,', f'"step_index": {DEEP_NESTING},', 1))
+        argv = [command, str(bad)]
+        if command == "apply":
+            argv += ["--graph", str(tmp_path / "x.skg.jsonl")]
+        assert main(argv) == EXIT_REJECTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: JSON nested too deeply to decode\n"
 
     @pytest.mark.parametrize("command", ["validate", "apply"])
     def test_id_outside_the_id_pattern(self, tmp_path, fixtures_dir, capsys, command):
@@ -806,6 +821,14 @@ STORE_CORRUPTIONS = [
         ).replace('"value": 0', '"value": 1e999'),
         id="number-beyond-float-range",
     ),
+    pytest.param(
+        2,
+        lambda line: with_properties({"name": {"provenance": "SCHEMA_DEFAULT", "value": 0}})(
+            line
+        ).replace('"value": 0', '"value": ' + "1" * 5000),
+        id="integer-over-the-digit-limit",
+    ),
+    pytest.param(2, lambda line: DEEP_NESTING, id="deep-nesting"),
     pytest.param(1, edit_record(lambda record: {**record, "version": 2}), id="unsupported-version"),
 ]
 
@@ -940,6 +963,10 @@ class TestCorruptStore:
         assert captured.err.startswith("digest mismatch: sidecar ")
 
 
+# a text value that the plan test replaces with DEEP_NESTING once the plan is JSON
+DEEP_MARK = "deeply nested arrays"
+
+
 class TestMalformedPlan:
     @pytest.mark.parametrize(
         "change, message",
@@ -973,6 +1000,10 @@ class TestMalformedPlan:
             ),
             (lambda raw: raw.update(version=True), "error: unsupported plan version True"),
             (lambda raw: raw.update(version=1.0), "error: unsupported plan version 1.0"),
+            (
+                lambda raw: raw["statements"][0]["properties"]["name"].update(value=DEEP_MARK),
+                "error: JSON nested too deeply to decode\n",
+            ),
         ],
         ids=[
             "edge-src-not-text",
@@ -985,6 +1016,7 @@ class TestMalformedPlan:
             "non-finite-literal",
             "version-true",
             "version-float",
+            "deep-nesting",
         ],
     )
     def test_apply_rejects_with_its_location(
@@ -994,7 +1026,7 @@ class TestMalformedPlan:
         raw = json.loads(capsys.readouterr().out)
         change(raw)
         plan_file = tmp_path / "elisa.plan.json"
-        plan_file.write_text(json.dumps(raw))
+        plan_file.write_text(json.dumps(raw).replace(json.dumps(DEEP_MARK), DEEP_NESTING))
         assert main(["apply", str(plan_file), "--graph", str(tmp_path / "x.skg.jsonl")]) == EXIT_REJECTED
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -222,8 +222,9 @@ class TestStrictParse:
             parse(obj)
         assert err.value.path == "twin_metadata.session_date"
 
-    # fromisoformat takes these from Python 3.11 on; the schema's pattern does not
-    @pytest.mark.parametrize("date", ["20260714", "2026-W29-2"])
+    # fromisoformat takes the first two from Python 3.11 on, but the schema's
+    # pattern does not; the third fits the pattern but is no date
+    @pytest.mark.parametrize("date", ["20260714", "2026-W29-2", "2026-02-30"])
     def test_session_date_outside_the_schema_pattern(self, date):
         obj = minimal_json()
         obj["twin_metadata"]["session_date"] = date
@@ -257,6 +258,57 @@ class TestStrictParse:
             "finite number",
             got,
         )
+
+    def test_integer_over_the_digit_limit(self):
+        # from Python 3.11 on the decoder refuses it; before, it overflows a float
+        obj = minimal_json("DESIGN_EXPERT")
+        obj["protocol"] = {
+            "workflow_id": "WF-T-01",
+            "workflow_name": "T",
+            "subgraph": "T",
+            "steps": [{"name": "s", "step_index": 0}],
+        }
+        text = json.dumps(obj).replace('"step_index": 0', '"step_index": ' + "1" * 5000)
+        with pytest.raises(SeoParseError):
+            parse_seo(text)
+
+    @pytest.mark.parametrize(
+        ("change", "path", "expected", "got"),
+        [
+            (
+                lambda protocol: protocol["steps"][0].update(failure_modes=[{"name": None}]),
+                "protocol.steps[0].failure_modes[0].name",
+                "text",
+                "null",
+            ),
+            (
+                lambda protocol: protocol["steps"][0].update(pre_extracted="yes"),
+                "protocol.steps[0].pre_extracted",
+                "boolean",
+                "str",
+            ),
+            (
+                lambda protocol: protocol["steps"][0].update(required_use_cases=["a", 1]),
+                "protocol.steps[0].required_use_cases",
+                "text list",
+                "list",
+            ),
+            (lambda protocol: protocol.update(steps={}), "protocol.steps", "array", "dict"),
+        ],
+        ids=["null-name", "boolean-as-text", "text-list-with-a-number", "steps-not-an-array"],
+    )
+    def test_value_of_the_wrong_kind(self, change, path, expected, got):
+        obj = minimal_json("DESIGN_EXPERT")
+        obj["protocol"] = {
+            "workflow_id": "WF-T-01",
+            "workflow_name": "T",
+            "subgraph": "T",
+            "steps": [{"name": "s", "step_index": 1}],
+        }
+        change(obj["protocol"])
+        with pytest.raises(ValueKindMismatch) as err:
+            parse(obj)
+        assert (err.value.path, err.value.expected, err.value.got) == (path, expected, got)
 
     @pytest.mark.parametrize(
         ("document", "path"),
@@ -674,6 +726,12 @@ class TestValidateSeo:
         doc = design_doc([], twin_metadata=None)
         assert validate_seo(doc).has("MetadataMissing")
 
+    def test_metadata_session_mode_must_be_present(self):
+        doc = design_doc([], twin_metadata=TwinMetadata(source_scientist="T. Example"))
+        assert [issue[:2] for issue in validate_seo(doc).issues] == [
+            ("MetadataMissing", "twin_metadata.session_mode")
+        ]
+
     def test_metadata_scientist_must_be_non_empty(self):
         doc = design_doc([], twin_metadata=TwinMetadata(source_scientist="", session_mode="DESIGN_EXPERT"))
         assert validate_seo(doc).has("MetadataMissing")
@@ -948,29 +1006,18 @@ class TestScoreLinguistic:
 
     def test_every_lexicon_term_scores_its_own_band(self):
         lexicon = default_lexicon()
-        for band in lexicon.bands:
+        for band in lexicon:
             for term in band.terms:
-                score, name = score_linguistic(f"zzz {term} qqq", lexicon)
+                score, name = score_linguistic(f"zzz {term} qqq")
                 assert score == band.score
                 assert round((band.low + band.high) / 2, 3) == score
                 if name != band.name:
                     # a longer term from another band may legitimately contain this one
-                    assert len(term) < max(len(t) for b in lexicon.bands for t in b.terms)
+                    assert len(term) < max(len(t) for b in lexicon for t in b.terms)
 
     def test_scores_stay_inside_confidence_range(self):
-        lexicon = default_lexicon()
-        for band in lexicon.bands:
+        for band in default_lexicon():
             assert 0.6 <= band.low <= band.high <= 1.0
-
-    def test_custom_lexicon(self, tmp_path):
-        path = tmp_path / "lex.json"
-        path.write_text(
-            json.dumps(
-                {"bands": [{"name": "ONLY", "low": 0.7, "high": 0.8, "terms": ["wobbles"]}]}
-            )
-        )
-        lexicon = load_lexicon(path)
-        assert score_linguistic("it wobbles", lexicon) == (0.75, "ONLY")
 
     def test_lexicon_bands_must_fit_confidence_range(self, tmp_path):
         path = tmp_path / "lex.json"
