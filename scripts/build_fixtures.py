@@ -3,9 +3,10 @@
 
 Writes fixtures/stores/federated.skg.jsonl (plus digest sidecar) by
 compiling and applying all four documents and approving every pending
-cross-subgraph edge, and fixtures/golden/elisa_plan.cypher from the
-ELISA plan. Run after any intentional change to the documents or to
-plan compilation, then commit the results.
+cross-subgraph edge, fixtures/golden/elisa_plan.cypher from the ELISA
+plan, and fixtures/seo.schema.json from the document record classes.
+Run after any intentional change to the documents, the document format
+or plan compilation, then commit the results.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from skg import (
     builtin_registry,
     compile_seo,
     emit_cypher,
+    json_schema,
     parse_seo,
     save_store,
     validate_graph,
@@ -35,6 +37,7 @@ DOCUMENTS = (
 
 
 def build(fixtures: Path) -> str:
+    (fixtures / "seo.schema.json").write_text(json_schema(), encoding="utf-8")
     registry = builtin_registry()
     graph = Graph(registry)
     for filename, subgraph in DOCUMENTS:

@@ -87,6 +87,7 @@ _EXPORTS = {
     "seo": (
         "SeoDocument",
         "SessionMode",
+        "json_schema",
         "parse_seo",
         "score_linguistic",
         "serialize_seo",

@@ -17,7 +17,10 @@ later session can confirm them without ever demoting confirmed
 knowledge. A plan and its provenance are ``NamedTuple`` records.
 
 Cross-subgraph edges always enter the plan pending; they stay
-quarantined until an operator approves the convergence.
+quarantined until an operator approves the convergence. Applying a
+plan holds each node it touches to the claim rules after the merge, so
+two documents that each validate cannot merge into a node that breaks
+them.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ from .graph_core import (
     parse_node_key,
 )
 from .metrics import default_aliases, label_slug, normalize_label
-from .ontology import CONFIDENCE_FLOOR, REGISTRY_VERSION, builtin_registry
+from .ontology import CONFIDENCE_FLOOR, REGISTRY_VERSION, builtin_registry, claim_issues
 from .seo import SeoDocument, _fields, serialize_seo, validate_seo
+from .validation import IssueCollector
 
 PLAN_KIND = "merge_plan"
 PLAN_VERSION = 1
@@ -503,13 +507,26 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
 
     Raises:
         RegistryMismatch: the plan was compiled under another registry.
+        Rejected: a node the plan touches breaks a claim rule
+            (``ontology.claim_issues``) once merged; the report names
+            each such node as ``validate_graph`` does.
     """
     if plan.provenance.registry_version != graph.registry_version:
         raise RegistryMismatch(
             f"plan compiled under {plan.provenance.registry_version!r}, "
             f"graph runs {graph.registry_version!r}"
         )
-    return merge(graph, plan.nodes + plan.edges + plan.pending_edges)
+    merged = merge(graph, plan.nodes + plan.edges + plan.pending_edges)
+    # merge takes properties one by one, so rules that tie several of a
+    # claim's properties together are checked on the merged node
+    out = IssueCollector()
+    for node in plan.nodes:
+        for code, detail in claim_issues(node.key.label, merged.node(node.key).get):
+            out.add(code, node.key.to_text(), detail)
+    report = out.report()
+    if not report.ok:
+        raise Rejected(report)
+    return merged
 
 
 def approve_pending(

@@ -70,7 +70,7 @@ class SubgraphMismatch(SkgError):
 
 
 class Rejected(SkgError):
-    """Document failed validation; carries the full report."""
+    """A document, or a node a plan merges into, failed validation; carries the full report."""
 
     def __init__(self, report):
         super().__init__(f"document rejected: {len(report.issues)} issue(s)")

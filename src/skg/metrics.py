@@ -73,18 +73,16 @@ class MatchResult(NamedTuple):
     unmatched_candidate: tuple[str, ...]
 
 
-def match_failure_modes(
-    reference: Iterable[str],
-    candidate: Iterable[str],
-    aliases: Mapping[str, str] | None = None,
-) -> MatchResult:
-    """Greedy one-to-one exact matching over normalized labels."""
-    ref_map: dict[str, str] = {}
-    for name in sorted(set(reference)):
-        ref_map.setdefault(normalize_label(name, aliases), name)
-    cand_map: dict[str, str] = {}
-    for name in sorted(set(candidate)):
-        cand_map.setdefault(normalize_label(name, aliases), name)
+def _name_map(names: Iterable[str], aliases: Mapping[str, str] | None) -> dict[str, str]:
+    """Normalized label -> the first name, in sorted order, that has it."""
+    table: dict[str, str] = {}
+    for name in sorted(set(names)):
+        table.setdefault(normalize_label(name, aliases), name)
+    return table
+
+
+def _match(ref_map: dict[str, str], cand_map: dict[str, str]) -> MatchResult:
+    """``match_failure_modes`` over two ``_name_map`` tables."""
     shared = sorted(ref_map.keys() & cand_map.keys())
     matched = tuple((ref_map[key], cand_map[key]) for key in shared)
     unmatched_ref = tuple(ref_map[key] for key in sorted(ref_map.keys() - cand_map.keys()))
@@ -97,6 +95,15 @@ def match_failure_modes(
         unmatched_reference=unmatched_ref,
         unmatched_candidate=unmatched_cand,
     )
+
+
+def match_failure_modes(
+    reference: Iterable[str],
+    candidate: Iterable[str],
+    aliases: Mapping[str, str] | None = None,
+) -> MatchResult:
+    """Greedy one-to-one exact matching over normalized labels."""
+    return _match(_name_map(reference, aliases), _name_map(candidate, aliases))
 
 
 def f1(match: MatchResult) -> tuple[float, float, float]:
@@ -132,18 +139,18 @@ class ConsistencyReport(NamedTuple):
         return {**self._asdict(), "comparisons": [pair._asdict() for pair in self.comparisons]}
 
 
-def _extraction(run: object) -> tuple[set[str], set[str], str]:
-    """A document's failure-mode names, method-alternative names and digest."""
-    from . import seo  # late import: metrics stays importable on its own
+def _extraction(
+    run: object, aliases: Mapping[str, str] | None
+) -> tuple[dict[str, str], dict[str, str]]:
+    """A document's failure-mode and method-alternative names, each as a ``_name_map``."""
+    from .seo import SeoDocument  # late import: metrics stays importable on its own
 
-    if not isinstance(run, seo.SeoDocument):
+    if not isinstance(run, SeoDocument):
         raise TypeError(f"cannot compare {type(run).__name__}, only an SeoDocument")
-    failure_modes = set()
-    if run.protocol is not None:
-        for step in run.protocol.steps:
-            failure_modes.update(claim.name for claim in step.failure_modes)
-    alternatives = {claim.name for claim in run.method_alternatives or ()}
-    return failure_modes, alternatives, hashlib.sha256(seo.serialize_seo(run)).hexdigest()
+    steps = run.protocol.steps if run.protocol is not None else ()
+    failure_modes = [claim.name for step in steps for claim in step.failure_modes]
+    alternatives = [claim.name for claim in run.method_alternatives or ()]
+    return _name_map(failure_modes, aliases), _name_map(alternatives, aliases)
 
 
 def compare_extractions(
@@ -171,9 +178,11 @@ def compare_extractions(
         if len(runs) < 2:
             raise ArityError("within-agent comparison needs at least two runs")
         mode = "within_agent"
-    extracted = [_extraction(run) for run in runs]
+    from .seo import serialize_seo
+
+    extracted = [_extraction(run, aliases) for run in runs]
     if reference is not None:
-        ref = _extraction(reference)
+        ref = _extraction(reference, aliases)
         pairs = [("reference", f"run{i}", ref, run) for i, run in enumerate(extracted)]
     else:
         pairs = [
@@ -186,16 +195,16 @@ def compare_extractions(
     scores: list[PairScore] = []
     ma_recalls: list[float] = []
     any_ma = False
-    for left_name, right_name, (left_fm, left_ma, _), (right_fm, right_ma, _) in pairs:
+    for left_name, right_name, (left_fm, left_ma), (right_fm, right_ma) in pairs:
         if not left_fm and not right_fm:
             scores.append(PairScore(left_name, right_name, 1.0, 1.0, 1.0))
             warnings.append(f"{left_name}/{right_name}: both extractions empty")
         else:
-            p, r, s = f1(match_failure_modes(left_fm, right_fm, aliases))
+            p, r, s = f1(_match(left_fm, right_fm))
             scores.append(PairScore(left_name, right_name, p, r, s))
         if left_ma or right_ma:
             any_ma = True
-            _, ma_recall, _ = f1(match_failure_modes(left_ma, right_ma, aliases))
+            _, ma_recall, _ = f1(_match(left_ma, right_ma))
             ma_recalls.append(ma_recall)
 
     n = len(scores)
@@ -210,7 +219,7 @@ def compare_extractions(
         method_alternative_recall=(
             round(sum(ma_recalls) / len(ma_recalls), 4) if any_ma else None
         ),
-        run_digests=tuple(digest for _, _, digest in extracted),
+        run_digests=tuple(hashlib.sha256(serialize_seo(run)).hexdigest() for run in runs),
         comparisons=tuple(scores),
         warnings=tuple(warnings),
     )

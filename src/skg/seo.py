@@ -2,14 +2,17 @@
 
 A structured extraction object (SEO) is the typed output of one
 elicitation session. Parsing is strict (unknown fields are rejected,
-value kinds are enforced) but deliberately does not judge content;
-``validate_seo`` does that and reports issues instead of raising, so a
-whole document's problems surface at once.
+value kinds are enforced, and a required text or a text-list item must
+be non-empty) but deliberately does not judge content; ``validate_seo``
+does that and reports issues instead of raising, so a whole document's
+problems surface at once.
 
 The record classes below, each a ``NamedTuple``, are the one description
-of the document format: parsing and serialization both walk a field
-table derived from their type hints, so the JSON shape and the record
-shape cannot drift.
+of the document format: parsing, serialization and the JSON Schema
+(``json_schema``, checked in as ``fixtures/seo.schema.json``) all walk a
+field table derived from their type hints, so the JSON shape, the record
+shape and the schema cannot drift. The schema states the parse contract
+and nothing more; content rules live in ``validate_seo`` alone.
 
 The session mode gates which layers may carry content. OPERATIONAL
 sessions capture protocol knowledge only: their decision-model layer is
@@ -302,8 +305,9 @@ def _read_record(cls: type, obj: object, path: str):
     return cls(*[_read_field(f, obj, path) for f in table.values()])
 
 
-# seo.schema.json's pattern for dates; from Python 3.11 on, fromisoformat
-# alone also takes forms such as "20260714" and "2026-W29-2"
+# the date pattern json_schema states: from Python 3.11 on, fromisoformat
+# alone also takes forms such as "20260714" and "2026-W29-2"; no pattern
+# rejects a date the calendar lacks, such as "2026-02-30", but the parser does
 _ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -350,6 +354,8 @@ def _read_field(f: _Field, obj: dict, path: str):
     if kind == "text list":
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ValueKindMismatch(where, kind, type(value).__name__)
+        if "" in value:  # an empty name would link to nothing, or to a new stub
+            raise ValueKindMismatch(f"{where}[{value.index('')}]", "non-empty text", "''")
         return tuple(value)
     if not isinstance(value, str):
         raise ValueKindMismatch(where, kind, type(value).__name__)
@@ -359,6 +365,8 @@ def _read_field(f: _Field, obj: dict, path: str):
         raise ValueKindMismatch(where, "ISO-8601 date", repr(value))
     if f.key_part and not KEY_PART_RE.fullmatch(value):
         raise ValueKindMismatch(where, f"text matching {KEY_PART_RE.pattern}", repr(value))
+    if f.required and not value:
+        raise ValueKindMismatch(where, "non-empty text", "''")
     return value if f.cls is None else f.cls(value)
 
 
@@ -369,8 +377,9 @@ def parse_seo(data: bytes | str) -> SeoDocument:
         SeoParseError: not UTF-8, not JSON, or empty input (with line
             and column when the decoder reports them).
         UnknownField: any field name outside the schema.
-        ValueKindMismatch: wrong value kind, bad enum value, or a
-            required structural field that is absent.
+        ValueKindMismatch: wrong value kind, bad enum value, an empty
+            required text or text-list item, or a required structural
+            field that is absent.
     """
     if isinstance(data, bytes):
         try:
@@ -403,6 +412,79 @@ def parse_seo(data: bytes | str) -> SeoDocument:
         # tell "not asked" from "absent by accident"
         doc = doc._replace(decision_model=OPERATIONAL_STUB)
     return doc
+
+
+# -- JSON Schema -------------------------------------------------------
+
+_JSON_TYPES = {
+    "text": "string",
+    "number": "number",
+    "boolean": "boolean",
+    "text list": "array",
+    "array": "array",
+}
+
+
+def _pattern(regex: re.Pattern) -> str:
+    # anchored; (?!\n) because Python's $ also matches before a final newline
+    return f"^{regex.pattern}(?!\\n)$"
+
+
+def _field_schema(f: _Field) -> dict:
+    """The JSON Schema of one field's value, as ``_read_field`` reads it."""
+    if f.kind == "object":
+        ref = {"$ref": f"#/$defs/{f.cls.__name__}"}
+        return {"anyOf": [ref, {"type": "null"}]} if f.nullable else ref
+    if f.choices:
+        return {"enum": [*f.choices, None] if f.nullable else list(f.choices)}
+    json_type = _JSON_TYPES[f.kind]
+    node: dict = {"type": [json_type, "null"] if f.nullable else json_type}
+    if f.kind == "array":
+        node["items"] = {"$ref": f"#/$defs/{f.cls.__name__}"}
+    elif f.kind == "text list":
+        node["items"] = {"type": "string", "minLength": 1}
+    elif f.iso_date:
+        node["pattern"] = _pattern(_ISO_DATE_RE)
+    elif f.key_part:
+        node["pattern"] = _pattern(KEY_PART_RE)
+    elif f.kind == "text" and f.required:
+        node["minLength"] = 1
+    return node
+
+
+def json_schema() -> str:
+    """The JSON Schema text of the documents ``parse_seo`` accepts.
+
+    One ``$defs`` entry per record class, read from ``_fields``. A
+    document conforms exactly when it parses, but for two things only
+    the parser rejects: a date the calendar lacks (``2026-02-30``), and
+    a number beyond the double range (``1e999``), which JSON Schema
+    cannot tell from any other number. Content rules (confidence and
+    frequency ranges, the members a claim must state, step order) are
+    ``validate_seo``'s alone.
+    """
+    defs: dict[str, dict] = {}
+    todo = [SeoDocument]
+    while todo:
+        cls = todo.pop(0)
+        if cls.__name__ in defs:
+            continue
+        table = _fields(cls)
+        defs[cls.__name__] = {
+            "type": "object",
+            "additionalProperties": False,
+            "required": [name for name, f in table.items() if f.required],
+            "properties": {name: _field_schema(f) for name, f in table.items()},
+        }
+        todo += [f.cls for f in table.values() if f.kind in ("object", "array")]
+    schema = {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "$comment": "generated from skg.seo's record classes by scripts/build_fixtures.py",
+        "title": "Structured extraction document",
+        "$ref": "#/$defs/SeoDocument",
+        "$defs": defs,
+    }
+    return json.dumps(schema, indent=2) + "\n"
 
 
 # -- serialization -----------------------------------------------------
@@ -468,8 +550,8 @@ def _validate_claim(out: IssueCollector, path: str, label: str, claim) -> None:
         return getattr(claim, name, None)
 
     for name, kind in builtin_registry().node_types[label].required:
-        # compile records an unstated boolean as false
-        if kind != "boolean" and get(name) is None:
+        # compile records an unstated boolean as false; an empty text states nothing
+        if kind != "boolean" and get(name) in (None, ""):
             out.add("MissingMandatoryField", path, f"{name} is required on every {label}")
     for code, detail in claim_issues(label, get):
         out.add(code, path, detail)
@@ -523,7 +605,8 @@ def validate_seo(doc: SeoDocument) -> ValidationReport:
     """Content validation: mode gates, contamination guard, claims.
 
     Each failure mode, decision point and evidentiary input must state
-    every non-boolean property the registry requires of its label, and
+    every non-boolean property the registry requires of its label (an
+    empty text states nothing), and
     obeys the claim rules ``validate_graph`` also applies
     (``ontology.claim_issues``). A linguistic claim's confidence must
     also lie in its phrase's hedge band. A claim's issues come in that

@@ -22,9 +22,11 @@ from skg import (
     builtin_registry,
     canonical_serialize,
     compile_seo,
+    digest_path,
     emit_cypher,
     graph_hash,
     load_plan,
+    merge,
     parse_seo,
     plan_to_bytes,
     serialize_seo,
@@ -32,6 +34,7 @@ from skg import (
     validate_seo,
 )
 from skg.annotator import MergePlan, PlanProvenance, _property_fields
+from skg.cli import EXIT_OK, EXIT_REJECTED, main
 from skg.seo import (
     DecisionPointClaim,
     EvidentiaryInputClaim,
@@ -452,6 +455,64 @@ decision_point_changes = st.fixed_dictionaries(
 )
 
 
+# a failure mode (FM-ELISA-002) stated once with a SHELF triple on a silent
+# failure, then restated with both risk booleans false and no triple: each
+# document validates, but the merged node would keep the first triple and
+# the second booleans
+SHELF_STATEMENT = {
+    "confidence_method": "SHELF_elicited",
+    "silent_failure_risk": True,
+    "frequency_min": 0.1,
+    "frequency_best": 0.2,
+    "frequency_max": 0.3,
+}
+RISK_RETRACTED = {"silent_failure_risk": False, "is_critical_path": False}
+MERGED_SHELF_ISSUE = (
+    "ShelfEligibilityViolation",
+    "ELISA:FailureMode:FM-ELISA-002",
+    "frequency estimates need silent_failure_risk or is_critical_path",
+)
+
+
+def elisa_variant(change: dict):
+    """The ELISA fixture with its first failure mode (FM-ELISA-002) updated."""
+    raw = copy.deepcopy(ELISA_JSON)
+    raw["protocol"]["steps"][0]["failure_modes"][0].update(change)
+    return parse_seo(json.dumps(raw))
+
+
+class TestMergedClaimRules:
+    """Applying a plan refuses a merged node that breaks a claim rule."""
+
+    def test_restated_claim_is_refused(self, registry):
+        graph = apply_plan(Graph(registry), compile_seo(elisa_variant(SHELF_STATEMENT), "ELISA"))
+        restated = compile_seo(elisa_variant(RISK_RETRACTED), "ELISA")
+        with pytest.raises(Rejected) as err:
+            apply_plan(graph, restated)
+        assert [tuple(issue) for issue in err.value.report.issues] == [MERGED_SHELF_ISSUE]
+
+    def test_restated_claim_in_the_other_order_merges(self, registry):
+        graph = apply_plan(Graph(registry), compile_seo(elisa_variant(RISK_RETRACTED), "ELISA"))
+        graph = apply_plan(graph, compile_seo(elisa_variant(SHELF_STATEMENT), "ELISA"))
+        assert validate_graph(graph, registry).ok
+
+    def test_apply_refuses_and_leaves_the_store(self, tmp_path, capsys):
+        docs = []
+        for name, change in (("shelf", SHELF_STATEMENT), ("retracted", RISK_RETRACTED)):
+            raw = copy.deepcopy(ELISA_JSON)
+            raw["protocol"]["steps"][0]["failure_modes"][0].update(change)
+            docs.append(tmp_path / f"{name}.seo.json")
+            docs[-1].write_text(json.dumps(raw), encoding="utf-8")
+        store = tmp_path / "twin.skg.jsonl"
+        assert main(["apply", str(docs[0]), "--graph", str(store)]) == EXIT_OK
+        before = store.read_bytes(), digest_path(store).read_bytes()
+        capsys.readouterr()
+        assert main(["apply", str(docs[1]), "--graph", str(store)]) == EXIT_REJECTED
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "\t".join(MERGED_SHELF_ISSUE) + "\n")
+        assert (store.read_bytes(), digest_path(store).read_bytes()) == before
+
+
 class TestClaimRulesAgree:
     """Documents and graphs are held to one set of claim rules."""
 
@@ -473,6 +534,27 @@ class TestClaimRulesAgree:
         if not validate_seo(doc).ok:
             return
         graph = apply_plan(Graph(registry), compile_seo(doc, "ELISA"))
+        assert validate_graph(graph, registry).issues == ()
+
+    @example(fm_a=SHELF_STATEMENT, fm_b=RISK_RETRACTED)
+    @given(fm_a=failure_mode_changes, fm_b=failure_mode_changes)
+    @settings(max_examples=100)
+    def test_two_valid_documents_merge_to_a_valid_graph_or_are_refused(
+        self, registry, fm_a, fm_b
+    ):
+        docs = [elisa_variant(change) for change in (fm_a, fm_b)]
+        if not all(validate_seo(doc).ok for doc in docs):
+            return
+        first, second = (compile_seo(doc, "ELISA") for doc in docs)
+        graph = apply_plan(Graph(registry), first)
+        try:
+            graph = apply_plan(graph, second)
+        except Rejected as err:
+            # refused exactly for what the whole-store check finds on the merge
+            unchecked = merge(graph, second.nodes + second.edges + second.pending_edges)
+            assert set(err.report.issues) == set(validate_graph(unchecked, registry).issues)
+            assert err.report.issues
+            return
         assert validate_graph(graph, registry).issues == ()
 
     @pytest.mark.parametrize(

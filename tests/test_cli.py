@@ -203,6 +203,23 @@ class TestValidate:
         )
 
     @pytest.mark.parametrize("command", ["validate", "apply"])
+    def test_empty_failure_mode_name(self, tmp_path, fixtures_dir, capsys, command):
+        doc = json.loads((fixtures_dir / "elisa.seo.json").read_text())
+        claim = doc["protocol"]["steps"][6]["failure_modes"][2]
+        assert (claim["id"], claim["name"]) == ("FM-ELISA-018", "Standard Curve Failure")
+        claim["name"] = ""
+        bad = tmp_path / "bad.seo.json"
+        bad.write_text(json.dumps(doc))
+        argv = [command, str(bad)]
+        if command == "apply":
+            argv += ["--graph", str(tmp_path / "x.skg.jsonl")]
+        assert main(argv) == EXIT_REJECTED
+        assert capsys.readouterr().err == (
+            "error: protocol.steps[6].failure_modes[2].name: expected non-empty text, got ''\n"
+        )
+        assert not (tmp_path / "x.skg.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "apply"])
     def test_partial_frequency_triple(self, tmp_path, fixtures_dir, capsys, command):
         doc = json.loads((fixtures_dir / "elisa.seo.json").read_text())
         doc["protocol"]["steps"][0]["failure_modes"][0].update(

@@ -207,6 +207,30 @@ class TestCompareExtractions:
         with pytest.raises(TypeError):
             compare_extractions(["not a document", "also not"])
 
+    def test_each_input_is_normalized_once_and_only_runs_are_digested(self, monkeypatch):
+        import skg.metrics
+        import skg.seo
+
+        reference = doc_with_failures(["A", "B", "C"], alternatives=["alt one"])
+        runs = [doc_with_failures(["A", "B", "D"]), doc_with_failures(["A"], alternatives=["x"])]
+        expected = compare_extractions(runs, reference=reference)
+        normalized, digested = [], []
+
+        def counted_normalize(name, aliases=None):
+            normalized.append(name)
+            return normalize_label(name, aliases)
+
+        def counted_serialize(doc):
+            digested.append(doc)
+            return serialize_seo(doc)
+
+        serialize_seo = skg.seo.serialize_seo
+        monkeypatch.setattr(skg.metrics, "normalize_label", counted_normalize)
+        monkeypatch.setattr(skg.seo, "serialize_seo", counted_serialize)
+        assert compare_extractions(runs, reference=reference) == expected
+        assert sorted(normalized) == sorted(["A", "B", "C", "alt one", "A", "B", "D", "A", "x"])
+        assert digested == runs
+
     def test_jsonable_round_trip(self):
         doc = doc_with_failures(["A", "B"])
         raw = compare_extractions([doc, doc]).to_jsonable()

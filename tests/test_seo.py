@@ -1,6 +1,8 @@
+import copy
 import json
 import re
 
+import jsonschema
 import pytest
 
 from skg import (
@@ -33,9 +35,12 @@ from skg.seo import (
     WorkflowRef,
     _fields,
     default_lexicon,
+    json_schema,
     load_lexicon,
     to_jsonable,
 )
+
+from conftest import FIXTURES
 
 
 def minimal_json(mode: str = "OPERATIONAL") -> dict:
@@ -294,8 +299,43 @@ class TestStrictParse:
                 "list",
             ),
             (lambda protocol: protocol.update(steps={}), "protocol.steps", "array", "dict"),
+            (
+                lambda protocol: protocol.update(workflow_name=""),
+                "protocol.workflow_name",
+                "non-empty text",
+                "''",
+            ),
+            (
+                lambda protocol: protocol["steps"][0].update(failure_modes=[{"name": ""}]),
+                "protocol.steps[0].failure_modes[0].name",
+                "non-empty text",
+                "''",
+            ),
+            (
+                lambda protocol: protocol["steps"][0].update(required_use_cases=["a", ""]),
+                "protocol.steps[0].required_use_cases[1]",
+                "non-empty text",
+                "''",
+            ),
+            (
+                lambda protocol: protocol["steps"][0].update(
+                    failure_modes=[{"name": "f", "cascades_to": [""]}]
+                ),
+                "protocol.steps[0].failure_modes[0].cascades_to[0]",
+                "non-empty text",
+                "''",
+            ),
         ],
-        ids=["null-name", "boolean-as-text", "text-list-with-a-number", "steps-not-an-array"],
+        ids=[
+            "null-name",
+            "boolean-as-text",
+            "text-list-with-a-number",
+            "steps-not-an-array",
+            "empty-workflow-name",
+            "empty-failure-mode-name",
+            "empty-use-case",
+            "empty-cascade-target",
+        ],
     )
     def test_value_of_the_wrong_kind(self, change, path, expected, got):
         obj = minimal_json("DESIGN_EXPERT")
@@ -445,44 +485,6 @@ class TestSerializeRoundTrip:
         }
 
 
-class TestSchemaAgreement:
-    """fixtures/seo.schema.json and the parser's field table describe one format."""
-
-    @staticmethod
-    def object_schema(node: dict, defs: dict) -> dict:
-        """The object schema behind a property: through $ref, anyOf and array items."""
-        while True:
-            if "$ref" in node:
-                node = defs[node["$ref"].rsplit("/", 1)[1]]
-            elif "anyOf" in node:
-                (node,) = [n for n in node["anyOf"] if n.get("type") != "null"]
-            elif node.get("type") == "array":
-                node = node["items"]
-            else:
-                return node
-
-    def test_schema_matches_field_table(self, fixtures_dir):
-        schema = json.loads((fixtures_dir / "seo.schema.json").read_text(encoding="utf-8"))
-        defs = schema["$defs"]
-        seen = set()
-
-        def check(node: dict, cls: type) -> None:
-            seen.add(id(node))
-            table = _fields(cls)
-            assert set(node["properties"]) == set(table), cls.__name__
-            required = {name for name, f in table.items() if f.required}
-            assert required <= set(node.get("required", ())), cls.__name__
-            for name, f in table.items():
-                if f.kind in ("object", "array"):
-                    check(self.object_schema(node["properties"][name], defs), f.cls)
-                if f.key_part:
-                    assert node["properties"][name]["pattern"] == "^[A-Za-z0-9_-]+$", name
-
-        check(schema, SeoDocument)
-        objects = [d for d in defs.values() if d.get("type") == "object"]
-        assert objects and all(id(d) in seen for d in objects)
-
-
 class TestFieldTable:
     """The field table each record class's hints give, attribute by attribute."""
 
@@ -625,6 +627,113 @@ class TestFieldTable:
             seen.add(cls)
             todo += [f.cls for f in _fields(cls).values() if f.kind in ("object", "array")]
         assert seen == set(self.FIELD_TABLE)
+
+
+def _pruned(value):
+    """A fixture's JSON with every array of records cut to its first record."""
+    if isinstance(value, dict):
+        return {key: _pruned(item) for key, item in value.items()}
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return [_pruned(value[0])]
+    return value
+
+
+def _records(cls: type, obj: dict, path: tuple = ()):
+    """(record class, path) of every record in a document's JSON, walking the field table."""
+    yield cls, path
+    for name, f in _fields(cls).items():
+        value = obj.get(name)
+        if value is None:
+            continue
+        if f.kind == "object":
+            yield from _records(f.cls, value, path + (name,))
+        elif f.kind == "array":
+            for i, item in enumerate(value):
+                yield from _records(f.cls, item, path + (name, i))
+
+
+def _carriers() -> dict[type, tuple[dict, tuple]]:
+    """Record class -> the first pruned fixture document holding it, and its path there."""
+    found: dict[type, tuple[dict, tuple]] = {}
+    for name in ("elisa", "lcms_prm", "automation", "program"):
+        doc = _pruned(json.loads((FIXTURES / f"{name}.seo.json").read_text(encoding="utf-8")))
+        for cls, path in _records(SeoDocument, doc):
+            found.setdefault(cls, (doc, path))
+    return found
+
+
+_ABSENT = object()
+_WRONG_KIND = {"text": 1, "number": "1", "boolean": "true", "text list": "x", "array": {}, "object": []}
+
+
+def _mutations(f) -> dict[str, object]:
+    """Label -> value of each single-field mutation that fits the field."""
+    values = {"null": None, "absent": _ABSENT, "empty text": "", "wrong kind": _WRONG_KIND[f.kind]}
+    if f.choices:
+        values["bad enum"] = "NOT_A_CHOICE"
+    if f.key_part:
+        values |= {"bad key part": "bad id", "key part with newline": "ELISA\n"}
+    if f.iso_date:
+        values |= {
+            "bad date": "2026-7-14",
+            "date with newline": "2026-07-14\n",
+            "calendar-invalid date": "2026-02-30",
+        }
+    if f.kind in ("text list", "array"):
+        values["empty item"] = [""]
+    return values
+
+
+class TestSchemaAgreement:
+    """fixtures/seo.schema.json is generated, and conforming is parsing."""
+
+    # the one listed disagreement: no pattern rejects a date the calendar lacks
+    PARSER_ONLY = {(TwinMetadata, "session_date", "calendar-invalid date")}
+
+    @pytest.fixture(scope="class")
+    def validator(self):
+        return jsonschema.Draft202012Validator(json.loads(json_schema()))
+
+    def test_checked_in_schema_is_generated(self, fixtures_dir):
+        assert (fixtures_dir / "seo.schema.json").read_text(encoding="utf-8") == json_schema()
+
+    def test_one_definition_per_record_class(self):
+        defs = json.loads(json_schema())["$defs"]
+        assert set(defs) == {cls.__name__ for cls in TestFieldTable.FIELD_TABLE}
+
+    @pytest.mark.parametrize(
+        "cls", list(TestFieldTable.FIELD_TABLE), ids=lambda cls: cls.__name__
+    )
+    def test_schema_and_parser_agree(self, validator, cls):
+        doc, path = _carriers()[cls]
+        assert validator.is_valid(doc)
+        parse_seo(json.dumps(doc))
+        cases = [("no_such_member", "unknown member", 1)] + [
+            (name, label, value)
+            for name, f in _fields(cls).items()
+            for label, value in _mutations(f).items()
+        ]
+        disagreements = set()
+        for name, label, value in cases:
+            mutated = copy.deepcopy(doc)
+            record = mutated
+            for part in path:
+                record = record[part]
+            if value is _ABSENT:
+                record.pop(name, None)
+            else:
+                record[name] = value
+            try:
+                parse_seo(json.dumps(mutated))
+                parses = True
+            except SeoParseError:
+                parses = False
+            if validator.is_valid(mutated) != parses:
+                disagreements.add((cls, name, label))
+        assert disagreements == {case for case in self.PARSER_ONLY if case[0] is cls}
+
+    def test_every_record_class_has_a_carrier(self):
+        assert set(_carriers()) == set(TestFieldTable.FIELD_TABLE)
 
 
 class TestValidateSeo:
@@ -872,6 +981,30 @@ class TestValidateSeo:
         report = validate_seo(doc)
         missing = [i for i in report.issues if i.code == "MissingMandatoryField"]
         assert len(missing) == 3
+
+    @pytest.mark.parametrize(
+        ("document", "path", "name", "label"),
+        [
+            (
+                "program",
+                "strategic.program_milestones[0].evidentiary_inputs[0]",
+                "required_output",
+                "EvidentiaryInput",
+            ),
+            ("elisa", "decision_model.decision_points[0]", "units", "DecisionPoint"),
+            ("elisa", "protocol.steps[0].failure_modes[0]", "source_scientist", "FailureMode"),
+        ],
+    )
+    def test_empty_required_text_is_unstated(self, fixtures_dir, document, path, name, label):
+        obj = json.loads((fixtures_dir / f"{document}.seo.json").read_text(encoding="utf-8"))
+        record = obj
+        for part in filter(None, re.split(r"\.|\[(\d+)\]\.?", path)):
+            record = record[int(part) if part.isdigit() else part]
+        record[name] = ""
+        report = validate_seo(parse(obj))
+        assert [tuple(issue) for issue in report.issues] == [
+            ("MissingMandatoryField", path, f"{name} is required on every {label}")
+        ]
 
     @pytest.mark.parametrize("name", TestSerializeRoundTrip.FIXTURES)
     def test_sample_documents_validate_clean(self, fixtures_dir, name):
