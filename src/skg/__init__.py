@@ -74,6 +74,7 @@ _EXPORTS = {
         "validate_graph",
     ),
     "queries": (
+        "SubgraphStats",
         "automation_reuse",
         "cascade_paths",
         "elicitation_gaps",

@@ -14,6 +14,12 @@ Store lines and plan bytes are assembled from their records' fields in
 sorted member order, with ``render_text`` for strings and
 ``render_record`` for property maps; documents are rendered whole by
 ``render_record``. Numbers are made plain wherever they can be.
+
+Reading goes the other way through ``strict_loads``: one json module
+decoder, built once, whose C scanner decodes a store line, plan or
+document in a single call; NaN and Infinity are refused at their
+position, as are a byte-order mark, over-long integers and nesting too
+deep to decode.
 """
 
 from __future__ import annotations
@@ -66,10 +72,18 @@ def reject_non_finite(literal: str):
 
 # built once: json.loads builds a new decoder on every call given a hook
 _STRICT_DECODER = JSONDecoder(parse_constant=reject_non_finite)
+# (value, end) of the one JSON value that starts at an index; StopIteration
+# when none does. decode skips whitespace, calls it, and checks the rest.
+_scan_once = _STRICT_DECODER.scan_once
 
 
 def strict_loads(text: str) -> Any:
     """``json.loads(text, parse_constant=reject_non_finite)``, with located constants.
+
+    Text that is one JSON value with no padding around it decodes in one
+    call of the decoder's C scanner. Anything else, and any error, goes
+    through the decoder's full ``decode``, which raises the located errors
+    below, so both ways give the same value or the same error.
 
     Raises:
         json.JSONDecodeError: malformed JSON, a leading byte-order mark,
@@ -79,6 +93,13 @@ def strict_loads(text: str) -> Any:
     """
     if text.startswith("\ufeff"):
         raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        value, end = _scan_once(text, 0)
+    except (ValueError, StopIteration, RecursionError):
+        pass  # decode below raises it again, located
+    else:
+        if end == len(text):
+            return value
     try:
         return _STRICT_DECODER.decode(text)
     except RecursionError:

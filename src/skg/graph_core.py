@@ -45,6 +45,7 @@ approved yet: re-upserting an approved edge never re-quarantines it.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from enum import Enum
@@ -117,6 +118,9 @@ def value_kind(value: object) -> str:
 # nothing may call them.
 
 _NO_PROPERTIES: Mapping[str, Prop] = MappingProxyType({})
+# builds a record from fields that are already checked, skipping its __new__;
+# the store reader uses it for the dicts and texts it has just decoded
+_new_tuple = tuple.__new__
 
 
 class _NodeKeyFields(NamedTuple):
@@ -549,11 +553,14 @@ def props_from_record(record: object, where: str) -> dict[str, Prop]:
             isinstance(prop, dict) and len(prop) == 2 and "provenance" in prop and "value" in prop
         ):
             raise RegistryMismatch(f"{where}: malformed property record for {name}")
-        text = prop["provenance"]
+        value, text = prop["value"], prop["provenance"]
         provenance = _PROVENANCE_OF.get(text) if isinstance(text, str) else None
+        if provenance is not None and (value.__class__ is str or value.__class__ is bool):
+            props[name] = _new_tuple(Prop, (value, provenance))  # nothing to check or quantize
+            continue
         try:
             # an unknown provenance raises the Enum's own ValueError
-            props[name] = Prop(prop["value"], provenance or Provenance(text))
+            props[name] = Prop(value, provenance or Provenance(text))
         except (TypeError, ValueError) as exc:
             raise RegistryMismatch(
                 f"{where}: malformed property record for {name}: {exc}"
@@ -586,7 +593,7 @@ def node_from_record(
     ``known`` is passed on to ``key_from_record``.
     """
     properties = props_from_record(record.get("properties"), where)
-    return Node(key_from_record(record, where, known), properties)
+    return _new_tuple(Node, (key_from_record(record, where, known), properties))
 
 
 def key_object(key: NodeKey) -> str:
@@ -671,38 +678,76 @@ def _decode_line(line: str, where: str) -> object:
         raise RegistryMismatch(f"{where}: {exc}") from None
 
 
-def _store_records(lines: list[str], path: Path) -> Iterator[tuple[str, Node | Edge]]:
-    """Decode the records after the header line, one line at a time.
+def _endpoint(record: dict, member: str, where: str, known: dict[tuple, NodeKey]) -> NodeKey:
+    """An edge record's ``src`` or ``dst`` key, looked up in ``known`` first.
 
-    Yields each record with its location. Edge endpoints reuse the key
-    of a node read earlier, so each distinct key is built once per load.
+    Only equal texts match the text parts of a key in ``known``, so a hit
+    is the key ``key_from_record`` would return; anything else, well
+    formed or not, goes through it.
+    """
+    part = record.get(member)
+    try:
+        return known[part["subgraph"], part["label"], part["id"]]
+    except (KeyError, TypeError):  # not yet known, not an object, or unhashable parts
+        return key_from_record(part, f"{where}: {member}", known)
+
+
+def _store_records(lines: list[str], path: Path, at: list[int]) -> Iterator[Node | Edge]:
+    """Decode the records after the header line, checking their order.
+
+    ``at[0]`` holds the line number of the record yielded last. Edge
+    endpoints reuse the key of a node read earlier, so each distinct key
+    is built once per load, and a record's property dict is its own.
+
+    Raises:
+        RegistryMismatch: a line is not a well-formed record, or a record
+            does not sort strictly after the one before it.
     """
     known: dict[tuple, NodeKey] = {}
-    for i, line in enumerate(lines, start=2):
+    last = None
+    prefix = f"{path}:"
+    for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
-        where = f"{path}:{i}"
+        where = f"{prefix}{line_no}"
         record = _decode_line(line, where)
         kind = record.get("kind") if isinstance(record, dict) else None
         if kind == "node":
-            yield where, node_from_record(record, where, known)
-        elif kind in ("edge", "pending_edge"):
+            built = node_from_record(record, where, known)
+            place = (0, built.key)
+        elif kind == "edge" or kind == "pending_edge":
             edge_type = record.get("edge_type")
             if not isinstance(edge_type, str):
                 raise RegistryMismatch(f"{where}: malformed edge_type")
-            src = key_from_record(record.get("src"), f"{where}: src", known)
-            dst = key_from_record(record.get("dst"), f"{where}: dst", known)
+            src = _endpoint(record, "src", where, known)
+            dst = _endpoint(record, "dst", where, known)
             props = props_from_record(record.get("properties"), where)
-            yield where, Edge(edge_type, src, dst, props, pending=kind == "pending_edge")
+            pending = kind == "pending_edge"
+            built = _new_tuple(Edge, (edge_type, src, dst, props, pending))
+            place = (2 if pending else 1, (edge_type, src, dst))
         else:
             raise RegistryMismatch(f"{where}: unknown record kind {kind!r}")
+        if last is not None and place < last:
+            raise RegistryMismatch(f"{where}: record out of canonical order")
+        at[0] = line_no
+        yield built
+        # merge sees a repeated record first, so a conflict in it is reported as one
+        if place == last:
+            raise RegistryMismatch(f"{where}: repeats the record before it")
+        last = place
 
 
 def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     """Load a store file, re-enforcing referential integrity through one merge.
 
     Records must come in canonical order: nodes, then approved edges,
-    then pending edges, each section strictly ascending by key.
+    then pending edges, each section strictly ascending by key. Every
+    line is decoded and checked; the digest sidecar is not read.
+
+    The records are built in one pass over the lines, with the cycle
+    collector paused: they hold no reference cycles, so its passes over
+    the growing graph would find nothing to free. The collector is left
+    as it was found, whether the load succeeds or fails.
 
     Raises:
         RegistryMismatch: the header's format version is not ``FORMAT_VERSION``
@@ -731,26 +776,14 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
             f"{path}: written under {header.get('registry_version')!r}, "
             f"loaded with {registry.version!r}"
         )
-    where = ""
-
-    def records() -> Iterator[Node | Edge]:
-        nonlocal where
-        last = None
-        for where, record in _store_records(lines[1:], path):
-            if isinstance(record, Node):
-                place = (0, record.key)
-            else:
-                place = (2 if record.pending else 1, record.key)
-            if last is not None and place < last:
-                raise RegistryMismatch(f"{where}: record out of canonical order")
-            yield record
-            # merge sees a repeated record first, so a conflict in it is reported as one
-            if place == last:
-                raise RegistryMismatch(f"{where}: repeats the record before it")
-            last = place
-
+    at = [1]
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return merge(Graph(registry), records())
+        return merge(Graph(registry), _store_records(lines[1:], path, at))
     except (DanglingEdge, TypeConflict, CrossSubgraphViolation) as exc:
         # merge fails on the record it was given last
-        raise type(exc)(f"{where}: {exc}") from None
+        raise type(exc)(f"{path}:{at[0]}: {exc}") from None
+    finally:
+        if collecting:
+            gc.enable()

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
 
-from .graph_core import Graph, value_kind
-from .validation import IssueCollector, ValidationReport
+from .graph_core import Graph, Provenance, value_kind
+
+if TYPE_CHECKING:
+    from .validation import ValidationReport
 
 REGISTRY_VERSION = "skg-ontology-1"
 
@@ -323,12 +325,17 @@ def validate_graph(graph: Graph, registry: SchemaRegistry) -> ValidationReport:
     """Check every node and edge against the registry; graph is untouched.
 
     Each node also obeys ``claim_issues``, as each document claim does.
+    A required property is missing when it is absent, or when it is an
+    empty text confirmed by interview, as in ``seo.validate_seo``; the
+    empty SCHEMA_DEFAULT text of a stub is its label's default.
 
     Issue codes: UnknownLabel, UnknownEdgeType, EndpointLabelViolation,
     MissingRequiredProperty, ValueKindMismatch, ConfidenceOutOfRange,
     MissingMandatoryField, ShelfEligibilityViolation, FrequencyOutOfRange,
     ShelfOrderViolation, CrossSubgraphViolation, TierViolation.
     """
+    from .validation import IssueCollector  # here: a process that only queries never validates
+
     out = IssueCollector()
     for node in graph.nodes():
         where = node.key.to_text()
@@ -338,7 +345,10 @@ def validate_graph(graph: Graph, registry: SchemaRegistry) -> ValidationReport:
             continue
         declared = ndef.declared_kinds()
         for name, kind in ndef.required:
-            if name not in node.properties:
+            prop = node.properties.get(name)
+            if prop is None or (
+                prop.value == "" and prop.provenance is Provenance.INTERVIEW_CONFIRMED
+            ):
                 out.add("MissingRequiredProperty", where, f"{name} ({kind}) is required")
         for name in sorted(node.properties):
             expected = declared.get(name)

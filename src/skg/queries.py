@@ -16,10 +16,9 @@ risk and no log signature detects it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .canonical import render_number, render_value
+from .canonical import plain_number, render_number, render_record, render_value
 from .errors import RangeError
 from .graph_core import Graph, Node, NodeKey, neighbors
 from .ontology import CONFIDENCE_CEILING, CONFIDENCE_FLOOR
@@ -88,15 +87,37 @@ class AssetReuseRow(NamedTuple):
     tier: str
 
 
-# stays a dataclass: skgbench/run.py and scripts/check_fixtures.py render it with asdict
-@dataclass(frozen=True)
-class SubgraphStats:
-    subgraph: str
-    n_failure_modes: int
-    mean_confidence: float | None
-    histogram: tuple[int, ...]
-    n_at_floor: int
-    n_silent: int
+def _subgraph_stats_type() -> type:
+    """``SubgraphStats``, a frozen dataclass, built on first use and kept.
+
+    It stays a dataclass because skgbench/run.py and
+    scripts/check_fixtures.py render it with ``dataclasses.asdict``; it
+    is built here, not at import, so that only a process that computes
+    stats pays to import ``dataclasses`` (and through it ``inspect``).
+    """
+    built = globals().get("SubgraphStats")
+    if built is not None:
+        return built
+    from dataclasses import dataclass
+
+    class SubgraphStats:
+        subgraph: str
+        n_failure_modes: int
+        mean_confidence: float | None
+        histogram: tuple[int, ...]
+        n_at_floor: int
+        n_silent: int
+
+    SubgraphStats.__qualname__ = "SubgraphStats"  # pickle finds it as a module attribute
+    built = globals()["SubgraphStats"] = dataclass(frozen=True)(SubgraphStats)
+    return built
+
+
+def __getattr__(name: str):
+    # PEP 562: the module attribute SubgraphStats is built on first access
+    if name == "SubgraphStats":
+        return _subgraph_stats_type()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_subgraph(graph: Graph, subgraph: str) -> None:
@@ -384,7 +405,7 @@ def subgraph_stats(graph: Graph, subgraph: str) -> SubgraphStats:
             n_at_floor += 1
         index = min(max((millis - _FLOOR_MILLIS) // _BIN_MILLIS, 0), _N_BINS - 1)
         histogram[index] += 1
-    return SubgraphStats(
+    return _subgraph_stats_type()(
         subgraph=subgraph,
         n_failure_modes=len(modes),
         mean_confidence=round(sum(confidences) / len(confidences), 3) if confidences else None,
@@ -398,14 +419,17 @@ def subgraph_stats(graph: Graph, subgraph: str) -> SubgraphStats:
 
 
 def _cell(value: object) -> str:
+    cls = value.__class__  # rows hold only these exact classes
+    if cls is str:
+        return value
+    if cls is float or cls is int:
+        return render_number(value)
+    if cls is bool:
+        return "true" if value else "false"
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return render_number(value)
-    if isinstance(value, tuple):
-        return "|".join(_cell(v) for v in value)
+    if cls is tuple:
+        return "|".join(map(_cell, value))
     return str(value)
 
 
@@ -415,10 +439,27 @@ def rows_to_tsv(rows: list) -> str:
         return ""
     lines = ["\t".join(rows[0]._fields)]
     for row in rows:
-        lines.append("\t".join(_cell(value) for value in row))
+        lines.append("\t".join(map(_cell, row)))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list) -> str:
-    """Canonical JSON array of row objects, one line."""
-    return render_value([row._asdict() for row in rows]) + "\n"
+    """Canonical JSON array of row objects, one line.
+
+    Every float goes through ``plain_number``, so that the rows render
+    through ``canonical.render_record``'s C encoder; when a float has no
+    plain form (such as ``5e-05``), the rows render through
+    ``render_value`` instead, which gives the same bytes. A row's ints
+    are counts, which both render alike.
+    """
+    rendered = []
+    for row in rows:
+        record = row._asdict()
+        for name, value in record.items():
+            if value.__class__ is float:
+                number = plain_number(value)
+                if number is None:
+                    return render_value([row._asdict() for row in rows]) + "\n"
+                record[name] = number
+        rendered.append(render_record(record, plain=True))
+    return "[" + ", ".join(rendered) + "]\n"

@@ -3,9 +3,10 @@ import importlib.util
 import json
 import json.encoder
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skg import canonical
@@ -197,6 +198,78 @@ class TestStrictLoads:
     def test_deep_nesting_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="^JSON nested too deeply to decode$"):
             strict_loads(text)
+
+
+# -- the one-call decode path -----------------------------------------------
+#
+# strict_loads first tries one call of the decoder's C scanner. The full
+# decode alone, as strict_loads ran it before, is the oracle: both must
+# give the same value, or the same error at the same position.
+
+_ORACLE_DECODER = json.JSONDecoder(parse_constant=reject_non_finite)
+
+
+def decode_in_full(text: str):
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        return _ORACLE_DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+    except canonical._NonFiniteLiteral as exc:
+        strings_or_constants = re.finditer(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)', text)
+        pos = next(m.start() for m in strings_or_constants if m.group(1))
+        raise json.JSONDecodeError(str(exc), text, pos) from None
+
+
+def decode_outcome(load, text: str):
+    try:
+        value = load(text)
+    except json.JSONDecodeError as exc:
+        return type(exc), exc.msg, exc.pos
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return "value", repr(value)  # repr tells 1 from 1.0 and 0.0 from -0.0
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+json_fragments = st.sampled_from(
+    ["NaN", "-Infinity", "Infinity", '"NaN"', "[", "]", "{", "}", ",", ":", '"', '\\"', "\\",
+     "1e999", "-", "01", "1.", "tru", "null", "\ufeff", "\x00", "\n", "1" * 5000, DEEP_NESTING]
+)
+paddings = st.text(st.sampled_from(" \t\n\r\x0b\ufeff"), max_size=2)
+
+
+@st.composite
+def decoder_inputs(draw) -> str:
+    """JSON text, maybe with fragments spliced in, between optional padding."""
+    text = json.dumps(draw(json_values), ensure_ascii=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(json_fragments) + text[at:]
+    return draw(paddings) + text + draw(paddings)
+
+
+class TestStrictLoadsAgainstFullDecode:
+    @settings(max_examples=300)
+    @given(decoder_inputs())
+    @example(" 1")
+    @example("[1] x")
+    @example("\ufeff[]")
+    @example('{"a": [0, NaN]}')
+    @example("1" * 5000)
+    @example(DEEP_NESTING)
+    @example("")
+    def test_same_value_or_same_error(self, text):
+        assert decode_outcome(strict_loads, text) == decode_outcome(decode_in_full, text)
 
 
 # -- the C encoder path ---------------------------------------------------

@@ -2,11 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skg import (
     Graph,
@@ -22,7 +25,7 @@ from skg import (
 )
 from skg.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 
-from conftest import DEEP_NESTING
+from conftest import DEEP_NESTING, FIXTURES
 
 DOCS = [
     ("elisa.seo.json", None),
@@ -474,6 +477,22 @@ class TestCheck:
         assert main(["check", "--graph", str(path)]) == EXIT_REJECTED
         assert "MissingRequiredProperty" in capsys.readouterr().out
 
+    def test_confirmed_empty_required_text_fails(self, fixtures_dir, tmp_path, capsys):
+        # a hand-edited plan states a decision point's units as ""
+        assert main(["compile", str(fixtures_dir / "elisa.seo.json"), "--subgraph", "ELISA"]) == EXIT_OK
+        plan = json.loads(capsys.readouterr().out)
+        point = next(s for s in plan["statements"] if s.get("label") == "DecisionPoint")
+        point["properties"]["units"]["value"] = ""
+        plan_file = tmp_path / "elisa.plan.json"
+        plan_file.write_text(json.dumps(plan), encoding="utf-8")
+        store = tmp_path / "x.skg.jsonl"
+        assert main(["apply", str(plan_file), "--graph", str(store)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["check", "--graph", str(store)]) == EXIT_REJECTED
+        assert capsys.readouterr().out == (
+            f"MissingRequiredProperty\tELISA:DecisionPoint:{point['id']}\tunits (text) is required\n"
+        )
+
     @pytest.mark.parametrize(
         ("frequencies", "report"),
         [
@@ -913,7 +932,48 @@ STORE_INVARIANT_BREACHES = [
 ]
 
 
+FIXTURE_STORE_LINES = (FIXTURES / "stores" / "federated.skg.jsonl").read_text(encoding="utf-8").split("\n")
+# what a character mutation writes: JSON structure, escapes, number parts, letters
+MUTATION_CHARS = '{}[]:,"\\ 0-.eaZ\n\x00'
+
+
+@st.composite
+def mutated_fixture_stores(draw) -> str:
+    """The fixture store with one record line changed, dropped, repeated or swapped."""
+    lines = list(FIXTURE_STORE_LINES)
+    i = draw(st.integers(1, len(lines) - 2))  # a record: neither the header nor the final ""
+    line = lines[i]
+    op = draw(st.sampled_from(["delete", "replace", "insert", "drop", "repeat", "swap"]))
+    if op in ("delete", "replace", "insert"):
+        at = draw(st.integers(0, len(line) - 1))
+        char = "" if op == "delete" else draw(st.sampled_from(MUTATION_CHARS))
+        lines[i] = line[:at] + char + line[at + (op != "insert") :]
+    elif op == "drop":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(i, line)
+    else:
+        lines[i], lines[i + 1] = lines[i + 1], line
+    return "\n".join(lines)
+
+
 class TestCorruptStore:
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=mutated_fixture_stores())
+    def test_mutated_line_exits_cleanly_and_is_located(self, tmp_path, capsys, text):
+        path = tmp_path / "federated.skg.jsonl"
+        path.write_text(text, encoding="utf-8")
+        located = re.compile(rf"error: {re.escape(str(path))}:(\d+): ")
+        for command in (["hash"], ["check"], ["query", "silent", "--subgraph", "ELISA"]):
+            code = main(command + ["--graph", str(path)])  # anything raised fails the test
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_REJECTED, EXIT_INVARIANT)
+            if err:  # a rejection, not a report: check writes its issues to stdout
+                assert code != EXIT_OK
+                match = located.match(err)
+                assert match, err
+                assert 2 <= int(match.group(1)) <= text.count("\n") + 1
+
     @pytest.mark.parametrize(("line_no", "rewrite"), STORE_CORRUPTIONS)
     def test_malformed_record_is_rejected_with_its_location(
         self, fixtures_dir, tmp_path, capsys, line_no, rewrite
@@ -1109,15 +1169,25 @@ class TestProcessEntry:
         return proc.stdout, seen
 
     @pytest.mark.parametrize(
-        ("command", "shown"),
-        [(["query", "silent", "--subgraph", "ELISA"], "FM-ELISA-001"), (["check"], "OK")],
+        ("command", "shown", "unused"),
+        [
+            (
+                ["query", "silent", "--subgraph", "ELISA"],
+                "FM-ELISA-001",
+                # SubgraphStats, the one dataclass, is built by stats reads only
+                {"dataclasses", "inspect", "skg.validation"},
+            ),
+            (["check"], "OK", set()),
+        ],
         ids=["query", "check"],
     )
-    def test_query_process_imports_only_what_it_runs(self, fixtures_dir, tmp_path, command, shown):
+    def test_query_process_imports_only_what_it_runs(
+        self, fixtures_dir, tmp_path, command, shown, unused
+    ):
         path = copy_fixture_store(fixtures_dir, tmp_path)
         out, seen = self.run_main_in_fresh_process(command + ["--graph", str(path)])
         assert shown in out
-        assert {"skg.seo", "skg.annotator", "skg.metrics"}.isdisjoint(seen["loaded"])
+        assert {"skg.seo", "skg.annotator", "skg.metrics", *unused}.isdisjoint(seen["loaded"])
 
     @pytest.mark.parametrize(
         ("command", "shown"),

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 
 import pytest
@@ -411,6 +412,13 @@ class TestSerialization:
             hash(make_graph())
 
 
+# an edge from SGA:FailureMode:a to SGA:FailureMode:b, neither of them stored
+DANGLING_EDGE_LINE = (
+    '{"dst": {"id": "b", "label": "FailureMode", "subgraph": "SGA"}, "edge_type": "CASCADES_TO", '
+    '"kind": "edge", "properties": {}, "src": {"id": "a", "label": "FailureMode", "subgraph": "SGA"}}\n'
+)
+
+
 class TestStoreFiles:
     def test_digest_path_naming(self):
         assert digest_path("x/federated.skg.jsonl").name == "federated.skg.sha256"
@@ -474,14 +482,36 @@ class TestStoreFiles:
         with pytest.raises(RegistryMismatch):
             load_store(path, builtin_registry())
 
+    @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize(
+        ("tail", "error"),
+        [
+            ("", None),
+            ('{"kind": "mystery"}\n', RegistryMismatch),
+            (DANGLING_EDGE_LINE, DanglingEdge),
+        ],
+        ids=["loads", "bad-line", "dangling-edge"],
+    )
+    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path, collecting, tail, error):
+        path = tmp_path / "t.skg.jsonl"
+        save_store(merge(make_graph(), [named(key("a"))]), path)
+        path.write_text(path.read_text() + tail)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if error is None:
+                load_store(path, builtin_registry())
+            else:
+                with pytest.raises(error):
+                    load_store(path, builtin_registry())
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_load_reenforces_referential_integrity(self, tmp_path):
         path = tmp_path / "t.skg.jsonl"
         header = canonical_serialize(make_graph()).decode()
-        edge = (
-            '{"dst": {"id": "b", "label": "FailureMode", "subgraph": "SGA"}, "edge_type": "CASCADES_TO", '
-            '"kind": "edge", "properties": {}, "src": {"id": "a", "label": "FailureMode", "subgraph": "SGA"}}\n'
-        )
-        path.write_text(header + edge)
+        path.write_text(header + DANGLING_EDGE_LINE)
         with pytest.raises(DanglingEdge):
             load_store(path, builtin_registry())
 

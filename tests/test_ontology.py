@@ -6,6 +6,7 @@ from skg import (
     Node,
     NodeKey,
     Prop,
+    Provenance,
     Tier,
     builtin_registry,
     merge,
@@ -168,6 +169,19 @@ class TestValidateGraph:
         report = validate_graph(g, registry)
         missing = [i for i in report.issues if i.code == "MissingRequiredProperty"]
         assert len(missing) == 6  # trio, both risk booleans, review flag
+
+    def test_confirmed_empty_required_text_is_missing(self, registry):
+        g = merge(Graph(registry), [fm_node("f1", source_scientist="")])
+        report = validate_graph(g, registry)
+        assert report.codes() == ["MissingRequiredProperty"]
+        assert report.issues[0].detail == "source_scientist (text) is required"
+
+    def test_schema_default_empty_text_is_a_stub_default(self, registry):
+        # a stub states its label's defaults, flagged for review; "" is the text one
+        node = fm_node("f1")
+        props = dict(node.properties, source_scientist=Prop("", Provenance.SCHEMA_DEFAULT))
+        g = merge(Graph(registry), [Node(node.key, props)])
+        assert validate_graph(g, registry).ok
 
     def test_declared_kind_enforced(self, registry):
         g = merge(

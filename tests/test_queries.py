@@ -1,7 +1,9 @@
 """Read-side queries, checked against the frozen federated store and small synthetic graphs."""
 
+import dataclasses
 import gc
 import json
+import pickle
 
 import pytest
 
@@ -16,7 +18,11 @@ from skg import (
     builtin_registry,
     merge,
 )
+import skg
+from skg import queries
+from skg.canonical import render_number, render_value
 from skg.queries import (
+    DecisionPointRow,
     automation_reuse,
     cascade_paths,
     elicitation_gaps,
@@ -442,6 +448,20 @@ class TestSubgraphStats:
         with pytest.raises(KeyError):
             subgraph_stats(federated, "NOPE")
 
+    def test_is_a_frozen_dataclass_built_once(self, federated):
+        s = subgraph_stats(federated, "ELISA")
+        assert type(s) is queries.SubgraphStats is skg.SubgraphStats
+        assert dataclasses.is_dataclass(s)
+        assert dataclasses.asdict(s)["histogram"] == (0, 1, 0, 4, 6, 5, 2, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.n_silent = 0
+        assert pickle.loads(pickle.dumps(s)) == s
+        assert repr(s).startswith("SubgraphStats(subgraph='ELISA', ")
+
+    def test_unknown_module_attribute_raises_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            queries.no_such_name
+
 
 class TestRendering:
     def test_tsv_layout(self, federated):
@@ -497,6 +517,47 @@ class TestRendering:
 
     def test_json_empty_rows(self):
         assert json.loads(rows_to_json([])) == []
+
+    def test_json_and_tsv_of_every_query_match_the_general_renderer(self, federated):
+        # rows_to_json renders plain rows through the C encoder; render_value is the reference
+        sweeps = [automation_reuse(federated)]
+        for sg in ("ELISA", "LCMS_PRM"):
+            sweeps += [
+                ranked_failures(federated, sg),
+                elicitation_gaps(federated, sg),
+                low_confidence_claims(federated, sg, 0.8),
+                masking_exposures(federated, sg),
+            ]
+        sweeps.append(step_decision_points(federated, "ELISA", "ST-ELISA-009"))
+        assert sum(map(len, sweeps)) > 50
+        for rows in sweeps:
+            assert rows_to_json(rows) == render_value([row._asdict() for row in rows]) + "\n"
+            for line, row in zip(rows_to_tsv(rows).splitlines()[1:], rows):
+                assert line.split("\t") == [reference_cell(value) for value in row]
+
+    def test_json_non_plain_float_renders_canonically(self):
+        # 5e-05 has no plain form: its repr is in exponent notation
+        row = DecisionPointRow(
+            "DP-SYN-001", "tiny", "absorbance", 5e-05, "<", "AU", "go", "stop", "call", 0.8
+        )
+        rows = [row, row._replace(id="DP-SYN-002", threshold_value=0.5)]
+        text = rows_to_json(rows)
+        assert text == render_value([r._asdict() for r in rows]) + "\n"
+        assert '"threshold_value": 0.00005' in text
+        assert "e-05" not in text
+
+
+def reference_cell(value: object) -> str:
+    """A TSV cell by the rules rows_to_tsv states: empty, lowercase, canonical, piped."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return render_number(value)
+    if isinstance(value, tuple):
+        return "|".join(map(reference_cell, value))
+    return str(value)
 
 
 class TestGraphEquivalence:
