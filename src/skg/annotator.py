@@ -45,7 +45,13 @@ from .graph_core import (
     parse_node_key,
 )
 from .metrics import default_aliases, label_slug, normalize_label
-from .ontology import CONFIDENCE_FLOOR, REGISTRY_VERSION, builtin_registry, claim_issues
+from .ontology import (
+    CONFIDENCE_FLOOR,
+    REGISTRY_VERSION,
+    builtin_registry,
+    claim_issues,
+    required_issues,
+)
 from .seo import SeoDocument, _fields, serialize_seo, validate_seo
 from .validation import IssueCollector
 
@@ -454,7 +460,15 @@ def load_plan(data: bytes | str) -> MergePlan:
             statement in it is malformed; the message starts with its
             location, such as ``statements[3]: ``.
     """
-    raw = strict_loads(data if isinstance(data, str) else data.decode("utf-8"))
+    return plan_from_json(strict_loads(data if isinstance(data, str) else data.decode("utf-8")))
+
+
+def plan_from_json(raw: object) -> MergePlan:
+    """A plan from its JSON value, decoded already; ``load_plan`` after the decode.
+
+    Raises:
+        ValueError, RegistryMismatch: as ``load_plan``.
+    """
     if not isinstance(raw, dict) or raw.get("kind") != PLAN_KIND:
         raise ValueError("not a merge plan document")
     version = raw.get("version")
@@ -507,9 +521,10 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
 
     Raises:
         RegistryMismatch: the plan was compiled under another registry.
-        Rejected: a node the plan touches breaks a claim rule
-            (``ontology.claim_issues``) once merged; the report names
-            each such node as ``validate_graph`` does.
+        Rejected: a node the plan touches, once merged, lacks a required
+            property (``ontology.required_issues``) or breaks a claim rule
+            (``ontology.claim_issues``); the report names each such node
+            and issue as ``validate_graph`` does.
     """
     if plan.provenance.registry_version != graph.registry_version:
         raise RegistryMismatch(
@@ -519,10 +534,17 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
     merged = merge(graph, plan.nodes + plan.edges + plan.pending_edges)
     # merge takes properties one by one, so rules that tie several of a
     # claim's properties together are checked on the merged node
+    node_types = builtin_registry().node_types
     out = IssueCollector()
     for node in plan.nodes:
-        for code, detail in claim_issues(node.key.label, merged.node(node.key).get):
-            out.add(code, node.key.to_text(), detail)
+        stored = merged.node(node.key)
+        where = node.key.to_text()
+        ndef = node_types.get(node.key.label)
+        if ndef is not None:
+            for code, detail in required_issues(ndef, stored.properties):
+                out.add(code, where, detail)
+        for code, detail in claim_issues(node.key.label, stored.get):
+            out.add(code, where, detail)
     report = out.report()
     if not report.ok:
         raise Rejected(report)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from json import JSONDecodeError, JSONDecoder, JSONEncoder
+from json.decoder import WHITESPACE
 from json.encoder import c_make_encoder, encode_basestring
 from typing import Any
 
@@ -73,17 +74,20 @@ def reject_non_finite(literal: str):
 # built once: json.loads builds a new decoder on every call given a hook
 _STRICT_DECODER = JSONDecoder(parse_constant=reject_non_finite)
 # (value, end) of the one JSON value that starts at an index; StopIteration
-# when none does. decode skips whitespace, calls it, and checks the rest.
+# when none does. decode skips whitespace, calls it, skips whitespace
+# again and checks that the text ends there.
 _scan_once = _STRICT_DECODER.scan_once
+_skip_whitespace = WHITESPACE.match
 
 
 def strict_loads(text: str) -> Any:
     """``json.loads(text, parse_constant=reject_non_finite)``, with located constants.
 
-    Text that is one JSON value with no padding around it decodes in one
-    call of the decoder's C scanner. Anything else, and any error, goes
-    through the decoder's full ``decode``, which raises the located errors
-    below, so both ways give the same value or the same error.
+    Text that is one JSON value, with or without JSON whitespace around
+    it, decodes in one call of the decoder's C scanner. Anything else,
+    and any error, goes through the decoder's full ``decode``, which
+    raises the located errors below, so both ways give the same value or
+    the same error.
 
     Raises:
         json.JSONDecodeError: malformed JSON, a leading byte-order mark,
@@ -94,11 +98,11 @@ def strict_loads(text: str) -> Any:
     if text.startswith("\ufeff"):
         raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        value, end = _scan_once(text, 0)
+        value, end = _scan_once(text, _skip_whitespace(text, 0).end())
     except (ValueError, StopIteration, RecursionError):
         pass  # decode below raises it again, located
     else:
-        if end == len(text):
+        if _skip_whitespace(text, end).end() == len(text):
             return value
     try:
         return _STRICT_DECODER.decode(text)

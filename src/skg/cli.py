@@ -107,23 +107,23 @@ def cmd_compile(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    from .annotator import apply_plan, compile_seo, load_plan
-    from .seo import parse_seo
+    from .annotator import apply_plan, compile_seo, plan_from_json
+    from .seo import document_from_json, parse_seo
 
     raw = Path(args.input).read_bytes()
-    # route on document shape: compiled plans are single merge_plan records
+    # decoded once, then routed on shape: compiled plans are single merge_plan records
     try:
-        sniffed = strict_loads(raw.decode("utf-8"))
+        value = strict_loads(raw.decode("utf-8"))
     except ValueError:  # not strict JSON: parse_seo reports why, as validate does
-        sniffed = None
-    if isinstance(sniffed, dict) and sniffed.get("kind") == "merge_plan":
-        plan = load_plan(raw)
+        value = None
+    if isinstance(value, dict) and value.get("kind") == "merge_plan":
+        plan = plan_from_json(value)
         if args.subgraph and args.subgraph != plan.provenance.subgraph:
             raise SubgraphMismatch(
                 f"plan targets {plan.provenance.subgraph}, not {args.subgraph}"
             )
     else:
-        doc = parse_seo(raw)
+        doc = parse_seo(raw) if value is None else document_from_json(value)
         subgraph = args.subgraph or (doc.protocol.subgraph if doc.protocol else None)
         if not subgraph:
             print(
@@ -211,12 +211,10 @@ def cmd_query(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from dataclasses import asdict
-
     from . import queries
 
-    stats = queries.subgraph_stats(_load(args.graph), args.subgraph)
-    sys.stdout.write(render_record(asdict(stats)) + "\n")
+    stats = queries.subgraph_stats_record(_load(args.graph), args.subgraph)
+    sys.stdout.write(render_record(stats) + "\n")
     return EXIT_OK
 
 
@@ -259,13 +257,16 @@ def cmd_hash(args) -> int:
     with _store_lock(store, exclusive=False):
         graph = load_store(store, builtin_registry())
         if args.verify:
-            data = store.read_bytes()
+            file_digest = hashlib.sha256()
+            with open(store, "rb") as handle:  # in blocks: never the whole store at once
+                while block := handle.read(1 << 16):
+                    file_digest.update(block)
             recorded = digest_path(store).read_text(encoding="utf-8", errors="replace").split()
     digest = graph_hash(graph)
     if args.verify:
         # the loader reads any spacing and member order within a line,
         # so a store that loads can still differ from its canonical bytes
-        actual = hashlib.sha256(data).hexdigest()
+        actual = file_digest.hexdigest()
         if actual != digest:
             print(
                 f"store is not canonical: file sha256 {actual}, canonical {digest}",

@@ -15,6 +15,15 @@ C encoder serves every map with plain numbers.
 ``load_store`` accepts records only in that order, each section strictly
 ascending by key.
 
+Store I/O runs in memory bounded by the graph plus a fixed number of
+lines. ``canonical_serialize``, ``graph_hash`` and ``save_store`` share
+one renderer that yields the bytes in chunks of ``_CHUNK_LINES`` lines;
+``save_store`` writes them to ``<store>.tmp`` beside the store and
+renames that over it (no fsync yet), then writes the digest sidecar;
+the rename replaces a symlinked store path with a regular file.
+``load_store`` reads the file line by line and decodes each line from
+UTF-8 on its own, so a bad byte is reported as ``<file>:<line>``.
+
 Reads go through a lazy per-snapshot index, so no reader scans the whole
 graph per call. A snapshot pays one O(E) pass grouping its edges by type
 on the first typed read, then one sort and adjacency build per edge type
@@ -47,9 +56,12 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import re
 from enum import Enum
+from itertools import chain, islice
 from pathlib import Path
+from sys import intern
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol
 
@@ -492,8 +504,10 @@ def key_from_record(
 ) -> NodeKey:
     """Inverse of ``key_object``; other members of ``record`` are ignored.
 
-    ``known`` maps the parts of keys already built to the key, so a
-    caller reading many records builds and checks each distinct key once.
+    ``known`` holds the keys already built, each mapped to itself; a key
+    equals the tuple of its parts, so the parts find it. A caller reading
+    many records then builds and checks each distinct key once. A key's
+    subgraph and label are interned, so the keys of one load share them.
 
     Raises:
         RegistryMismatch: not an object with text subgraph, label and id,
@@ -506,11 +520,11 @@ def key_from_record(
             key = None if known is None else known.get(parts)
             if key is None:
                 try:
-                    key = NodeKey(*parts)
+                    key = NodeKey(intern(subgraph), intern(label), id_)
                 except MalformedKey as exc:
                     raise RegistryMismatch(f"{where}: {exc}") from None
                 if known is not None:
-                    known[parts] = key
+                    known[key] = key  # not the parts: the decoded texts are freed
             return key
     raise RegistryMismatch(f"{where}: malformed node key")
 
@@ -549,6 +563,7 @@ def props_from_record(record: object, where: str) -> dict[str, Prop]:
         raise RegistryMismatch(f"{where}: malformed properties")
     props = {}
     for name, prop in record.items():
+        name = intern(name)  # every record repeats the same few names
         if not (
             isinstance(prop, dict) and len(prop) == 2 and "provenance" in prop and "value" in prop
         ):
@@ -614,13 +629,18 @@ def edge_line(edge: Edge, key_objects: Mapping[NodeKey, str]) -> str:
     )
 
 
-def canonical_serialize(graph: Graph) -> bytes:
-    """Canonical newline-delimited JSON bytes for the whole graph.
+# lines per chunk of canonical bytes: a save, a hash or a serialization
+# holds one chunk at a time, never the whole store
+_CHUNK_LINES = 128
+
+
+def _canonical_chunks(graph: Graph) -> Iterator[bytes]:
+    """The canonical serialization as UTF-8 chunks of ``_CHUNK_LINES`` lines.
 
     Order: header record, nodes sorted by (subgraph, label, id), approved
     edges sorted by (type, src, dst), then the pending section with the
-    same edge ordering. Two graphs serialize identically iff they are equal.
-    Each node key's endpoint object is rendered once per call.
+    same edge ordering. Every line ends in ``"\n"``. Each node key's
+    endpoint object is rendered once per call.
     """
     header = {
         "format": FORMAT_NAME,
@@ -628,22 +648,37 @@ def canonical_serialize(graph: Graph) -> bytes:
         "registry_version": graph.registry_version,
         "version": FORMAT_VERSION,
     }
-    lines = [render_record(header, plain=True)]
     nodes = graph.nodes()
-    lines += [node_line(node) for node in nodes]
     key_objects = {node.key: key_object(node.key) for node in nodes}
     edges = graph.edges()
-    lines += [edge_line(edge, key_objects) for edge in edges if not edge.pending]
-    lines += [edge_line(edge, key_objects) for edge in edges if edge.pending]
-    del key_objects  # freed before the join, so the table adds nothing to the peak
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines = chain(
+        (render_record(header, plain=True),),
+        map(node_line, nodes),
+        (edge_line(edge, key_objects) for edge in edges if not edge.pending),
+        (edge_line(edge, key_objects) for edge in edges if edge.pending),
+    )
+    while batch := list(islice(lines, _CHUNK_LINES)):
+        batch.append("")  # so the join ends the batch's last line too
+        yield "\n".join(batch).encode("utf-8")
+
+
+def canonical_serialize(graph: Graph) -> bytes:
+    """Canonical newline-delimited JSON bytes for the whole graph.
+
+    The order is ``_canonical_chunks``'s. Two graphs serialize
+    identically iff they are equal.
+    """
+    return b"".join(_canonical_chunks(graph))
 
 
 def graph_hash(graph: Graph) -> str:
-    """SHA-256 hex digest of the canonical serialization."""
+    """SHA-256 hex digest of the canonical serialization, hashed chunk by chunk."""
     import hashlib  # here, not at the top: a process that only reads never hashes
 
-    return hashlib.sha256(canonical_serialize(graph)).hexdigest()
+    digest = hashlib.sha256()
+    for chunk in _canonical_chunks(graph):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 # -- store files -------------------------------------------------------
@@ -658,15 +693,45 @@ def digest_path(store_path: Path | str) -> Path:
 
 
 def save_store(graph: Graph, path: Path | str) -> str:
-    """Rewrite the store file whole and refresh its digest sidecar."""
-    path = Path(path)
-    data = canonical_serialize(graph)
+    """Rewrite the store file whole and refresh its digest sidecar; returns the digest.
+
+    The canonical bytes go chunk by chunk to ``<store>.tmp`` in the same
+    directory, which then replaces the store in one rename, so an error
+    while rendering or writing leaves the old store whole and removes
+    the temporary file. The rename replaces a symlinked store path with
+    a regular file. The sidecar is written last; nothing is fsynced.
+    """
     import hashlib
 
-    digest = hashlib.sha256(data).hexdigest()
-    path.write_bytes(data)
-    digest_path(path).write_text(f"{digest}  {graph.registry_version}\n", encoding="utf-8")
-    return digest
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as handle:
+            for chunk in _canonical_chunks(graph):
+                digest.update(chunk)
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    hex_digest = digest.hexdigest()
+    digest_path(path).write_text(f"{hex_digest}  {graph.registry_version}\n", encoding="utf-8")
+    return hex_digest
+
+
+def _line_text(line: bytes, path: Path, line_no: int) -> str:
+    """One store line as text, without its ``"\n"``.
+
+    Raises:
+        RegistryMismatch: the line is not valid UTF-8.
+    """
+    try:
+        return line.rstrip(b"\n").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RegistryMismatch(
+            f"{path}:{line_no}: invalid UTF-8 ({exc.reason}) at byte {exc.start + 1}"
+        ) from None
 
 
 def _decode_line(line: str, where: str) -> object:
@@ -692,21 +757,25 @@ def _endpoint(record: dict, member: str, where: str, known: dict[tuple, NodeKey]
         return key_from_record(part, f"{where}: {member}", known)
 
 
-def _store_records(lines: list[str], path: Path, at: list[int]) -> Iterator[Node | Edge]:
-    """Decode the records after the header line, checking their order.
+def _store_records(lines: Iterable[bytes], path: Path, at: list[int]) -> Iterator[Node | Edge]:
+    """Decode the records on the lines after the header line, checking their order.
 
     ``at[0]`` holds the line number of the record yielded last. Edge
     endpoints reuse the key of a node read earlier, so each distinct key
     is built once per load, and a record's property dict is its own.
+    Edge types, property names and the subgraph and label of each key
+    are interned: the graph holds one copy of each, not one per record.
 
     Raises:
-        RegistryMismatch: a line is not a well-formed record, or a record
-            does not sort strictly after the one before it.
+        RegistryMismatch: a line is not valid UTF-8 or not a well-formed
+            record, or a record does not sort strictly after the one
+            before it.
     """
     known: dict[tuple, NodeKey] = {}
     last = None
     prefix = f"{path}:"
-    for line_no, line in enumerate(lines, start=2):
+    for line_no, raw in enumerate(lines, start=2):
+        line = _line_text(raw, path, line_no)
         if not line.strip():
             continue
         where = f"{prefix}{line_no}"
@@ -719,6 +788,7 @@ def _store_records(lines: list[str], path: Path, at: list[int]) -> Iterator[Node
             edge_type = record.get("edge_type")
             if not isinstance(edge_type, str):
                 raise RegistryMismatch(f"{where}: malformed edge_type")
+            edge_type = intern(edge_type)
             src = _endpoint(record, "src", where, known)
             dst = _endpoint(record, "dst", where, known)
             props = props_from_record(record.get("properties"), where)
@@ -744,7 +814,10 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     then pending edges, each section strictly ascending by key. Every
     line is decoded and checked; the digest sidecar is not read.
 
-    The records are built in one pass over the lines, with the cycle
+    The file is read one line at a time, and each line is decoded from
+    UTF-8 on its own, so a load holds the graph it builds and one line,
+    never the whole file; a byte that is not UTF-8 is reported with its
+    line. The records are built in that one pass, with the cycle
     collector paused: they hold no reference cycles, so its passes over
     the growing graph would find nothing to free. The collector is left
     as it was found, whether the load succeeds or fails.
@@ -752,38 +825,38 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     Raises:
         RegistryMismatch: the header's format version is not ``FORMAT_VERSION``
             or its registry_version differs from ``registry``, a line is
-            not a well-formed record, or a record does not sort strictly
-            after the one before it.
+            not valid UTF-8 or not a well-formed record, or a record does
+            not sort strictly after the one before it.
         DanglingEdge, TypeConflict, CrossSubgraphViolation: ``merge``
             rejects a record; the message starts with its ``<file>:<line>``.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if not text:
-        raise RegistryMismatch(f"{path}: empty store file")
-    # records end at "\n" only: text values may hold U+0085 or U+2028,
-    # which canonical rendering leaves unescaped and splitlines() breaks on
-    lines = text.split("\n")
-    header = _decode_line(lines[0], f"{path}:1")
-    kind = header.get("kind") if isinstance(header, dict) else None
-    if kind != "header" or header.get("format") != FORMAT_NAME:
-        raise RegistryMismatch(f"{path}: missing store header")
-    version = header.get("version")
-    if version.__class__ is not int or version != FORMAT_VERSION:
-        raise RegistryMismatch(f"{path}:1: unsupported store version {version!r}")
-    if header.get("registry_version") != registry.version:
-        raise RegistryMismatch(
-            f"{path}: written under {header.get('registry_version')!r}, "
-            f"loaded with {registry.version!r}"
-        )
-    at = [1]
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return merge(Graph(registry), _store_records(lines[1:], path, at))
-    except (DanglingEdge, TypeConflict, CrossSubgraphViolation) as exc:
-        # merge fails on the record it was given last
-        raise type(exc)(f"{path}:{at[0]}: {exc}") from None
-    finally:
-        if collecting:
-            gc.enable()
+    # records end at b"\n" only: text values may hold U+0085 or U+2028,
+    # which canonical rendering leaves unescaped and str.splitlines() breaks on
+    with open(path, "rb") as lines:
+        first = lines.readline()
+        if not first:
+            raise RegistryMismatch(f"{path}: empty store file")
+        header = _decode_line(_line_text(first, path, 1), f"{path}:1")
+        kind = header.get("kind") if isinstance(header, dict) else None
+        if kind != "header" or header.get("format") != FORMAT_NAME:
+            raise RegistryMismatch(f"{path}: missing store header")
+        version = header.get("version")
+        if version.__class__ is not int or version != FORMAT_VERSION:
+            raise RegistryMismatch(f"{path}:1: unsupported store version {version!r}")
+        if header.get("registry_version") != registry.version:
+            raise RegistryMismatch(
+                f"{path}: written under {header.get('registry_version')!r}, "
+                f"loaded with {registry.version!r}"
+            )
+        at = [1]
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return merge(Graph(registry), _store_records(lines, path, at))
+        except (DanglingEdge, TypeConflict, CrossSubgraphViolation) as exc:
+            # merge fails on the record it was given last
+            raise type(exc)(f"{path}:{at[0]}: {exc}") from None
+        finally:
+            if collecting:
+                gc.enable()

@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
 
-from .graph_core import Graph, Provenance, value_kind
+from .graph_core import Graph, Prop, Provenance, value_kind
 
 if TYPE_CHECKING:
     from .validation import ValidationReport
@@ -321,13 +321,26 @@ def claim_issues(label: str, get: Callable[[str], object]) -> Iterator[tuple[str
         yield "ShelfOrderViolation", f"{fmin} <= {fbest} <= {fmax} fails"
 
 
-def validate_graph(graph: Graph, registry: SchemaRegistry) -> ValidationReport:
-    """Check every node and edge against the registry; graph is untouched.
+def required_issues(
+    ndef: NodeTypeDef, properties: Mapping[str, Prop]
+) -> Iterator[tuple[str, str]]:
+    """(code, detail) of each property that a ``ndef`` node must state and does not.
 
-    Each node also obeys ``claim_issues``, as each document claim does.
     A required property is missing when it is absent, or when it is an
     empty text confirmed by interview, as in ``seo.validate_seo``; the
     empty SCHEMA_DEFAULT text of a stub is its label's default.
+    """
+    for name, kind in ndef.required:
+        prop = properties.get(name)
+        if prop is None or (prop.value == "" and prop.provenance is Provenance.INTERVIEW_CONFIRMED):
+            yield "MissingRequiredProperty", f"{name} ({kind}) is required"
+
+
+def validate_graph(graph: Graph, registry: SchemaRegistry) -> ValidationReport:
+    """Check every node and edge against the registry; graph is untouched.
+
+    Each node states what ``required_issues`` asks, and obeys
+    ``claim_issues``, as each document claim does.
 
     Issue codes: UnknownLabel, UnknownEdgeType, EndpointLabelViolation,
     MissingRequiredProperty, ValueKindMismatch, ConfidenceOutOfRange,
@@ -344,12 +357,8 @@ def validate_graph(graph: Graph, registry: SchemaRegistry) -> ValidationReport:
             out.add("UnknownLabel", where, f"label {node.key.label} not in registry")
             continue
         declared = ndef.declared_kinds()
-        for name, kind in ndef.required:
-            prop = node.properties.get(name)
-            if prop is None or (
-                prop.value == "" and prop.provenance is Provenance.INTERVIEW_CONFIRMED
-            ):
-                out.add("MissingRequiredProperty", where, f"{name} ({kind}) is required")
+        for code, detail in required_issues(ndef, node.properties):
+            out.add(code, where, detail)
         for name in sorted(node.properties):
             expected = declared.get(name)
             if expected is None:

@@ -92,8 +92,9 @@ def _subgraph_stats_type() -> type:
 
     It stays a dataclass because skgbench/run.py and
     scripts/check_fixtures.py render it with ``dataclasses.asdict``; it
-    is built here, not at import, so that only a process that computes
-    stats pays to import ``dataclasses`` (and through it ``inspect``).
+    is built here, not at import, so that only a library caller of
+    ``subgraph_stats`` pays to import ``dataclasses`` (and through it
+    ``inspect``). ``skg stats`` renders ``subgraph_stats_record``.
     """
     built = globals().get("SubgraphStats")
     if built is not None:
@@ -380,12 +381,14 @@ _BIN_MILLIS = 50
 _FLOOR_MILLIS = round(CONFIDENCE_FLOOR * 1000)
 
 
-def subgraph_stats(graph: Graph, subgraph: str) -> SubgraphStats:
-    """Failure-mode confidence profile for one subgraph.
+def subgraph_stats_record(graph: Graph, subgraph: str) -> dict:
+    """Failure-mode confidence profile for one subgraph, as a plain dict.
 
-    The histogram has eight equal bins across the confidence range;
-    binning happens on integer thousandths so float noise cannot move a
-    value across a boundary.
+    The dict is what ``dataclasses.asdict`` gives for ``subgraph_stats``,
+    built without the dataclass, so ``skg stats`` imports no
+    ``dataclasses``. The histogram has eight equal bins across the
+    confidence range; binning happens on integer thousandths so float
+    noise cannot move a value across a boundary.
 
     Raises:
         KeyError: the subgraph holds no records at all.
@@ -405,14 +408,23 @@ def subgraph_stats(graph: Graph, subgraph: str) -> SubgraphStats:
             n_at_floor += 1
         index = min(max((millis - _FLOOR_MILLIS) // _BIN_MILLIS, 0), _N_BINS - 1)
         histogram[index] += 1
-    return _subgraph_stats_type()(
-        subgraph=subgraph,
-        n_failure_modes=len(modes),
-        mean_confidence=round(sum(confidences) / len(confidences), 3) if confidences else None,
-        histogram=tuple(histogram),
-        n_at_floor=n_at_floor,
-        n_silent=sum(1 for node in modes if is_silent(graph, node)),
-    )
+    return {
+        "subgraph": subgraph,
+        "n_failure_modes": len(modes),
+        "mean_confidence": round(sum(confidences) / len(confidences), 3) if confidences else None,
+        "histogram": tuple(histogram),
+        "n_at_floor": n_at_floor,
+        "n_silent": sum(1 for node in modes if is_silent(graph, node)),
+    }
+
+
+def subgraph_stats(graph: Graph, subgraph: str) -> SubgraphStats:
+    """``subgraph_stats_record`` as a frozen ``SubgraphStats``.
+
+    Raises:
+        KeyError: the subgraph holds no records at all.
+    """
+    return _subgraph_stats_type()(**subgraph_stats_record(graph, subgraph))
 
 
 # -- rendering -----------------------------------------------------------

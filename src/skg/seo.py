@@ -396,6 +396,15 @@ def parse_seo(data: bytes | str) -> SeoDocument:
         raise SeoParseError(str(exc), exc.lineno, exc.colno) from exc
     except ValueError as exc:  # an over-long integer, or nesting too deep
         raise SeoParseError(str(exc)) from None
+    return document_from_json(raw)
+
+
+def document_from_json(raw: object) -> SeoDocument:
+    """A document from its JSON value, decoded already; ``parse_seo`` after the decode.
+
+    Raises:
+        UnknownField, ValueKindMismatch: as ``parse_seo``.
+    """
     if not isinstance(raw, dict):
         raise ValueKindMismatch("$", "object", type(raw).__name__)
 

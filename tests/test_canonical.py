@@ -271,6 +271,24 @@ class TestStrictLoadsAgainstFullDecode:
     def test_same_value_or_same_error(self, text):
         assert decode_outcome(strict_loads, text) == decode_outcome(decode_in_full, text)
 
+    @pytest.mark.parametrize("pad", [" ", "\t", "\n", "\r\n"], ids=["space", "tab", "lf", "crlf"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a": [1, 2.5, "x"]}', "0", '"s"', "[1] x", "{", '{"a": NaN}', ""],
+        ids=["object", "number", "text", "extra-data", "truncated", "nan", "empty"],
+    )
+    def test_padded_input(self, pad, text):
+        for padded in (pad + text, text + pad, pad + text + pad):
+            assert decode_outcome(strict_loads, padded) == decode_outcome(decode_in_full, padded)
+
+    def test_padded_value_decodes_in_one_scan(self, monkeypatch):
+        # plans and documents end in a newline; they must not be decoded twice
+        def decode_again(text):
+            raise AssertionError("decoded twice")
+
+        monkeypatch.setattr(canonical._STRICT_DECODER, "decode", decode_again)
+        assert strict_loads(' \t{"a": [1]}\r\n') == {"a": [1]}
+
 
 # -- the C encoder path ---------------------------------------------------
 #

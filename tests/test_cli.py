@@ -382,6 +382,28 @@ class TestApplyAndConverge:
         assert code == EXIT_REJECTED
         assert "ELISA" in capsys.readouterr().err
 
+    def test_plan_with_empty_required_text_is_refused(self, fixtures_dir, tmp_path, capsys):
+        # a hand-edited plan states DP-ELISA-001's units as ""; check would reject the result
+        assert main(["compile", str(fixtures_dir / "elisa.seo.json"), "--subgraph", "ELISA"]) == EXIT_OK
+        plan = json.loads(capsys.readouterr().out)
+        point = next(s for s in plan["statements"] if s.get("id") == "DP-ELISA-001")
+        point["properties"]["units"]["value"] = ""
+        plan_file = tmp_path / "elisa.plan.json"
+        plan_file.write_text(json.dumps(plan), encoding="utf-8")
+        store = copy_fixture_store(fixtures_dir, tmp_path)
+        sidecar = store.with_name("federated.skg.sha256")
+        before = store.read_bytes(), sidecar.read_bytes()
+        fresh = tmp_path / "fresh.skg.jsonl"
+        for path in (store, fresh):
+            assert main(["apply", str(plan_file), "--graph", str(path)]) == EXIT_REJECTED
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "MissingRequiredProperty\tELISA:DecisionPoint:DP-ELISA-001\tunits (text) is required\n"
+            )
+        assert (store.read_bytes(), sidecar.read_bytes()) == before
+        assert not fresh.exists()
+
     def test_apply_without_subgraph_needs_protocol(self, tmp_path, fixtures_dir, capsys):
         doc = str(fixtures_dir / "program.seo.json")
         code = main(["apply", doc, "--graph", str(tmp_path / "p.skg.jsonl")])
@@ -478,19 +500,17 @@ class TestCheck:
         assert "MissingRequiredProperty" in capsys.readouterr().out
 
     def test_confirmed_empty_required_text_fails(self, fixtures_dir, tmp_path, capsys):
-        # a hand-edited plan states a decision point's units as ""
-        assert main(["compile", str(fixtures_dir / "elisa.seo.json"), "--subgraph", "ELISA"]) == EXIT_OK
-        plan = json.loads(capsys.readouterr().out)
-        point = next(s for s in plan["statements"] if s.get("label") == "DecisionPoint")
-        point["properties"]["units"]["value"] = ""
-        plan_file = tmp_path / "elisa.plan.json"
-        plan_file.write_text(json.dumps(plan), encoding="utf-8")
-        store = tmp_path / "x.skg.jsonl"
-        assert main(["apply", str(plan_file), "--graph", str(store)]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["check", "--graph", str(store)]) == EXIT_REJECTED
+        # a hand-edited store states a decision point's units as ""; apply
+        # refuses a plan that does (TestApplyAndConverge), check the store
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        text = path.read_text(encoding="utf-8")
+        line = next(x for x in text.splitlines() if '"id": "DP-ELISA-001"' in x)
+        units = re.search(r'"units": \{[^}]*\}', line).group()
+        edited = line.replace(units, '"units": {"provenance": "INTERVIEW_CONFIRMED", "value": ""}')
+        path.write_text(text.replace(line, edited), encoding="utf-8")
+        assert main(["check", "--graph", str(path)]) == EXIT_REJECTED
         assert capsys.readouterr().out == (
-            f"MissingRequiredProperty\tELISA:DecisionPoint:{point['id']}\tunits (text) is required\n"
+            "MissingRequiredProperty\tELISA:DecisionPoint:DP-ELISA-001\tunits (text) is required\n"
         )
 
     @pytest.mark.parametrize(
@@ -1011,6 +1031,23 @@ class TestCorruptStore:
         assert captured.out == ""
         assert captured.err == f"error: {path}:{line_no}: {message}\n"
 
+    @pytest.mark.parametrize("line_no", [1, 2, 200])
+    def test_invalid_utf8_is_rejected_with_its_location(
+        self, fixtures_dir, tmp_path, capsys, line_no
+    ):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        at = lines[line_no - 1].index(b'"kind"') + 2  # 1-based, after the quote
+        lines[line_no - 1] = lines[line_no - 1].replace(b'"kind"', b'"\xc3kind"')
+        path.write_bytes(b"\n".join(lines))
+        for command in (["hash"], ["check"], ["query", "silent", "--subgraph", "ELISA"]):
+            assert main(command + ["--graph", str(path)]) == EXIT_REJECTED
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {path}:{line_no}: invalid UTF-8 (invalid continuation byte) at byte {at}\n"
+            )
+
     def test_verify_rejects_non_canonical_bytes(self, fixtures_dir, tmp_path, capsys):
         path = copy_fixture_store(fixtures_dir, tmp_path)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -1174,12 +1211,17 @@ class TestProcessEntry:
             (
                 ["query", "silent", "--subgraph", "ELISA"],
                 "FM-ELISA-001",
-                # SubgraphStats, the one dataclass, is built by stats reads only
+                # no read process builds SubgraphStats, the one dataclass
+                {"dataclasses", "inspect", "skg.validation"},
+            ),
+            (
+                ["stats", "--subgraph", "ELISA"],
+                '"subgraph": "ELISA"',
                 {"dataclasses", "inspect", "skg.validation"},
             ),
             (["check"], "OK", set()),
         ],
-        ids=["query", "check"],
+        ids=["query", "stats", "check"],
     )
     def test_query_process_imports_only_what_it_runs(
         self, fixtures_dir, tmp_path, command, shown, unused

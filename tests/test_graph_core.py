@@ -1,6 +1,10 @@
 import copy
 import gc
+import hashlib
+import itertools
 import pickle
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +34,8 @@ from skg import (
     save_store,
     value_kind,
 )
-from skg.graph_core import CONFLICT_LOG
+from skg import graph_core
+from skg.graph_core import _CHUNK_LINES, CONFLICT_LOG
 
 SD = Provenance.SCHEMA_DEFAULT
 IC = Provenance.INTERVIEW_CONFIRMED
@@ -513,6 +518,123 @@ class TestStoreFiles:
         header = canonical_serialize(make_graph()).decode()
         path.write_text(header + DANGLING_EDGE_LINE)
         with pytest.raises(DanglingEdge):
+            load_store(path, builtin_registry())
+
+
+def chain_graph(n: int) -> Graph:
+    """``n`` failure modes, each cascading to the next: 2n canonical lines."""
+    keys = [key(f"fm-{i:05d}") for i in range(n)]
+    nodes = [named(k, note=f"note {k.id} " * 4, confidence=0.5) for k in keys]
+    return merge(make_graph(), nodes + [Edge("CASCADES_TO", a, b) for a, b in zip(keys, keys[1:])])
+
+
+def traced_memory(run) -> tuple[int, int]:
+    """Bytes ``tracemalloc`` saw allocated after ``run()``, and at its peak while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingStoreIO:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        graph = chain_graph(1500)
+        assert canonical_serialize(graph).count(b"\n") > 10 * _CHUNK_LINES
+        return graph
+
+    def test_chunks_join_to_the_serialization(self, graph, tmp_path):
+        chunks = list(graph_core._canonical_chunks(graph))
+        data = canonical_serialize(graph)
+        assert b"".join(chunks) == data
+        assert [chunk.count(b"\n") for chunk in chunks[:-1]] == [_CHUNK_LINES] * (len(chunks) - 1)
+        assert 1 <= chunks[-1].count(b"\n") <= _CHUNK_LINES
+        assert graph_hash(graph) == hashlib.sha256(data).hexdigest()
+        path = tmp_path / "t.skg.jsonl"
+        assert save_store(graph, path) == graph_hash(graph)
+        assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("operation", ["save_store", "graph_hash"])
+    def test_save_and_hash_hold_less_than_the_store(self, graph, tmp_path, operation):
+        path = tmp_path / "t.skg.jsonl"
+        size = len(canonical_serialize(graph))
+        run = {"save_store": lambda: save_store(graph, path), "graph_hash": lambda: graph_hash(graph)}
+        _, peak = traced_memory(run[operation])
+        assert peak < size
+
+    def test_load_holds_little_beyond_the_graph(self, graph, tmp_path):
+        path = tmp_path / "t.skg.jsonl"
+        save_store(graph, path)
+        loaded = []
+        kept, peak = traced_memory(lambda: loaded.append(load_store(path, builtin_registry())))
+        assert loaded == [graph]
+        # the file's bytes and text are never held whole
+        assert peak - kept < path.stat().st_size / 4
+
+    def test_failed_save_leaves_the_old_store_whole(self, graph, tmp_path, monkeypatch):
+        path = tmp_path / "t.skg.jsonl"
+        save_store(merge(make_graph(), [named(key("a"))]), path)
+        before = path.read_bytes(), digest_path(path).read_bytes()
+        calls = itertools.count()
+        render = graph_core.node_line
+
+        def fail_in_third_chunk(node):
+            if next(calls) == 2 * _CHUNK_LINES:
+                raise RuntimeError("render failed")
+            return render(node)
+
+        monkeypatch.setattr(graph_core, "node_line", fail_in_third_chunk)
+        with pytest.raises(RuntimeError, match="render failed"):
+            save_store(graph, path)
+        assert (path.read_bytes(), digest_path(path).read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.skg.jsonl", "t.skg.sha256"]
+
+    def test_save_replaces_a_symlink_with_a_file(self, tmp_path):
+        target = tmp_path / "target.skg.jsonl"
+        save_store(make_graph(), target)
+        link = tmp_path / "link.skg.jsonl"
+        link.symlink_to(target)
+        graph = merge(make_graph(), [named(key("a"))])
+        save_store(graph, link)
+        assert not link.is_symlink()
+        assert link.read_bytes() == canonical_serialize(graph)
+        assert target.read_bytes() == canonical_serialize(make_graph())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data[:-1],
+            lambda data: data.replace(b"\n", b"\n\n", 3),
+            lambda data: data.replace(b"\n", b"\n \t\r\n" + "\u2028".encode() + b"\n", 2),
+            lambda data: data + b"\n\n",
+        ],
+        ids=["no-final-newline", "empty-lines", "whitespace-lines", "trailing-empty-lines"],
+    )
+    def test_blank_lines_and_a_missing_final_newline_load(self, tmp_path, edit):
+        graph = chain_graph(3)
+        path = tmp_path / "t.skg.jsonl"
+        path.write_bytes(edit(canonical_serialize(graph)))
+        assert load_store(path, builtin_registry()) == graph
+
+    def test_lines_are_counted_across_blank_lines(self, tmp_path):
+        lines = canonical_serialize(chain_graph(3)).split(b"\n")
+        lines[3] = b'{"kind": "mystery"}'
+        path = tmp_path / "t.skg.jsonl"
+        path.write_bytes(b"\n".join(lines[:2] + [b"", b"  "] + lines[2:]))
+        with pytest.raises(RegistryMismatch, match=rf"^{re.escape(str(path))}:6: unknown record kind"):
+            load_store(path, builtin_registry())
+
+    @pytest.mark.parametrize("line_no", [1, 2, 5])
+    def test_invalid_utf8_is_located(self, tmp_path, line_no):
+        lines = canonical_serialize(chain_graph(3)).split(b"\n")
+        lines[line_no - 1] = lines[line_no - 1].replace(b'"kind"', b'"k\xffind"')
+        path = tmp_path / "t.skg.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        message = rf"^{re.escape(str(path))}:{line_no}: invalid UTF-8 \(invalid start byte\) at byte "
+        with pytest.raises(RegistryMismatch, match=message):
             load_store(path, builtin_registry())
 
 

@@ -458,6 +458,16 @@ class TestSubgraphStats:
         assert pickle.loads(pickle.dumps(s)) == s
         assert repr(s).startswith("SubgraphStats(subgraph='ELISA', ")
 
+    @pytest.mark.parametrize("subgraph", ["ELISA", "LCMS_PRM", "AUTOMATION", "PROGRAM"])
+    def test_record_is_the_dataclass_as_a_dict(self, federated, subgraph):
+        record = queries.subgraph_stats_record(federated, subgraph)
+        assert record == dataclasses.asdict(subgraph_stats(federated, subgraph))
+        assert list(record) == [f.name for f in dataclasses.fields(queries.SubgraphStats)]
+
+    def test_record_of_unknown_subgraph(self, federated):
+        with pytest.raises(KeyError):
+            queries.subgraph_stats_record(federated, "NOPE")
+
     def test_unknown_module_attribute_raises_attribute_error_naming_it(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             queries.no_such_name
