@@ -18,9 +18,11 @@ knowledge. A plan and its provenance are ``NamedTuple`` records.
 
 Cross-subgraph edges always enter the plan pending; they stay
 quarantined until an operator approves the convergence. Applying a
-plan holds each node it touches to the claim rules after the merge, so
-two documents that each validate cannot merge into a node that breaks
-them.
+plan holds each record it touches, once merged, to
+``ontology.record_issues``, the rules ``validate_graph`` applies to a
+whole store, so two documents that each validate cannot merge into a
+node that breaks them, and no hand-edited plan writes a store that
+``skg check`` rejects.
 """
 
 from __future__ import annotations
@@ -45,15 +47,8 @@ from .graph_core import (
     parse_node_key,
 )
 from .metrics import default_aliases, label_slug, normalize_label
-from .ontology import (
-    CONFIDENCE_FLOOR,
-    REGISTRY_VERSION,
-    builtin_registry,
-    claim_issues,
-    required_issues,
-)
+from .ontology import CONFIDENCE_FLOOR, REGISTRY_VERSION, builtin_registry, record_issues
 from .seo import SeoDocument, _fields, serialize_seo, validate_seo
-from .validation import IssueCollector
 
 PLAN_KIND = "merge_plan"
 PLAN_VERSION = 1
@@ -521,10 +516,11 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
 
     Raises:
         RegistryMismatch: the plan was compiled under another registry.
-        Rejected: a node the plan touches, once merged, lacks a required
-            property (``ontology.required_issues``) or breaks a claim rule
-            (``ontology.claim_issues``); the report names each such node
-            and issue as ``validate_graph`` does.
+        Rejected: a record the plan touches, once merged, breaks a rule
+            of ``ontology.record_issues``, the rules ``validate_graph``
+            applies; the report names each such record and issue, nodes
+            by key, then edges by key, as ``validate_graph`` does.
+        TypeConflict, DanglingEdge, CrossSubgraphViolation: as ``merge``.
     """
     if plan.provenance.registry_version != graph.registry_version:
         raise RegistryMismatch(
@@ -533,19 +529,13 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
         )
     merged = merge(graph, plan.nodes + plan.edges + plan.pending_edges)
     # merge takes properties one by one, so rules that tie several of a
-    # claim's properties together are checked on the merged node
-    node_types = builtin_registry().node_types
-    out = IssueCollector()
-    for node in plan.nodes:
-        stored = merged.node(node.key)
-        where = node.key.to_text()
-        ndef = node_types.get(node.key.label)
-        if ndef is not None:
-            for code, detail in required_issues(ndef, stored.properties):
-                out.add(code, where, detail)
-        for code, detail in claim_issues(node.key.label, stored.get):
-            out.add(code, where, detail)
-    report = out.report()
+    # record's properties together hold only once it is merged; each key
+    # once, in plan order, which a compiled plan already sorts
+    node_keys = sorted(dict.fromkeys(node.key for node in plan.nodes))
+    edge_keys = sorted(dict.fromkeys(edge.key for edge in plan.edges + plan.pending_edges))
+    report = record_issues(
+        builtin_registry(), map(merged.node, node_keys), map(merged.edge, edge_keys)
+    )
     if not report.ok:
         raise Rejected(report)
     return merged

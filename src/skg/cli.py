@@ -261,7 +261,10 @@ def cmd_hash(args) -> int:
             with open(store, "rb") as handle:  # in blocks: never the whole store at once
                 while block := handle.read(1 << 16):
                     file_digest.update(block)
-            recorded = digest_path(store).read_text(encoding="utf-8", errors="replace").split()
+            try:
+                recorded = digest_path(store).read_text(encoding="utf-8", errors="replace").split()
+            except FileNotFoundError:  # a crash before a new store's first sidecar write
+                recorded = None
     digest = graph_hash(graph)
     if args.verify:
         # the loader reads any spacing and member order within a line,
@@ -273,8 +276,8 @@ def cmd_hash(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INVARIANT
-        if recorded[:1] != [digest]:
-            shown = recorded[0] if recorded else "is empty"
+        if not recorded or recorded[0] != digest:
+            shown = recorded[0] if recorded else ("is missing" if recorded is None else "is empty")
             print(f"digest mismatch: sidecar {shown}, computed {digest}", file=sys.stderr)
             return EXIT_INVARIANT
     print(digest)

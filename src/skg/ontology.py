@@ -7,10 +7,12 @@ vocabulary splits into the core failure-mode relations and the
 structural plumbing needed to make the graph navigable; the registry
 records which is which.
 
-``claim_issues`` is the one statement of the claim rules (confidence
-range, SHELF frequency triples): ``validate_graph`` and
-``seo.validate_seo`` both apply it, so a valid document compiles to a
-valid graph.
+``record_issues`` is the one statement of what a stored record must
+satisfy: ``validate_graph`` runs it over a whole graph, and
+``annotator.apply_plan`` over the merged records a plan touches. It
+applies ``claim_issues``, the one statement of the claim rules
+(confidence range, SHELF frequency triples), which ``seo.validate_seo``
+applies too, so a valid document compiles to a valid graph.
 
 Registry objects are immutable; validation never mutates the graph and
 reports a deterministically ordered issue list.
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .graph_core import Graph, Prop, Provenance, value_kind
+from .graph_core import Edge, Graph, Node, Provenance
 
 if TYPE_CHECKING:
     from .validation import ValidationReport
@@ -321,85 +323,90 @@ def claim_issues(label: str, get: Callable[[str], object]) -> Iterator[tuple[str
         yield "ShelfOrderViolation", f"{fmin} <= {fbest} <= {fmax} fails"
 
 
-def required_issues(
-    ndef: NodeTypeDef, properties: Mapping[str, Prop]
+def _node_issues(
+    node: Node, ndef: NodeTypeDef | None, kinds: tuple[tuple[str, str], ...]
 ) -> Iterator[tuple[str, str]]:
-    """(code, detail) of each property that a ``ndef`` node must state and does not.
+    """(code, detail) of each rule a node breaks; ``kinds`` is its label's, sorted by name.
 
     A required property is missing when it is absent, or when it is an
     empty text confirmed by interview, as in ``seo.validate_seo``; the
     empty SCHEMA_DEFAULT text of a stub is its label's default.
+    Undeclared domain properties may coexist with declared ones.
     """
+    if ndef is None:
+        yield "UnknownLabel", f"label {node.key.label} not in registry"
+        return
+    properties = node.properties
     for name, kind in ndef.required:
         prop = properties.get(name)
         if prop is None or (prop.value == "" and prop.provenance is Provenance.INTERVIEW_CONFIRMED):
             yield "MissingRequiredProperty", f"{name} ({kind}) is required"
+    for name, expected in kinds:
+        prop = properties.get(name)
+        if prop is not None and prop.kind != expected:
+            yield "ValueKindMismatch", f"{name}: expected {expected}, got {prop.kind}"
+    yield from claim_issues(node.key.label, node.get)
 
 
-def validate_graph(graph: Graph, registry: SchemaRegistry) -> ValidationReport:
-    """Check every node and edge against the registry; graph is untouched.
+def _edge_issues(edge: Edge, registry: SchemaRegistry) -> Iterator[tuple[str, str]]:
+    """(code, detail) of each rule an edge breaks."""
+    edef = registry.edge_types.get(edge.edge_type)
+    if edef is None:
+        yield "UnknownEdgeType", f"edge type {edge.edge_type} not in registry"
+        return
+    src_ok = edge.src.label in edef.src_labels
+    dst_ok = edge.dst.label in edef.dst_labels
+    if not src_ok or not dst_ok:
+        detail = f"allowed {sorted(edef.src_labels)} -> {sorted(edef.dst_labels)}"
+        yield "EndpointLabelViolation", detail
+    if edge.src.subgraph != edge.dst.subgraph and not edef.cross_subgraph_allowed:
+        detail = f"{edge.src.subgraph} -> {edge.dst.subgraph} not allowed for this type"
+        yield "CrossSubgraphViolation", detail
+    if not edef.cross_tier and src_ok and dst_ok:
+        src_tier = registry.tier_of(edge.src.label)
+        dst_tier = registry.tier_of(edge.dst.label)
+        if src_tier is not dst_tier:
+            yield "TierViolation", f"within-tier edge spans {src_tier.name} -> {dst_tier.name}"
 
-    Each node states what ``required_issues`` asks, and obeys
-    ``claim_issues``, as each document claim does.
+
+def record_issues(
+    registry: SchemaRegistry, nodes: Iterable[Node], edges: Iterable[Edge]
+) -> ValidationReport:
+    """Check each node, then each edge, in the order given, against the registry.
+
+    A node has a registered label, states what its label requires, holds
+    each declared property at its kind and obeys ``claim_issues``; an
+    edge has a registered type and endpoint labels, and crosses subgraphs
+    or tiers only where its type may.
 
     Issue codes: UnknownLabel, UnknownEdgeType, EndpointLabelViolation,
     MissingRequiredProperty, ValueKindMismatch, ConfidenceOutOfRange,
     MissingMandatoryField, ShelfEligibilityViolation, FrequencyOutOfRange,
     ShelfOrderViolation, CrossSubgraphViolation, TierViolation.
     """
-    from .validation import IssueCollector  # here: a process that only queries never validates
+    # here: a process that only queries never validates
+    from .validation import Issue, ValidationReport
 
-    out = IssueCollector()
-    for node in graph.nodes():
-        where = node.key.to_text()
-        ndef = registry.node_types.get(node.key.label)
-        if ndef is None:
-            out.add("UnknownLabel", where, f"label {node.key.label} not in registry")
-            continue
-        declared = ndef.declared_kinds()
-        for code, detail in required_issues(ndef, node.properties):
-            out.add(code, where, detail)
-        for name in sorted(node.properties):
-            expected = declared.get(name)
-            if expected is None:
-                continue  # undeclared domain properties may coexist
-            actual = value_kind(node.properties[name].value)
-            if actual != expected:
-                out.add(
-                    "ValueKindMismatch", where, f"{name}: expected {expected}, got {actual}"
-                )
-        for code, detail in claim_issues(node.key.label, node.get):
-            out.add(code, where, detail)
-    for edge in graph.edges():
-        where = f"{edge.edge_type}[{edge.src.to_text()} -> {edge.dst.to_text()}]"
-        edef = registry.edge_types.get(edge.edge_type)
-        if edef is None:
-            out.add("UnknownEdgeType", where, f"edge type {edge.edge_type} not in registry")
-            continue
-        src_ok = edge.src.label in edef.src_labels
-        dst_ok = edge.dst.label in edef.dst_labels
-        if not src_ok or not dst_ok:
-            out.add(
-                "EndpointLabelViolation",
-                where,
-                f"allowed {sorted(edef.src_labels)} -> {sorted(edef.dst_labels)}",
-            )
-        if edge.src.subgraph != edge.dst.subgraph and not edef.cross_subgraph_allowed:
-            out.add(
-                "CrossSubgraphViolation",
-                where,
-                f"{edge.src.subgraph} -> {edge.dst.subgraph} not allowed for this type",
-            )
-        if not edef.cross_tier and src_ok and dst_ok:
-            src_tier = registry.tier_of(edge.src.label)
-            dst_tier = registry.tier_of(edge.dst.label)
-            if src_tier is not dst_tier:
-                out.add(
-                    "TierViolation",
-                    where,
-                    f"within-tier edge spans {src_tier.name} -> {dst_tier.name}",
-                )
-    return out.report()
+    node_types = registry.node_types
+    kinds = {label: tuple(sorted(d.declared_kinds().items())) for label, d in node_types.items()}
+    issues: list[Issue] = []
+    for node in nodes:
+        label = node.key.label
+        found = list(_node_issues(node, node_types.get(label), kinds.get(label, ())))
+        if found:  # the subject is rendered only for a record that has an issue
+            where = node.key.to_text()
+            issues += [Issue(code, where, detail) for code, detail in found]
+    for edge in edges:
+        found = list(_edge_issues(edge, registry))
+        if found:
+            where = f"{edge.edge_type}[{edge.src.to_text()} -> {edge.dst.to_text()}]"
+            issues += [Issue(code, where, detail) for code, detail in found]
+    return ValidationReport(issues)
+
+
+def validate_graph(graph: Graph, registry: SchemaRegistry) -> ValidationReport:
+    """``record_issues`` over every node and edge, each by key; graph is untouched."""
+    return record_issues(registry, graph.nodes(), graph.edges())
 
 
 def schema_listing(registry: SchemaRegistry) -> str:

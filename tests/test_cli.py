@@ -18,6 +18,7 @@ from skg import (
     Prop,
     builtin_registry,
     compile_seo,
+    load_plan,
     merge,
     parse_seo,
     plan_to_bytes,
@@ -25,7 +26,7 @@ from skg import (
 )
 from skg.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 
-from conftest import DEEP_NESTING, FIXTURES
+from conftest import DEEP_NESTING, FIXTURES, ROOT
 
 DOCS = [
     ("elisa.seo.json", None),
@@ -345,6 +346,67 @@ class TestCompile:
         assert "ContaminationGuardViolation" in capsys.readouterr().err
 
 
+def plan_statement(plan: dict, **members) -> dict:
+    """The first statement of a plan that states each of ``members``."""
+    return next(s for s in plan["statements"] if members.items() <= s.items())
+
+
+def empty_units(plan: dict) -> None:
+    plan_statement(plan, id="DP-ELISA-001")["properties"]["units"]["value"] = ""
+
+
+def text_confidence(plan: dict) -> None:
+    plan_statement(plan, label="FailureMode")["properties"]["confidence"]["value"] = "high"
+
+
+def unknown_edge_type(plan: dict) -> None:
+    plan_statement(plan, edge_type="PRECEDES")["edge_type"] = "FOLLOWS"
+
+
+def unknown_label(plan: dict) -> None:
+    """Relabel an error signature, and every edge naming it, as ``Signal``."""
+    node = plan_statement(plan, label="ErrorSignature")
+    node["label"] = "Signal"
+    old, new = (f"ELISA:{label}:{node['id']}" for label in ("ErrorSignature", "Signal"))
+    for statement in plan["statements"] + plan["pending_edges"]:
+        for end in ("src", "dst"):
+            if statement.get(end) == old:
+                statement[end] = new
+
+
+# (plan edit, report of apply on a fresh store and of check had it applied,
+# exit of apply on the fixture store, where a text confidence is a kind conflict)
+PLAN_RULE_BREACHES = [
+    pytest.param(
+        empty_units,
+        "MissingRequiredProperty\tELISA:DecisionPoint:DP-ELISA-001\tunits (text) is required\n",
+        EXIT_REJECTED,
+        id="empty-units",
+    ),
+    pytest.param(
+        text_confidence,
+        "ValueKindMismatch\tELISA:FailureMode:FM-ELISA-001\tconfidence: expected number, got text\n",
+        EXIT_INVARIANT,
+        id="text-confidence",
+    ),
+    pytest.param(
+        unknown_edge_type,
+        "UnknownEdgeType\tFOLLOWS[ELISA:WorkflowStep:ST-ELISA-001 -> ELISA:WorkflowStep:ST-ELISA-002]"
+        "\tedge type FOLLOWS not in registry\n",
+        EXIT_REJECTED,
+        id="unknown-edge-type",
+    ),
+    pytest.param(
+        unknown_label,
+        "UnknownLabel\tELISA:Signal:ES-dispense-pressure-alarm\tlabel Signal not in registry\n"
+        "EndpointLabelViolation\tDETECTED_BY[ELISA:FailureMode:FM-ELISA-013 -> "
+        "ELISA:Signal:ES-dispense-pressure-alarm]\tallowed ['FailureMode'] -> ['ErrorSignature']\n",
+        EXIT_REJECTED,
+        id="unknown-label",
+    ),
+]
+
+
 class TestApplyAndConverge:
     def test_full_federation_matches_frozen_digest(self, store, capsys):
         assert main(["hash", "--graph", str(store)]) == EXIT_OK
@@ -382,27 +444,38 @@ class TestApplyAndConverge:
         assert code == EXIT_REJECTED
         assert "ELISA" in capsys.readouterr().err
 
-    def test_plan_with_empty_required_text_is_refused(self, fixtures_dir, tmp_path, capsys):
-        # a hand-edited plan states DP-ELISA-001's units as ""; check would reject the result
+    @pytest.mark.parametrize(("edit", "report", "fixture_exit"), PLAN_RULE_BREACHES)
+    def test_plan_breaking_a_record_rule_is_refused(
+        self, fixtures_dir, tmp_path, capsys, edit, report, fixture_exit
+    ):
+        # a hand-edited plan that would write a store check rejects is refused
+        # whole, with check's report, and no store file is touched or created
         assert main(["compile", str(fixtures_dir / "elisa.seo.json"), "--subgraph", "ELISA"]) == EXIT_OK
         plan = json.loads(capsys.readouterr().out)
-        point = next(s for s in plan["statements"] if s.get("id") == "DP-ELISA-001")
-        point["properties"]["units"]["value"] = ""
+        edit(plan)
         plan_file = tmp_path / "elisa.plan.json"
         plan_file.write_text(json.dumps(plan), encoding="utf-8")
         store = copy_fixture_store(fixtures_dir, tmp_path)
         sidecar = store.with_name("federated.skg.sha256")
         before = store.read_bytes(), sidecar.read_bytes()
         fresh = tmp_path / "fresh.skg.jsonl"
-        for path in (store, fresh):
-            assert main(["apply", str(plan_file), "--graph", str(path)]) == EXIT_REJECTED
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (
-                "MissingRequiredProperty\tELISA:DecisionPoint:DP-ELISA-001\tunits (text) is required\n"
-            )
-        assert (store.read_bytes(), sidecar.read_bytes()) == before
+        assert main(["apply", str(plan_file), "--graph", str(fresh)]) == EXIT_REJECTED
+        assert capsys.readouterr() == ("", report)
         assert not fresh.exists()
+        assert not fresh.with_name("fresh.skg.sha256").exists()
+        assert main(["apply", str(plan_file), "--graph", str(store)]) == fixture_exit
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if fixture_exit == EXIT_REJECTED:
+            assert captured.err == report
+        assert (store.read_bytes(), sidecar.read_bytes()) == before
+        # check reports the same on the store the plan writes unchecked
+        unchecked = tmp_path / "unchecked.skg.jsonl"
+        raw = load_plan(plan_file.read_bytes())
+        records = raw.nodes + raw.edges + raw.pending_edges
+        save_store(merge(Graph(builtin_registry()), records), unchecked)
+        assert main(["check", "--graph", str(unchecked)]) == EXIT_REJECTED
+        assert capsys.readouterr() == (report, "")
 
     def test_apply_without_subgraph_needs_protocol(self, tmp_path, fixtures_dir, capsys):
         doc = str(fixtures_dir / "program.seo.json")
@@ -977,6 +1050,64 @@ def mutated_fixture_stores(draw) -> str:
     return "\n".join(lines)
 
 
+ELISA_PLAN = json.loads(
+    plan_to_bytes(compile_seo(parse_seo((FIXTURES / "elisa.seo.json").read_bytes()), "ELISA"))
+)
+# what a plan mutation writes: registered names, near misses and malformed text
+PLAN_LABELS = [*builtin_registry().node_types, "Signal", "", "Error:Signature"]
+PLAN_EDGE_TYPES = [*builtin_registry().edge_types, "FOLLOWS", ""]
+PLAN_ENDPOINTS = [
+    "ELISA:WorkflowStep:ST-ELISA-999",  # in neither the plan nor the fixture store
+    "LCMS_PRM:WorkflowStep:ST-LCMS_PRM-001",  # in the fixture store only
+    "ELISA:WorkflowStep",
+    "ELISA:WorkflowStep:bad id",
+]
+PLAN_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.floats(-0.5, 1.5),
+    st.sampled_from(["", "high", "SHELF_elicited", "linguistic_approximation"]),
+    st.lists(st.sampled_from(["a", ""]), max_size=2),
+)
+PLAN_PROVENANCES = ["INTERVIEW_CONFIRMED", "SCHEMA_DEFAULT", "GUESSED", ""]
+ISSUE_REPORT = re.compile(r"(?:[A-Za-z]+\t[^\t\n]+\t[^\t\n]+\n)+")
+
+
+@st.composite
+def mutated_elisa_plans(draw) -> str:
+    """The compiled ELISA plan with one statement's label, edge type, endpoint,
+    property value or kind, or provenance text changed."""
+    plan = json.loads(json.dumps(ELISA_PLAN))
+    statements = plan["statements"] + plan["pending_edges"]
+    nodes = [s for s in statements if s["kind"] == "node"]
+    edges = [s for s in statements if s["kind"] != "node"]
+    op = draw(st.sampled_from(["label", "edge_type", "endpoint", "value", "provenance"]))
+    if op == "label":
+        node = draw(st.sampled_from(nodes))
+        old = f"{node['subgraph']}:{node['label']}:{node['id']}"
+        node["label"] = draw(st.sampled_from(PLAN_LABELS))
+        if draw(st.booleans()):  # the edges follow the node, or dangle
+            for edge in edges:
+                for end in ("src", "dst"):
+                    if edge[end] == old:
+                        edge[end] = f"{node['subgraph']}:{node['label']}:{node['id']}"
+    elif op == "edge_type":
+        draw(st.sampled_from(edges))["edge_type"] = draw(st.sampled_from(PLAN_EDGE_TYPES))
+    elif op == "endpoint":
+        texts = [f"{n['subgraph']}:{n['label']}:{n['id']}" for n in nodes] + PLAN_ENDPOINTS
+        edge = draw(st.sampled_from(edges))
+        edge[draw(st.sampled_from(["src", "dst"]))] = draw(st.sampled_from(texts))
+    else:
+        properties = draw(st.sampled_from(nodes))["properties"]
+        prop = properties[draw(st.sampled_from(sorted(properties)))]
+        if op == "value":
+            prop["value"] = draw(PLAN_VALUES)
+        else:
+            prop["provenance"] = draw(st.sampled_from(PLAN_PROVENANCES))
+    return json.dumps(plan)
+
+
 class TestCorruptStore:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=mutated_fixture_stores())
@@ -1065,16 +1196,32 @@ class TestCorruptStore:
         assert captured.out == ""
         assert "not canonical" in captured.err
 
-    @pytest.mark.parametrize("sidecar", ["", "\n", "not-a-digest\n", "\xff\n"])
+    @pytest.mark.parametrize(
+        "sidecar", ["", "\n", "not-a-digest\n", "\xff\n", pytest.param(None, id="missing")]
+    )
     def test_verify_reports_a_bad_sidecar_as_a_mismatch(
         self, fixtures_dir, tmp_path, capsys, sidecar
     ):
+        # a crash between a new store's first rename and its first sidecar
+        # write leaves a store with no sidecar
         path = copy_fixture_store(fixtures_dir, tmp_path)
-        (tmp_path / "federated.skg.sha256").write_bytes(sidecar.encode("latin-1"))
+        if sidecar is None:
+            (tmp_path / "federated.skg.sha256").unlink()
+        else:
+            (tmp_path / "federated.skg.sha256").write_bytes(sidecar.encode("latin-1"))
         assert main(["hash", "--graph", str(path), "--verify"]) == EXIT_INVARIANT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("digest mismatch: sidecar ")
+        if sidecar is None:
+            assert captured.err == f"digest mismatch: sidecar is missing, computed {FEDERATED_DIGEST}\n"
+
+    def test_verify_of_a_missing_store_is_an_io_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.skg.jsonl"
+        assert main(["hash", "--graph", str(path), "--verify"]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
 
 
 # a text value that the plan test replaces with DEEP_NESTING once the plan is JSON
@@ -1082,6 +1229,28 @@ DEEP_MARK = "deeply nested arrays"
 
 
 class TestMalformedPlan:
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=mutated_elisa_plans())
+    def test_mutated_statement_exits_cleanly_and_applies_only_what_checks(
+        self, tmp_path, capsys, text
+    ):
+        plan_file = tmp_path / "elisa.plan.json"
+        plan_file.write_text(text, encoding="utf-8")
+        fresh = tmp_path / "fresh.skg.jsonl"
+        for path in (fresh, fresh.with_name("fresh.skg.sha256")):
+            path.unlink(missing_ok=True)
+        for store in (fresh, copy_fixture_store(FIXTURES, tmp_path)):
+            code = main(["apply", str(plan_file), "--graph", str(store)])  # nothing may escape
+            captured = capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_IO, EXIT_INVARIANT)
+            if code != EXIT_OK:
+                assert captured.err.startswith("error: ") or ISSUE_REPORT.fullmatch(captured.err)
+                continue
+            assert captured.err == ""
+            # a store that apply writes passes check
+            assert main(["check", "--graph", str(store)]) == EXIT_OK
+            assert capsys.readouterr() == ("OK\n", "")
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -1171,6 +1340,13 @@ class TestSchemaAndHash:
         assert capsys.readouterr().out.strip() == FEDERATED_DIGEST
 
 
+# the environment of a child interpreter that imports skg from this checkout
+SRC_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+)
+
+
 class TestProcessEntry:
     def test_module_runs_as_script(self):
         proc = subprocess.run(
@@ -1193,11 +1369,8 @@ class TestProcessEntry:
             f"code = skg.cli.main({argv!r})\n"
             "sys.stderr.write(json.dumps({'bare': bare, 'code': code, 'loaded': list(sys.modules)}))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path_entries = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+            [sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stderr)
@@ -1253,6 +1426,26 @@ class TestProcessEntry:
         out, seen = self.run_main_in_fresh_process([arg.format(**names) for arg in command])
         assert shown in out
         assert {"dataclasses", "inspect"}.isdisjoint(seen["loaded"])
+
+    def test_concurrent_applies_are_serialized(self, fixtures_dir, tmp_path, capsys):
+        # four processes race to create and grow one store; the store lock
+        # serializes them, so every document lands whatever the order
+        store = tmp_path / "twin.skg.jsonl"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "skg.cli", *apply_args(store, fixtures_dir, doc, subgraph)],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=SRC_ENV,
+            )
+            for doc, subgraph in DOCS
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (EXIT_OK, b"")
+        assert main(["converge", "--graph", str(store)]) == EXIT_OK
+        assert capsys.readouterr().out == FEDERATED_DIGEST + "\n"
+        assert (tmp_path / "twin.skg.sha256").read_text().split()[0] == FEDERATED_DIGEST
 
     def test_fixture_checker_passes(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "check_fixtures.py"
