@@ -13,7 +13,6 @@ Prints one line per check group; exits 1 on the first failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -169,7 +168,7 @@ def query_rows(graph) -> list[str]:
         ):
             out.append(queries.rows_to_json(query(graph, sg)))
         out.append(queries.rows_to_json(queries.low_confidence_claims(graph, sg, 0.7)))
-        out.append(render_record(dataclasses.asdict(queries.subgraph_stats(graph, sg))))
+        out.append(render_record(queries.subgraph_stats_record(graph, sg)))
     for step in graph.nodes("WorkflowStep"):
         k = step.key
         out.append(queries.rows_to_json(queries.step_decision_points(graph, k.subgraph, k.id)))

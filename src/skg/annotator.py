@@ -8,7 +8,10 @@ stored, or shipped to another site before being applied.
 
 A claim node's properties are the claim's own text, number and boolean
 fields, read off the document's field table, so the document record
-classes stay the one description of what a claim carries.
+classes stay the one description of what a claim carries. Its id is the
+one ``seo.walk_claims`` gives it, the walk ``validate_seo`` checks under
+the same target subgraph, so two claims never share a node and a cascade
+stub never lands on a described claim.
 Referenced-but-unowned records (instruments named as masking assets,
 cascade targets nobody described, workflows cited by program inputs)
 become stubs holding every property the registry requires of their
@@ -32,7 +35,15 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .canonical import render_record, render_text, render_value, strict_loads
-from .errors import MalformedKey, RegistryMismatch, Rejected, SubgraphMismatch
+from .errors import (
+    CrossSubgraphViolation,
+    DanglingEdge,
+    MalformedKey,
+    RegistryMismatch,
+    Rejected,
+    SubgraphMismatch,
+    TypeConflict,
+)
 from .graph_core import (
     KEY_PART_RE,
     Edge,
@@ -48,7 +59,7 @@ from .graph_core import (
 )
 from .metrics import default_aliases, label_slug, normalize_label
 from .ontology import CONFIDENCE_FLOOR, REGISTRY_VERSION, builtin_registry, record_issues
-from .seo import SeoDocument, _fields, serialize_seo, validate_seo
+from .seo import SeoDocument, _fields, cascade_stub_id, serialize_seo, validate_seo, walk_claims
 
 PLAN_KIND = "merge_plan"
 PLAN_VERSION = 1
@@ -171,14 +182,15 @@ def compile_seo(
             informally; the packaged defaults when omitted.
 
     Raises:
-        Rejected: ``validate_seo`` found issues; the report rides along.
+        Rejected: ``validate_seo`` under ``subgraph`` found issues; the
+            report rides along.
         SubgraphMismatch: ``subgraph`` is not a key part, or the protocol
             layer declares a different subgraph.
     """
     if not KEY_PART_RE.fullmatch(subgraph):
         raise SubgraphMismatch(f"subgraph {subgraph!r} outside {KEY_PART_RE.pattern}")
     aliases = default_aliases() if aliases is None else aliases
-    report = validate_seo(doc)
+    report = validate_seo(doc, subgraph)
     if not report.ok:
         raise Rejected(report)
     if doc.protocol is not None and doc.protocol.subgraph != subgraph:
@@ -188,158 +200,92 @@ def compile_seo(
 
     b = _Builder()
     meta = doc.twin_metadata
-    fm_claims: list[tuple] = []  # (claim, node key)
-    dp_keys: list[NodeKey] = []
-    step_key_by_id: dict[str, NodeKey] = {}
-
-    def step_for(step_id: str) -> NodeKey:
-        """The step a decision point or alternative names, stubbed if undescribed."""
-        if step_id not in step_key_by_id:
-            step_key_by_id[step_id] = b.stub(NodeKey(subgraph, "WorkflowStep", step_id), step_id)
-        return step_key_by_id[step_id]
-
-    if doc.protocol is not None:
-        proto = doc.protocol
-        wf_key = b.node(
+    proto = doc.protocol
+    claims = list(walk_claims(doc, subgraph))
+    # cascade targets may be claimed later in the document
+    fm_by_norm = {
+        normalize_label(record.name, aliases): NodeKey(subgraph, label, claim_id)
+        for _, label, record, claim_id in claims
+        if label == "FailureMode"
+    }
+    calibrated: list[tuple[NodeKey, str]] = []  # failure modes and decision points
+    step = None
+    if proto is not None:
+        workflow = b.node(
             NodeKey(subgraph, "AssayWorkflow", proto.workflow_id),
             {
                 "name": Prop(proto.workflow_name, _tag(proto.pre_extracted)),
                 "flagged_for_review": Prop(False, _tag(proto.pre_extracted)),
             },
         )
-        fm_counter = 0
-        ordered = sorted(proto.steps, key=lambda s: s.step_index)
-        step_keys: list[NodeKey] = []
-        for step in ordered:
-            pre = proto.pre_extracted or step.pre_extracted
-            step_id = step.id or f"ST-{subgraph}-{int(step.step_index):03d}"
-            key = b.node(NodeKey(subgraph, "WorkflowStep", step_id), _claim_props(step, _tag(pre)))
-            step_keys.append(key)
-            step_key_by_id[step_id] = key
-            if step.id is not None:
-                step_key_by_id[step.id] = key
-            b.edge("HAS_STEP", wf_key, key)
-
-            for uc_name in step.required_use_cases:
-                uc_key = b.stub(
-                    NodeKey(EXECUTION_SUBGRAPH, "UseCase", f"UC-{label_slug(uc_name)}"), uc_name
-                )
-                b.edge("REQUIRES_AUTOMATION", key, uc_key)
-
-            for fm in step.failure_modes:
-                fm_counter += 1
-                fm_id = fm.id or f"FM-{subgraph}-{fm_counter:03d}"
-                fm_key = b.node(
-                    NodeKey(subgraph, "FailureMode", fm_id),
-                    _claim_props(fm, _tag(pre or fm.pre_extracted)),
-                )
-                fm_claims.append((fm, fm_key))
-                b.edge("CAUSES_IF_INCOMPLETE", key, fm_key)
-
-        for prev, nxt in zip(step_keys, step_keys[1:]):
-            b.edge("PRECEDES", prev, nxt)
-
-        # second pass: cascade targets may be claimed later in the document
-        fm_by_norm = {
-            normalize_label(claim.name, aliases): k for claim, k in fm_claims
-        }
-        for fm, fm_key in fm_claims:
-            for target in fm.cascades_to:
+    for _, label, record, claim_id in claims:
+        key = NodeKey(subgraph, label, claim_id)
+        if label == "WorkflowStep":
+            pre = proto.pre_extracted or record.pre_extracted
+            b.node(key, _claim_props(record, _tag(pre)))
+            b.edge("HAS_STEP", workflow, key)
+            if step is not None:
+                b.edge("PRECEDES", step, key)
+            step = key
+            for name in record.required_use_cases:
+                use_case = NodeKey(EXECUTION_SUBGRAPH, "UseCase", f"UC-{label_slug(name)}")
+                b.edge("REQUIRES_AUTOMATION", key, b.stub(use_case, name))
+        elif label == "FailureMode":
+            b.node(key, _claim_props(record, _tag(pre or record.pre_extracted)))
+            b.edge("CAUSES_IF_INCOMPLETE", step, key)
+            calibrated.append((key, record.confidence_method))
+            for target in record.cascades_to:
                 dst = fm_by_norm.get(normalize_label(target, aliases))
-                if dst is None:
-                    dst = b.stub(
-                        NodeKey(subgraph, "FailureMode", f"FM-{label_slug(target)}"), target
-                    )
-                b.edge("CASCADES_TO", fm_key, dst)
-            for asset_name in fm.masked_by_assets:
-                asset = b.stub(
-                    NodeKey(EXECUTION_SUBGRAPH, "AutomationAsset", f"AA-{label_slug(asset_name)}"),
-                    asset_name,
-                )
-                b.edge("MASKED_BY", fm_key, asset)
-            for signature in fm.detected_by:
-                sig = b.stub(
-                    NodeKey(subgraph, "ErrorSignature", f"ES-{label_slug(signature)}"), signature
-                )
-                b.edge("DETECTED_BY", fm_key, sig)
+                if dst is None:  # validate_seo refused a stub id that is a claim's
+                    dst = b.stub(NodeKey(subgraph, label, cascade_stub_id(target)), target)
+                b.edge("CASCADES_TO", key, dst)
+            for name in record.masked_by_assets:
+                asset = NodeKey(EXECUTION_SUBGRAPH, "AutomationAsset", f"AA-{label_slug(name)}")
+                b.edge("MASKED_BY", key, b.stub(asset, name))
+            for name in record.detected_by:
+                signature = NodeKey(subgraph, "ErrorSignature", f"ES-{label_slug(name)}")
+                b.edge("DETECTED_BY", key, b.stub(signature, name))
+        elif label == "ProgramMilestone":
+            milestone = b.node(key, _claim_props(record, _IC))
+        elif label == "EvidentiaryInput":
+            b.node(key, _claim_props(record, _IC))
+            b.edge("REQUIRES_EVIDENCE", milestone, key)
+            source = record.sourced_from
+            if source is not None:
+                wf = NodeKey(source.subgraph, "AssayWorkflow", source.workflow_id)
+                b.edge("SOURCED_FROM", key, b.stub(wf, source.workflow_id))
+        else:  # a decision point or method alternative, on the step it names
+            decision = label == "DecisionPoint"
+            b.node(key, _claim_props(record, _IC, flag_tag=_SD if decision else None))
+            named = b.stub(NodeKey(subgraph, "WorkflowStep", record.step_id), record.step_id)
+            b.edge("HAS_DECISION_POINT" if decision else "HAS_ALTERNATIVE", named, key)
+            if decision:
+                calibrated.append((key, record.confidence_method))
 
-    if doc.decision_model is not None and doc.decision_model.decision_points is not None:
-        for n, dp in enumerate(doc.decision_model.decision_points, start=1):
-            dp_key = b.node(
-                NodeKey(subgraph, "DecisionPoint", dp.id or f"DP-{subgraph}-{n:03d}"),
-                _claim_props(dp, _IC, flag_tag=_SD),
+    for claim in doc.automation_context or ():
+        props = {"name": Prop(claim.asset_name, _IC), "flagged_for_review": Prop(False, _IC)}
+        if claim.log_scope is not None:
+            props["log_scope"] = Prop(claim.log_scope, _IC)
+        asset = b.node(
+            NodeKey(EXECUTION_SUBGRAPH, "AutomationAsset", f"AA-{label_slug(claim.asset_name)}"),
+            props,
+        )
+        for uc_name in claim.use_case_names:
+            uc_key = b.node(
+                NodeKey(EXECUTION_SUBGRAPH, "UseCase", f"UC-{label_slug(uc_name)}"),
+                {"name": Prop(uc_name, _IC), "flagged_for_review": Prop(False, _IC)},
             )
-            dp_keys.append(dp_key)
-            b.edge("HAS_DECISION_POINT", step_for(dp.step_id), dp_key)
-
-    if doc.method_alternatives is not None:
-        for n, ma in enumerate(doc.method_alternatives, start=1):
-            ma_key = b.node(
-                NodeKey(subgraph, "MethodAlternative", f"MA-{subgraph}-{n:03d}"),
-                _claim_props(ma, _IC),
-            )
-            b.edge("HAS_ALTERNATIVE", step_for(ma.step_id), ma_key)
-
-    if doc.automation_context is not None:
-        for claim in doc.automation_context:
-            props = {
-                "name": Prop(claim.asset_name, _IC),
-                "flagged_for_review": Prop(False, _IC),
-            }
-            if claim.log_scope is not None:
-                props["log_scope"] = Prop(claim.log_scope, _IC)
-            asset = b.node(
-                NodeKey(
-                    EXECUTION_SUBGRAPH,
-                    "AutomationAsset",
-                    f"AA-{label_slug(claim.asset_name)}",
-                ),
-                props,
-            )
-            for uc_name in claim.use_case_names:
-                uc_key = b.node(
-                    NodeKey(EXECUTION_SUBGRAPH, "UseCase", f"UC-{label_slug(uc_name)}"),
-                    {"name": Prop(uc_name, _IC), "flagged_for_review": Prop(False, _IC)},
-                )
-                b.edge("SUITABLE_FOR", uc_key, asset)
-
-    if doc.strategic is not None and doc.strategic.program_milestones is not None:
-        ei_counter = 0
-        for n, pm in enumerate(doc.strategic.program_milestones, start=1):
-            pm_key = b.node(
-                NodeKey(subgraph, "ProgramMilestone", pm.id or f"PM-{subgraph}-{n:03d}"),
-                _claim_props(pm, _IC),
-            )
-            for ei in pm.evidentiary_inputs:
-                ei_counter += 1
-                ei_key = b.node(
-                    NodeKey(
-                        subgraph, "EvidentiaryInput", ei.id or f"EI-{subgraph}-{ei_counter:03d}"
-                    ),
-                    _claim_props(ei, _IC),
-                )
-                b.edge("REQUIRES_EVIDENCE", pm_key, ei_key)
-                source = ei.sourced_from
-                if source is not None:
-                    wf = b.stub(
-                        NodeKey(source.subgraph, "AssayWorkflow", source.workflow_id),
-                        source.workflow_id,
-                    )
-                    b.edge("SOURCED_FROM", ei_key, wf)
+            b.edge("SUITABLE_FOR", uc_key, asset)
 
     doc_sha = hashlib.sha256(serialize_seo(doc)).hexdigest()
 
-    if fm_claims or dp_keys:
-        all_methods = [c.confidence_method for c, _ in fm_claims]
-        if doc.decision_model is not None and doc.decision_model.decision_points:
-            all_methods += [dp.confidence_method for dp in doc.decision_model.decision_points]
+    if calibrated:
+        methods = [method for _, method in calibrated]
         cal_props = {
-            "methods_used": Prop(tuple(sorted(set(all_methods))), _IC),
-            "n_claims": Prop(len(fm_claims) + len(dp_keys), _IC),
-            "n_linguistic": Prop(
-                sum(1 for m in all_methods if m == "linguistic_approximation"), _IC
-            ),
-            "n_shelf": Prop(sum(1 for m in all_methods if m == "SHELF_elicited"), _IC),
+            "methods_used": Prop(tuple(sorted(set(methods))), _IC),
+            "n_claims": Prop(len(calibrated), _IC),
+            "n_linguistic": Prop(methods.count("linguistic_approximation"), _IC),
+            "n_shelf": Prop(methods.count("SHELF_elicited"), _IC),
             "source_scientist": Prop(meta.source_scientist, _IC),
             "session_mode": Prop(doc.session_mode.value, _IC),
         }
@@ -350,10 +296,8 @@ def compile_seo(
         cal_key = b.node(
             NodeKey(subgraph, "CalibrationRecord", f"CAL-{subgraph}-{doc_sha[:8]}"), cal_props
         )
-        for _, fm_key in fm_claims:
-            b.edge("CALIBRATED_BY", fm_key, cal_key)
-        for dp_key in dp_keys:
-            b.edge("CALIBRATED_BY", dp_key, cal_key)
+        for key, _ in calibrated:
+            b.edge("CALIBRATED_BY", key, cal_key)
 
     edges = sorted(b.edges.values())  # edge keys are unique, so this sorts by key
     return MergePlan(
@@ -452,8 +396,9 @@ def load_plan(data: bytes | str) -> MergePlan:
         ValueError: not a merge plan of this version, or an unknown
             statement kind.
         RegistryMismatch: the provenance, a statement array or a
-            statement in it is malformed; the message starts with its
-            location, such as ``statements[3]: ``.
+            statement in it is malformed, or a node statement follows an
+            edge statement; the message starts with its location, such
+            as ``statements[3]: ``.
     """
     return plan_from_json(strict_loads(data if isinstance(data, str) else data.decode("utf-8")))
 
@@ -483,6 +428,8 @@ def plan_from_json(raw: object) -> MergePlan:
     known: dict[str, NodeKey] = {}
     for where, record in _objects(raw, "statements"):
         if record.get("kind") == "node":
+            if edges:  # apply merges nodes first, and locates a refusal by this layout
+                raise RegistryMismatch(f"{where}: node statement after an edge statement")
             node = node_from_record(record, where)
             nodes.append(node)
             if ":" not in node.key.label:
@@ -520,14 +467,30 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
             of ``ontology.record_issues``, the rules ``validate_graph``
             applies; the report names each such record and issue, nodes
             by key, then edges by key, as ``validate_graph`` does.
-        TypeConflict, DanglingEdge, CrossSubgraphViolation: as ``merge``.
+        TypeConflict, DanglingEdge, CrossSubgraphViolation: as ``merge``;
+            the message starts with the refused record's location, such
+            as ``statements[3]: ``, as ``plan_to_bytes`` would write the
+            plan and ``load_plan`` reads it: nodes, then edges.
     """
     if plan.provenance.registry_version != graph.registry_version:
         raise RegistryMismatch(
             f"plan compiled under {plan.provenance.registry_version!r}, "
             f"graph runs {graph.registry_version!r}"
         )
-    merged = merge(graph, plan.nodes + plan.edges + plan.pending_edges)
+    statements = plan.nodes + plan.edges
+    at = [0]
+
+    def counted():
+        for at[0], record in enumerate(statements + plan.pending_edges):
+            yield record
+
+    try:
+        merged = merge(graph, counted())
+    except (DanglingEdge, TypeConflict, CrossSubgraphViolation) as exc:
+        # merge fails on the record it was given last
+        i, n = at[0], len(statements)
+        where = f"statements[{i}]" if i < n else f"pending_edges[{i - n}]"
+        raise type(exc)(f"{where}: {exc}") from None
     # merge takes properties one by one, so rules that tie several of a
     # record's properties together hold only once it is merged; each key
     # once, in plan order, which a compiled plan already sorts

@@ -90,11 +90,11 @@ class AssetReuseRow(NamedTuple):
 def _subgraph_stats_type() -> type:
     """``SubgraphStats``, a frozen dataclass, built on first use and kept.
 
-    It stays a dataclass because skgbench/run.py and
-    scripts/check_fixtures.py render it with ``dataclasses.asdict``; it
-    is built here, not at import, so that only a library caller of
-    ``subgraph_stats`` pays to import ``dataclasses`` (and through it
-    ``inspect``). ``skg stats`` renders ``subgraph_stats_record``.
+    It stays a dataclass because skgbench/run.py, its last user, renders
+    it with ``dataclasses.asdict``; it is built here, not at import, so
+    that only a library caller of ``subgraph_stats`` pays to import
+    ``dataclasses`` (and through it ``inspect``). ``skg stats`` and
+    scripts/check_fixtures.py render ``subgraph_stats_record``.
     """
     built = globals().get("SubgraphStats")
     if built is not None:

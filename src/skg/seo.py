@@ -14,6 +14,11 @@ field table derived from their type hints, so the JSON shape, the record
 shape and the schema cannot drift. The schema states the parse contract
 and nothing more; content rules live in ``validate_seo`` alone.
 
+One walk, ``walk_claims``, gives every claim its node id: the id it
+states, or one generated from its label, the target subgraph and its
+ordinal. These ids and cascade stub ids share the document's one id
+namespace: ``validate_seo`` refuses an id held twice, unless by two stubs.
+
 The session mode gates which layers may carry content. OPERATIONAL
 sessions capture protocol knowledge only: their decision-model layer is
 pinned to the ``operational_only`` scope stub with every knowledge
@@ -35,7 +40,7 @@ from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Annotated, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 import datetime
 import re
 
@@ -48,7 +53,7 @@ from .errors import (
     ValueKindMismatch,
 )
 from .graph_core import KEY_PART_RE
-from .metrics import normalize_label
+from .metrics import label_slug, normalize_label
 from .ontology import (
     COMPARATORS,
     CONFIDENCE_CEILING,
@@ -610,16 +615,68 @@ _MODE_GATES = {
 }
 
 
-def validate_seo(doc: SeoDocument) -> ValidationReport:
-    """Content validation: mode gates, contamination guard, claims.
+# -- claim keys --------------------------------------------------------
 
-    Each failure mode, decision point and evidentiary input must state
-    every non-boolean property the registry requires of its label (an
-    empty text states nothing), and
-    obeys the claim rules ``validate_graph`` also applies
-    (``ontology.claim_issues``). A linguistic claim's confidence must
-    also lie in its phrase's hedge band. A claim's issues come in that
-    order.
+
+def walk_claims(doc: SeoDocument, subgraph: str) -> Iterator[tuple[str, str, tuple, str]]:
+    """(path, node label, record, id) of each claim of a document, in compile order.
+
+    The order is steps by ``step_index``, each followed by its failure
+    modes; then decision points, method alternatives, and milestones,
+    each followed by its evidentiary inputs. A claim that states no id
+    gets ``<prefix>-<subgraph>-<ordinal>``, its ordinal counted per label
+    in this order (a step's is its ``step_index`` in a valid document).
+    This is the only rule for claim ids: ``validate_seo`` requires them
+    distinct, and ``compile_seo`` keys each claim's node by its id.
+    """
+    ordinals: dict[str, int] = {}
+
+    def claim(path: str, label: str, prefix: str, record) -> tuple[str, str, tuple, str]:
+        ordinals[prefix] = n = ordinals.get(prefix, 0) + 1
+        return path, label, record, getattr(record, "id", None) or f"{prefix}-{subgraph}-{n:03d}"
+
+    if doc.protocol is not None:
+        steps = sorted(enumerate(doc.protocol.steps), key=lambda pair: pair[1].step_index)
+        for i, step in steps:
+            path = f"protocol.steps[{i}]"
+            yield claim(path, "WorkflowStep", "ST", step)
+            for j, fm in enumerate(step.failure_modes):
+                yield claim(f"{path}.failure_modes[{j}]", "FailureMode", "FM", fm)
+    if doc.decision_model is not None:
+        for i, dp in enumerate(doc.decision_model.decision_points or ()):
+            yield claim(f"decision_model.decision_points[{i}]", "DecisionPoint", "DP", dp)
+    for i, ma in enumerate(doc.method_alternatives or ()):
+        yield claim(f"method_alternatives[{i}]", "MethodAlternative", "MA", ma)
+    if doc.strategic is not None:
+        for i, pm in enumerate(doc.strategic.program_milestones or ()):
+            path = f"strategic.program_milestones[{i}]"
+            yield claim(path, "ProgramMilestone", "PM", pm)
+            for j, ei in enumerate(pm.evidentiary_inputs):
+                yield claim(f"{path}.evidentiary_inputs[{j}]", "EvidentiaryInput", "EI", ei)
+
+
+def cascade_stub_id(target: str) -> str:
+    """The id of the review stub for a cascade target that names no failure mode."""
+    return f"FM-{label_slug(target)}"
+
+
+def validate_seo(doc: SeoDocument, subgraph: str | None = None) -> ValidationReport:
+    """Content validation: mode gates, contamination guard, claim ids, claims.
+
+    The ids checked are those ``walk_claims`` gives under ``subgraph``,
+    so the ids compile generates share the document's one id namespace
+    with the ids it states; a ``DuplicateId`` names the later claim. So
+    does one for a cascade target that names no failure mode (names
+    compared without aliases) when its stub id, ``cascade_stub_id``, is
+    a claim's. ``subgraph`` defaults to the protocol layer's; without
+    one, generated ids are placeholders no stated id equals, and
+    ``compile_seo`` checks again under its target subgraph.
+
+    Each claim must state every non-boolean property the registry
+    requires of its label (an empty text states nothing), and obeys the
+    claim rules ``validate_graph`` also applies (``ontology.claim_issues``).
+    A linguistic claim's confidence must also lie in its phrase's hedge
+    band. A claim's issues come in that order, claims in walk order.
 
     Issue codes: MetadataMissing, MetadataInconsistent,
     ContaminationGuardViolation, ModeGateViolation, StepIndexViolation,
@@ -658,16 +715,6 @@ def validate_seo(doc: SeoDocument) -> ValidationReport:
         if getattr(doc, layer) is not None:
             out.add("ModeGateViolation", layer, detail)
 
-    seen_ids: dict[str, str] = {}
-
-    def check_id(claim_id: str | None, path: str) -> None:
-        if claim_id is None:
-            return
-        if claim_id in seen_ids:
-            out.add("DuplicateId", path, f"id {claim_id} already used at {seen_ids[claim_id]}")
-        else:
-            seen_ids[claim_id] = path
-
     if doc.protocol is not None:
         indexes = [step.step_index for step in doc.protocol.steps]
         if sorted(indexes) != list(range(1, len(indexes) + 1)):
@@ -676,40 +723,29 @@ def validate_seo(doc: SeoDocument) -> ValidationReport:
                 "protocol.steps",
                 f"step_index must be unique and contiguous from 1, got {indexes}",
             )
-        seen_fm_names: dict[str, str] = {}
-        for i, step in enumerate(doc.protocol.steps):
-            spath = f"protocol.steps[{i}]"
-            check_id(step.id, spath)
-            for j, fm in enumerate(step.failure_modes):
-                fpath = f"{spath}.failure_modes[{j}]"
-                check_id(fm.id, fpath)
-                norm = normalize_label(fm.name)
-                if norm in seen_fm_names:
-                    out.add(
-                        "DuplicateId",
-                        fpath,
-                        f"failure mode name {fm.name!r} collides with {seen_fm_names[norm]}"
-                        " after normalization",
-                    )
-                else:
-                    seen_fm_names[norm] = fpath
-                _validate_claim(out, fpath, "FailureMode", fm)
+    if subgraph is None:
+        # "*" is no key part, so no stated id equals an id generated under it
+        subgraph = doc.protocol.subgraph if doc.protocol is not None else "*"
 
-    if doc.decision_model is not None and doc.decision_model.decision_points is not None:
-        for i, dp in enumerate(doc.decision_model.decision_points):
-            dpath = f"decision_model.decision_points[{i}]"
-            check_id(dp.id, dpath)
-            _validate_claim(out, dpath, "DecisionPoint", dp)
-
-    if doc.strategic is not None and doc.strategic.program_milestones is not None:
-        for i, pm in enumerate(doc.strategic.program_milestones):
-            ppath = f"strategic.program_milestones[{i}]"
-            check_id(pm.id, ppath)
-            for j, ei in enumerate(pm.evidentiary_inputs):
-                epath = f"{ppath}.evidentiary_inputs[{j}]"
-                check_id(ei.id, epath)
-                _validate_claim(out, epath, "EvidentiaryInput", ei)
-
+    claims = list(walk_claims(doc, subgraph))
+    ids: dict[str, str] = {}  # claim id -> path of the first claim that has it
+    fm_names: dict[str, str] = {}  # normalized failure mode name -> path
+    for path, label, record, claim_id in claims:
+        earlier = ids.setdefault(claim_id, path)
+        if earlier != path:
+            out.add("DuplicateId", path, f"id {claim_id} already used at {earlier}")
+        if label == "FailureMode":
+            earlier = fm_names.setdefault(normalize_label(record.name), path)
+            if earlier != path:
+                detail = f"failure mode name {record.name!r} collides with {earlier}"
+                out.add("DuplicateId", path, f"{detail} after normalization")
+        _validate_claim(out, path, label, record)
+    for path, label, record, _ in claims:
+        for k, target in enumerate(record.cascades_to if label == "FailureMode" else ()):
+            stub = cascade_stub_id(target)
+            if normalize_label(target) not in fm_names and stub in ids:
+                detail = f"target {target!r} names no failure mode; stub id {stub} is"
+                out.add("DuplicateId", f"{path}.cascades_to[{k}]", f"{detail} used at {ids[stub]}")
     return out.report()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,9 @@ FIXTURES = ROOT / "fixtures"
 # Arrays nested deeper than the recursion limit of any supported Python
 # (3.10 to 3.13), so the JSON decoder gives up on them.
 DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+
+# what a rejected document or plan prints: one code, subject and detail line per issue
+ISSUE_REPORT = re.compile(r"(?:[A-Za-z]+\t[^\t\n]+\t[^\t\n]+\n)+")
 
 # Compile order for the federated corpus.  Later documents resolve stubs
 # introduced by earlier ones, but any order must converge to the same graph.

@@ -4,8 +4,8 @@ import itertools
 import json
 
 import pytest
-from conftest import DOC_SUBGRAPHS, FIXTURES
-from hypothesis import example, given, settings
+from conftest import DOC_SUBGRAPHS, FIXTURES, ISSUE_REPORT
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from skg import (
@@ -16,6 +16,7 @@ from skg import (
     Provenance,
     RegistryMismatch,
     Rejected,
+    SeoParseError,
     SubgraphMismatch,
     apply_plan,
     approve_pending,
@@ -34,7 +35,8 @@ from skg import (
     validate_seo,
 )
 from skg.annotator import MergePlan, PlanProvenance, _property_fields
-from skg.cli import EXIT_OK, EXIT_REJECTED, main
+from skg.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+from skg.metrics import default_aliases, normalize_label
 from skg.seo import (
     DecisionPointClaim,
     EvidentiaryInputClaim,
@@ -600,6 +602,184 @@ class TestClaimRulesAgree:
         assert got == self.PROPERTY_FIELDS[cls]
 
 
+FIXTURE_JSON = {
+    name: json.loads((FIXTURES / name).read_text(encoding="utf-8")) for name, _ in DOC_SUBGRAPHS
+}
+# the claim arrays of a document, as (path to the array, JSON name of a nested claim array)
+CLAIM_ARRAYS = (
+    (("protocol", "steps"), "failure_modes"),
+    (("decision_model", "decision_points"), None),
+    (("method_alternatives",), None),
+    (("strategic", "program_milestones"), "evidentiary_inputs"),
+)
+UNCLAIMED_NAME = "Reagent Lot Change"  # names no claim of any fixture
+# both reproductions of claims that once shared a node: a null id that compiles to
+# FM-ELISA-002, and a cascade stub whose id a described failure mode states
+NULL_ID = [(("protocol", "steps", 0, "failure_modes", 1, "id"), None)]
+STUB_ID = [
+    (("protocol", "steps", 0, "failure_modes", 1, "id"), "FM-reagent-lot-change"),
+    (("protocol", "steps", 0, "failure_modes", 0, "cascades_to"), [UNCLAIMED_NAME]),
+]
+
+
+def _claim_paths(raw: dict) -> list[tuple]:
+    """The JSON path of every claim object in a document."""
+    paths = []
+    for array_path, nested in CLAIM_ARRAYS:
+        array = raw
+        for key in array_path:
+            array = (array or {}).get(key)
+        for i, record in enumerate(array or ()):
+            paths.append((*array_path, i))
+            for j, _ in enumerate(record.get(nested) or () if nested else ()):
+                paths.append((*array_path, i, nested, j))
+    return paths
+
+
+def _at(raw, path: tuple):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+# what a change writes: the pools below, and the ids compile generates in each subgraph
+GENERATED_IDS = [
+    f"{prefix}-{subgraph}-00{n}"
+    for prefix in ("ST", "FM", "DP", "PM", "EI")
+    for subgraph in ("ELISA", "LCMS_PRM", "PROGRAM")
+    for n in (1, 2, 3)
+]
+KINDS = [None, True, 0.75, "x", []]
+VALUES = [0.55, 0.6, 0.8, 1, 2, 3, True, False, "linguistic_approximation"]
+CLAIM_PATHS = {name: _claim_paths(raw) for name, raw in FIXTURE_JSON.items() if _claim_paths(raw)}
+
+
+@st.composite
+def claim_field_changes(draw) -> tuple[str, list]:
+    """A fixture document and one or two changes to a claim's id, name, cascade
+    targets, or a field's value or value kind, each as (JSON path, new value)."""
+    name = draw(st.sampled_from(sorted(CLAIM_PATHS)))
+    raw, paths = FIXTURE_JSON[name], CLAIM_PATHS[name]
+    failure_modes = [path for path in paths if "failure_modes" in path]
+    records = [_at(raw, path) for path in paths]
+    ids = sorted({r["id"] for r in records if r.get("id")}) + GENERATED_IDS
+    names = sorted({r["name"] for r in records if r.get("name")}) + [UNCLAIMED_NAME]
+    changes = []
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(paths))
+        op = draw(st.sampled_from(["id", "name", "cascade", "kind", "value"]))
+        if op == "id":
+            value = draw(st.sampled_from([None, "FM-reagent-lot-change", *ids]))
+            changes.append(((*path, "id"), value))
+        elif op == "name":
+            changes.append(((*path, "name"), draw(st.sampled_from(names))))
+        elif op == "cascade" and failure_modes:
+            path = (*draw(st.sampled_from(failure_modes)), "cascades_to")
+            changes.append((path, draw(st.lists(st.sampled_from(names), max_size=2))))
+        elif op in ("kind", "value"):
+            fields = sorted(k for k, v in _at(raw, path).items() if not isinstance(v, list))
+            value = draw(st.sampled_from(KINDS if op == "kind" else VALUES))
+            changes.append(((*path, draw(st.sampled_from(fields))), value))
+    return name, changes
+
+
+def _changed_document(name: str, changes: list) -> str:
+    raw = copy.deepcopy(FIXTURE_JSON[name])
+    for path, value in changes:
+        _at(raw, path[:-1])[path[-1]] = value
+    return json.dumps(raw)
+
+
+class TestClaimKeys:
+    """A document that validates keeps every claim it states, each on its own node."""
+
+    @example(case=("elisa.seo.json", NULL_ID))
+    @example(case=("elisa.seo.json", STUB_ID))
+    @given(case=claim_field_changes())
+    @settings(max_examples=150)
+    def test_a_valid_document_compiles_every_claim_to_its_own_node(self, registry, case):
+        name, changes = case
+        subgraph = dict(DOC_SUBGRAPHS)[name]
+        try:
+            doc = parse_seo(_changed_document(name, changes))
+        except SeoParseError:
+            return
+        if not validate_seo(doc, subgraph).ok:
+            return
+        plan = compile_seo(doc, subgraph)
+        graph = apply_plan(Graph(registry), plan)
+        assert validate_graph(graph, registry).issues == ()
+
+        def count(label):
+            return sum(1 for node in plan.nodes if node.key.label == label)
+
+        milestones = doc.strategic.program_milestones or () if doc.strategic else ()
+        decision_points = doc.decision_model.decision_points or () if doc.decision_model else ()
+        assert count("DecisionPoint") == len(decision_points)
+        assert count("ProgramMilestone") == len(milestones)
+        assert count("EvidentiaryInput") == sum(len(pm.evidentiary_inputs) for pm in milestones)
+        # cascade stubs are failure modes too, named by a target that names no claim
+        steps = doc.protocol.steps if doc.protocol else ()
+        failure_modes = [fm for step in steps for fm in step.failure_modes]
+        names = {
+            node.key: node.properties["name"].value
+            for node in plan.nodes
+            if node.key.label == "FailureMode"
+        }
+        assert all(list(names.values()).count(fm.name) == 1 for fm in failure_modes)
+        # and each cascade edge lands on a node its source names
+        aliases = default_aliases()
+        targets = {
+            fm.name: {normalize_label(target, aliases) for target in fm.cascades_to}
+            for fm in failure_modes
+        }
+        for edge in plan.edges:
+            if edge.edge_type == "CASCADES_TO":
+                assert normalize_label(names[edge.dst], aliases) in targets[names[edge.src]]
+
+    @pytest.mark.parametrize("changes", [NULL_ID, STUB_ID], ids=["null-id", "stub-id"])
+    def test_a_shared_key_is_a_located_duplicate_id(self, tmp_path, capsys, changes):
+        doc = tmp_path / "elisa.seo.json"
+        doc.write_text(_changed_document("elisa.seo.json", changes), encoding="utf-8")
+        store = tmp_path / "fresh.skg.jsonl"
+        assert main(["validate", str(doc)]) == EXIT_REJECTED
+        report = capsys.readouterr().out
+        assert main(["apply", str(doc), "--graph", str(store)]) == EXIT_REJECTED
+        assert capsys.readouterr().err == report
+        later = "protocol.steps[0].failure_modes[1]"
+        assert report.startswith("DuplicateId\t") and report.count("\n") == 1
+        assert later in report.split("\t")[1] + report.split("\t")[2]
+        assert not store.exists()
+
+    @given(case=claim_field_changes())
+    @settings(max_examples=15, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_validate_then_apply_exit_cleanly_and_agree(self, tmp_path, capsys, case):
+        name, changes = case
+        doc = tmp_path / name
+        doc.write_text(_changed_document(name, changes), encoding="utf-8")
+        store = tmp_path / "fresh.skg.jsonl"
+        for path in (store, store.with_name("fresh.skg.sha256")):
+            path.unlink(missing_ok=True)
+        validated = main(["validate", str(doc)])  # anything raised fails the test
+        out, err = capsys.readouterr()
+        assert validated in (EXIT_OK, EXIT_REJECTED)
+        if err:  # the document does not parse
+            assert validated == EXIT_REJECTED and err.startswith("error: ")
+        else:
+            assert (out == "OK\n") == (validated == EXIT_OK)
+        subgraph = dict(DOC_SUBGRAPHS)[name]
+        applied = main(["apply", str(doc), "--graph", str(store), "--subgraph", subgraph])
+        err = capsys.readouterr().err
+        assert applied in (EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_IO, EXIT_INVARIANT)
+        assert err.startswith("error: ") or ISSUE_REPORT.fullmatch(err) if applied else err == ""
+        if json.loads(doc.read_text(encoding="utf-8"))["protocol"] is not None:
+            # validate's ids are apply's; without a protocol layer only apply knows the subgraph
+            assert (applied == EXIT_OK) == (validated == EXIT_OK)
+        if applied == EXIT_OK:
+            assert main(["check", "--graph", str(store)]) == EXIT_OK
+            assert capsys.readouterr() == ("OK\n", "")
+
+
 def _name_colon_label(raw: dict) -> None:
     """A node whose label holds ":", and an edge naming it by key text."""
     node = dict(raw["statements"][0], label="Failure:Mode")
@@ -714,6 +894,10 @@ class TestPlanSerialization:
                 ),
                 r"pending_edges\[\d+\]: \w+ ELISA -> ELISA belongs in statements",
             ),
+            (
+                lambda raw: raw["statements"].append(raw["statements"][0]),
+                r"statements\[126\]: node statement after an edge statement",
+            ),
         ],
         ids=[
             "edge-src-not-text",
@@ -735,6 +919,7 @@ class TestPlanSerialization:
             "provenance-member-not-text",
             "cross-subgraph-edge-approved",
             "same-subgraph-edge-pending",
+            "node-after-edge",
         ],
     )
     def test_load_rejects_malformed_plans(self, elisa_doc, change, location):

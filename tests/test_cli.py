@@ -26,7 +26,7 @@ from skg import (
 )
 from skg.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 
-from conftest import DEEP_NESTING, FIXTURES, ROOT
+from conftest import DEEP_NESTING, FIXTURES, ISSUE_REPORT, ROOT
 
 DOCS = [
     ("elisa.seo.json", None),
@@ -1071,7 +1071,6 @@ PLAN_VALUES = st.one_of(
     st.lists(st.sampled_from(["a", ""]), max_size=2),
 )
 PLAN_PROVENANCES = ["INTERVIEW_CONFIRMED", "SCHEMA_DEFAULT", "GUESSED", ""]
-ISSUE_REPORT = re.compile(r"(?:[A-Za-z]+\t[^\t\n]+\t[^\t\n]+\n)+")
 
 
 @st.composite
@@ -1315,6 +1314,44 @@ class TestMalformedPlan:
         assert captured.out == ""
         assert captured.err.startswith(message)
 
+
+    @pytest.mark.parametrize(
+        "change, fresh, message",
+        [
+            (
+                lambda raw: raw["pending_edges"][0].update(edge_type="FOLLOWS"),
+                True,
+                "pending_edges[0]: FOLLOWS may not span ELISA -> AUTOMATION",
+            ),
+            (
+                lambda raw: raw["statements"][-1].update(dst="ELISA:WorkflowStep:ST-ELISA-999"),
+                True,
+                "statements[{last}]: missing dst ELISA:WorkflowStep:ST-ELISA-999",
+            ),
+            (
+                lambda raw: raw["statements"][0]["properties"]["name"].update(value=5),
+                False,
+                "statements[0]: AUTOMATION:AutomationAsset:AA-el406-plate-washer.name: kind text",
+            ),
+        ],
+        ids=["edge-may-not-span", "missing-endpoint", "value-kind-change"],
+    )
+    def test_apply_locates_a_record_merge_refuses(
+        self, tmp_path, fixtures_dir, capsys, change, fresh, message
+    ):
+        elisa = str(fixtures_dir / "elisa.seo.json")
+        assert main(["compile", elisa, "--subgraph", "ELISA"]) == EXIT_OK
+        raw = json.loads(capsys.readouterr().out)
+        change(raw)
+        plan_file = tmp_path / "elisa.plan.json"
+        plan_file.write_text(json.dumps(raw), encoding="utf-8")
+        store = tmp_path / "x.skg.jsonl" if fresh else copy_fixture_store(fixtures_dir, tmp_path)
+        before = store.read_bytes() if store.exists() else None
+        assert main(["apply", str(plan_file), "--graph", str(store)]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message.format(last=len(raw["statements"]) - 1))
+        assert (store.read_bytes() if store.exists() else None) == before
 
 class TestSchemaAndHash:
     def test_schema_lists_registry(self, capsys):

@@ -898,6 +898,56 @@ class TestValidateSeo:
         ]
         assert validate_seo(design_doc(steps)).has("DuplicateId")
 
+    def test_a_generated_id_shares_the_namespace_of_stated_ids(self):
+        # the unnamed failure mode compiles to FM-TESTSG-002, which the first states
+        steps = [StepRecord("a", 1, id="s1", failure_modes=(fm("f", id="FM-TESTSG-002"), fm("g")))]
+        report = validate_seo(design_doc(steps))
+        assert [(i.code, i.subject, i.detail) for i in report.issues] == [
+            (
+                "DuplicateId",
+                "protocol.steps[0].failure_modes[1]",
+                "id FM-TESTSG-002 already used at protocol.steps[0].failure_modes[0]",
+            )
+        ]
+
+    def test_a_cascade_stub_may_not_take_a_claims_id(self):
+        steps = [
+            StepRecord(
+                "a",
+                1,
+                id="s1",
+                failure_modes=(fm("f", cascades_to=("Lot Change",)), fm("g", id="FM-lot-change")),
+            )
+        ]
+        report = validate_seo(design_doc(steps))
+        assert [(i.code, i.subject) for i in report.issues] == [
+            ("DuplicateId", "protocol.steps[0].failure_modes[0].cascades_to[0]")
+        ]
+        assert report.issues[0].detail.endswith("used at protocol.steps[0].failure_modes[1]")
+        # a target that names a failure mode links to it, and takes no stub id
+        named = fm("f", cascades_to=("G",)), fm("g", id="FM-g")
+        assert validate_seo(design_doc([StepRecord("a", 1, id="s1", failure_modes=named)])).ok
+
+    def test_claims_are_checked_in_step_index_order(self):
+        steps = [
+            StepRecord("b", 2, id="b", failure_modes=(fm("late", confidence=0.5),)),
+            StepRecord("a", 1, id="a", failure_modes=(fm("early", confidence=0.5),)),
+        ]
+        subjects = [i.subject for i in validate_seo(design_doc(steps)).issues]
+        assert subjects == [
+            "protocol.steps[1].failure_modes[0]",
+            "protocol.steps[0].failure_modes[0]",
+        ]
+
+    def test_generated_ids_without_a_protocol_layer_depend_on_the_target(self):
+        raw = json.loads((FIXTURES / "program.seo.json").read_text(encoding="utf-8"))
+        milestone = raw["strategic"]["program_milestones"][0]
+        milestone["id"] = None  # compiles to PM-PROGRAM-001 under PROGRAM
+        milestone["evidentiary_inputs"][0]["id"] = "PM-PROGRAM-001"
+        doc = parse(raw)
+        assert validate_seo(doc).ok
+        assert validate_seo(doc, "PROGRAM").codes() == ["DuplicateId"]
+
     def test_failure_mode_trio_is_mandatory(self):
         claim = FailureModeClaim(name="bare")
         report = validate_seo(design_doc([StepRecord("a", 1, failure_modes=(claim,))]))
