@@ -10,8 +10,8 @@ A claim node's properties are the claim's own text, number and boolean
 fields, read off the document's field table, so the document record
 classes stay the one description of what a claim carries. Its id is the
 one ``seo.walk_claims`` gives it, the walk ``validate_seo`` checks under
-the same target subgraph, so two claims never share a node and a cascade
-stub never lands on a described claim.
+the same target subgraph and alias table, so two claims never share a
+node and a cascade target lands on the claim validation read it as.
 Referenced-but-unowned records (instruments named as masking assets,
 cascade targets nobody described, workflows cited by program inputs)
 become stubs holding every property the registry requires of their
@@ -179,7 +179,8 @@ def compile_seo(
         doc: a parsed extraction document.
         subgraph: namespace the document's claims belong to.
         aliases: label alias table for resolving cascade targets named
-            informally; the packaged defaults when omitted.
+            informally, passed on to ``validate_seo``; the packaged
+            defaults when omitted.
 
     Raises:
         Rejected: ``validate_seo`` under ``subgraph`` found issues; the
@@ -190,7 +191,7 @@ def compile_seo(
     if not KEY_PART_RE.fullmatch(subgraph):
         raise SubgraphMismatch(f"subgraph {subgraph!r} outside {KEY_PART_RE.pattern}")
     aliases = default_aliases() if aliases is None else aliases
-    report = validate_seo(doc, subgraph)
+    report = validate_seo(doc, subgraph, aliases=aliases)
     if not report.ok:
         raise Rejected(report)
     if doc.protocol is not None and doc.protocol.subgraph != subgraph:
@@ -332,6 +333,9 @@ def _key_from_text(value: object, where: str, known: dict[str, NodeKey]) -> Node
 
 def _plan_edge_line(edge: Edge) -> str:
     """An edge as a plan states it, endpoints as key text, members in sorted order."""
+    if edge.properties:  # an edge statement has no member for them
+        where = f"{edge.edge_type} {edge.src.to_text()} -> {edge.dst.to_text()}"
+        raise ValueError(f"plan edges carry no properties: {where}")
     return (
         f'{{"dst": {render_text(edge.dst.to_text())}, "edge_type": {render_text(edge.edge_type)}, '
         f'"kind": "{"pending_edge" if edge.pending else "edge"}", '
@@ -364,7 +368,11 @@ def _edge_from_record(record: dict, where: str, known: dict[str, NodeKey]) -> Ed
 
 
 def plan_to_bytes(plan: MergePlan) -> bytes:
-    """The plan as one canonical JSON object and a newline, members in sorted order."""
+    """The plan as one canonical JSON object and a newline, members in sorted order.
+
+    Raises:
+        ValueError: an edge has properties, which no plan statement holds.
+    """
     statements = [node_line(node) for node in plan.nodes]
     statements += [_plan_edge_line(edge) for edge in plan.edges]
     pending = [_plan_edge_line(edge) for edge in plan.pending_edges]

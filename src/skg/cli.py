@@ -51,6 +51,20 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
 
+# query name -> (its skg.queries function, the options that function takes
+# after the store, in call order); functions are named, so only the query
+# and stats subcommands import skg.queries
+QUERIES = {
+    "silent": ("ranked_silent_failures", ("subgraph",)),
+    "ranked": ("ranked_failures", ("subgraph",)),
+    "decision-points": ("step_decision_points", ("subgraph", "step")),
+    "cascades": ("cascade_paths", ("subgraph", "root", "depth", "direction")),
+    "gaps": ("elicitation_gaps", ("subgraph",)),
+    "low-confidence": ("low_confidence_claims", ("subgraph", "threshold")),
+    "masking": ("masking_exposures", ("subgraph",)),
+    "reuse": ("automation_reuse", ()),
+}
+
 # names a `variant = canonical` table that replaces the packaged aliases
 ALIAS_ENV_VAR = "SKG_ALIAS_FILE"
 
@@ -91,7 +105,7 @@ def _load(store: str) -> Graph:
 def cmd_validate(args) -> int:
     from .seo import validate_seo
 
-    report = validate_seo(_read_doc(args.document))
+    report = validate_seo(_read_doc(args.document), aliases=_aliases())
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.ok else EXIT_REJECTED
 
@@ -170,42 +184,21 @@ def cmd_check(args) -> int:
 def cmd_query(args) -> int:
     from . import queries
 
-    name = args.name
-    if name != "reuse" and not args.subgraph:
-        print("error: --subgraph is required for this query", file=sys.stderr)
-        return EXIT_USAGE
-    if name == "decision-points" and not args.step:
-        print("error: decision-points needs --step", file=sys.stderr)
-        return EXIT_USAGE
-    if name == "cascades" and not args.root:
-        print("error: cascades needs --root", file=sys.stderr)
-        return EXIT_USAGE
-    graph = _load(args.graph)
-    if name == "cascades":
-        paths = queries.cascade_paths(
-            graph, args.subgraph, args.root, args.depth, args.direction
-        )
+    function, options = QUERIES[args.name]
+    values = [getattr(args, option) for option in options]
+    for option, value in zip(options, values):
+        if value in (None, ""):  # not falsiness: --depth 0 is a valid depth
+            print(f"error: {args.name} needs --{option}", file=sys.stderr)
+            return EXIT_USAGE
+    result = getattr(queries, function)(_load(args.graph), *values)
+    if args.name == "cascades":
         if args.format == "json":
-            sys.stdout.write(render_value([list(p) for p in paths]) + "\n")
+            sys.stdout.write(render_value([list(p) for p in result]) + "\n")
         else:
-            for path in paths:
+            for path in result:
                 print(" -> ".join(path))
         return EXIT_OK
-    if name == "silent":
-        rows = queries.ranked_silent_failures(graph, args.subgraph)
-    elif name == "ranked":
-        rows = queries.ranked_failures(graph, args.subgraph)
-    elif name == "decision-points":
-        rows = queries.step_decision_points(graph, args.subgraph, args.step)
-    elif name == "gaps":
-        rows = queries.elicitation_gaps(graph, args.subgraph)
-    elif name == "low-confidence":
-        rows = queries.low_confidence_claims(graph, args.subgraph, args.threshold)
-    elif name == "masking":
-        rows = queries.masking_exposures(graph, args.subgraph)
-    else:  # reuse; argparse limits the choices
-        rows = queries.automation_reuse(graph)
-    text = queries.rows_to_json(rows) if args.format == "json" else queries.rows_to_tsv(rows)
+    text = queries.rows_to_json(result) if args.format == "json" else queries.rows_to_tsv(result)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -328,19 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("query", help="run a read query against a store")
-    p.add_argument(
-        "name",
-        choices=[
-            "silent",
-            "ranked",
-            "decision-points",
-            "cascades",
-            "gaps",
-            "low-confidence",
-            "masking",
-            "reuse",
-        ],
-    )
+    p.add_argument("name", choices=list(QUERIES))
     p.add_argument("--graph", required=True)
     p.add_argument("--subgraph", help="required by every query except reuse")
     p.add_argument("--step", help="step id for decision-points")

@@ -18,6 +18,8 @@ One walk, ``walk_claims``, gives every claim its node id: the id it
 states, or one generated from its label, the target subgraph and its
 ordinal. These ids and cascade stub ids share the document's one id
 namespace: ``validate_seo`` refuses an id held twice, unless by two stubs.
+It matches names through the alias table ``compile_seo`` resolves
+cascade targets through, so both read a target as the same claim.
 
 The session mode gates which layers may carry content. OPERATIONAL
 sessions capture protocol knowledge only: their decision-model layer is
@@ -40,7 +42,7 @@ from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Annotated, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Iterator, Mapping, NamedTuple, Union, get_args, get_origin, get_type_hints
 import datetime
 import re
 
@@ -53,7 +55,7 @@ from .errors import (
     ValueKindMismatch,
 )
 from .graph_core import KEY_PART_RE
-from .metrics import label_slug, normalize_label
+from .metrics import default_aliases, label_slug, normalize_label
 from .ontology import (
     COMPARATORS,
     CONFIDENCE_CEILING,
@@ -660,16 +662,21 @@ def cascade_stub_id(target: str) -> str:
     return f"FM-{label_slug(target)}"
 
 
-def validate_seo(doc: SeoDocument, subgraph: str | None = None) -> ValidationReport:
+def validate_seo(
+    doc: SeoDocument, subgraph: str | None = None, *, aliases: Mapping[str, str] | None = None
+) -> ValidationReport:
     """Content validation: mode gates, contamination guard, claim ids, claims.
 
     The ids checked are those ``walk_claims`` gives under ``subgraph``,
     so the ids compile generates share the document's one id namespace
     with the ids it states; a ``DuplicateId`` names the later claim. So
-    does one for a cascade target that names no failure mode (names
-    compared without aliases) when its stub id, ``cascade_stub_id``, is
-    a claim's. ``subgraph`` defaults to the protocol layer's; without
-    one, generated ids are placeholders no stated id equals, and
+    does one for a failure-mode name another already has, and one for a
+    cascade target that names no failure mode when its stub id,
+    ``cascade_stub_id``, is a claim's. Names and targets are compared
+    under ``aliases`` (the packaged table when omitted), the table
+    ``compile_seo`` resolves targets through and passes on here.
+    ``subgraph`` defaults to the protocol layer's; without one,
+    generated ids are placeholders no stated id equals, and
     ``compile_seo`` checks again under its target subgraph.
 
     Each claim must state every non-boolean property the registry
@@ -727,6 +734,7 @@ def validate_seo(doc: SeoDocument, subgraph: str | None = None) -> ValidationRep
         # "*" is no key part, so no stated id equals an id generated under it
         subgraph = doc.protocol.subgraph if doc.protocol is not None else "*"
 
+    aliases = default_aliases() if aliases is None else aliases
     claims = list(walk_claims(doc, subgraph))
     ids: dict[str, str] = {}  # claim id -> path of the first claim that has it
     fm_names: dict[str, str] = {}  # normalized failure mode name -> path
@@ -735,7 +743,7 @@ def validate_seo(doc: SeoDocument, subgraph: str | None = None) -> ValidationRep
         if earlier != path:
             out.add("DuplicateId", path, f"id {claim_id} already used at {earlier}")
         if label == "FailureMode":
-            earlier = fm_names.setdefault(normalize_label(record.name), path)
+            earlier = fm_names.setdefault(normalize_label(record.name, aliases), path)
             if earlier != path:
                 detail = f"failure mode name {record.name!r} collides with {earlier}"
                 out.add("DuplicateId", path, f"{detail} after normalization")
@@ -743,7 +751,7 @@ def validate_seo(doc: SeoDocument, subgraph: str | None = None) -> ValidationRep
     for path, label, record, _ in claims:
         for k, target in enumerate(record.cascades_to if label == "FailureMode" else ()):
             stub = cascade_stub_id(target)
-            if normalize_label(target) not in fm_names and stub in ids:
+            if normalize_label(target, aliases) not in fm_names and stub in ids:
                 detail = f"target {target!r} names no failure mode; stub id {stub} is"
                 out.add("DuplicateId", f"{path}.cascades_to[{k}]", f"{detail} used at {ids[stub]}")
     return out.report()

@@ -27,6 +27,7 @@ from skg import (
     emit_cypher,
     graph_hash,
     load_plan,
+    load_store,
     merge,
     parse_seo,
     plan_to_bytes,
@@ -571,10 +572,13 @@ class TestClaimRulesAgree:
         ],
     )
     def test_claim_properties_are_declared_with_their_kind(self, registry, cls, label):
-        # one way only: a label may declare properties no claim states
+        # one way only: a label may declare properties no claim states; record_issues
+        # accepts undeclared properties, so a field added to a claim class alone
+        # would reach the store unchecked without this
         declared = registry.node_types[label].declared_kinds()
-        kinds = {f.name: f.kind for f in _fields(cls).values()}
-        for name, _ in _property_fields(cls):
+        # compile sets flagged_for_review on every claim, stated or not
+        kinds = {"flagged_for_review": "boolean"} | {f.name: f.kind for f in _fields(cls).values()}
+        for name in [*(name for name, _ in _property_fields(cls)), "flagged_for_review"]:
             assert declared.get(name) == kinds[name], name
 
     # each claim class's properties in field order, booleans marked
@@ -619,6 +623,19 @@ NULL_ID = [(("protocol", "steps", 0, "failure_modes", 1, "id"), None)]
 STUB_ID = [
     (("protocol", "steps", 0, "failure_modes", 1, "id"), "FM-reagent-lot-change"),
     (("protocol", "steps", 0, "failure_modes", 0, "cascades_to"), [UNCLAIMED_NAME]),
+]
+
+# two failure modes whose names alias to one form, one of them a cascade target
+# named exactly; validate once passed it and the edge landed on the other
+ALIAS_TWIN = [
+    (("protocol", "steps", 4, "failure_modes", 1, "name"), "Washer Carry-Over"),
+    (("protocol", "steps", 0, "failure_modes", 0, "cascades_to"), ["Washer Carryover"]),
+]
+# a target naming "High Background / Nonspecific Signal" through an alias, while its
+# stub id is a claim's; validate once refused it, compile resolves it to FM-ELISA-005
+ALIAS_TARGET = [
+    (("protocol", "steps", 0, "failure_modes", 0, "cascades_to"), ["Hi Background"]),
+    (("protocol", "steps", 4, "failure_modes", 1, "id"), "FM-hi-background"),
 ]
 
 
@@ -695,6 +712,8 @@ class TestClaimKeys:
 
     @example(case=("elisa.seo.json", NULL_ID))
     @example(case=("elisa.seo.json", STUB_ID))
+    @example(case=("elisa.seo.json", ALIAS_TWIN))
+    @example(case=("elisa.seo.json", ALIAS_TARGET))
     @given(case=claim_field_changes())
     @settings(max_examples=150)
     def test_a_valid_document_compiles_every_claim_to_its_own_node(self, registry, case):
@@ -727,8 +746,11 @@ class TestClaimKeys:
             if node.key.label == "FailureMode"
         }
         assert all(list(names.values()).count(fm.name) == 1 for fm in failure_modes)
+        # no two share a name under the aliases compile resolves targets through,
         # and each cascade edge lands on a node its source names
         aliases = default_aliases()
+        described = {normalize_label(fm.name, aliases) for fm in failure_modes}
+        assert len(described) == len(failure_modes)
         targets = {
             fm.name: {normalize_label(target, aliases) for target in fm.cascades_to}
             for fm in failure_modes
@@ -750,6 +772,51 @@ class TestClaimKeys:
         assert report.startswith("DuplicateId\t") and report.count("\n") == 1
         assert later in report.split("\t")[1] + report.split("\t")[2]
         assert not store.exists()
+
+    def test_alias_twins_are_a_located_duplicate_id(self, tmp_path, capsys):
+        doc = tmp_path / "elisa.seo.json"
+        doc.write_text(_changed_document("elisa.seo.json", ALIAS_TWIN), encoding="utf-8")
+        store = tmp_path / "fresh.skg.jsonl"
+        assert main(["validate", str(doc)]) == EXIT_REJECTED
+        report = capsys.readouterr().out
+        assert report == (
+            "DuplicateId\tprotocol.steps[4].failure_modes[1]\tfailure mode name "
+            "'Washer Carry-Over' collides with protocol.steps[4].failure_modes[0] "
+            "after normalization\n"
+        )
+        assert main(["apply", str(doc), "--graph", str(store)]) == EXIT_REJECTED
+        assert capsys.readouterr().err == report
+        assert not store.exists()
+
+    def test_a_target_named_through_an_alias_lands_on_that_claim(self, tmp_path, capsys):
+        doc = tmp_path / "elisa.seo.json"
+        doc.write_text(_changed_document("elisa.seo.json", ALIAS_TARGET), encoding="utf-8")
+        assert main(["validate", str(doc)]) == EXIT_OK
+        assert capsys.readouterr().out == "OK\n"
+        assert main(["compile", str(doc), "--subgraph", "ELISA"]) == EXIT_OK
+        statements = json.loads(capsys.readouterr().out)["statements"]
+        cascades = [
+            s["dst"]
+            for s in statements
+            if s.get("edge_type") == "CASCADES_TO" and s["src"] == "ELISA:FailureMode:FM-ELISA-002"
+        ]
+        assert cascades == ["ELISA:FailureMode:FM-ELISA-005"]
+
+    def test_the_alias_file_governs_validate_and_apply(self, tmp_path, capsys, monkeypatch):
+        # without the packaged aliases the twins' names differ, and the target names one
+        table = tmp_path / "aliases.txt"
+        table.write_text("# no aliases\n", encoding="utf-8")
+        monkeypatch.setenv("SKG_ALIAS_FILE", str(table))
+        doc = tmp_path / "elisa.seo.json"
+        doc.write_text(_changed_document("elisa.seo.json", ALIAS_TWIN), encoding="utf-8")
+        store = tmp_path / "fresh.skg.jsonl"
+        assert main(["validate", str(doc)]) == EXIT_OK
+        assert main(["apply", str(doc), "--graph", str(store)]) == EXIT_OK
+        capsys.readouterr()
+        graph = load_store(store, builtin_registry())
+        src = NodeKey("ELISA", "FailureMode", "FM-ELISA-002")
+        dst = [e.dst.id for e in graph.edges("CASCADES_TO") if e.src == src]
+        assert dst == ["FM-ELISA-001"]
 
     @given(case=claim_field_changes())
     @settings(max_examples=15, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -792,6 +859,15 @@ class TestPlanSerialization:
     def test_round_trip(self, all_docs, subgraph):
         plan = compile_seo(all_docs[subgraph], subgraph)
         assert load_plan(plan_to_bytes(plan)) == plan
+
+    @pytest.mark.parametrize("section", ["edges", "pending_edges"])
+    def test_edge_properties_are_refused(self, elisa_doc, section):
+        # an edge statement has no member for them, so they could not come back
+        plan = compile_seo(elisa_doc, "ELISA")
+        first, *rest = getattr(plan, section)
+        weighted = first._replace(properties={"weight": Prop(1, IC)})
+        with pytest.raises(ValueError, match=f"^plan edges carry no properties: {first.edge_type} "):
+            plan_to_bytes(plan._replace(**{section: (weighted, *rest)}))
 
     def test_load_builds_each_key_once(self, elisa_doc):
         plan = load_plan(plan_to_bytes(compile_seo(elisa_doc, "ELISA")))

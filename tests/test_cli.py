@@ -24,7 +24,17 @@ from skg import (
     plan_to_bytes,
     save_store,
 )
-from skg.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+from skg import queries
+from skg.cli import (
+    EXIT_INVARIANT,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_REJECTED,
+    EXIT_USAGE,
+    QUERIES,
+    build_parser,
+    main,
+)
 
 from conftest import DEEP_NESTING, FIXTURES, ISSUE_REPORT, ROOT
 
@@ -626,7 +636,44 @@ class TestCheck:
         assert (captured.out, captured.err) == (report, "")
 
 
+# a value for each text option a query needs; the parser gives these no default
+QUERY_TEXT_OPTIONS = {"subgraph": "ELISA", "step": "ST-ELISA-009", "root": "FM-ELISA-002"}
+REQUIRED_QUERY_OPTIONS = [
+    (name, option)
+    for name, (_, options) in QUERIES.items()
+    for option in options
+    if option in QUERY_TEXT_OPTIONS
+]
+
+
 class TestQuery:
+    def test_catalogue_names_real_functions_and_options(self):
+        defaults = build_parser().parse_args(["query", "reuse", "--graph", "-"])
+        for function, options in QUERIES.values():
+            assert callable(getattr(queries, function))
+            assert all(hasattr(defaults, option) for option in options)
+        # the options without a default are exactly the text ones a query needs
+        needed = {option for _, options in QUERIES.values() for option in options}
+        assert {o for o in needed if getattr(defaults, o) is None} == set(QUERY_TEXT_OPTIONS)
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["omitted", "empty"])
+    @pytest.mark.parametrize("name, option", REQUIRED_QUERY_OPTIONS)
+    def test_each_required_option_is_a_usage_error(self, store, capsys, name, option, empty):
+        values = {**QUERY_TEXT_OPTIONS, option: ""}
+        given = [
+            arg
+            for other in QUERIES[name][1]
+            if other in values and (other != option or empty)
+            for arg in (f"--{other}", values[other])
+        ]
+        assert main(["query", name, "--graph", str(store), *given]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {name} needs --{option}\n")
+
+    def test_depth_zero_runs(self, store, capsys):
+        argv = ["query", "cascades", "--graph", str(store), "--subgraph", "ELISA"]
+        assert main([*argv, "--root", "FM-ELISA-002", "--depth", "0"]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")  # no path is shorter than one hop
+
     def test_silent_tsv(self, store, capsys):
         assert main(["query", "silent", "--graph", str(store), "--subgraph", "ELISA"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
@@ -757,19 +804,6 @@ class TestQuery:
         assert main(["query", "gaps", "--graph", str(store), "--subgraph", "ELISA"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "ST-ELISA-003\tSample Dilution Strategy\t3\tELICITATION_GAP\t0" in out
-
-    def test_missing_subgraph_is_usage_error(self, store, capsys):
-        assert main(["query", "silent", "--graph", str(store)]) == EXIT_USAGE
-        assert "--subgraph" in capsys.readouterr().err
-
-    def test_decision_points_needs_step(self, store, capsys):
-        code = main(["query", "decision-points", "--graph", str(store), "--subgraph", "ELISA"])
-        assert code == EXIT_USAGE
-        assert "--step" in capsys.readouterr().err
-
-    def test_cascades_needs_root(self, store, capsys):
-        assert main(["query", "cascades", "--graph", str(store), "--subgraph", "ELISA"]) == EXIT_USAGE
-        assert "--root" in capsys.readouterr().err
 
     def test_unknown_subgraph_is_invariant_error(self, store, capsys):
         assert main(["query", "silent", "--graph", str(store), "--subgraph", "NOPE"]) == EXIT_INVARIANT
@@ -1462,7 +1496,8 @@ class TestProcessEntry:
         names = {"elisa": elisa, "plan": plan, "store": copy_fixture_store(fixtures_dir, tmp_path)}
         out, seen = self.run_main_in_fresh_process([arg.format(**names) for arg in command])
         assert shown in out
-        assert {"dataclasses", "inspect"}.isdisjoint(seen["loaded"])
+        # nor the read queries: skg.cli imports them for query and stats alone
+        assert {"dataclasses", "inspect", "skg.queries"}.isdisjoint(seen["loaded"])
 
     def test_concurrent_applies_are_serialized(self, fixtures_dir, tmp_path, capsys):
         # four processes race to create and grow one store; the store lock
