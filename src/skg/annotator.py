@@ -238,7 +238,7 @@ def compile_seo(
             for target in record.cascades_to:
                 dst = fm_by_norm.get(normalize_label(target, aliases))
                 if dst is None:  # validate_seo refused a stub id that is a claim's
-                    dst = b.stub(NodeKey(subgraph, label, cascade_stub_id(target)), target)
+                    dst = b.stub(NodeKey(subgraph, label, cascade_stub_id(target, aliases)), target)
                 b.edge("CASCADES_TO", key, dst)
             for name in record.masked_by_assets:
                 asset = NodeKey(EXECUTION_SUBGRAPH, "AutomationAsset", f"AA-{label_slug(name)}")
@@ -318,16 +318,21 @@ def compile_seo(
 # -- plan serialization -------------------------------------------------
 
 
-def _key_from_text(value: object, where: str, known: dict[str, NodeKey]) -> NodeKey:
-    """The key a plan names by its text; ``known`` maps text already read to its key."""
+def _key_from_text(value: object, where: str, known: dict[tuple, NodeKey]) -> NodeKey:
+    """The key a plan names by its text, found by its parts in ``known`` or added there.
+
+    ``known`` is the cache ``node_from_record`` fills: each key mapped to
+    itself, so the parts of its text find it.
+    """
     if not isinstance(value, str):
         raise RegistryMismatch(f"{where}: malformed node key")
-    key = known.get(value)
+    key = known.get(tuple(value.split(":")))
     if key is None:
         try:
-            key = known[value] = parse_node_key(value)
+            key = parse_node_key(value)
         except MalformedKey as exc:
             raise RegistryMismatch(f"{where}: {exc}") from None
+        known[key] = key
     return key
 
 
@@ -343,7 +348,7 @@ def _plan_edge_line(edge: Edge) -> str:
     )
 
 
-def _edge_from_record(record: dict, where: str, known: dict[str, NodeKey]) -> Edge:
+def _edge_from_record(record: dict, where: str, known: dict[tuple, NodeKey]) -> Edge:
     """Inverse of ``_plan_edge_line``; the caller has checked ``kind``.
 
     An edge is pending exactly when it spans subgraphs, so a hand-edited
@@ -431,17 +436,14 @@ def plan_from_json(raw: object) -> MergePlan:
             raise RegistryMismatch(f"provenance: missing or non-text {name}")
     nodes: list[Node] = []
     edges: list[Edge] = []
-    # key text -> key, seeded with the plan's nodes, so an edge endpoint
-    # naming one reuses its key; a label holding ":" has no key text
-    known: dict[str, NodeKey] = {}
+    # key_from_record's cache: each key read so far, mapped to itself, so
+    # an edge endpoint naming a node reuses its key
+    known: dict[tuple, NodeKey] = {}
     for where, record in _objects(raw, "statements"):
         if record.get("kind") == "node":
             if edges:  # apply merges nodes first, and locates a refusal by this layout
                 raise RegistryMismatch(f"{where}: node statement after an edge statement")
-            node = node_from_record(record, where)
-            nodes.append(node)
-            if ":" not in node.key.label:
-                known[node.key.to_text()] = node.key
+            nodes.append(node_from_record(record, where, known))
         elif record.get("kind") == "edge":
             edges.append(_edge_from_record(record, where, known))
         else:

@@ -15,11 +15,12 @@ sorted member order, with ``render_text`` for strings and
 ``render_record`` for property maps; documents are rendered whole by
 ``render_record``. Numbers are made plain wherever they can be.
 
-Reading goes the other way through ``strict_loads``: one json module
-decoder, built once, whose C scanner decodes a store line, plan or
-document in a single call; NaN and Infinity are refused at their
-position, as are a byte-order mark, over-long integers and nesting too
-deep to decode.
+Reading goes the other way through ``strict_loads``: one call of one
+json module decoder, built once, decodes a store line, plan or
+document; NaN and Infinity are refused at their position, as is an
+escape naming half a surrogate pair without the other half, which no
+UTF-8 text can hold, and so are a byte-order mark, over-long integers
+and nesting too deep to decode.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import re
 from json import JSONDecodeError, JSONDecoder, JSONEncoder
-from json.decoder import WHITESPACE
 from json.encoder import c_make_encoder, encode_basestring
 from typing import Any
 
@@ -73,39 +73,29 @@ def reject_non_finite(literal: str):
 
 # built once: json.loads builds a new decoder on every call given a hook
 _STRICT_DECODER = JSONDecoder(parse_constant=reject_non_finite)
-# (value, end) of the one JSON value that starts at an index; StopIteration
-# when none does. decode skips whitespace, calls it, skips whitespace
-# again and checks that the text ends there.
-_scan_once = _STRICT_DECODER.scan_once
-_skip_whitespace = WHITESPACE.match
+# one escape in a JSON string: a valid surrogate pair, a lone half (group 1),
+# or any other; backslashes occur only in strings, so a scan from the start
+# of decoded text meets every escape at its backslash
+_ESCAPE = (
+    r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+    r"|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)"
+)
 
 
 def strict_loads(text: str) -> Any:
-    """``json.loads(text, parse_constant=reject_non_finite)``, with located constants.
-
-    Text that is one JSON value, with or without JSON whitespace around
-    it, decodes in one call of the decoder's C scanner. Anything else,
-    and any error, goes through the decoder's full ``decode``, which
-    raises the located errors below, so both ways give the same value or
-    the same error.
+    """``json.loads(text, parse_constant=reject_non_finite)``, with located refusals.
 
     Raises:
         json.JSONDecodeError: malformed JSON, a leading byte-order mark,
-            or a non-finite literal, each at its position.
+            a non-finite literal, or an escape of a lone surrogate, each
+            at its position.
         ValueError: an over-long integer, or arrays and objects nested
             deeper than the interpreter's recursion limit.
     """
     if text.startswith("\ufeff"):
         raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        value, end = _scan_once(text, _skip_whitespace(text, 0).end())
-    except (ValueError, StopIteration, RecursionError):
-        pass  # decode below raises it again, located
-    else:
-        if _skip_whitespace(text, end).end() == len(text):
-            return value
-    try:
-        return _STRICT_DECODER.decode(text)
+        value = _STRICT_DECODER.decode(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to decode") from None
     except _NonFiniteLiteral as exc:
@@ -114,6 +104,11 @@ def strict_loads(text: str) -> Any:
         strings_or_constants = re.finditer(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)', text)
         pos = next(m.start() for m in strings_or_constants if m.group(1))
         raise JSONDecodeError(str(exc), text, pos) from None
+    if "\\" in text:  # rare in canonical text; a one-character test is the cheapest
+        lone = next((m for m in re.finditer(_ESCAPE, text) if m.group(1)), None)
+        if lone is not None:
+            raise JSONDecodeError(f"lone surrogate escape \\{lone.group(1)}", text, lone.start())
+    return value
 
 
 def plain_number(value: float) -> int | float | None:

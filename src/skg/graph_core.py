@@ -23,6 +23,8 @@ renames that over it (no fsync yet), then writes the digest sidecar;
 the rename replaces a symlinked store path with a regular file.
 ``load_store`` reads the file line by line and decodes each line from
 UTF-8 on its own, so a bad byte is reported as ``<file>:<line>``.
+Keys are read through ``key_from_record``, whose cache maps each key
+built to itself, so the parts of a key find it; plans share that shape.
 
 Reads go through a lazy per-snapshot index, so no reader scans the whole
 graph per call. A snapshot pays one O(E) pass grouping its edges by type
@@ -499,9 +501,7 @@ def neighbors(graph: Graph, key: NodeKey, edge_type: str, direction: str = "out"
 # -- canonical serialization ------------------------------------------
 
 
-def key_from_record(
-    record: object, where: str, known: dict[tuple, NodeKey] | None = None
-) -> NodeKey:
+def key_from_record(record: object, where: str, known: dict[tuple, NodeKey]) -> NodeKey:
     """Inverse of ``key_object``; other members of ``record`` are ignored.
 
     ``known`` holds the keys already built, each mapped to itself; a key
@@ -516,15 +516,13 @@ def key_from_record(
     if isinstance(record, dict):
         subgraph, label, id_ = record.get("subgraph"), record.get("label"), record.get("id")
         if isinstance(subgraph, str) and isinstance(label, str) and isinstance(id_, str):
-            parts = (subgraph, label, id_)
-            key = None if known is None else known.get(parts)
+            key = known.get((subgraph, label, id_))
             if key is None:
                 try:
                     key = NodeKey(intern(subgraph), intern(label), id_)
                 except MalformedKey as exc:
                     raise RegistryMismatch(f"{where}: {exc}") from None
-                if known is not None:
-                    known[key] = key  # not the parts: the decoded texts are freed
+                known[key] = key  # not the parts: the decoded texts are freed
             return key
     raise RegistryMismatch(f"{where}: malformed node key")
 
@@ -600,9 +598,7 @@ def node_line(node: Node) -> str:
     )
 
 
-def node_from_record(
-    record: dict, where: str, known: dict[tuple, NodeKey] | None = None
-) -> Node:
+def node_from_record(record: dict, where: str, known: dict[tuple, NodeKey]) -> Node:
     """Inverse of ``node_line``; its ``kind`` member is left to the caller.
 
     ``known`` is passed on to ``key_from_record``.
@@ -743,26 +739,13 @@ def _decode_line(line: str, where: str) -> object:
         raise RegistryMismatch(f"{where}: {exc}") from None
 
 
-def _endpoint(record: dict, member: str, where: str, known: dict[tuple, NodeKey]) -> NodeKey:
-    """An edge record's ``src`` or ``dst`` key, looked up in ``known`` first.
-
-    Only equal texts match the text parts of a key in ``known``, so a hit
-    is the key ``key_from_record`` would return; anything else, well
-    formed or not, goes through it.
-    """
-    part = record.get(member)
-    try:
-        return known[part["subgraph"], part["label"], part["id"]]
-    except (KeyError, TypeError):  # not yet known, not an object, or unhashable parts
-        return key_from_record(part, f"{where}: {member}", known)
-
-
 def _store_records(lines: Iterable[bytes], path: Path, at: list[int]) -> Iterator[Node | Edge]:
     """Decode the records on the lines after the header line, checking their order.
 
-    ``at[0]`` holds the line number of the record yielded last. Edge
-    endpoints reuse the key of a node read earlier, so each distinct key
-    is built once per load, and a record's property dict is its own.
+    ``at[0]`` holds the line number of the record yielded last. Node keys
+    and edge endpoints go through one ``key_from_record`` cache, so each
+    distinct key is built once per load and an edge holds the key object
+    of its node, and a record's property dict is its own.
     Edge types, property names and the subgraph and label of each key
     are interned: the graph holds one copy of each, not one per record.
 
@@ -789,8 +772,8 @@ def _store_records(lines: Iterable[bytes], path: Path, at: list[int]) -> Iterato
             if not isinstance(edge_type, str):
                 raise RegistryMismatch(f"{where}: malformed edge_type")
             edge_type = intern(edge_type)
-            src = _endpoint(record, "src", where, known)
-            dst = _endpoint(record, "dst", where, known)
+            src = key_from_record(record.get("src"), f"{where}: src", known)
+            dst = key_from_record(record.get("dst"), f"{where}: dst", known)
             props = props_from_record(record.get("properties"), where)
             pending = kind == "pending_edge"
             built = _new_tuple(Edge, (edge_type, src, dst, props, pending))

@@ -55,7 +55,7 @@ from .errors import (
     ValueKindMismatch,
 )
 from .graph_core import KEY_PART_RE
-from .metrics import default_aliases, label_slug, normalize_label
+from .metrics import default_aliases, normalize_label
 from .ontology import (
     COMPARATORS,
     CONFIDENCE_CEILING,
@@ -64,7 +64,7 @@ from .ontology import (
     builtin_registry,
     claim_issues,
 )
-from .validation import IssueCollector, ValidationReport
+from .validation import Issue, ValidationReport
 
 OPERATIONAL_SCOPE = "operational_only"
 FULL_SCOPE = "full"
@@ -559,7 +559,7 @@ def serialize_seo(doc: SeoDocument) -> bytes:
 # -- validation --------------------------------------------------------
 
 
-def _validate_claim(out: IssueCollector, path: str, label: str, claim) -> None:
+def _validate_claim(out: list[Issue], path: str, label: str, claim) -> None:
     """Check a claim that compiles to a ``label`` node: stated fields, claim rules, hedge band."""
 
     def get(name: str):
@@ -568,22 +568,19 @@ def _validate_claim(out: IssueCollector, path: str, label: str, claim) -> None:
     for name, kind in builtin_registry().node_types[label].required:
         # compile records an unstated boolean as false; an empty text states nothing
         if kind != "boolean" and get(name) in (None, ""):
-            out.add("MissingMandatoryField", path, f"{name} is required on every {label}")
+            detail = f"{name} is required on every {label}"
+            out.append(Issue("MissingMandatoryField", path, detail))
     for code, detail in claim_issues(label, get):
-        out.add(code, path, detail)
+        out.append(Issue(code, path, detail))
     confidence, phrase = get("confidence"), get("source_phrase")
     if get("confidence_method") == "linguistic_approximation" and phrase:
         band = match_hedge(phrase)
         if band is None:
-            out.add(
-                "ConfidenceOutsideHedgeBand", path, f"source_phrase {phrase!r} has no hedge term"
-            )
+            detail = f"source_phrase {phrase!r} has no hedge term"
+            out.append(Issue("ConfidenceOutsideHedgeBand", path, detail))
         elif confidence is not None and not band.low <= confidence <= band.high:
-            out.add(
-                "ConfidenceOutsideHedgeBand",
-                path,
-                f"confidence {confidence} outside {band.name} [{band.low}, {band.high}]",
-            )
+            detail = f"confidence {confidence} outside {band.name} [{band.low}, {band.high}]"
+            out.append(Issue("ConfidenceOutsideHedgeBand", path, detail))
 
 
 def _stub_violations(dm: DecisionModelLayer) -> list[str]:
@@ -657,9 +654,13 @@ def walk_claims(doc: SeoDocument, subgraph: str) -> Iterator[tuple[str, str, tup
                 yield claim(f"{path}.evidentiary_inputs[{j}]", "EvidentiaryInput", "EI", ei)
 
 
-def cascade_stub_id(target: str) -> str:
-    """The id of the review stub for a cascade target that names no failure mode."""
-    return f"FM-{label_slug(target)}"
+def cascade_stub_id(target: str, aliases: Mapping[str, str]) -> str:
+    """The id of the review stub for a cascade target that names no failure mode.
+
+    It is the target's name under ``aliases``, so every spelling of one
+    undescribed failure mode cascades to one stub.
+    """
+    return "FM-" + normalize_label(target, aliases).replace(" ", "-")
 
 
 def validate_seo(
@@ -691,45 +692,37 @@ def validate_seo(
     ShelfEligibilityViolation, FrequencyOutOfRange, ShelfOrderViolation,
     ConfidenceOutsideHedgeBand.
     """
-    out = IssueCollector()
+    out: list[Issue] = []
     mode = doc.session_mode
 
     if doc.twin_metadata is None:
-        out.add("MetadataMissing", "twin_metadata", "twin_metadata layer is required")
+        out.append(Issue("MetadataMissing", "twin_metadata", "twin_metadata layer is required"))
     else:
         meta = doc.twin_metadata
         if not meta.source_scientist:
-            out.add("MetadataMissing", "twin_metadata.source_scientist", "must be non-empty")
+            subject = "twin_metadata.source_scientist"
+            out.append(Issue("MetadataMissing", subject, "must be non-empty"))
         if meta.session_mode is None:
-            out.add("MetadataMissing", "twin_metadata.session_mode", "must be present")
+            out.append(Issue("MetadataMissing", "twin_metadata.session_mode", "must be present"))
         elif meta.session_mode != mode.value:
-            out.add(
-                "MetadataInconsistent",
-                "twin_metadata.session_mode",
-                f"{meta.session_mode} disagrees with document mode {mode.value}",
-            )
+            detail = f"{meta.session_mode} disagrees with document mode {mode.value}"
+            out.append(Issue("MetadataInconsistent", "twin_metadata.session_mode", detail))
 
     if mode is SessionMode.OPERATIONAL and doc.decision_model is not None:
         problems = _stub_violations(doc.decision_model)
         if problems:
-            out.add(
-                "ContaminationGuardViolation",
-                "decision_model",
-                "OPERATIONAL sessions must not carry decision-model content: "
-                + "; ".join(problems),
-            )
+            detail = "OPERATIONAL sessions must not carry decision-model content: "
+            detail += "; ".join(problems)
+            out.append(Issue("ContaminationGuardViolation", "decision_model", detail))
     for layer, detail in _MODE_GATES[mode].items():
         if getattr(doc, layer) is not None:
-            out.add("ModeGateViolation", layer, detail)
+            out.append(Issue("ModeGateViolation", layer, detail))
 
     if doc.protocol is not None:
         indexes = [step.step_index for step in doc.protocol.steps]
         if sorted(indexes) != list(range(1, len(indexes) + 1)):
-            out.add(
-                "StepIndexViolation",
-                "protocol.steps",
-                f"step_index must be unique and contiguous from 1, got {indexes}",
-            )
+            detail = f"step_index must be unique and contiguous from 1, got {indexes}"
+            out.append(Issue("StepIndexViolation", "protocol.steps", detail))
     if subgraph is None:
         # "*" is no key part, so no stated id equals an id generated under it
         subgraph = doc.protocol.subgraph if doc.protocol is not None else "*"
@@ -741,20 +734,21 @@ def validate_seo(
     for path, label, record, claim_id in claims:
         earlier = ids.setdefault(claim_id, path)
         if earlier != path:
-            out.add("DuplicateId", path, f"id {claim_id} already used at {earlier}")
+            out.append(Issue("DuplicateId", path, f"id {claim_id} already used at {earlier}"))
         if label == "FailureMode":
             earlier = fm_names.setdefault(normalize_label(record.name, aliases), path)
             if earlier != path:
                 detail = f"failure mode name {record.name!r} collides with {earlier}"
-                out.add("DuplicateId", path, f"{detail} after normalization")
+                out.append(Issue("DuplicateId", path, f"{detail} after normalization"))
         _validate_claim(out, path, label, record)
     for path, label, record, _ in claims:
         for k, target in enumerate(record.cascades_to if label == "FailureMode" else ()):
-            stub = cascade_stub_id(target)
+            stub = cascade_stub_id(target, aliases)
             if normalize_label(target, aliases) not in fm_names and stub in ids:
-                detail = f"target {target!r} names no failure mode; stub id {stub} is"
-                out.add("DuplicateId", f"{path}.cascades_to[{k}]", f"{detail} used at {ids[stub]}")
-    return out.report()
+                detail = f"target {target!r} names no failure mode; stub id {stub} is used"
+                detail += f" at {ids[stub]}"
+                out.append(Issue("DuplicateId", f"{path}.cascades_to[{k}]", detail))
+    return ValidationReport(out)
 
 
 # -- linguistic confidence --------------------------------------------

@@ -44,15 +44,3 @@ class ValidationReport(_ReportFields):
             return "OK\n"
         return "".join(f"{issue}\n" for issue in self.issues)
 
-
-class IssueCollector:
-    """Accumulates issues in traversal order."""
-
-    def __init__(self):
-        self._issues: list[Issue] = []
-
-    def add(self, code: str, subject: str, detail: str) -> None:
-        self._issues.append(Issue(code, subject, detail))
-
-    def report(self) -> ValidationReport:
-        return ValidationReport(self._issues)

@@ -637,6 +637,16 @@ ALIAS_TARGET = [
     (("protocol", "steps", 0, "failure_modes", 0, "cascades_to"), ["Hi Background"]),
     (("protocol", "steps", 4, "failure_modes", 1, "id"), "FM-hi-background"),
 ]
+# three spellings of one undescribed failure mode as cascade targets, with the
+# failure mode they alias to renamed; each spelling once became its own stub
+STUB_SPELLINGS = [
+    (("protocol", "steps", 1, "failure_modes", 0, "name"), "Something Else"),
+    (("protocol", "steps", 0, "failure_modes", 0, "cascades_to"), ["Hi Background"]),
+    (
+        ("protocol", "steps", 0, "failure_modes", 1, "cascades_to"),
+        ["Nonspecific Background Signal"],
+    ),
+]
 
 
 def _claim_paths(raw: dict) -> list[tuple]:
@@ -714,6 +724,7 @@ class TestClaimKeys:
     @example(case=("elisa.seo.json", STUB_ID))
     @example(case=("elisa.seo.json", ALIAS_TWIN))
     @example(case=("elisa.seo.json", ALIAS_TARGET))
+    @example(case=("elisa.seo.json", STUB_SPELLINGS))
     @given(case=claim_field_changes())
     @settings(max_examples=150)
     def test_a_valid_document_compiles_every_claim_to_its_own_node(self, registry, case):
@@ -746,11 +757,12 @@ class TestClaimKeys:
             if node.key.label == "FailureMode"
         }
         assert all(list(names.values()).count(fm.name) == 1 for fm in failure_modes)
-        # no two share a name under the aliases compile resolves targets through,
-        # and each cascade edge lands on a node its source names
+        # no two, stubs included, share a name under the aliases compile resolves
+        # targets through, and each cascade edge lands on a node its source names
         aliases = default_aliases()
         described = {normalize_label(fm.name, aliases) for fm in failure_modes}
         assert len(described) == len(failure_modes)
+        assert len({normalize_label(name, aliases) for name in names.values()}) == len(names)
         targets = {
             fm.name: {normalize_label(target, aliases) for target in fm.cascades_to}
             for fm in failure_modes
@@ -801,6 +813,23 @@ class TestClaimKeys:
             if s.get("edge_type") == "CASCADES_TO" and s["src"] == "ELISA:FailureMode:FM-ELISA-002"
         ]
         assert cascades == ["ELISA:FailureMode:FM-ELISA-005"]
+
+    def test_spellings_of_one_target_share_one_stub(self, tmp_path, capsys):
+        doc = tmp_path / "elisa.seo.json"
+        doc.write_text(_changed_document("elisa.seo.json", STUB_SPELLINGS), encoding="utf-8")
+        store = tmp_path / "fresh.skg.jsonl"
+        assert main(["validate", str(doc)]) == EXIT_OK
+        assert main(["apply", str(doc), "--graph", str(store)]) == EXIT_OK
+        assert main(["check", "--graph", str(store)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("OK\n")
+        graph = load_store(store, builtin_registry())
+        stub = NodeKey("ELISA", "FailureMode", "FM-high-background-nonspecific-signal")
+        # named by the first spelling in compile order, and every spelling lands on it
+        assert graph.node(stub).properties["name"].value == "Hi Background"
+        stubs = [n.key for n in graph.nodes("FailureMode") if not n.key.id.startswith("FM-ELISA-")]
+        assert stubs == [stub]
+        sources = sorted(e.src.id for e in graph.edges("CASCADES_TO") if e.dst == stub)
+        assert sources == ["FM-ELISA-001", "FM-ELISA-002", "FM-ELISA-003"]
 
     def test_the_alias_file_governs_validate_and_apply(self, tmp_path, capsys, monkeypatch):
         # without the packaged aliases the twins' names differ, and the target names one
@@ -874,6 +903,14 @@ class TestPlanSerialization:
         keys = {id(node.key) for node in plan.nodes}
         endpoints = [key for edge in plan.edges + plan.pending_edges for key in edge[1:3]]
         assert all(id(key) in keys for key in endpoints)
+
+    def test_applied_edge_endpoints_are_the_keys_of_their_nodes(self, elisa_doc, registry):
+        # compile stubs every endpoint it names, so each is a plan node
+        graph = apply_plan(Graph(registry), load_plan(plan_to_bytes(compile_seo(elisa_doc, "ELISA"))))
+        assert graph.edges()
+        for edge in graph.edges():
+            assert graph.node(edge.src).key is edge.src
+            assert graph.node(edge.dst).key is edge.dst
 
     def test_statement_layout(self, elisa_doc):
         plan = compile_seo(elisa_doc, "ELISA")

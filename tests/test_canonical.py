@@ -191,6 +191,35 @@ class TestStrictLoads:
         assert text[err.value.pos :].startswith(literal)
 
     @pytest.mark.parametrize(
+        ("text", "escape", "line", "column"),
+        [
+            ('{"a": "x\\ud800"}', "\\ud800", 1, 9),
+            ('["ok",\n "\\udc00\\ud800"]', "\\udc00", 2, 3),
+            ('{"\\uD83D": 1}', "\\uD83D", 1, 3),
+            ('["\\ud83d\\ude00", "\\ud83d\\u0041"]', "\\ud83d", 1, 19),
+        ],
+        ids=["high", "low-before-high", "uppercase-key", "after-valid-pair"],
+    )
+    def test_lone_surrogate_escape_is_located(self, text, escape, line, column):
+        with pytest.raises(json.JSONDecodeError) as err:
+            strict_loads(text)
+        assert err.value.msg == f"lone surrogate escape {escape}"
+        assert (err.value.lineno, err.value.colno) == (line, column)
+        assert text[err.value.pos :].startswith(escape)
+
+    @pytest.mark.parametrize(
+        ("text", "value"),
+        [
+            ('["\\\\ud800"]', ["\\ud800"]),
+            ('"\\ud83d\\ude00"', "\U0001f600"),
+            ('"\\uD83D\\uDE00 \\ud7ff"', "\U0001f600 \ud7ff"),
+        ],
+        ids=["escaped-backslash", "pair", "uppercase-pair"],
+    )
+    def test_surrogate_pairs_and_escaped_backslashes_decode(self, text, value):
+        assert strict_loads(text) == value
+
+    @pytest.mark.parametrize(
         "text",
         [DEEP_NESTING, '{"a": ' * 100_000 + "0" + "}" * 100_000],
         ids=["arrays", "objects"],
@@ -202,24 +231,46 @@ class TestStrictLoads:
 
 # -- the one-call decode path -----------------------------------------------
 #
-# strict_loads first tries one call of the decoder's C scanner. The full
-# decode alone, as strict_loads ran it before, is the oracle: both must
-# give the same value, or the same error at the same position.
+# strict_loads is one call of the decoder's decode, whose C scanner reads
+# the value in a single call, plus located refusals. The oracle below states
+# those refusals on their own terms, the surrogate rule by code-unit values:
+# both must give the same value, or the same error at the same position.
 
 _ORACLE_DECODER = json.JSONDecoder(parse_constant=reject_non_finite)
+
+
+def lone_surrogate_escape(text: str) -> int | None:
+    """Where the first escape of half a surrogate pair without its other half starts."""
+    high = None  # a high half's escape, waiting for its low half right after it
+    for m in re.finditer(r"\\(?:u([0-9a-fA-F]{4})|.)", text):
+        unit = int(m.group(1), 16) if m.group(1) else None
+        if high is not None:
+            if unit is not None and 0xDC00 <= unit <= 0xDFFF and m.start() == high.end():
+                high = None
+                continue
+            return high.start()
+        if unit is not None and 0xD800 <= unit <= 0xDBFF:
+            high = m
+        elif unit is not None and 0xDC00 <= unit <= 0xDFFF:
+            return m.start()
+    return None if high is None else high.start()
 
 
 def decode_in_full(text: str):
     if text.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return _ORACLE_DECODER.decode(text)
+        value = _ORACLE_DECODER.decode(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to decode") from None
     except canonical._NonFiniteLiteral as exc:
         strings_or_constants = re.finditer(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)', text)
         pos = next(m.start() for m in strings_or_constants if m.group(1))
         raise json.JSONDecodeError(str(exc), text, pos) from None
+    pos = lone_surrogate_escape(text)
+    if pos is not None:
+        raise json.JSONDecodeError(f"lone surrogate escape {text[pos:pos + 6]}", text, pos)
+    return value
 
 
 def decode_outcome(load, text: str):
@@ -243,6 +294,7 @@ json_values = st.recursive(
 )
 json_fragments = st.sampled_from(
     ["NaN", "-Infinity", "Infinity", '"NaN"', "[", "]", "{", "}", ",", ":", '"', '\\"', "\\",
+     "\\ud83d", "\\uDE00",
      "1e999", "-", "01", "1.", "tru", "null", "\ufeff", "\x00", "\n", "1" * 5000, DEEP_NESTING]
 )
 paddings = st.text(st.sampled_from(" \t\n\r\x0b\ufeff"), max_size=2)
@@ -268,6 +320,8 @@ class TestStrictLoadsAgainstFullDecode:
     @example("1" * 5000)
     @example(DEEP_NESTING)
     @example("")
+    @example('{"\\u001f\\ud800NaN\\udc00": null}')
+    @example('["\\udbff\\udfff", "\\\\ud800", "\\ud800\\\\udc00"]')
     def test_same_value_or_same_error(self, text):
         assert decode_outcome(strict_loads, text) == decode_outcome(decode_in_full, text)
 
@@ -283,11 +337,16 @@ class TestStrictLoadsAgainstFullDecode:
 
     def test_padded_value_decodes_in_one_scan(self, monkeypatch):
         # plans and documents end in a newline; they must not be decoded twice
-        def decode_again(text):
-            raise AssertionError("decoded twice")
+        scans = []
+        scan_once = canonical._STRICT_DECODER.scan_once
 
-        monkeypatch.setattr(canonical._STRICT_DECODER, "decode", decode_again)
+        def counted(text, idx):
+            scans.append(idx)
+            return scan_once(text, idx)
+
+        monkeypatch.setattr(canonical._STRICT_DECODER, "scan_once", counted)
         assert strict_loads(' \t{"a": [1]}\r\n') == {"a": [1]}
+        assert scans == [2]
 
 
 # -- the C encoder path ---------------------------------------------------

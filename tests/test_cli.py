@@ -270,6 +270,24 @@ class TestValidate:
             f"line {line} column {column} (char {pos})\n"
         )
 
+    @pytest.mark.parametrize("command", ["validate", "apply"])
+    def test_lone_surrogate_escape_is_located(self, tmp_path, fixtures_dir, capsys, command):
+        # the escape decodes to a character that UTF-8 cannot encode
+        text = (fixtures_dir / "elisa.seo.json").read_text()
+        pos = text.index('"source_scientist": "') + len('"source_scientist": "')
+        line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+        bad = tmp_path / "bad.seo.json"
+        bad.write_text(text[:pos] + "\\ud800" + text[pos:])
+        store = tmp_path / "x.skg.jsonl"
+        argv = [command, str(bad)] + (["--graph", str(store)] if command == "apply" else [])
+        assert main(argv) == EXIT_REJECTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: lone surrogate escape \\ud800: line {line} column {column} (char {pos})\n"
+        )
+        assert not store.exists()
+
 
 class TestCompile:
     def test_plan_on_stdout(self, fixtures_dir, capsys):
@@ -1212,6 +1230,23 @@ class TestCorruptStore:
                 f"error: {path}:{line_no}: invalid UTF-8 (invalid continuation byte) at byte {at}\n"
             )
 
+    def test_lone_surrogate_escape_is_rejected_with_its_location(
+        self, fixtures_dir, tmp_path, capsys
+    ):
+        # check once passed it, and hash failed encoding it, with no location
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = lines[1].index('"value": "') + len('"value": "')
+        lines[1] = lines[1][:at] + "\\ud800" + lines[1][at:]
+        path.write_text("".join(lines), encoding="utf-8")
+        for command in (["hash"], ["check"], ["query", "silent", "--subgraph", "ELISA"]):
+            assert main(command + ["--graph", str(path)]) == EXIT_REJECTED
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {path}:2: lone surrogate escape \\ud800 at column {at + 1}\n"
+            )
+
     def test_verify_rejects_non_canonical_bytes(self, fixtures_dir, tmp_path, capsys):
         path = copy_fixture_store(fixtures_dir, tmp_path)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -1314,6 +1349,10 @@ class TestMalformedPlan:
                 lambda raw: raw["statements"][0]["properties"]["name"].update(value=float("nan")),
                 "error: non-finite number literal: NaN: line 1 column ",
             ),
+            (
+                lambda raw: raw["statements"][0]["properties"]["name"].update(value="x\ud800"),
+                "error: lone surrogate escape \\ud800: line 1 column ",
+            ),
             (lambda raw: raw.update(version=True), "error: unsupported plan version True"),
             (lambda raw: raw.update(version=1.0), "error: unsupported plan version 1.0"),
             (
@@ -1330,6 +1369,7 @@ class TestMalformedPlan:
             "same-subgraph-edge-pending",
             "integer-beyond-float-range",
             "non-finite-literal",
+            "lone-surrogate-escape",
             "version-true",
             "version-float",
             "deep-nesting",

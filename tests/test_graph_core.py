@@ -513,6 +513,14 @@ class TestStoreFiles:
         finally:
             (gc.enable if was else gc.disable)()
 
+    def test_edge_endpoints_are_the_keys_of_their_nodes(self, federated):
+        # one key cache per load: the graph holds one copy of each key
+        edges = federated.edges()
+        assert edges
+        for edge in edges:
+            assert federated.node(edge.src).key is edge.src
+            assert federated.node(edge.dst).key is edge.dst
+
     def test_load_reenforces_referential_integrity(self, tmp_path):
         path = tmp_path / "t.skg.jsonl"
         header = canonical_serialize(make_graph()).decode()

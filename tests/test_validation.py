@@ -1,4 +1,4 @@
-from skg.validation import Issue, IssueCollector, ValidationReport
+from skg.validation import Issue, ValidationReport
 
 
 def test_issue_renders_tab_separated():
@@ -14,11 +14,8 @@ def test_empty_report_is_ok():
     assert report.to_text() == "OK\n"
 
 
-def test_collector_preserves_traversal_order():
-    collector = IssueCollector()
-    collector.add("B", "s2", "later")
-    collector.add("A", "s1", "earlier")
-    report = collector.report()
+def test_report_preserves_traversal_order():
+    report = ValidationReport([Issue("B", "s2", "later"), Issue("A", "s1", "earlier")])
     assert not report.ok
     assert report.codes() == ["B", "A"]
     assert report.has("A") and report.has("B")
