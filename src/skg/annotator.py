@@ -11,7 +11,9 @@ fields, read off the document's field table, so the document record
 classes stay the one description of what a claim carries. Its id is the
 one ``seo.walk_claims`` gives it, the walk ``validate_seo`` checks under
 the same target subgraph and alias table, so two claims never share a
-node and a cascade target lands on the claim validation read it as.
+node and a cascade target lands on the claim validation read it as. An
+automation asset is a claim too, keyed in the shared execution subgraph
+by ``seo.named_id``, the id rule for anything named rather than stated.
 Referenced-but-unowned records (instruments named as masking assets,
 cascade targets nobody described, workflows cited by program inputs)
 become stubs holding every property the registry requires of their
@@ -57,9 +59,10 @@ from .graph_core import (
     node_line,
     parse_node_key,
 )
-from .metrics import default_aliases, label_slug, normalize_label
+from .metrics import default_aliases, normalize_label
 from .ontology import CONFIDENCE_FLOOR, REGISTRY_VERSION, builtin_registry, record_issues
-from .seo import SeoDocument, _fields, cascade_stub_id, serialize_seo, validate_seo, walk_claims
+from .seo import SeoDocument, _fields, cascade_stub_id, named_id, serialize_seo, validate_seo
+from .seo import walk_claims
 
 PLAN_KIND = "merge_plan"
 PLAN_VERSION = 1
@@ -141,26 +144,23 @@ class _Builder:
 
     def __init__(self):
         self.props: dict[NodeKey, dict[str, Prop]] = {}
-        self.stubs: set[NodeKey] = set()
         self.edges: dict[tuple[str, NodeKey, NodeKey], Edge] = {}
 
     def node(self, key: NodeKey, props: dict[str, Prop]) -> NodeKey:
-        """A described record: it replaces a stub and extends an earlier description."""
-        if key in self.props and key not in self.stubs:
-            self.props[key].update(props)
-        else:
-            self.props[key] = props
-            self.stubs.discard(key)
+        """A described record: it replaces a stub or another asset's use-case description."""
+        self.props[key] = props
         return key
 
     def stub(self, key: NodeKey, name: str) -> NodeKey:
         """A record named here but not described: its label's schema defaults."""
         if key not in self.props:
-            defaults = _stub_defaults(key.label)
-            self.props[key] = {prop: Prop(value, _SD) for prop, value in defaults}
-            self.props[key]["name"] = Prop(name, _SD)
-            self.stubs.add(key)
+            defaults = {prop: Prop(value, _SD) for prop, value in _stub_defaults(key.label)}
+            self.props[key] = defaults | {"name": Prop(name, _SD)}
         return key
+
+    def named(self, subgraph: str, label: str, name: str) -> NodeKey:
+        """The stub of an asset, use case or error signature, keyed by ``seo.named_id``."""
+        return self.stub(NodeKey(subgraph, label, named_id(label, name)), name)
 
     def edge(self, edge_type: str, src: NodeKey, dst: NodeKey) -> None:
         edge = Edge(edge_type, src, dst, pending=src.subgraph != dst.subgraph)
@@ -212,15 +212,12 @@ def compile_seo(
     calibrated: list[tuple[NodeKey, str]] = []  # failure modes and decision points
     step = None
     if proto is not None:
-        workflow = b.node(
-            NodeKey(subgraph, "AssayWorkflow", proto.workflow_id),
-            {
-                "name": Prop(proto.workflow_name, _tag(proto.pre_extracted)),
-                "flagged_for_review": Prop(False, _tag(proto.pre_extracted)),
-            },
-        )
+        tag = _tag(proto.pre_extracted)
+        props = {"name": Prop(proto.workflow_name, tag), "flagged_for_review": Prop(False, tag)}
+        workflow = b.node(NodeKey(subgraph, "AssayWorkflow", proto.workflow_id), props)
     for _, label, record, claim_id in claims:
-        key = NodeKey(subgraph, label, claim_id)
+        where = EXECUTION_SUBGRAPH if label == "AutomationAsset" else subgraph
+        key = NodeKey(where, label, claim_id)
         if label == "WorkflowStep":
             pre = proto.pre_extracted or record.pre_extracted
             b.node(key, _claim_props(record, _tag(pre)))
@@ -229,8 +226,7 @@ def compile_seo(
                 b.edge("PRECEDES", step, key)
             step = key
             for name in record.required_use_cases:
-                use_case = NodeKey(EXECUTION_SUBGRAPH, "UseCase", f"UC-{label_slug(name)}")
-                b.edge("REQUIRES_AUTOMATION", key, b.stub(use_case, name))
+                b.edge("REQUIRES_AUTOMATION", key, b.named(EXECUTION_SUBGRAPH, "UseCase", name))
         elif label == "FailureMode":
             b.node(key, _claim_props(record, _tag(pre or record.pre_extracted)))
             b.edge("CAUSES_IF_INCOMPLETE", step, key)
@@ -241,11 +237,9 @@ def compile_seo(
                     dst = b.stub(NodeKey(subgraph, label, cascade_stub_id(target, aliases)), target)
                 b.edge("CASCADES_TO", key, dst)
             for name in record.masked_by_assets:
-                asset = NodeKey(EXECUTION_SUBGRAPH, "AutomationAsset", f"AA-{label_slug(name)}")
-                b.edge("MASKED_BY", key, b.stub(asset, name))
+                b.edge("MASKED_BY", key, b.named(EXECUTION_SUBGRAPH, "AutomationAsset", name))
             for name in record.detected_by:
-                signature = NodeKey(subgraph, "ErrorSignature", f"ES-{label_slug(name)}")
-                b.edge("DETECTED_BY", key, b.stub(signature, name))
+                b.edge("DETECTED_BY", key, b.named(subgraph, "ErrorSignature", name))
         elif label == "ProgramMilestone":
             milestone = b.node(key, _claim_props(record, _IC))
         elif label == "EvidentiaryInput":
@@ -255,6 +249,12 @@ def compile_seo(
             if source is not None:
                 wf = NodeKey(source.subgraph, "AssayWorkflow", source.workflow_id)
                 b.edge("SOURCED_FROM", key, b.stub(wf, source.workflow_id))
+        elif label == "AutomationAsset":
+            b.node(key, _claim_props(record, _IC))
+            for name in record.use_case_names:
+                use_case = NodeKey(EXECUTION_SUBGRAPH, "UseCase", named_id("UseCase", name))
+                described = {"name": Prop(name, _IC), "flagged_for_review": Prop(False, _IC)}
+                b.edge("SUITABLE_FOR", b.node(use_case, described), key)
         else:  # a decision point or method alternative, on the step it names
             decision = label == "DecisionPoint"
             b.node(key, _claim_props(record, _IC, flag_tag=_SD if decision else None))
@@ -262,21 +262,6 @@ def compile_seo(
             b.edge("HAS_DECISION_POINT" if decision else "HAS_ALTERNATIVE", named, key)
             if decision:
                 calibrated.append((key, record.confidence_method))
-
-    for claim in doc.automation_context or ():
-        props = {"name": Prop(claim.asset_name, _IC), "flagged_for_review": Prop(False, _IC)}
-        if claim.log_scope is not None:
-            props["log_scope"] = Prop(claim.log_scope, _IC)
-        asset = b.node(
-            NodeKey(EXECUTION_SUBGRAPH, "AutomationAsset", f"AA-{label_slug(claim.asset_name)}"),
-            props,
-        )
-        for uc_name in claim.use_case_names:
-            uc_key = b.node(
-                NodeKey(EXECUTION_SUBGRAPH, "UseCase", f"UC-{label_slug(uc_name)}"),
-                {"name": Prop(uc_name, _IC), "flagged_for_review": Prop(False, _IC)},
-            )
-            b.edge("SUITABLE_FOR", uc_key, asset)
 
     doc_sha = hashlib.sha256(serialize_seo(doc)).hexdigest()
 

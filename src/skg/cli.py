@@ -6,7 +6,10 @@ Store mutations take an exclusive advisory lock on ``<store>.lock``;
 reads take a shared one.
 
 Exit codes: 0 success, 1 rejected input (parse or validation), 2 usage,
-3 I/O failure, 4 violated graph invariant or missing record.
+3 I/O failure, 4 violated graph invariant or missing record. Exit 4 also
+covers an argument out of its range (``--depth -1``, ``--threshold 2``),
+a key argument that is no key part (``--step "a b"``), and
+``consistency`` given one run.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def cmd_query(args) -> int:
     result = getattr(queries, function)(_load(args.graph), *values)
     if args.name == "cascades":
         if args.format == "json":
-            sys.stdout.write(render_value([list(p) for p in result]) + "\n")
+            sys.stdout.write(render_value(result) + "\n")
         else:
             for path in result:
                 print(" -> ".join(path))

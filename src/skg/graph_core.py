@@ -530,9 +530,9 @@ def key_from_record(record: object, where: str, known: dict[tuple, NodeKey]) -> 
 def props_record(properties: Mapping[str, Prop]) -> tuple[dict, bool]:
     """Property map as ``{name: {"provenance", "value"}}``, and whether it is plain.
 
-    Text lists become JSON arrays, and numbers take their plain form
-    (``plain_number``) where they have one. The map is plain when every
-    number has one, and may then be rendered with ``plain=True``.
+    Numbers take their plain form (``plain_number``) where they have one;
+    a text list stays a tuple, which renders as a JSON array. The map is
+    plain when every number has one, and may then be rendered with ``plain=True``.
     """
     record = {}
     plain = True
@@ -543,8 +543,6 @@ def props_record(properties: Mapping[str, Prop]) -> tuple[dict, bool]:
                 plain = False
             else:
                 value = number
-        elif isinstance(value, tuple):
-            value = list(value)
         # a Provenance is a str, and JSON renders it as its value
         record[name] = {"provenance": provenance, "value": value}
     return record, plain

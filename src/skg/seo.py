@@ -15,11 +15,12 @@ shape and the schema cannot drift. The schema states the parse contract
 and nothing more; content rules live in ``validate_seo`` alone.
 
 One walk, ``walk_claims``, gives every claim its node id: the id it
-states, or one generated from its label, the target subgraph and its
-ordinal. These ids and cascade stub ids share the document's one id
-namespace: ``validate_seo`` refuses an id held twice, unless by two stubs.
-It matches names through the alias table ``compile_seo`` resolves
-cascade targets through, so both read a target as the same claim.
+states, one generated from its label, the target subgraph and its
+ordinal, or an automation asset's ``named_id``. These ids and cascade
+stub ids share the document's one id namespace: ``validate_seo`` refuses
+an id held twice, unless by two stubs. It matches names through the
+alias table ``compile_seo`` resolves cascade targets through, so both
+read a target as the same claim.
 
 The session mode gates which layers may carry content. OPERATIONAL
 sessions capture protocol knowledge only: their decision-model layer is
@@ -55,7 +56,7 @@ from .errors import (
     ValueKindMismatch,
 )
 from .graph_core import KEY_PART_RE
-from .metrics import default_aliases, normalize_label
+from .metrics import default_aliases, label_slug, normalize_label
 from .ontology import (
     COMPARATORS,
     CONFIDENCE_CEILING,
@@ -197,7 +198,7 @@ class MethodAlternativeClaim(NamedTuple):
 
 
 class AutomationContextClaim(NamedTuple):
-    asset_name: str
+    name: Annotated[str, {"json": "asset_name"}]
     use_case_names: tuple[str, ...] = ()
     log_scope: str | None = None
 
@@ -621,11 +622,12 @@ def walk_claims(doc: SeoDocument, subgraph: str) -> Iterator[tuple[str, str, tup
     """(path, node label, record, id) of each claim of a document, in compile order.
 
     The order is steps by ``step_index``, each followed by its failure
-    modes; then decision points, method alternatives, and milestones,
-    each followed by its evidentiary inputs. A claim that states no id
-    gets ``<prefix>-<subgraph>-<ordinal>``, its ordinal counted per label
-    in this order (a step's is its ``step_index`` in a valid document).
-    This is the only rule for claim ids: ``validate_seo`` requires them
+    modes; then decision points, method alternatives, milestones, each
+    followed by its evidentiary inputs, and assets. An asset's id is its
+    ``named_id``; any other claim that states no id gets
+    ``<prefix>-<subgraph>-<ordinal>``, its ordinal counted per label in
+    this order (a step's is its ``step_index`` in a valid document). This
+    is the only rule for claim ids: ``validate_seo`` requires them
     distinct, and ``compile_seo`` keys each claim's node by its id.
     """
     ordinals: dict[str, int] = {}
@@ -652,6 +654,15 @@ def walk_claims(doc: SeoDocument, subgraph: str) -> Iterator[tuple[str, str, tup
             yield claim(path, "ProgramMilestone", "PM", pm)
             for j, ei in enumerate(pm.evidentiary_inputs):
                 yield claim(f"{path}.evidentiary_inputs[{j}]", "EvidentiaryInput", "EI", ei)
+    for i, asset in enumerate(doc.automation_context or ()):
+        path = f"automation_context[{i}]"
+        yield path, "AutomationAsset", asset, named_id("AutomationAsset", asset.name)
+
+
+def named_id(label: str, name: str) -> str:
+    """The id of an asset, use case or error signature: its prefix and ``label_slug(name)``."""
+    prefix = {"AutomationAsset": "AA", "UseCase": "UC", "ErrorSignature": "ES"}[label]
+    return f"{prefix}-{label_slug(name)}"
 
 
 def cascade_stub_id(target: str, aliases: Mapping[str, str]) -> str:
@@ -670,9 +681,10 @@ def validate_seo(
 
     The ids checked are those ``walk_claims`` gives under ``subgraph``,
     so the ids compile generates share the document's one id namespace
-    with the ids it states; a ``DuplicateId`` names the later claim. So
-    does one for a failure-mode name another already has, and one for a
-    cascade target that names no failure mode when its stub id,
+    with the ids it states; a ``DuplicateId`` names the later claim, as
+    for two automation assets whose names slug alike. So does one for a
+    failure-mode name another already has, and one for a cascade
+    target that names no failure mode when its stub id,
     ``cascade_stub_id``, is a claim's. Names and targets are compared
     under ``aliases`` (the packaged table when omitted), the table
     ``compile_seo`` resolves targets through and passes on here.

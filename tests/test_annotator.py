@@ -39,6 +39,7 @@ from skg.annotator import MergePlan, PlanProvenance, _property_fields
 from skg.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from skg.metrics import default_aliases, normalize_label
 from skg.seo import (
+    AutomationContextClaim,
     DecisionPointClaim,
     EvidentiaryInputClaim,
     FailureModeClaim,
@@ -286,6 +287,24 @@ class TestCompile:
         uc = node_by_id(plan, "UC-plate-washing")
         assert uc.properties["name"].provenance is IC
         assert uc.properties["flagged_for_review"].value is False
+
+    def test_described_asset_displaces_its_masking_stub(self):
+        doc = json_doc(
+            steps=[
+                {
+                    "name": "one",
+                    "step_index": 1,
+                    "failure_modes": [claim("f", masked_by_assets=["Washer 9000"])],
+                }
+            ],
+            automation_context=[{"asset_name": "Washer 9000", "log_scope": "cycle log"}],
+        )
+        plan = compile_seo(doc, "TESTSG")
+        assert node_by_id(plan, "AA-washer-9000").properties == {
+            "flagged_for_review": Prop(False, IC),
+            "name": Prop("Washer 9000", IC),
+            "log_scope": Prop("cycle log", IC),
+        }
 
     def test_unknown_decision_step_gets_a_stub(self):
         doc = json_doc(decision_points=[dict(DECISION_POINT, step_id="ST-ELSEWHERE-001")])
@@ -569,6 +588,7 @@ class TestClaimRulesAgree:
             (MethodAlternativeClaim, "MethodAlternative"),
             (ProgramMilestoneClaim, "ProgramMilestone"),
             (EvidentiaryInputClaim, "EvidentiaryInput"),
+            (AutomationContextClaim, "AutomationAsset"),
         ],
     )
     def test_claim_properties_are_declared_with_their_kind(self, registry, cls, label):
@@ -597,6 +617,7 @@ class TestClaimRulesAgree:
         MethodAlternativeClaim: "name description tradeoff",
         ProgramMilestoneClaim: "name",
         StepRecord: "name step_index description is_critical_path:boolean",
+        AutomationContextClaim: "name log_scope",
     }
 
     @pytest.mark.parametrize("cls", list(PROPERTY_FIELDS), ids=lambda cls: cls.__name__)
@@ -615,6 +636,7 @@ CLAIM_ARRAYS = (
     (("decision_model", "decision_points"), None),
     (("method_alternatives",), None),
     (("strategic", "program_milestones"), "evidentiary_inputs"),
+    (("automation_context",), None),
 )
 UNCLAIMED_NAME = "Reagent Lot Change"  # names no claim of any fixture
 # both reproductions of claims that once shared a node: a null id that compiles to
@@ -647,6 +669,31 @@ STUB_SPELLINGS = [
         ["Nonspecific Background Signal"],
     ),
 ]
+# two instruments whose names differ by a bracketed qualifier alone; both once
+# keyed to AA-plate-washer, and the second description replaced the first
+PLATE_WASHERS = [
+    {
+        "asset_name": "Plate Washer (Bay 1)",
+        "use_case_names": ["Plate Washing"],
+        "log_scope": "full residual-volume log",
+    },
+    {
+        "asset_name": "Plate Washer (Bay 2)",
+        "use_case_names": ["Plate Washing"],
+        "log_scope": "cycle completion only",
+    },
+]
+BAYS = [
+    (
+        ("automation_context",),
+        FIXTURE_JSON["automation.seo.json"]["automation_context"] + PLATE_WASHERS,
+    )
+]
+
+
+def _name_field(path: tuple) -> str:
+    """The JSON name of the name of the claim at ``path``."""
+    return "asset_name" if path[0] == "automation_context" else "name"
 
 
 def _claim_paths(raw: dict) -> list[tuple]:
@@ -690,7 +737,8 @@ def claim_field_changes(draw) -> tuple[str, list]:
     failure_modes = [path for path in paths if "failure_modes" in path]
     records = [_at(raw, path) for path in paths]
     ids = sorted({r["id"] for r in records if r.get("id")}) + GENERATED_IDS
-    names = sorted({r["name"] for r in records if r.get("name")}) + [UNCLAIMED_NAME]
+    names = [_at(raw, path).get(_name_field(path)) for path in paths]
+    names = sorted(set(filter(None, names))) + [UNCLAIMED_NAME]
     changes = []
     for _ in range(draw(st.integers(1, 2))):
         path = draw(st.sampled_from(paths))
@@ -699,7 +747,7 @@ def claim_field_changes(draw) -> tuple[str, list]:
             value = draw(st.sampled_from([None, "FM-reagent-lot-change", *ids]))
             changes.append(((*path, "id"), value))
         elif op == "name":
-            changes.append(((*path, "name"), draw(st.sampled_from(names))))
+            changes.append(((*path, _name_field(path)), draw(st.sampled_from(names))))
         elif op == "cascade" and failure_modes:
             path = (*draw(st.sampled_from(failure_modes)), "cascades_to")
             changes.append((path, draw(st.lists(st.sampled_from(names), max_size=2))))
@@ -725,6 +773,7 @@ class TestClaimKeys:
     @example(case=("elisa.seo.json", ALIAS_TWIN))
     @example(case=("elisa.seo.json", ALIAS_TARGET))
     @example(case=("elisa.seo.json", STUB_SPELLINGS))
+    @example(case=("automation.seo.json", BAYS))
     @given(case=claim_field_changes())
     @settings(max_examples=150)
     def test_a_valid_document_compiles_every_claim_to_its_own_node(self, registry, case):
@@ -748,6 +797,14 @@ class TestClaimKeys:
         assert count("DecisionPoint") == len(decision_points)
         assert count("ProgramMilestone") == len(milestones)
         assert count("EvidentiaryInput") == sum(len(pm.evidentiary_inputs) for pm in milestones)
+        # one node for each asset entry, beside the stubs of assets a failure mode names
+        entries = doc.automation_context or ()
+        assets = [node.properties for node in plan.nodes if node.key.label == "AutomationAsset"]
+        assets = [props for props in assets if not props["flagged_for_review"].value]
+        assert len(assets) == len(entries)
+        assert {props["name"].value: props.get("log_scope") for props in assets} == {
+            a.name: None if a.log_scope is None else Prop(a.log_scope, IC) for a in entries
+        }
         # cascade stubs are failure modes too, named by a target that names no claim
         steps = doc.protocol.steps if doc.protocol else ()
         failure_modes = [fm for step in steps for fm in step.failure_modes]
@@ -783,6 +840,21 @@ class TestClaimKeys:
         later = "protocol.steps[0].failure_modes[1]"
         assert report.startswith("DuplicateId\t") and report.count("\n") == 1
         assert later in report.split("\t")[1] + report.split("\t")[2]
+        assert not store.exists()
+
+    def test_assets_whose_names_slug_alike_are_a_located_duplicate_id(self, tmp_path, capsys):
+        doc = tmp_path / "automation.seo.json"
+        doc.write_text(_changed_document("automation.seo.json", BAYS), encoding="utf-8")
+        store = tmp_path / "fresh.skg.jsonl"
+        assert main(["validate", str(doc)]) == EXIT_REJECTED
+        report = capsys.readouterr().out
+        assert report == (
+            "DuplicateId\tautomation_context[23]\tid AA-plate-washer already used at "
+            "automation_context[22]\n"
+        )
+        apply = ["apply", str(doc), "--subgraph", "AUTOMATION", "--graph", str(store)]
+        assert main(apply) == EXIT_REJECTED
+        assert capsys.readouterr().err == report
         assert not store.exists()
 
     def test_alias_twins_are_a_located_duplicate_id(self, tmp_path, capsys):

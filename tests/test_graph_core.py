@@ -4,11 +4,14 @@ import hashlib
 import itertools
 import pickle
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from skg import (
     CrossSubgraphViolation,
@@ -713,6 +716,142 @@ class TestMergeProperties:
         path = tmp_path_factory.mktemp("store") / "t.skg.jsonl"
         save_store(g, path)
         assert load_store(path, builtin_registry()) == g
+
+
+# -- a model of the store's life: merges, approvals and round trips ------------
+
+MODEL_KEYS = [key(id_, sg) for sg in ("SGA", "SGB") for id_ in "ab"]
+MODEL_PROPS = st.dictionaries(
+    st.sampled_from(["name", "note"]),
+    st.builds(Prop, st.sampled_from(["x", "y", 1.0]), provenances),  # text or number: kinds clash
+    max_size=2,
+)
+REFUSALS = (TypeConflict, DanglingEdge, CrossSubgraphViolation)
+
+
+@st.composite
+def model_batches(draw, present=(), new_ends=True):
+    """A merge batch over ``MODEL_KEYS``, each node and edge key in it at most once.
+
+    Its edges join nodes in ``present``, and with ``new_ends`` nodes of
+    the batch too. Some batches are refused: a kind change, an edge
+    before its endpoint, a CASCADES_TO edge that spans subgraphs, or a
+    pending edge that does not.
+    """
+    nodes = draw(st.lists(st.sampled_from(MODEL_KEYS), unique=True, max_size=3))
+    batch = [Node(k, draw(MODEL_PROPS)) for k in nodes]
+    ends = sorted(set(present) | set(nodes if new_ends else ()))
+    pair = st.tuples(st.sampled_from(ends), st.sampled_from(ends))
+    for src, dst in draw(st.lists(pair, unique=True, max_size=3)) if ends else ():
+        broken = draw(st.integers(0, 9)) == 0  # one edge in ten breaks a rule of merge's
+        if src.subgraph != dst.subgraph:  # MASKED_BY may span subgraphs, pending or not
+            edge_type, pending = "CASCADES_TO" if broken else "MASKED_BY", draw(st.booleans())
+        else:  # pending is for edges across subgraphs
+            edge_type, pending = draw(st.sampled_from(["CASCADES_TO", "MASKED_BY"])), broken
+        batch.append(Edge(edge_type, src, dst, pending=pending))
+    return draw(st.permutations(batch))
+
+
+def merged_or_refused(graph: Graph, batch: list):
+    """``merge(graph, batch)``, or the refusal's type and message.
+
+    A refusal leaves ``graph``'s bytes as they were.
+    """
+    before = canonical_serialize(graph)
+    try:
+        return merge(graph, batch)
+    except REFUSALS as exc:
+        assert canonical_serialize(graph) == before
+        return type(exc), str(exc)
+
+
+def merged_in_turn(graph: Graph, first: list, then: list):
+    """``first`` merged into ``graph``, then ``then``, or the first refusal."""
+    result = merged_or_refused(graph, first)
+    return merged_or_refused(result, then) if isinstance(result, Graph) else result
+
+
+class StoreModel(RuleBasedStateMachine):
+    """One store's life against the promises merge, approval and the store file make."""
+
+    def __init__(self):
+        super().__init__()
+        self.tmp = tempfile.TemporaryDirectory()
+        self.graph = make_graph()
+        self.snapshots = [(self.graph, canonical_serialize(self.graph))]
+
+    def teardown(self):
+        self.tmp.cleanup()
+
+    def advance(self, result) -> None:
+        if isinstance(result, Graph):
+            self.graph = result
+            self.snapshots.append((result, canonical_serialize(result)))
+
+    def present(self) -> tuple[NodeKey, ...]:
+        return tuple(node.key for node in self.graph.nodes())
+
+    @rule(data=st.data())
+    def merge_a_batch(self, data):
+        batch = data.draw(model_batches(self.present()))
+        result = merged_or_refused(self.graph, batch)
+        if isinstance(result, Graph):  # merging it again changes no byte
+            assert canonical_serialize(merge(result, batch)) == canonical_serialize(result)
+        self.advance(result)
+
+    @rule(data=st.data())
+    def merge_in_two_parts(self, data):
+        a = data.draw(model_batches(self.present()))
+        merged_by_a = tuple(record.key for record in a if isinstance(record, Node))
+        b = data.draw(model_batches(self.present() + merged_by_a))
+        whole, parts = merged_or_refused(self.graph, a + b), merged_in_turn(self.graph, a, b)
+        assert whole == parts  # the same graph, or the same refusal of the same record
+        if isinstance(whole, Graph):
+            assert canonical_serialize(whole) == canonical_serialize(parts)
+        self.advance(whole)
+
+    @rule(data=st.data())
+    def merge_disjoint_batches_in_either_order(self, data):
+        batch = data.draw(model_batches(self.present(), new_ends=False))
+        mask = data.draw(st.lists(st.booleans(), min_size=len(batch), max_size=len(batch)))
+        a = [record for record, first in zip(batch, mask) if first]
+        b = [record for record, first in zip(batch, mask) if not first]
+        ab, ba = (merged_in_turn(self.graph, first, then) for first, then in ((a, b), (b, a)))
+        assert isinstance(ab, Graph) == isinstance(ba, Graph)  # a refusal may name either
+        if isinstance(ab, Graph):
+            assert ab == ba
+            assert canonical_serialize(ab) == canonical_serialize(ba)
+        self.advance(ab)
+
+    @precondition(lambda self: self.graph.pending_edges())
+    @rule(data=st.data())
+    def approve(self, data):
+        pending = [edge.key for edge in self.graph.pending_edges()]
+        selectors = data.draw(st.none() | st.lists(st.sampled_from(pending), unique=True))
+        graph, approved = approve_pending(self.graph, selectors)
+        assert approved == tuple(sorted(pending if selectors is None else selectors))
+        assert not any(graph.edge(k).pending for k in approved)
+        self.advance(graph)
+
+    @rule()
+    def save_then_load(self):
+        path = Path(self.tmp.name) / "model.skg.jsonl"
+        assert save_store(self.graph, path) == graph_hash(self.graph)
+        assert path.read_bytes() == canonical_serialize(self.graph)
+        loaded = load_store(path, builtin_registry())
+        assert loaded == self.graph
+        self.advance(loaded)
+
+    @invariant()
+    def snapshots_keep_their_bytes_and_bytes_are_identity(self):
+        for graph, data in self.snapshots:
+            assert canonical_serialize(graph) == data
+        for (g1, d1), (g2, d2) in itertools.combinations(self.snapshots, 2):
+            assert (d1 == d2) == (g1 == g2)
+
+
+TestStoreModel = StoreModel.TestCase
+TestStoreModel.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
 
 
 # -- the lazy read index -------------------------------------------------------

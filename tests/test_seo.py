@@ -585,7 +585,7 @@ class TestFieldTable:
             "tradeoff: text nullable",
         ),
         AutomationContextClaim: (
-            "asset_name: text required",
+            "name: text json=asset_name required",
             "use_case_names: text list nullable default=()",
             "log_scope: text nullable",
         ),
