@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -36,10 +37,12 @@ from .errors import (
 )
 from .graph_core import (
     Graph,
-    digest_path,
+    file_digest,
     graph_hash,
+    is_trusted,
     load_store,
     parse_node_key,
+    read_sidecar,
     save_store,
 )
 from .ontology import builtin_registry, schema_listing, validate_graph
@@ -56,7 +59,8 @@ EXIT_INVARIANT = 4
 
 # query name -> (its skg.queries function, the options that function takes
 # after the store, in call order); functions are named, so only the query
-# and stats subcommands import skg.queries
+# and stats subcommands import skg.queries. A query that takes "subgraph"
+# loads only what it can reach from there (see load_store)
 QUERIES = {
     "silent": ("ranked_silent_failures", ("subgraph",)),
     "ranked": ("ranked_failures", ("subgraph",)),
@@ -96,10 +100,10 @@ def _store_lock(store: Path, exclusive: bool):
             fcntl.flock(handle, fcntl.LOCK_UN)
 
 
-def _load(store: str) -> Graph:
+def _load(store: str, subgraph: str | None = None) -> Graph:
     path = Path(store)
     with _store_lock(path, exclusive=False):
-        return load_store(path, builtin_registry())
+        return load_store(path, builtin_registry(), subgraph)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -193,7 +197,8 @@ def cmd_query(args) -> int:
         if value in (None, ""):  # not falsiness: --depth 0 is a valid depth
             print(f"error: {args.name} needs --{option}", file=sys.stderr)
             return EXIT_USAGE
-    result = getattr(queries, function)(_load(args.graph), *values)
+    graph = _load(args.graph, args.subgraph if "subgraph" in options else None)
+    result = getattr(queries, function)(graph, *values)
     if args.name == "cascades":
         if args.format == "json":
             sys.stdout.write(render_value(result) + "\n")
@@ -209,7 +214,7 @@ def cmd_query(args) -> int:
 def cmd_stats(args) -> int:
     from . import queries
 
-    stats = queries.subgraph_stats_record(_load(args.graph), args.subgraph)
+    stats = queries.subgraph_stats_record(_load(args.graph, args.subgraph), args.subgraph)
     sys.stdout.write(render_record(stats) + "\n")
     return EXIT_OK
 
@@ -247,25 +252,20 @@ def cmd_schema(args) -> int:
 
 
 def cmd_hash(args) -> int:
-    import hashlib
-
     store = Path(args.graph)
+    registry = builtin_registry()
     with _store_lock(store, exclusive=False):
-        graph = load_store(store, builtin_registry())
-        if args.verify:
-            file_digest = hashlib.sha256()
-            with open(store, "rb") as handle:  # in blocks: never the whole store at once
-                while block := handle.read(1 << 16):
-                    file_digest.update(block)
-            try:
-                recorded = digest_path(store).read_text(encoding="utf-8", errors="replace").split()
-            except FileNotFoundError:  # a crash before a new store's first sidecar write
-                recorded = None
+        actual = file_digest(store, registry)
+        # a trusted store's digest is its canonical one; --verify reads every line anyway
+        if not args.verify and is_trusted(store, actual, registry):
+            print(actual)
+            return EXIT_OK
+        graph = load_store(store, registry)
+        recorded = read_sidecar(store) if args.verify else None
     digest = graph_hash(graph)
     if args.verify:
         # the loader reads any spacing and member order within a line,
         # so a store that loads can still differ from its canonical bytes
-        actual = file_digest.hexdigest()
         if actual != digest:
             print(
                 f"store is not canonical: file sha256 {actual}, canonical {digest}",
@@ -395,5 +395,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
+def run() -> None:
+    """The ``skg`` command: ``main`` on the process arguments, then exit.
+
+    The heap is frozen first, so the interpreter's collection at exit
+    has nothing to traverse; the process frees its memory as it ends
+    anyway. Only this entry point freezes: a caller of ``main`` keeps
+    its collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

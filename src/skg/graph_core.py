@@ -23,6 +23,10 @@ renames that over it (no fsync yet), then writes the digest sidecar;
 the rename replaces a symlinked store path with a regular file.
 ``load_store`` reads the file line by line and decodes each line from
 UTF-8 on its own, so a bad byte is reported as ``<file>:<line>``.
+A store is *trusted* when its sidecar holds the SHA-256 of its bytes
+and the registry version, a pair only ``save_store`` writes; a load
+scoped to one subgraph then decodes only the lines that subgraph's reads
+can reach, and ``skg hash`` prints its digest without loading it.
 Keys are read through ``key_from_record``, whose cache maps each key
 built to itself, so the parts of a key find it; plans share that shape.
 
@@ -61,11 +65,12 @@ import json
 import os
 import re
 from enum import Enum
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from sys import intern
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Protocol
 
 from .canonical import (
     normalize_number,
@@ -89,6 +94,9 @@ CONFLICT_LOG = "conflict_log"
 
 # what a key's subgraph and id may hold, matched whole (fullmatch)
 KEY_PART_RE = re.compile(r"[A-Za-z0-9_-]+")
+# a key's subgraph member in a canonical line; rendering escapes every
+# quote inside a text value, so nothing else on a line can match
+_SUBGRAPH_MEMBER = re.compile(b'"subgraph": "(' + KEY_PART_RE.pattern.encode() + b')"')
 
 
 class Provenance(str, Enum):
@@ -665,14 +673,23 @@ def canonical_serialize(graph: Graph) -> bytes:
     return b"".join(_canonical_chunks(graph))
 
 
-def graph_hash(graph: Graph) -> str:
-    """SHA-256 hex digest of the canonical serialization, hashed chunk by chunk."""
-    import hashlib  # here, not at the top: a process that only reads never hashes
+def sha256_hex(chunks: Iterable[bytes]) -> str:
+    """SHA-256 hex digest of the chunks, hashed one at a time.
+
+    It hashes canonical chunks for ``graph_hash``, a store file's blocks
+    for ``file_digest``, and its lines for a scoped ``load_store``.
+    """
+    import hashlib  # here, not at the top: most reads of a store never hash
 
     digest = hashlib.sha256()
-    for chunk in _canonical_chunks(graph):
+    for chunk in chunks:
         digest.update(chunk)
     return digest.hexdigest()
+
+
+def graph_hash(graph: Graph) -> str:
+    """SHA-256 hex digest of the canonical serialization, hashed chunk by chunk."""
+    return sha256_hex(_canonical_chunks(graph))
 
 
 # -- store files -------------------------------------------------------
@@ -684,6 +701,36 @@ def digest_path(store_path: Path | str) -> Path:
     if name.endswith(".skg.jsonl"):
         return path.with_name(name[: -len(".jsonl")] + ".sha256")
     return path.with_name(name + ".skg.sha256")
+
+
+def read_sidecar(store_path: Path | str) -> list[str] | None:
+    """The words of a store's digest sidecar, its digest first; None when it is missing.
+
+    Raises:
+        OSError: the sidecar exists but cannot be read.
+    """
+    try:
+        return digest_path(store_path).read_text(encoding="utf-8", errors="replace").split()
+    except FileNotFoundError:  # a crash before a new store's first sidecar write
+        return None
+
+
+def is_trusted(path: Path | str, digest: str, registry: RegistryInfo) -> bool:
+    """Whether the store at ``path``, whose bytes hash to ``digest``, is trusted.
+
+    A store is trusted when its sidecar reads exactly as ``save_store``
+    writes it: that digest, then ``registry``'s version. Only
+    ``save_store`` writes such a pair, and the bytes it writes are the
+    canonical serialization of a graph that ``merge`` accepted. A
+    missing, empty, unreadable or stale sidecar leaves the store
+    untrusted, and so does one that ``sha256sum`` wrote, which names the
+    file where ``save_store`` names the registry.
+    """
+    try:
+        recorded = read_sidecar(path)
+    except OSError:
+        return False
+    return recorded == [digest, registry.version]
 
 
 def save_store(graph: Graph, path: Path | str) -> str:
@@ -737,8 +784,10 @@ def _decode_line(line: str, where: str) -> object:
         raise RegistryMismatch(f"{where}: {exc}") from None
 
 
-def _store_records(lines: Iterable[bytes], path: Path, at: list[int]) -> Iterator[Node | Edge]:
-    """Decode the records on the lines after the header line, checking their order.
+def _store_records(
+    lines: Iterable[tuple[int, bytes]], path: Path, at: list[int]
+) -> Iterator[Node | Edge]:
+    """Decode the records on numbered lines after the header line, checking their order.
 
     ``at[0]`` holds the line number of the record yielded last. Node keys
     and edge endpoints go through one ``key_from_record`` cache, so each
@@ -755,7 +804,7 @@ def _store_records(lines: Iterable[bytes], path: Path, at: list[int]) -> Iterato
     known: dict[tuple, NodeKey] = {}
     last = None
     prefix = f"{path}:"
-    for line_no, raw in enumerate(lines, start=2):
+    for line_no, raw in lines:
         line = _line_text(raw, path, line_no)
         if not line.strip():
             continue
@@ -788,17 +837,102 @@ def _store_records(lines: Iterable[bytes], path: Path, at: list[int]) -> Iterato
         last = place
 
 
-def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
+def _read_header(handle: BinaryIO, path: Path, registry: RegistryInfo) -> bytes:
+    """Read and check a store's header line; returns its bytes.
+
+    Raises:
+        RegistryMismatch: see ``load_store``.
+    """
+    first = handle.readline()
+    if not first:
+        raise RegistryMismatch(f"{path}: empty store file")
+    header = _decode_line(_line_text(first, path, 1), f"{path}:1")
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind != "header" or header.get("format") != FORMAT_NAME:
+        raise RegistryMismatch(f"{path}: missing store header")
+    version = header.get("version")
+    if version.__class__ is not int or version != FORMAT_VERSION:
+        raise RegistryMismatch(f"{path}:1: unsupported store version {version!r}")
+    if header.get("registry_version") != registry.version:
+        raise RegistryMismatch(
+            f"{path}: written under {header.get('registry_version')!r}, "
+            f"loaded with {registry.version!r}"
+        )
+    return first
+
+
+def file_digest(path: Path | str, registry: RegistryInfo) -> str:
+    """SHA-256 hex digest of a store file's bytes, read in 64 KiB blocks.
+
+    The header line is checked first, as ``load_store`` checks it, so a
+    store of another format or registry is refused before it is hashed.
+    For a trusted store (``is_trusted``) this is the ``graph_hash`` of
+    the graph the store holds.
+
+    Raises:
+        RegistryMismatch: the header line, as ``load_store`` reports it.
+    """
+    path = Path(path)
+    with open(path, "rb") as handle:
+        first = _read_header(handle, path, registry)
+        return sha256_hex(chain((first,), iter(partial(handle.read, 1 << 16), b"")))
+
+
+def _lines_in_scope(
+    handle: BinaryIO, path: Path, registry: RegistryInfo, first: bytes, subgraph: str
+) -> Iterator[tuple[int, bytes]]:
+    """The numbered lines after the header that a read of ``subgraph`` can reach.
+
+    The first pass hashes every line and collects ``scope``: ``subgraph``
+    and every subgraph named on a line that also names it. On a trusted
+    store, the second pass keeps the lines whose every subgraph member
+    is in ``scope``: the nodes of those subgraphs and the edges between
+    them. On any other store it keeps every line. Either way a line
+    keeps its number in the file.
+    """
+    start = handle.tell()
+    needle = b'"subgraph": "' + subgraph.encode() + b'"'
+    scope = {subgraph.encode()}
+
+    def scanned() -> Iterator[bytes]:
+        for raw in handle:
+            if needle in raw:
+                scope.update(_SUBGRAPH_MEMBER.findall(raw))
+            yield raw
+
+    trusted = is_trusted(path, sha256_hex(chain((first,), scanned())), registry)
+    handle.seek(start)
+    lines = enumerate(handle, start=2)
+    if not trusted:
+        return lines
+    names = b"|".join(re.escape(name) for name in sorted(scope))
+    outside = re.compile(rb'"subgraph": "(?!(?:' + names + rb')")').search
+    return ((line_no, raw) for line_no, raw in lines if outside(raw) is None)
+
+
+def load_store(path: Path | str, registry: RegistryInfo, subgraph: str | None = None) -> Graph:
     """Load a store file, re-enforcing referential integrity through one merge.
 
     Records must come in canonical order: nodes, then approved edges,
     then pending edges, each section strictly ascending by key. Every
-    line is decoded and checked; the digest sidecar is not read.
+    line that is read is decoded and checked.
+
+    With ``subgraph`` (a key part), a trusted store (``is_trusted``),
+    one whose sidecar holds its file SHA-256, is loaded only as far as a
+    read of that subgraph can reach: the nodes of ``subgraph`` and of
+    every subgraph named on a line that also names it, and the edges
+    between them (see ``skg.queries``). Only ``save_store`` writes such
+    a pair, and it writes canonical bytes, so a byte-level filter of
+    its lines is sound. Checking the trust costs a first pass over the
+    file, to hash it. Any other store, one whose sidecar is missing,
+    empty, unreadable or stale, is read whole. Without ``subgraph`` the
+    sidecar is not read and every line is loaded, as ``apply``,
+    ``converge``, ``check`` and ``hash --verify`` always do.
 
     The file is read one line at a time, and each line is decoded from
     UTF-8 on its own, so a load holds the graph it builds and one line,
     never the whole file; a byte that is not UTF-8 is reported with its
-    line. The records are built in that one pass, with the cycle
+    line. The records are built in one pass, with the cycle
     collector paused: they hold no reference cycles, so its passes over
     the growing graph would find nothing to free. The collector is left
     as it was found, whether the load succeeds or fails.
@@ -814,22 +948,12 @@ def load_store(path: Path | str, registry: RegistryInfo) -> Graph:
     path = Path(path)
     # records end at b"\n" only: text values may hold U+0085 or U+2028,
     # which canonical rendering leaves unescaped and str.splitlines() breaks on
-    with open(path, "rb") as lines:
-        first = lines.readline()
-        if not first:
-            raise RegistryMismatch(f"{path}: empty store file")
-        header = _decode_line(_line_text(first, path, 1), f"{path}:1")
-        kind = header.get("kind") if isinstance(header, dict) else None
-        if kind != "header" or header.get("format") != FORMAT_NAME:
-            raise RegistryMismatch(f"{path}: missing store header")
-        version = header.get("version")
-        if version.__class__ is not int or version != FORMAT_VERSION:
-            raise RegistryMismatch(f"{path}:1: unsupported store version {version!r}")
-        if header.get("registry_version") != registry.version:
-            raise RegistryMismatch(
-                f"{path}: written under {header.get('registry_version')!r}, "
-                f"loaded with {registry.version!r}"
-            )
+    with open(path, "rb") as handle:
+        first = _read_header(handle, path, registry)
+        if subgraph is not None and KEY_PART_RE.fullmatch(subgraph):
+            lines = _lines_in_scope(handle, path, registry, first, subgraph)
+        else:
+            lines = enumerate(handle, start=2)
         at = [1]
         collecting = gc.isenabled()
         gc.disable()

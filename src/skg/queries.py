@@ -12,6 +12,15 @@ knowledge yet.
 A failure mode is treated as silent when an approved masking relation
 hides it behind an instrument, or when the scientist marked it a silent
 risk and no log signature detects it.
+
+Every query that takes a subgraph ``S`` reads only the nodes of ``S``,
+the edges with an endpoint in ``S``, and records lying wholly inside a
+subgraph such an edge reaches (the ``SUITABLE_FOR`` edges of a use case
+that a step of ``S`` requires, for ``masking_exposures``). That is what
+``load_store(path, registry, S)`` keeps of a trusted store, so
+``skg query`` and ``skg stats`` load with their ``--subgraph``. A query
+that reads further, such as ``automation_reuse``, which reads every
+subgraph, must be given a whole load.
 """
 
 from __future__ import annotations

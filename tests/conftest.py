@@ -9,14 +9,21 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from skg import (
+    Edge,
     Graph,
+    Node,
+    NodeKey,
+    Prop,
     apply_plan,
     approve_pending,
     builtin_registry,
     compile_seo,
     load_store,
+    merge,
+    neighbors,
     parse_seo,
 )
+from skg import graph_core
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -109,3 +116,73 @@ def fresh_federated(all_docs, registry) -> Graph:
 @pytest.fixture(scope="session")
 def unconverged_federated(all_docs, registry) -> Graph:
     return build_federated(all_docs, registry, approve=False)
+
+
+def federation(base: Graph, copies: int) -> Graph:
+    """``copies`` renamed copies of ``base``, copy 1 under the original subgraph names."""
+    records: list[Node | Edge] = []
+    for copy in range(1, copies + 1):
+        suffix = "" if copy == 1 else f"_{copy}"
+
+        def rename(k: NodeKey) -> NodeKey:
+            return NodeKey(k.subgraph + suffix, k.label, k.id)
+
+        records += [Node(rename(n.key), n.properties) for n in base.nodes()]
+        records += [
+            Edge(e.edge_type, rename(e.src), rename(e.dst), e.properties, e.pending)
+            for e in base.edges()
+        ]
+    return merge(Graph(builtin_registry()), records)
+
+
+def third_subgraph_federation(base: Graph) -> Graph:
+    """``base`` plus records that reach past its subgraphs from ELISA.
+
+    * ELISA's first failure mode is masked by an asset in AUTOMATION_2,
+      and the step that causes it requires a use case there that the
+      asset is suitable for: a masking loop through a third subgraph;
+    * its second failure mode has a pending MASKED_BY to an asset in
+      AUTOMATION_3;
+    * a NOTES failure mode's name holds the text ``"subgraph": "ELISA"``.
+    """
+    first, second = base.nodes("FailureMode", "ELISA")[:2]
+    step = neighbors(base, first.key, "CAUSES_IF_INCOMPLETE", "in")[0]
+    asset = Node(
+        NodeKey("AUTOMATION_2", "AutomationAsset", "AA-remote-reader"), {"name": Prop("Remote Reader")}
+    )
+    use_case = Node(
+        NodeKey("AUTOMATION_2", "UseCase", "UC-remote-reading"), {"name": Prop("Remote Reading")}
+    )
+    unapproved = Node(
+        NodeKey("AUTOMATION_3", "AutomationAsset", "AA-spare-reader"), {"name": Prop("Spare Reader")}
+    )
+    note = Node(
+        NodeKey("NOTES", "FailureMode", "FM-NOTES-001"),
+        {"name": Prop('copied from "subgraph": "ELISA"'), "confidence": Prop(0.5)},
+    )
+    return merge(
+        base,
+        [
+            asset,
+            use_case,
+            unapproved,
+            note,
+            Edge("MASKED_BY", first.key, asset.key),
+            Edge("REQUIRES_AUTOMATION", step.key, use_case.key),
+            Edge("SUITABLE_FOR", use_case.key, asset.key),
+            Edge("MASKED_BY", second.key, unapproved.key, pending=True),
+        ],
+    )
+
+
+def count_decodes(monkeypatch) -> list[int]:
+    """Count the store lines ``load_store`` decodes from now on, the header included."""
+    count = [0]
+    decode = graph_core._decode_line
+
+    def counting(line, where):
+        count[0] += 1
+        return decode(line, where)
+
+    monkeypatch.setattr(graph_core, "_decode_line", counting)
+    return count

@@ -1,5 +1,6 @@
 """End-to-end command-line flows, run in process through ``main(argv)``."""
 
+import gc
 import json
 import os
 import re
@@ -18,6 +19,7 @@ from skg import (
     Prop,
     builtin_registry,
     compile_seo,
+    digest_path,
     load_plan,
     merge,
     parse_seo,
@@ -34,9 +36,18 @@ from skg.cli import (
     QUERIES,
     build_parser,
     main,
+    run,
 )
 
-from conftest import DEEP_NESTING, FIXTURES, ISSUE_REPORT, ROOT
+from conftest import (
+    DEEP_NESTING,
+    FIXTURES,
+    ISSUE_REPORT,
+    ROOT,
+    count_decodes,
+    federation,
+    third_subgraph_federation,
+)
 
 DOCS = [
     ("elisa.seo.json", None),
@@ -1451,6 +1462,84 @@ class TestSchemaAndHash:
         assert capsys.readouterr().out.strip() == FEDERATED_DIGEST
 
 
+def scoped_reads(graph: Graph) -> list[list[str]]:
+    """Every query and stats, on each subgraph of ``graph`` and on one it lacks."""
+    commands = [["query", "reuse", "--format", "json"]]
+    for subgraph in sorted({node.key.subgraph for node in graph.nodes()}) + ["NOPE"]:
+        # a step with decision points and a root with cascades, where the subgraph has them
+        steps = [e.src.id for e in graph.edges("HAS_DECISION_POINT") if e.src.subgraph == subgraph]
+        roots = [e.src.id for e in graph.edges("CASCADES_TO") if e.src.subgraph == subgraph]
+        given = {
+            "step": steps[0] if steps else "ST-NOPE-001",
+            "root": roots[0] if roots else "FM-NOPE-001",
+        }
+        commands.append(["stats", "--subgraph", subgraph])
+        for name, (_, options) in QUERIES.items():
+            # reuse takes no subgraph, and reads every one even when given --subgraph
+            command = ["query", name, "--format", "json", "--subgraph", subgraph]
+            for option in ("step", "root"):
+                if option in options:
+                    command += [f"--{option}", given[option]]
+            commands.append(command)
+            if name == "cascades":
+                commands.append(command + ["--direction", "up"])
+    return commands
+
+
+class TestScopedRead:
+    """A --subgraph read of a trusted store loads only what it can reach; nothing else may show it."""
+
+    @staticmethod
+    def results(path: Path, commands: list[list[str]], capsys) -> list[tuple]:
+        out = []
+        for command in commands:
+            code = main(command + ["--graph", str(path)])
+            captured = capsys.readouterr()
+            out.append((command, code, captured.out, captured.err))
+        return out
+
+    @pytest.mark.parametrize(
+        "build",
+        [None, lambda base: federation(base, 4), third_subgraph_federation],
+        ids=["fixture", "federation-4", "third-subgraph"],
+    )
+    def test_trusted_store_reads_like_the_same_bytes_without_sidecar(
+        self, federated, fixtures_dir, tmp_path, capsys, monkeypatch, build
+    ):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        graph = federated
+        if build is not None:
+            graph = build(federated)
+            save_store(graph, path)
+        commands = scoped_reads(graph)
+        decoded = count_decodes(monkeypatch)
+        trusted = self.results(path, commands, capsys)
+        scoped = decoded[0]
+        digest_path(path).unlink()
+        assert self.results(path, commands, capsys) == trusted
+        assert scoped < decoded[0] - scoped  # the trusted reads skipped lines
+        if build is third_subgraph_federation:  # the masking loop through AUTOMATION_2 shows
+            masking = ["query", "masking", "--format", "json", "--subgraph", "ELISA"]
+            out = next(result[2] for result in trusted if result[0] == masking)
+            assert '"asset_id": "AA-remote-reader"' in out and '"loop": true' in out
+
+    def test_hash_of_a_trusted_store_reads_only_its_header(
+        self, fixtures_dir, tmp_path, capsys, monkeypatch
+    ):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        decoded = count_decodes(monkeypatch)
+        assert main(["hash", "--graph", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == FEDERATED_DIGEST + "\n"
+        assert decoded[0] == 1
+        assert main(["hash", "--verify", "--graph", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == FEDERATED_DIGEST + "\n"
+        assert decoded[0] > 100  # --verify reads every line of a trusted store too
+        digest_path(path).unlink()
+        assert main(["hash", "--graph", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == FEDERATED_DIGEST + "\n"
+        assert decoded[0] > 200
+
+
 # the environment of a child interpreter that imports skg from this checkout
 SRC_ENV = dict(
     os.environ,
@@ -1468,6 +1557,22 @@ class TestProcessEntry:
         )
         assert proc.returncode == EXIT_OK
         assert "skg-ontology-1" in proc.stdout
+
+    def test_main_never_freezes_the_caller(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["schema"]) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+        capsys.readouterr()
+
+    def test_run_exits_with_the_code_of_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["skg", "query", "silent", "--graph", "x"])
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))  # this process stays unfrozen
+        with pytest.raises(SystemExit) as exit_:
+            run()
+        assert exit_.value.code == EXIT_USAGE
+        assert frozen == [True]
+        assert capsys.readouterr().err == "error: silent needs --subgraph\n"
 
     @staticmethod
     def run_main_in_fresh_process(argv: list[str]) -> tuple[str, dict]:

@@ -7,6 +7,7 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,8 @@ from skg import (
 )
 from skg import graph_core
 from skg.graph_core import _CHUNK_LINES, CONFLICT_LOG
+
+from conftest import count_decodes, federation, third_subgraph_federation
 
 SD = Provenance.SCHEMA_DEFAULT
 IC = Provenance.INTERVIEW_CONFIRMED
@@ -1004,23 +1007,6 @@ class CountingDict(dict):
         return super().items()
 
 
-def federation(base: Graph, copies: int) -> Graph:
-    """``copies`` renamed copies of ``base``, copy 1 under the original subgraph names."""
-    records: list[Node | Edge] = []
-    for copy in range(1, copies + 1):
-        suffix = "" if copy == 1 else f"_{copy}"
-
-        def rename(k: NodeKey) -> NodeKey:
-            return NodeKey(k.subgraph + suffix, k.label, k.id)
-
-        records += [Node(rename(n.key), n.properties) for n in base.nodes()]
-        records += [
-            Edge(e.edge_type, rename(e.src), rename(e.dst), e.properties, e.pending)
-            for e in base.edges()
-        ]
-    return merge(Graph(builtin_registry()), records)
-
-
 class TestNeighborsComplexity:
     @pytest.mark.parametrize("copies", [1, 4])
     def test_one_pass_over_edges_per_snapshot(self, federated, copies):
@@ -1040,3 +1026,139 @@ class TestNeighborsComplexity:
             found += len(neighbors(g, keys[i * 7 % len(keys)], edge_type, direction))
         assert found > 0
         assert counting.passes <= 1
+
+
+def edit_an_lcms_name(path: Path) -> None:
+    """Prefix the first name on an LCMS_PRM node line with ``Edited``, leaving the sidecar."""
+    lines = path.read_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines) if line.endswith(b'"subgraph": "LCMS_PRM"}'))
+    lines[at] = lines[at].replace(b'"value": "', b'"value": "Edited ', 1)
+    path.write_bytes(b"\n".join(lines))
+
+
+def restricted(graph: Graph, subgraph: str) -> Graph:
+    """``graph`` cut down to ``subgraph`` and every subgraph one of its edges reaches."""
+    scope = {subgraph}
+    for edge in graph.edges():
+        if subgraph in (edge.src.subgraph, edge.dst.subgraph):
+            scope |= {edge.src.subgraph, edge.dst.subgraph}
+    return merge(
+        make_graph(),
+        [node for node in graph.nodes() if node.key.subgraph in scope]
+        + [e for e in graph.edges() if e.src.subgraph in scope and e.dst.subgraph in scope],
+    )
+
+
+class TestTrustedLoad:
+    @pytest.fixture(scope="class")
+    def stores(self, federated):
+        return {
+            "federation-4": federation(federated, 4),
+            "third-subgraph": third_subgraph_federation(federated),
+        }
+
+    @pytest.mark.parametrize(
+        ("store", "subgraph"),
+        [
+            ("federation-4", "ELISA"),
+            ("federation-4", "AUTOMATION_3"),
+            ("third-subgraph", "ELISA"),
+            ("third-subgraph", "NOTES"),
+            ("third-subgraph", "AUTOMATION"),
+            ("third-subgraph", "NOPE"),
+        ],
+    )
+    def test_scoped_load_is_the_graph_restricted_to_its_scope(
+        self, stores, tmp_path, store, subgraph
+    ):
+        path = tmp_path / "t.skg.jsonl"
+        save_store(stores[store], path)
+        assert load_store(path, builtin_registry(), subgraph) == restricted(stores[store], subgraph)
+
+    def test_quoted_subgraph_text_stays_out_of_scope(self, stores, tmp_path):
+        path = tmp_path / "t.skg.jsonl"
+        save_store(stores["third-subgraph"], path)
+        loaded = load_store(path, builtin_registry(), "ELISA")
+        assert not loaded.has_subgraph("NOTES")
+        assert loaded.has_subgraph("AUTOMATION_2") and loaded.has_subgraph("AUTOMATION_3")
+
+    def test_scoped_load_decodes_only_lines_in_scope(self, stores, tmp_path, monkeypatch):
+        graph = stores["federation-4"]
+        path = tmp_path / "t.skg.jsonl"
+        save_store(graph, path)
+        in_scope = restricted(graph, "ELISA")
+        expected = 1 + in_scope.node_count + in_scope.edge_count  # the header, then each record
+        assert expected < (1 + graph.node_count + graph.edge_count) / 3
+        decoded = count_decodes(monkeypatch)
+        load_store(path, builtin_registry(), "ELISA")
+        assert decoded[0] == expected
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            pytest.param(
+                lambda path: digest_path(path).write_text("0" * 64 + "  skg-ontology-1\n"), id="stale"
+            ),
+            pytest.param(lambda path: digest_path(path).unlink(), id="missing"),
+            pytest.param(lambda path: digest_path(path).write_text(""), id="empty"),
+            pytest.param(lambda path: digest_path(path).write_text("not-a-digest\n"), id="non-hex"),
+            pytest.param(
+                # what `sha256sum t.skg.jsonl > t.skg.sha256` writes
+                lambda path: digest_path(path).write_text(
+                    f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+                ),
+                id="sha256sum",
+            ),
+            pytest.param(
+                lambda path: digest_path(path).unlink() or digest_path(path).mkdir(), id="unreadable"
+            ),
+            pytest.param(edit_an_lcms_name, id="edited-after-save"),
+        ],
+    )
+    def test_untrusted_store_is_read_whole(self, stores, tmp_path, monkeypatch, spoil):
+        graph = stores["federation-4"]
+        path = tmp_path / "t.skg.jsonl"
+        save_store(graph, path)
+        spoil(path)
+        full = load_store(path, builtin_registry())
+        decoded = count_decodes(monkeypatch)
+        assert load_store(path, builtin_registry(), "ELISA") == full
+        assert decoded[0] == 1 + graph.node_count + graph.edge_count
+        if spoil is edit_an_lcms_name:  # the edit is out of ELISA's scope, yet it is read
+            assert any(str(n.get("name")).startswith("Edited ") for n in full.nodes(None, "LCMS_PRM"))
+
+    def test_file_digest_of_a_trusted_store_reads_only_the_header(
+        self, stores, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "t.skg.jsonl"
+        digest = save_store(stores["federation-4"], path)
+        decoded = count_decodes(monkeypatch)
+        assert graph_core.file_digest(path, builtin_registry()) == digest
+        assert decoded[0] == 1
+        assert graph_core.is_trusted(path, digest, builtin_registry())
+        digest_path(path).write_text(f"{digest}\n")
+        assert not graph_core.is_trusted(path, digest, builtin_registry())
+
+    def test_file_digest_checks_the_registry(self, stores, tmp_path):
+        path = tmp_path / "t.skg.jsonl"
+        save_store(stores["federation-4"], path)
+        other = SimpleNamespace(version="skg-ontology-0")
+        with pytest.raises(RegistryMismatch, match="written under 'skg-ontology-1'"):
+            graph_core.file_digest(path, other)
+
+    def test_scoped_load_reports_the_line_number_in_the_file(self, fixtures_dir, tmp_path):
+        # an edited store whose sidecar was forged to match: a scoped load
+        # skips lines, yet names the line of the file, as a full load does
+        path = tmp_path / "t.skg.jsonl"
+        lines = (fixtures_dir / "stores" / "federated.skg.jsonl").read_bytes().split(b"\n")
+        lines[121] = lines[121].replace(b'"id": "', b'"id": "NOPE-', 1)  # line 122's dst
+        path.write_bytes(b"\n".join(lines))
+        forged = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest_path(path).write_text(f"{forged}  skg-ontology-1\n")
+        messages = []
+        for subgraph in ("ELISA", None):
+            with pytest.raises(DanglingEdge) as error:
+                load_store(path, builtin_registry(), subgraph)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"{path}:122: missing dst ELISA:")
