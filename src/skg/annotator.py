@@ -22,7 +22,8 @@ later session can confirm them without ever demoting confirmed
 knowledge. A plan and its provenance are ``NamedTuple`` records.
 
 Cross-subgraph edges always enter the plan pending; they stay
-quarantined until an operator approves the convergence. Applying a
+quarantined until an operator approves the convergence, and ``apply_plan``
+refuses a plan, read or built in code, that states one approved. Applying a
 plan holds each record it touches, once merged, to
 ``ontology.record_issues``, the rules ``validate_graph`` applies to a
 whole store, so two documents that each validate cannot merge into a
@@ -457,7 +458,9 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
     the plan that introduced it.
 
     Raises:
-        RegistryMismatch: the plan was compiled under another registry.
+        RegistryMismatch: the plan was compiled under another registry,
+            or an edge in either section spans subgraphs and is not
+            pending; the message starts with the edge's location.
         Rejected: a record the plan touches, once merged, breaks a rule
             of ``ontology.record_issues``, the rules ``validate_graph``
             applies; the report names each such record and issue, nodes
@@ -475,17 +478,26 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
     statements = plan.nodes + plan.edges
     at = [0]
 
+    def where() -> str:
+        i, n = at[0], len(statements)
+        return f"statements[{i}]" if i < n else f"pending_edges[{i - n}]"
+
     def counted():
         for at[0], record in enumerate(statements + plan.pending_edges):
+            # the quarantine load_plan holds a plan file to, for plans built in code
+            if isinstance(record, Edge) and not record.pending:
+                src, dst = record.src.subgraph, record.dst.subgraph
+                if src != dst:
+                    raise RegistryMismatch(
+                        f"{where()}: {record.edge_type} {src} -> {dst} must be pending"
+                    )
             yield record
 
     try:
         merged = merge(graph, counted())
     except (DanglingEdge, TypeConflict, CrossSubgraphViolation) as exc:
         # merge fails on the record it was given last
-        i, n = at[0], len(statements)
-        where = f"statements[{i}]" if i < n else f"pending_edges[{i - n}]"
-        raise type(exc)(f"{where}: {exc}") from None
+        raise type(exc)(f"{where()}: {exc}") from None
     # merge takes properties one by one, so rules that tie several of a
     # record's properties together hold only once it is merged; each key
     # once, in plan order, which a compiled plan already sorts
@@ -509,19 +521,21 @@ def approve_pending(
 
     Raises:
         KeyError: a selector names an edge that is absent or already
-            approved (strictness keeps approval scripts honest).
+            approved, or repeats an earlier selector (strictness keeps
+            approval scripts honest).
     """
     if selectors is None:
         keys = [e.key for e in graph.pending_edges()]
     else:
         keys = []
         for key in selectors:
+            edge = f"{key[0]} {key[1].to_text()} -> {key[2].to_text()}"
             if not graph.has_edge(key):
-                raise KeyError(f"no such edge: {key[0]} {key[1].to_text()} -> {key[2].to_text()}")
+                raise KeyError(f"no such edge: {edge}")
             if not graph.edge(key).pending:
-                raise KeyError(
-                    f"not pending: {key[0]} {key[1].to_text()} -> {key[2].to_text()}"
-                )
+                raise KeyError(f"not pending: {edge}")
+            if key in keys:
+                raise KeyError(f"selected twice: {edge}")
             keys.append(key)
     # an approved copy merged over a pending edge approves it
     graph = merge(graph, [Edge(*key) for key in keys])

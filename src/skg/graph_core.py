@@ -30,15 +30,15 @@ can reach, and ``skg hash`` prints its digest without loading it.
 Keys are read through ``key_from_record``, whose cache maps each key
 built to itself, so the parts of a key find it; plans share that shape.
 
-Reads go through a lazy per-snapshot index, so no reader scans the whole
+Each ``Graph`` is its own lazy read index, so no reader scans the whole
 graph per call. A snapshot pays one O(E) pass grouping its edges by type
 on the first typed read, then one sort and adjacency build per edge type
-on the first request for that type, and one O(N) pass bucketing its
-nodes by label and subgraph on the first filtered node read. After that
-each ``neighbors`` hop costs O(degree), ``has_subgraph`` O(1), and
-``nodes(label, subgraph)`` and ``edges(edge_type)`` a copy of a list
-sorted once. ``merge`` returns a snapshot without an index, so a cached
-index can never go stale.
+on the first request for that type, and one pass over its nodes in key
+order on the first filtered node read, which fills every label and
+subgraph bucket already sorted. After that each ``neighbors`` hop costs
+O(degree), ``has_subgraph`` O(1), and ``nodes(label, subgraph)`` and
+``edges(edge_type)`` a copy of a kept list. ``merge`` returns a snapshot
+with nothing indexed yet, so a kept part can never go stale.
 
 A traversal crosses approved edges only: a pending edge is not knowledge
 yet, so ``neighbors`` never returns the node at its far end. Listings
@@ -252,32 +252,36 @@ class Edge(_EdgeFields):
         return (self.edge_type, self.src, self.dst)
 
 
-class _Index:
-    """Read index of one snapshot; each part is built on its first use.
+class Graph:
+    """Immutable graph snapshot bound to one schema registry version.
 
-    Snapshots never change, so nothing here is ever invalidated. The
-    parts are:
+    The snapshot is its own read index. Each part is built on its first
+    use and kept; snapshots never change, so nothing is ever invalidated:
 
-    * edges grouped by type, in one pass over all edges;
-    * per edge type, on the first request for it: the group sorted by
-      ``Edge.key``, and adjacency lists keyed by ``(near key, direction)``,
-      holding the far ``Node`` of each approved edge in that order;
-    * node buckets per ``(label, subgraph)``, ``(label, None)`` and
-      ``(None, subgraph)``, collected in one pass over all nodes and
-      each sorted on first use.
+    * ``_by_type``: edges grouped by type, in one pass over all edges;
+    * ``_typed``: per edge type, on the first request for it, the group
+      sorted by ``Edge.key`` and adjacency lists keyed by ``(near key,
+      direction)``, holding the far ``Node`` of each approved edge in
+      that order;
+    * ``_buckets``: nodes per ``(label, subgraph)``, ``(label, None)``
+      and ``(None, subgraph)``, filled in one pass over the nodes in key
+      order, so each bucket comes out sorted.
     """
 
-    __slots__ = ("_nodes", "_edges", "_by_type", "_typed", "_buckets", "_sorted")
+    __slots__ = (
+        "registry_version", "_registry", "_nodes", "_edges", "_by_type", "_typed", "_buckets"
+    )
 
-    def __init__(self, nodes: dict[NodeKey, Node], edges: dict[tuple, Edge]):
-        self._nodes = nodes
-        self._edges = edges
+    def __init__(self, registry: RegistryInfo):
+        self.registry_version = registry.version
+        self._registry = registry
+        self._nodes: dict[NodeKey, Node] = {}
+        self._edges: dict[tuple, Edge] = {}
         self._by_type: dict[str, list[Edge]] | None = None
         self._typed: dict[str, tuple[list[Edge], dict]] = {}
         self._buckets: dict[tuple, list[Node]] | None = None
-        self._sorted: dict[tuple, list[Node]] = {}
 
-    def typed(self, edge_type: str) -> tuple[list[Edge], dict]:
+    def _typed_edges(self, edge_type: str) -> tuple[list[Edge], dict]:
         """Edges of one type sorted by key, and their adjacency lists."""
         entry = self._typed.get(edge_type)
         if entry is not None:
@@ -297,44 +301,15 @@ class _Index:
         entry = self._typed[edge_type] = (group, adjacency)
         return entry
 
-    def buckets(self) -> dict[tuple, list[Node]]:
-        """Unsorted node buckets; see the class docstring."""
+    def _node_buckets(self) -> dict[tuple, list[Node]]:
         if self._buckets is None:
-            self._buckets = {}
-            for key, node in self._nodes.items():
+            buckets = self._buckets = {}
+            nodes = self._nodes
+            for key in sorted(nodes):
+                node = nodes[key]
                 for bucket in ((key.label, key.subgraph), (key.label, None), (None, key.subgraph)):
-                    self._buckets.setdefault(bucket, []).append(node)
+                    buckets.setdefault(bucket, []).append(node)
         return self._buckets
-
-    def nodes(self, label: str | None, subgraph: str | None) -> list[Node]:
-        """One node bucket, sorted by key."""
-        bucket = (label, subgraph)
-        out = self._sorted.get(bucket)
-        if out is None:
-            out = self._sorted[bucket] = sorted(self.buckets().get(bucket, ()))
-        return out
-
-
-class Graph:
-    """Immutable graph snapshot bound to one schema registry version.
-
-    Reads by edge type, label or subgraph go through a lazy ``_Index``
-    that the snapshot builds on first use and keeps.
-    """
-
-    __slots__ = ("registry_version", "_registry", "_nodes", "_edges", "_index")
-
-    def __init__(self, registry: RegistryInfo):
-        self.registry_version = registry.version
-        self._registry = registry
-        self._nodes: dict[NodeKey, Node] = {}
-        self._edges: dict[tuple, Edge] = {}
-        self._index: _Index | None = None
-
-    def _read_index(self) -> _Index:
-        if self._index is None:
-            self._index = _Index(self._nodes, self._edges)
-        return self._index
 
     # -- read access ---------------------------------------------------
 
@@ -348,18 +323,18 @@ class Graph:
         return key in self._nodes
 
     def has_subgraph(self, subgraph: str) -> bool:
-        return (None, subgraph) in self._read_index().buckets()
+        return (None, subgraph) in self._node_buckets()
 
     def nodes(self, label: str | None = None, subgraph: str | None = None) -> list[Node]:
         if label is None and subgraph is None:
             return sorted(self._nodes.values())
-        return list(self._read_index().nodes(label, subgraph))
+        return list(self._node_buckets().get((label, subgraph), ()))
 
     def edges(self, edge_type: str | None = None) -> list[Edge]:
         """Every edge, or every edge of one type, pending ones included."""
         if edge_type is None:
             return sorted(self._edges.values())
-        return list(self._read_index().typed(edge_type)[0])
+        return list(self._typed_edges(edge_type)[0])
 
     def pending_edges(self) -> list[Edge]:
         return sorted(e for e in self._edges.values() if e.pending)
@@ -492,8 +467,8 @@ def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
 def neighbors(graph: Graph, key: NodeKey, edge_type: str, direction: str = "out") -> list[Node]:
     """The nodes one approved ``edge_type`` edge away, in edge-key order.
 
-    Pending edges are never crossed. Costs O(degree) once the snapshot's
-    index holds ``edge_type``.
+    Pending edges are never crossed. Costs O(degree) once the snapshot
+    has indexed ``edge_type``.
 
     Raises:
         KeyError: ``key`` is not in the graph.
@@ -503,7 +478,7 @@ def neighbors(graph: Graph, key: NodeKey, edge_type: str, direction: str = "out"
         raise KeyError(key.to_text())
     if direction not in ("out", "in"):
         raise ValueError(f"direction must be out|in, not {direction!r}")
-    return list(graph._read_index().typed(edge_type)[1].get((key, direction), ()))
+    return list(graph._typed_edges(edge_type)[1].get((key, direction), ()))
 
 
 # -- canonical serialization ------------------------------------------
@@ -676,8 +651,9 @@ def canonical_serialize(graph: Graph) -> bytes:
 def sha256_hex(chunks: Iterable[bytes]) -> str:
     """SHA-256 hex digest of the chunks, hashed one at a time.
 
-    It hashes canonical chunks for ``graph_hash``, a store file's blocks
-    for ``file_digest``, and its lines for a scoped ``load_store``.
+    It hashes canonical chunks for ``graph_hash`` and, as they are
+    written, for ``save_store``, a store file's blocks for
+    ``file_digest``, and its lines for a scoped ``load_store``.
     """
     import hashlib  # here, not at the top: most reads of a store never hash
 
@@ -742,23 +718,23 @@ def save_store(graph: Graph, path: Path | str) -> str:
     the temporary file. The rename replaces a symlinked store path with
     a regular file. The sidecar is written last; nothing is fsynced.
     """
-    import hashlib
-
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    digest = hashlib.sha256()
+
+    def written(handle: BinaryIO) -> Iterator[bytes]:
+        for chunk in _canonical_chunks(graph):
+            handle.write(chunk)
+            yield chunk
+
     try:
         with open(tmp, "wb") as handle:
-            for chunk in _canonical_chunks(graph):
-                digest.update(chunk)
-                handle.write(chunk)
+            digest = sha256_hex(written(handle))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    hex_digest = digest.hexdigest()
-    digest_path(path).write_text(f"{hex_digest}  {graph.registry_version}\n", encoding="utf-8")
-    return hex_digest
+    digest_path(path).write_text(f"{digest}  {graph.registry_version}\n", encoding="utf-8")
+    return digest
 
 
 def _line_text(line: bytes, path: Path, line_no: int) -> str:

@@ -5,9 +5,11 @@ Every query returns a deterministically ordered list of rows, each a
 TSV or canonical JSON is separate so the same rows back both the CLI and
 the tests.
 
-Pending cross-subgraph edges are invisible here: a masking relation or
-an automation requirement that has not been approved does not count as
-knowledge yet.
+Every query crosses edges only through ``graph_core.neighbors``, one
+O(degree) hop from a node it already holds, and never lists edges.
+``neighbors`` never crosses a pending edge, so pending cross-subgraph
+edges are invisible here: a masking relation or an automation
+requirement that has not been approved does not count as knowledge yet.
 
 A failure mode is treated as silent when an approved masking relation
 hides it behind an instrument, or when the scientist marked it a silent
@@ -323,30 +325,28 @@ def masking_exposures(graph: Graph, subgraph: str) -> list[MaskingRow]:
     """
     _require_subgraph(graph, subgraph)
     rows = []
-    for edge in graph.edges("MASKED_BY"):
-        if edge.pending or edge.src.subgraph != subgraph:
-            continue
-        fm = graph.node(edge.src)
-        asset = graph.node(edge.dst)
-        loop_path: tuple[str, ...] = next(
-            (
-                (_name(step), _name(use_case), _name(asset), _name(fm))
-                for step in neighbors(graph, fm.key, "CAUSES_IF_INCOMPLETE", "in")
-                for use_case in neighbors(graph, step.key, "REQUIRES_AUTOMATION", "out")
-                if asset in neighbors(graph, use_case.key, "SUITABLE_FOR", "out")
-            ),
-            (),
-        )
-        rows.append(
-            MaskingRow(
-                asset_id=asset.key.id,
-                asset_name=_name(asset),
-                failure_mode_id=fm.key.id,
-                failure_mode_name=_name(fm),
-                loop=bool(loop_path),
-                loop_path=loop_path,
+    # sources of any label, as the store holds them; (source, asset) key order
+    for fm in graph.nodes(subgraph=subgraph):
+        for asset in neighbors(graph, fm.key, "MASKED_BY", "out"):
+            loop_path: tuple[str, ...] = next(
+                (
+                    (_name(step), _name(use_case), _name(asset), _name(fm))
+                    for step in neighbors(graph, fm.key, "CAUSES_IF_INCOMPLETE", "in")
+                    for use_case in neighbors(graph, step.key, "REQUIRES_AUTOMATION", "out")
+                    if asset in neighbors(graph, use_case.key, "SUITABLE_FOR", "out")
+                ),
+                (),
             )
-        )
+            rows.append(
+                MaskingRow(
+                    asset_id=asset.key.id,
+                    asset_name=_name(asset),
+                    failure_mode_id=fm.key.id,
+                    failure_mode_name=_name(fm),
+                    loop=bool(loop_path),
+                    loop_path=loop_path,
+                )
+            )
     rows.sort(key=lambda r: (r.asset_name, r.failure_mode_name))
     return rows
 

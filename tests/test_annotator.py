@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 from conftest import DOC_SUBGRAPHS, FIXTURES, ISSUE_REPORT
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from skg import (
     EXECUTION_SUBGRAPH,
+    Edge,
     Graph,
     NodeKey,
     Prop,
@@ -1165,6 +1167,35 @@ class TestApplyAndApprove:
         converged, _ = approve_pending(graph, [first])
         with pytest.raises(KeyError):
             approve_pending(converged, [first])
+
+    def test_repeated_selector_is_strict(self, elisa_doc, registry):
+        graph = apply_plan(Graph(registry), compile_seo(elisa_doc, "ELISA"))
+        first = graph.pending_edges()[0].key
+        selected_twice = "selected twice: MASKED_BY ELISA:FailureMode:FM-ELISA-001"
+        with pytest.raises(KeyError, match=selected_twice):
+            approve_pending(graph, [first, first])
+
+    @pytest.mark.parametrize("section", ["edges", "pending_edges"])
+    def test_plan_built_in_code_keeps_the_quarantine(self, elisa_doc, registry, section):
+        plan = compile_seo(elisa_doc, "ELISA")
+        masked, *rest = plan.pending_edges
+        assert masked.key == (
+            "MASKED_BY",
+            NodeKey("ELISA", "FailureMode", "FM-ELISA-001"),
+            NodeKey(EXECUTION_SUBGRAPH, "AutomationAsset", "AA-el406-plate-washer"),
+        )
+        approved = Edge(*masked.key)
+        if section == "edges":
+            plan = plan._replace(edges=(*plan.edges, approved), pending_edges=tuple(rest))
+            where = f"statements[{len(plan.nodes) + len(plan.edges) - 1}]"
+        else:
+            plan = plan._replace(pending_edges=(approved, *rest))
+            where = "pending_edges[0]"
+        graph = apply_plan(Graph(registry), compile_seo(elisa_doc, "ELISA"))
+        before = canonical_serialize(graph)
+        with pytest.raises(RegistryMismatch, match=rf"^{re.escape(where)}: MASKED_BY ELISA -> "):
+            apply_plan(graph, plan)
+        assert canonical_serialize(graph) == before
 
     def test_every_apply_order_converges_to_the_pinned_digest(self, all_docs, registry):
         plans = [compile_seo(all_docs[sg], sg) for _, sg in DOC_SUBGRAPHS]

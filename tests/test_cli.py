@@ -595,6 +595,27 @@ class TestApplyAndConverge:
         assert code == EXIT_INVARIANT
         assert "not found" in capsys.readouterr().err
 
+    def test_converge_repeated_edge_writes_nothing(self, tmp_path, fixtures_dir, capsys):
+        path = tmp_path / "twin.skg.jsonl"
+        for doc, subgraph in DOCS:
+            assert main(apply_args(path, fixtures_dir, doc, subgraph)) == EXIT_OK
+        before = path.read_bytes(), digest_path(path).read_bytes()
+        capsys.readouterr()
+        edge = [
+            "--edge",
+            "MASKED_BY",
+            "ELISA:FailureMode:FM-ELISA-001",
+            "AUTOMATION:AutomationAsset:AA-el406-plate-washer",
+        ]
+        assert main(["converge", "--graph", str(path), *edge, *edge]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: not found: selected twice: MASKED_BY ELISA:FailureMode:FM-ELISA-001"
+            " -> AUTOMATION:AutomationAsset:AA-el406-plate-washer\n"
+        )
+        assert (path.read_bytes(), digest_path(path).read_bytes()) == before
+
 
 class TestCheck:
     def test_converged_store_passes(self, store, capsys):

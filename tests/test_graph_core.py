@@ -10,7 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -38,7 +38,7 @@ from skg import (
     save_store,
     value_kind,
 )
-from skg import graph_core
+from skg import graph_core, queries
 from skg.graph_core import _CHUNK_LINES, CONFLICT_LOG
 
 from conftest import count_decodes, federation, third_subgraph_federation
@@ -983,6 +983,89 @@ class TestReadIndex:
         with pytest.raises(KeyError) as exc:
             make_graph().node(key("zz"))
         assert exc.value.args == ("SGA:FailureMode:zz",)
+
+
+def scanned_masking_rows(g: Graph, subgraph: str) -> list[queries.MaskingRow]:
+    """``masking_exposures`` by a scan of every ``MASKED_BY`` edge, skipping pending ones."""
+
+    def name(k: NodeKey) -> str:
+        return str(g.node(k).get("name", k.id))
+
+    def far(edge_type: str, k: NodeKey, direction: str) -> list[NodeKey]:
+        near, other = ("src", "dst") if direction == "out" else ("dst", "src")
+        return [
+            getattr(e, other) for e in g.edges(edge_type) if getattr(e, near) == k and not e.pending
+        ]
+
+    if not g.has_subgraph(subgraph):
+        raise KeyError(subgraph)
+    rows = []
+    for e in g.edges("MASKED_BY"):
+        if e.pending or e.src.subgraph != subgraph:
+            continue
+        loop = next(
+            (
+                (name(step), name(use_case), name(e.dst), name(e.src))
+                for step in far("CAUSES_IF_INCOMPLETE", e.src, "in")
+                for use_case in far("REQUIRES_AUTOMATION", step, "out")
+                if e.dst in far("SUITABLE_FOR", use_case, "out")
+            ),
+            (),
+        )
+        row = (e.dst.id, name(e.dst), e.src.id, name(e.src), bool(loop), loop)
+        rows.append(queries.MaskingRow(*row))
+    rows.sort(key=lambda r: (r.asset_name, r.failure_mode_name))
+    return rows
+
+
+# every name is "x": a pending edge, an asset as a source, and ties on both sort columns
+_FM1, _FM2, _SRC = key("fm1"), key("fm2"), key("src", label="AutomationAsset")
+_M1, _M2 = key("m1", "SGB", "AutomationAsset"), key("m2", "SGC", "AutomationAsset")
+MASKING_EXAMPLE = [
+    [Node(k, {"name": Prop("x")}) for k in (_FM1, _FM2, _SRC, _M1, _M2)]
+    + [
+        Edge(CROSS_TYPE, _FM2, _M1),
+        Edge(CROSS_TYPE, _FM1, _M2),
+        Edge(CROSS_TYPE, _FM1, _M1, pending=True),
+        Edge(CROSS_TYPE, _SRC, _M2),
+        Edge(CROSS_TYPE, _FM1, _SRC),
+    ]
+]
+
+
+class TestMaskingExposuresScan:
+    @settings(max_examples=60)
+    @given(index_batches())
+    @example(MASKING_EXAMPLE)
+    def test_rows_match_a_scan_of_masking_edges(self, batches):
+        g = make_graph()
+        for batch in batches:
+            g = merge(g, batch)
+            for sg in (*INDEX_SUBGRAPHS, "NOPE"):
+                try:
+                    expected = scanned_masking_rows(g, sg)
+                except KeyError:
+                    with pytest.raises(KeyError):
+                        queries.masking_exposures(g, sg)
+                    continue
+                assert queries.masking_exposures(g, sg) == expected
+
+    def test_federation_loops_match_a_scan(self, federated):
+        rows = queries.masking_exposures(federated, "ELISA")
+        assert any(row.loop for row in rows)
+        assert rows == scanned_masking_rows(federated, "ELISA")
+        for sg in ("LCMS_PRM", "AUTOMATION", "PROGRAM"):
+            assert queries.masking_exposures(federated, sg) == scanned_masking_rows(federated, sg)
+
+    def test_ties_keep_source_then_asset_key_order(self):
+        g = merge(make_graph(), MASKING_EXAMPLE[0])
+        rows = queries.masking_exposures(g, "SGA")
+        assert [(r.failure_mode_id, r.asset_id) for r in rows] == [
+            ("src", "m2"),  # an AutomationAsset key sorts before a FailureMode key
+            ("fm1", "src"),
+            ("fm1", "m2"),  # the pending fm1 -> m1 edge is skipped
+            ("fm2", "m1"),
+        ]
 
 
 class CountingDict(dict):
