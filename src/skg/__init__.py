@@ -29,6 +29,7 @@ _EXPORTS = {
         "ArityError",
         "CrossSubgraphViolation",
         "DanglingEdge",
+        "InvariantError",
         "MalformedKey",
         "NoHedgeDetected",
         "RangeError",

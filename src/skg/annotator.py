@@ -39,13 +39,12 @@ from typing import Mapping, NamedTuple
 
 from .canonical import render_record, render_text, render_value, strict_loads
 from .errors import (
-    CrossSubgraphViolation,
-    DanglingEdge,
+    InvariantError,
     MalformedKey,
     RegistryMismatch,
     Rejected,
+    SelectorRefused,
     SubgraphMismatch,
-    TypeConflict,
 )
 from .graph_core import (
     KEY_PART_RE,
@@ -495,7 +494,7 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
 
     try:
         merged = merge(graph, counted())
-    except (DanglingEdge, TypeConflict, CrossSubgraphViolation) as exc:
+    except InvariantError as exc:
         # merge fails on the record it was given last
         raise type(exc)(f"{where()}: {exc}") from None
     # merge takes properties one by one, so rules that tie several of a
@@ -520,9 +519,8 @@ def approve_pending(
     Returns the converged graph and the keys that were approved, sorted.
 
     Raises:
-        KeyError: a selector names an edge that is absent or already
-            approved, or repeats an earlier selector (strictness keeps
-            approval scripts honest).
+        KeyError: a selector names no edge; ``SelectorRefused``, one that is
+            approved or was selected before (strict, to keep scripts honest).
     """
     if selectors is None:
         keys = [e.key for e in graph.pending_edges()]
@@ -533,9 +531,9 @@ def approve_pending(
             if not graph.has_edge(key):
                 raise KeyError(f"no such edge: {edge}")
             if not graph.edge(key).pending:
-                raise KeyError(f"not pending: {edge}")
+                raise SelectorRefused(f"not pending: {edge}")
             if key in keys:
-                raise KeyError(f"selected twice: {edge}")
+                raise SelectorRefused(f"selected twice: {edge}")
             keys.append(key)
     # an approved copy merged over a pending edge approves it
     graph = merge(graph, [Edge(*key) for key in keys])

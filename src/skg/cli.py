@@ -5,11 +5,10 @@ whole elicitation-to-federation loop can be driven from a shell script.
 Store mutations take an exclusive advisory lock on ``<store>.lock``;
 reads take a shared one.
 
-Exit codes: 0 success, 1 rejected input (parse or validation), 2 usage,
-3 I/O failure, 4 violated graph invariant or missing record. Exit 4 also
-covers an argument out of its range (``--depth -1``, ``--threshold 2``),
-a key argument that is no key part (``--step "a b"``), and
-``consistency`` given one run.
+Exit codes (``skg.errors``): 0 success, 1 rejected input, 2 usage, 3 I/O
+failure, 4 violated graph invariant or missing record, argument out of
+range (``--depth -1``) or no key part (``--step "a b"``), or
+``consistency`` given one run. An error type states its exit class.
 """
 
 from __future__ import annotations
@@ -23,18 +22,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .canonical import render_number, render_record, render_value, strict_loads
-from .errors import (
-    ArityError,
-    CrossSubgraphViolation,
-    DanglingEdge,
-    MalformedKey,
-    RangeError,
-    RegistryMismatch,
-    Rejected,
-    SeoParseError,
-    SubgraphMismatch,
-    TypeConflict,
-)
+from .errors import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE
+from .errors import Rejected, SkgError, SubgraphMismatch
 from .graph_core import (
     Graph,
     file_digest,
@@ -50,12 +39,6 @@ from .ontology import builtin_registry, schema_listing, validate_graph
 # The document parser, the compiler, the read queries and the matching
 # metrics are imported by the subcommands that run them, so a one-shot
 # query process does not pay to import the document side of the package.
-
-EXIT_OK = 0
-EXIT_REJECTED = 1
-EXIT_USAGE = 2
-EXIT_IO = 3
-EXIT_INVARIANT = 4
 
 # query name -> (its skg.queries function, the options that function takes
 # after the store, in call order); functions are named, so only the query
@@ -204,7 +187,7 @@ def cmd_query(args) -> int:
             sys.stdout.write(render_value(result) + "\n")
         else:
             for path in result:
-                print(" -> ".join(path))
+                print(" -> ".join(map(queries.tsv_text, path)))
         return EXIT_OK
     text = queries.rows_to_json(result) if args.format == "json" else queries.rows_to_tsv(result)
     sys.stdout.write(text)
@@ -373,21 +356,14 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except Rejected as exc:
         sys.stderr.write(exc.report.to_text())
-        return EXIT_REJECTED
-    except (
-        MalformedKey,
-        TypeConflict,
-        DanglingEdge,
-        CrossSubgraphViolation,
-        RangeError,
-        ArityError,
-    ) as exc:
+        return exc.exit_code
+    except SkgError as exc:  # each error type states its exit class
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return exc.exit_code
     except KeyError as exc:
         print(f"error: not found: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (SeoParseError, SubgraphMismatch, RegistryMismatch, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except OSError as exc:

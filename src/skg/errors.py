@@ -1,33 +1,52 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each stating its exit class as ``exit_code``."""
 
-from __future__ import annotations
+# exit codes: success, rejected input, usage, I/O failure, violated invariant or missing record
+EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_IO, EXIT_INVARIANT = range(5)
 
 
 class SkgError(Exception):
     """Base class for package errors."""
 
+    exit_code = EXIT_REJECTED
 
-class MalformedKey(SkgError):
+
+class InvariantError(SkgError):
+    """A graph invariant, a key rule or an argument's range was violated."""
+
+    exit_code = EXIT_INVARIANT
+
+
+class MalformedKey(InvariantError):
     """Node key failed structural validation (empty part or bad id characters)."""
 
 
-class TypeConflict(SkgError):
+class TypeConflict(InvariantError):
     """A property merge would change the value kind of an existing property."""
 
 
-class DanglingEdge(SkgError):
+class DanglingEdge(InvariantError):
     """An edge references a node that is not in the graph."""
 
 
-class CrossSubgraphViolation(SkgError):
+class CrossSubgraphViolation(InvariantError):
     """Edge spans subgraphs but its type is not marked cross-subgraph."""
+
+
+class SelectorRefused(InvariantError, KeyError):
+    """A convergence selector names an approved edge, or repeats an earlier one.
+
+    Still a ``KeyError``, as a selector naming no edge is, but its
+    message is not quoted.
+    """
+
+    __str__ = Exception.__str__
 
 
 class RegistryMismatch(SkgError):
     """A store line or merge-plan record is malformed, or was written under another registry version."""
 
 
-class RangeError(SkgError):
+class RangeError(InvariantError):
     """Numeric argument outside its documented range."""
 
 
@@ -77,5 +96,5 @@ class Rejected(SkgError):
         self.report = report
 
 
-class ArityError(SkgError):
+class ArityError(InvariantError):
     """Too few comparable inputs for a consistency comparison."""

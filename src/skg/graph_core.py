@@ -83,6 +83,7 @@ from .canonical import (
 from .errors import (
     CrossSubgraphViolation,
     DanglingEdge,
+    InvariantError,
     MalformedKey,
     RegistryMismatch,
     TypeConflict,
@@ -935,7 +936,7 @@ def load_store(path: Path | str, registry: RegistryInfo, subgraph: str | None = 
         gc.disable()
         try:
             return merge(Graph(registry), _store_records(lines, path, at))
-        except (DanglingEdge, TypeConflict, CrossSubgraphViolation) as exc:
+        except InvariantError as exc:
             # merge fails on the record it was given last
             raise type(exc)(f"{path}:{at[0]}: {exc}") from None
         finally:

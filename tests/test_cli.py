@@ -26,7 +26,8 @@ from skg import (
     plan_to_bytes,
     save_store,
 )
-from skg import queries
+from skg.validation import Issue, ValidationReport
+from skg import errors, queries
 from skg.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -595,6 +596,22 @@ class TestApplyAndConverge:
         assert code == EXIT_INVARIANT
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("asset", "shown"),
+        [("AA-el406-plate-washer", "not pending"), ("AA-nonesuch", "not found: no such edge")],
+        ids=["approved", "absent"],
+    )
+    def test_converge_refusal_states_why_and_writes_nothing(self, store, capsys, asset, shown):
+        before = store.read_bytes(), digest_path(store).read_bytes()
+        capsys.readouterr()
+        edge = ["MASKED_BY", "ELISA:FailureMode:FM-ELISA-001", f"AUTOMATION:AutomationAsset:{asset}"]
+        assert main(["converge", "--graph", str(store), "--edge", *edge]) == EXIT_INVARIANT
+        assert capsys.readouterr() == (
+            "",
+            f"error: {shown}: MASKED_BY {edge[1]} -> {edge[2]}\n",
+        )
+        assert (store.read_bytes(), digest_path(store).read_bytes()) == before
+
     def test_converge_repeated_edge_writes_nothing(self, tmp_path, fixtures_dir, capsys):
         path = tmp_path / "twin.skg.jsonl"
         for doc, subgraph in DOCS:
@@ -611,7 +628,7 @@ class TestApplyAndConverge:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: not found: selected twice: MASKED_BY ELISA:FailureMode:FM-ELISA-001"
+            "error: selected twice: MASKED_BY ELISA:FailureMode:FM-ELISA-001"
             " -> AUTOMATION:AutomationAsset:AA-el406-plate-washer\n"
         )
         assert (path.read_bytes(), digest_path(path).read_bytes()) == before
@@ -733,6 +750,36 @@ class TestQuery:
             "FM-ELISA-005",
             "FM-ELISA-011",
         ]
+
+    def test_tsv_rows_stay_one_line_each(self, tmp_path, fixtures_dir, capsys):
+        doc = json.loads((fixtures_dir / "elisa.seo.json").read_text())
+        name = "Washer\tCarryover\nsecond line"
+        for step in doc["protocol"]["steps"]:
+            for mode in step.get("failure_modes", []):
+                if mode["name"] == "Washer Carryover":
+                    mode["name"] = name
+        path = tmp_path / "elisa.seo.json"
+        path.write_text(json.dumps(doc))
+        graph = tmp_path / "twin.skg.jsonl"
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["apply", str(path), "--graph", str(graph)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["query", "ranked", "--graph", str(graph), "--subgraph", "ELISA"]
+        assert main(argv) == EXIT_OK
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 18
+        assert {len(line.split("\t")) for line in lines} == {len(header.split("\t"))}
+        cells = [line.split("\t") for line in lines if line.startswith("FM-ELISA-001\t")]
+        assert [row[1] for row in cells] == ["Washer\\tCarryover\\nsecond line"]
+        # JSON stays exact
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["name"] for row in rows if row["id"] == "FM-ELISA-001"] == [name]
+        argv = ["query", "cascades", "--graph", str(graph), "--subgraph", "ELISA"]
+        assert main([*argv, "--root", "FM-ELISA-001", "--depth", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "Washer\\tCarryover\\nsecond line -> High Background / Nonspecific Signal\n"
+        )
 
     def test_ranked_json(self, store, capsys):
         code = main(
@@ -1559,6 +1606,59 @@ class TestScopedRead:
         assert main(["hash", "--graph", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == FEDERATED_DIGEST + "\n"
         assert decoded[0] > 200
+
+
+# every error type's exit code, pinned, so that a type moved to another
+# exit class, or a new type, shows here
+EXIT_CLASSES = {
+    "SkgError": EXIT_REJECTED,
+    "InvariantError": EXIT_INVARIANT,
+    "MalformedKey": EXIT_INVARIANT,
+    "TypeConflict": EXIT_INVARIANT,
+    "DanglingEdge": EXIT_INVARIANT,
+    "CrossSubgraphViolation": EXIT_INVARIANT,
+    "SelectorRefused": EXIT_INVARIANT,
+    "RangeError": EXIT_INVARIANT,
+    "ArityError": EXIT_INVARIANT,
+    "RegistryMismatch": EXIT_REJECTED,
+    "SeoParseError": EXIT_REJECTED,
+    "UnknownField": EXIT_REJECTED,
+    "ValueKindMismatch": EXIT_REJECTED,
+    "NoHedgeDetected": EXIT_REJECTED,
+    "SubgraphMismatch": EXIT_REJECTED,
+    "Rejected": EXIT_REJECTED,
+}
+
+
+def error_types(cls=errors.SkgError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_types(sub)
+
+
+class TestExitClasses:
+    def test_every_error_type_has_a_pinned_exit_code(self):
+        assert {cls.__name__ for cls in error_types()} == set(EXIT_CLASSES)
+
+    @pytest.mark.parametrize("cls", list(error_types()), ids=lambda cls: cls.__name__)
+    def test_main_exits_with_the_class_of_the_error(self, monkeypatch, capsys, cls):
+        if cls is errors.Rejected:
+            exc = cls(ValidationReport([Issue("Code", "a:B:c", "detail")]))
+            shown = "Code\ta:B:c\tdetail\n"
+        else:
+            exc = cls(*{errors.ValueKindMismatch: ("a.b", "text", "number")}.get(cls, ("refused",)))
+            shown = f"error: {exc}\n"
+
+        def refuse(args):
+            raise exc
+
+        monkeypatch.setattr("skg.cli.cmd_schema", refuse)
+        assert main(["schema"]) == cls.exit_code == EXIT_CLASSES[cls.__name__]
+        assert capsys.readouterr() == ("", shown)
+
+    def test_a_refused_selector_is_a_key_error_printed_unquoted(self):
+        exc = errors.SelectorRefused("not pending: x")
+        assert isinstance(exc, KeyError) and str(exc) == "not pending: x"
 
 
 # the environment of a child interpreter that imports skg from this checkout

@@ -505,6 +505,32 @@ class TestRendering:
         # optional columns that were never set come out as empty cells
         assert line.split("\t")[4] == "false"
 
+    def test_tsv_escapes_text_and_list_items(self):
+        rows = [
+            queries.AssetReuseRow(
+                id="AA-1",
+                name="back\\slash\r\nand\ttab",
+                use_cases=("a|b", "c\\d", "e\nf"),
+                serving_subgraphs=(),
+                tier="T",
+            ),
+            queries.AssetReuseRow(
+                id="AA-2", name="plain", use_cases=("x", "y"), serving_subgraphs=("S",), tier="T"
+            ),
+            # a pipe is the only escape in the row
+            queries.AssetReuseRow(
+                id="AA-3", name="n", use_cases=("a|b",), serving_subgraphs=(), tier="T"
+            ),
+        ]
+        assert rows_to_tsv(rows).splitlines() == [
+            "id\tname\tuse_cases\tserving_subgraphs\ttier",
+            "AA-1\tback\\\\slash\\r\\nand\\ttab\ta\\|b|c\\\\d|e\\nf\t\tT",
+            "AA-2\tplain\tx|y\tS\tT",
+            "AA-3\tn\ta\\|b\t\tT",
+        ]
+        # JSON stays exact
+        assert json.loads(rows_to_json(rows))[0]["use_cases"] == ["a|b", "c\\d", "e\nf"]
+
     def test_tsv_empty_rows(self):
         assert rows_to_tsv([]) == ""
 
