@@ -22,20 +22,20 @@ later session can confirm them without ever demoting confirmed
 knowledge. A plan and its provenance are ``NamedTuple`` records.
 
 Cross-subgraph edges always enter the plan pending; they stay
-quarantined until an operator approves the convergence, and ``apply_plan``
-refuses a plan, read or built in code, that states one approved. Applying a
-plan holds each record it touches, once merged, to
-``ontology.record_issues``, the rules ``validate_graph`` applies to a
-whole store, so two documents that each validate cannot merge into a
-node that breaks them, and no hand-edited plan writes a store that
-``skg check`` rejects.
+quarantined until an operator approves the convergence. One check holds
+every plan, read or built in code, to that: an edge is pending exactly
+when it spans subgraphs. Applying a plan holds each record it touches,
+once merged, to ``ontology.record_issues``, the rules ``validate_graph``
+applies to a whole store, so two documents that each validate cannot
+merge into a node that breaks them, and no hand-edited plan writes a
+store that ``skg check`` rejects.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .canonical import render_record, render_text, render_value, strict_loads
 from .errors import (
@@ -333,11 +333,22 @@ def _plan_edge_line(edge: Edge) -> str:
     )
 
 
+def _check_quarantine(edge: Edge, where: Callable[[], str]) -> None:
+    """The plan quarantine: an edge is pending exactly when it spans subgraphs.
+
+    Raises ``RegistryMismatch`` otherwise, located by ``where()``, which
+    is formatted only then.
+    """
+    src, dst = edge.src.subgraph, edge.dst.subgraph
+    if edge.pending != (src != dst):
+        must = "must not be pending" if edge.pending else "must be pending"
+        raise RegistryMismatch(f"{where()}: {edge.edge_type} {src} -> {dst} {must}")
+
+
 def _edge_from_record(record: dict, where: str, known: dict[tuple, NodeKey]) -> Edge:
     """Inverse of ``_plan_edge_line``; the caller has checked ``kind``.
 
-    An edge is pending exactly when it spans subgraphs, so a hand-edited
-    plan cannot move an edge past the convergence quarantine. ``known``
+    The edge must keep the quarantine (``_check_quarantine``). ``known``
     is passed on to ``_key_from_text``.
     """
     edge_type = record.get("edge_type")
@@ -349,11 +360,7 @@ def _edge_from_record(record: dict, where: str, known: dict[tuple, NodeKey]) -> 
         _key_from_text(record.get("dst"), f"{where}: dst", known),
         pending=record["kind"] == "pending_edge",
     )
-    if edge.pending != (edge.src.subgraph != edge.dst.subgraph):
-        section = "statements" if edge.pending else "pending_edges"
-        raise RegistryMismatch(
-            f"{where}: {edge_type} {edge.src.subgraph} -> {edge.dst.subgraph} belongs in {section}"
-        )
+    _check_quarantine(edge, lambda: where)
     return edge
 
 
@@ -458,8 +465,8 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
 
     Raises:
         RegistryMismatch: the plan was compiled under another registry,
-            or an edge in either section spans subgraphs and is not
-            pending; the message starts with the edge's location.
+            or an edge breaks the quarantine (``_check_quarantine``); the
+            message starts with the edge's location.
         Rejected: a record the plan touches, once merged, breaks a rule
             of ``ontology.record_issues``, the rules ``validate_graph``
             applies; the report names each such record and issue, nodes
@@ -483,13 +490,8 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
 
     def counted():
         for at[0], record in enumerate(statements + plan.pending_edges):
-            # the quarantine load_plan holds a plan file to, for plans built in code
-            if isinstance(record, Edge) and not record.pending:
-                src, dst = record.src.subgraph, record.dst.subgraph
-                if src != dst:
-                    raise RegistryMismatch(
-                        f"{where()}: {record.edge_type} {src} -> {dst} must be pending"
-                    )
+            if isinstance(record, Edge):  # a plan built in code never met load_plan
+                _check_quarantine(record, where)
             yield record
 
     try:

@@ -2,8 +2,12 @@
 
 One executable, subcommand per operation, files in and text out, so the
 whole elicitation-to-federation loop can be driven from a shell script.
-Store mutations take an exclusive advisory lock on ``<store>.lock``;
-reads take a shared one.
+Store mutations take an exclusive advisory lock on ``<store>.lock``.
+Reads take a shared one and need no write access: a read creates the
+lock file only beside a store that exists, and one that can neither open
+nor create it reads without the lock. ``save_store`` replaces the store
+in one rename, so each open of the store still sees one whole version;
+only ``hash --verify``, which opens it twice, can see two.
 
 Exit codes (``skg.errors``): 0 success, 1 rejected input, 2 usage, 3 I/O
 failure, 4 violated graph invariant or missing record, argument out of
@@ -74,13 +78,21 @@ def _read_doc(path: str):
 
 @contextmanager
 def _store_lock(store: Path, exclusive: bool):
-    lock_path = Path(str(store) + ".lock")
-    with open(lock_path, "w") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
+    # flock takes either lock on a read-only descriptor, and closing it releases the lock
+    create = os.O_CREAT if exclusive or store.exists() else 0
+    try:
+        fd = os.open(f"{store}.lock", os.O_RDONLY | create, 0o666)
+    except OSError:
+        if exclusive:
+            raise
+        fd = None  # a reader that can neither open nor create the lock reads without it
+    try:
+        if fd is not None:
+            fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+        yield
+    finally:
+        if fd is not None:
+            os.close(fd)
 
 
 def _load(store: str, subgraph: str | None = None) -> Graph:

@@ -299,17 +299,13 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _reject_unknown(obj: dict, path: str, table: dict[str, _Field]) -> None:
-    for key in obj:
-        if key not in table:
-            raise UnknownField(_join(path, key))
-
-
 def _read_record(cls: type, obj: object, path: str):
     if not isinstance(obj, dict):
-        raise ValueKindMismatch(path, "object", type(obj).__name__)
+        raise ValueKindMismatch(path or "$", "object", type(obj).__name__)
     table = _fields(cls)
-    _reject_unknown(obj, path, table)
+    for key in obj:  # unknown members first, then each field in order
+        if key not in table:
+            raise UnknownField(_join(path, key))
     return cls(*[_read_field(f, obj, path) for f in table.values()])
 
 
@@ -332,8 +328,8 @@ def _is_iso_date(text: str) -> bool:
 def _read_field(f: _Field, obj: dict, path: str):
     where = _join(path, f.json)
     if f.json not in obj:
-        if f.required:
-            raise ValueKindMismatch(where, f.kind, "absent")
+        if f.required:  # spelled out, as null when the session did not elicit it
+            raise ValueKindMismatch(where, f"{f.kind} or null" if f.nullable else f.kind, "absent")
         return f.default
     value = obj[f.json]
     if value is None:
@@ -386,8 +382,9 @@ def parse_seo(data: bytes | str) -> SeoDocument:
             and column when the decoder reports them).
         UnknownField: any field name outside the schema.
         ValueKindMismatch: wrong value kind, bad enum value, an empty
-            required text or text-list item, or a required structural
-            field that is absent.
+            required text or text-list item, a root that is not an
+            object (at ``$``), or a required field that is absent
+            (``expected <kind> or null`` when it may be null).
     """
     if isinstance(data, bytes):
         try:
@@ -410,18 +407,12 @@ def parse_seo(data: bytes | str) -> SeoDocument:
 def document_from_json(raw: object) -> SeoDocument:
     """A document from its JSON value, decoded already; ``parse_seo`` after the decode.
 
+    The field table checks every member, the document's layers as any
+    record's; this adds only the OPERATIONAL scope stub.
+
     Raises:
         UnknownField, ValueKindMismatch: as ``parse_seo``.
     """
-    if not isinstance(raw, dict):
-        raise ValueKindMismatch("$", "object", type(raw).__name__)
-
-    table = _fields(SeoDocument)
-    _reject_unknown(raw, "", table)
-    for key in table:
-        # every layer is spelled out, null when the session did not elicit it
-        if key not in raw:
-            raise ValueKindMismatch(key, "object or null", "absent")
     doc = _read_record(SeoDocument, raw, "")
     if doc.session_mode is SessionMode.OPERATIONAL and doc.decision_model is None:
         # bookkeeping stub, not elicited knowledge: the scope marker must

@@ -1073,13 +1073,13 @@ class TestPlanSerialization:
                 lambda raw: raw["statements"].append(
                     dict(raw["pending_edges"].pop(0), kind="edge")
                 ),
-                r"statements\[\d+\]: MASKED_BY ELISA -> AUTOMATION belongs in pending_edges",
+                r"statements\[\d+\]: MASKED_BY ELISA -> AUTOMATION must be pending$",
             ),
             (
                 lambda raw: raw["pending_edges"].append(
                     dict(raw["statements"].pop(), kind="pending_edge")
                 ),
-                r"pending_edges\[\d+\]: \w+ ELISA -> ELISA belongs in statements",
+                r"pending_edges\[\d+\]: \w+ ELISA -> ELISA must not be pending$",
             ),
             (
                 lambda raw: raw["statements"].append(raw["statements"][0]),
@@ -1175,8 +1175,9 @@ class TestApplyAndApprove:
         with pytest.raises(KeyError, match=selected_twice):
             approve_pending(graph, [first, first])
 
-    @pytest.mark.parametrize("section", ["edges", "pending_edges"])
+    @pytest.mark.parametrize("section", ["edges", "pending_edges", "pending_same_subgraph"])
     def test_plan_built_in_code_keeps_the_quarantine(self, elisa_doc, registry, section):
+        # the rule load_plan holds a plan file to, with the same message
         plan = compile_seo(elisa_doc, "ELISA")
         masked, *rest = plan.pending_edges
         assert masked.key == (
@@ -1185,15 +1186,23 @@ class TestApplyAndApprove:
             NodeKey(EXECUTION_SUBGRAPH, "AutomationAsset", "AA-el406-plate-washer"),
         )
         approved = Edge(*masked.key)
+        message = "MASKED_BY ELISA -> AUTOMATION must be pending"
         if section == "edges":
             plan = plan._replace(edges=(*plan.edges, approved), pending_edges=tuple(rest))
             where = f"statements[{len(plan.nodes) + len(plan.edges) - 1}]"
-        else:
+        elif section == "pending_edges":
             plan = plan._replace(pending_edges=(approved, *rest))
             where = "pending_edges[0]"
+        else:  # merge would refuse it as a CrossSubgraphViolation, exit class 4
+            *kept, same = plan.edges
+            assert same.src.subgraph == same.dst.subgraph == "ELISA"
+            quarantined = Edge(*same.key, pending=True)
+            plan = plan._replace(edges=tuple(kept), pending_edges=(quarantined, *plan.pending_edges))
+            where = "pending_edges[0]"
+            message = f"{same.edge_type} ELISA -> ELISA must not be pending"
         graph = apply_plan(Graph(registry), compile_seo(elisa_doc, "ELISA"))
         before = canonical_serialize(graph)
-        with pytest.raises(RegistryMismatch, match=rf"^{re.escape(where)}: MASKED_BY ELISA -> "):
+        with pytest.raises(RegistryMismatch, match=rf"^{re.escape(f'{where}: {message}')}$"):
             apply_plan(graph, plan)
         assert canonical_serialize(graph) == before
 

@@ -4,8 +4,10 @@ import gc
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from skg import (
     save_store,
 )
 from skg.validation import Issue, ValidationReport
+import skg
 from skg import errors, queries
 from skg.cli import (
     EXIT_INVARIANT,
@@ -1387,11 +1390,16 @@ class TestMalformedPlan:
         for path in (fresh, fresh.with_name("fresh.skg.sha256")):
             path.unlink(missing_ok=True)
         for store in (fresh, copy_fixture_store(FIXTURES, tmp_path)):
+            pair = (store, digest_path(store))
+            before = [path.read_bytes() if path.exists() else None for path in pair]
             code = main(["apply", str(plan_file), "--graph", str(store)])  # nothing may escape
             captured = capsys.readouterr()
             assert code in (EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_IO, EXIT_INVARIANT)
+            assert not store.with_name(store.name + ".tmp").exists()
             if code != EXIT_OK:
                 assert captured.err.startswith("error: ") or ISSUE_REPORT.fullmatch(captured.err)
+                # a refused apply writes nothing: a fresh store stays absent, with no sidecar
+                assert [path.read_bytes() if path.exists() else None for path in pair] == before
                 continue
             assert captured.err == ""
             # a store that apply writes passes check
@@ -1794,3 +1802,89 @@ class TestProcessEntry:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def unprivileged_python() -> list[str] | None:
+    """A command that runs Python as a user bound by file permissions, or None.
+
+    Root overrides file permissions, so as root the command drops to uid
+    and gid 65534 through ``setpriv``, with the first interpreter of this
+    one and the system's ``python3`` that such a user can run.
+    """
+    if os.geteuid() != 0:
+        return [sys.executable]
+    setpriv = shutil.which("setpriv")
+    if setpriv is None:
+        return None
+    drop = [setpriv, "--reuid=65534", "--regid=65534", "--clear-groups"]
+    for python in filter(None, (sys.executable, shutil.which("python3", path=os.defpath))):
+        probe = drop + [python, "-c", "import sys; sys.exit(sys.version_info < (3, 10))"]
+        if subprocess.run(probe, capture_output=True, timeout=60).returncode == 0:
+            return drop + [python]
+    return None
+
+
+READS = [
+    ["hash"],
+    ["hash", "--verify"],
+    ["check"],
+    ["stats", "--subgraph", "ELISA"],
+    ["query", "silent", "--subgraph", "ELISA"],
+]
+
+
+class TestReadAccess:
+    """A read takes the shared lock on ``<store>.lock`` when it can, and needs no write access."""
+
+    @pytest.mark.parametrize("command", READS, ids=" ".join)
+    def test_read_of_a_missing_store_creates_no_file(self, tmp_path, capsys, command):
+        assert main(command + ["--graph", str(tmp_path / "typo.skg.jsonl")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writes_and_reads_of_a_store_create_its_lock(self, fixtures_dir, tmp_path, capsys):
+        store = tmp_path / "twin.skg.jsonl"
+        assert main(apply_args(store, fixtures_dir, *DOCS[0])) == EXIT_OK
+        capsys.readouterr()
+        assert (tmp_path / "twin.skg.jsonl.lock").is_file()
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        assert main(["hash", "--graph", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == FEDERATED_DIGEST + "\n"
+        assert (tmp_path / "federated.skg.jsonl.lock").is_file()
+
+    @pytest.mark.parametrize("lock_file", [False, True], ids=["no-lock-file", "read-only-lock-file"])
+    def test_reads_need_no_write_access(self, fixtures_dir, lock_file):
+        python = unprivileged_python()
+        if python is None:
+            pytest.skip("running as root without setpriv, so file permissions do not bind")
+        with tempfile.TemporaryDirectory() as top:
+            # the package is copied where the unprivileged user can read it
+            top = Path(top)
+            top.chmod(0o755)
+            package = Path(skg.__file__).parent
+            shutil.copytree(package, top / "src" / "skg", ignore=shutil.ignore_patterns("__pycache__"))
+            shelf = top / "store"
+            shelf.mkdir()
+            store = copy_fixture_store(fixtures_dir, shelf)
+            if lock_file:
+                Path(f"{store}.lock").touch()
+            for path in shelf.iterdir():
+                path.chmod(0o444)
+            shelf.chmod(0o555)
+            before = sorted(shelf.iterdir())
+            env = dict(os.environ, PYTHONPATH=str(top / "src"), PYTHONDONTWRITEBYTECODE="1")
+            try:
+                for command in READS:
+                    proc = subprocess.run(
+                        python + ["-m", "skg.cli", *command, "--graph", str(store)],
+                        capture_output=True,
+                        text=True,
+                        env=env,
+                        timeout=60,
+                    )
+                    assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), command
+                    if command[0] == "hash":
+                        assert proc.stdout == FEDERATED_DIGEST + "\n"
+                    assert sorted(shelf.iterdir()) == before
+            finally:
+                shelf.chmod(0o755)

@@ -61,6 +61,10 @@ def minimal_json(mode: str = "OPERATIONAL") -> dict:
     }
 
 
+def minimal_without(member: str) -> dict:
+    return {k: v for k, v in minimal_json().items() if k != member}
+
+
 def parse(obj: dict) -> SeoDocument:
     return parse_seo(json.dumps(obj))
 
@@ -127,6 +131,26 @@ class TestStrictParse:
         with pytest.raises(UnknownField) as err:
             parse(obj)
         assert err.value.path == "bogus"
+
+    @pytest.mark.parametrize(
+        ("value", "message"),
+        [
+            (minimal_without("session_mode"), "session_mode: expected text, got absent"),
+            (
+                minimal_without("method_alternatives"),
+                "method_alternatives: expected array or null, got absent",
+            ),
+            (minimal_without("protocol"), "protocol: expected object or null, got absent"),
+            ([minimal_json()], "$: expected object, got list"),
+            ({"bogus": 1} | minimal_without("protocol"), "unknown field: bogus"),
+        ],
+        ids=["required-text", "nullable-array", "nullable-object", "root-list", "unknown-first"],
+    )
+    def test_top_level_message_names_the_member_kind(self, value, message):
+        # layers are read as any record's members; unknown members are reported first
+        with pytest.raises(SeoParseError) as err:
+            parse_seo(json.dumps(value))
+        assert str(err.value) == message
 
     def test_unknown_nested_key(self):
         obj = minimal_json("DESIGN_EXPERT")
