@@ -23,19 +23,21 @@ knowledge. A plan and its provenance are ``NamedTuple`` records.
 
 Cross-subgraph edges always enter the plan pending; they stay
 quarantined until an operator approves the convergence. One check holds
-every plan, read or built in code, to that: an edge is pending exactly
-when it spans subgraphs. Applying a plan holds each record it touches,
-once merged, to ``ontology.record_issues``, the rules ``validate_graph``
-applies to a whole store, so two documents that each validate cannot
-merge into a node that breaks them, and no hand-edited plan writes a
-store that ``skg check`` rejects.
+every plan, read, written, exported or applied, to that (``_check_plan``):
+an edge carries no properties, is pending exactly when it spans
+subgraphs, and sits in ``pending_edges`` exactly when it is pending, so a
+plan applies exactly when its bytes load back. Applying a plan holds
+each record it touches, once merged, to ``ontology.record_issues``, the
+rules ``validate_graph`` applies to a whole store, so two documents that
+each validate cannot merge into a node that breaks them, and no
+hand-edited plan writes a store that ``skg check`` rejects.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .canonical import render_record, render_text, render_value, strict_loads
 from .errors import (
@@ -54,6 +56,7 @@ from .graph_core import (
     NodeKey,
     Prop,
     Provenance,
+    check_members,
     merge,
     node_from_record,
     node_line,
@@ -323,9 +326,6 @@ def _key_from_text(value: object, where: str, known: dict[tuple, NodeKey]) -> No
 
 def _plan_edge_line(edge: Edge) -> str:
     """An edge as a plan states it, endpoints as key text, members in sorted order."""
-    if edge.properties:  # an edge statement has no member for them
-        where = f"{edge.edge_type} {edge.src.to_text()} -> {edge.dst.to_text()}"
-        raise ValueError(f"plan edges carry no properties: {where}")
     return (
         f'{{"dst": {render_text(edge.dst.to_text())}, "edge_type": {render_text(edge.edge_type)}, '
         f'"kind": "{"pending_edge" if edge.pending else "edge"}", '
@@ -333,23 +333,13 @@ def _plan_edge_line(edge: Edge) -> str:
     )
 
 
-def _check_quarantine(edge: Edge, where: Callable[[], str]) -> None:
-    """The plan quarantine: an edge is pending exactly when it spans subgraphs.
-
-    Raises ``RegistryMismatch`` otherwise, located by ``where()``, which
-    is formatted only then.
-    """
-    src, dst = edge.src.subgraph, edge.dst.subgraph
-    if edge.pending != (src != dst):
-        must = "must not be pending" if edge.pending else "must be pending"
-        raise RegistryMismatch(f"{where()}: {edge.edge_type} {src} -> {dst} {must}")
+_PLAN_EDGE_MEMBERS = frozenset({"dst", "edge_type", "kind", "src"})
 
 
 def _edge_from_record(record: dict, where: str, known: dict[tuple, NodeKey]) -> Edge:
     """Inverse of ``_plan_edge_line``; the caller has checked ``kind``.
 
-    The edge must keep the quarantine (``_check_quarantine``). ``known``
-    is passed on to ``_key_from_text``.
+    ``known`` is passed on to ``_key_from_text``.
     """
     edge_type = record.get("edge_type")
     if not isinstance(edge_type, str):
@@ -360,16 +350,36 @@ def _edge_from_record(record: dict, where: str, known: dict[tuple, NodeKey]) -> 
         _key_from_text(record.get("dst"), f"{where}: dst", known),
         pending=record["kind"] == "pending_edge",
     )
-    _check_quarantine(edge, lambda: where)
+    check_members(record, _PLAN_EDGE_MEMBERS, where)
     return edge
+
+
+def _check_plan(plan: MergePlan) -> None:
+    """The plan rule: each edge carries no properties, is pending exactly when it spans
+    subgraphs, and sits in ``pending_edges`` exactly when it is pending. A breach raises
+    ``RegistryMismatch``, located where ``plan_to_bytes`` writes the edge."""
+    sections = ("statements", len(plan.nodes), plan.edges), ("pending_edges", 0, plan.pending_edges)
+    for pending, (name, first, edges) in zip((False, True), sections):
+        for i, edge in enumerate(edges, first):
+            src, dst = edge.src.subgraph, edge.dst.subgraph
+            if edge.properties:  # an edge statement has no member for them
+                breach = "carries properties, which no plan statement holds"
+            elif edge.pending != (src != dst):
+                breach = "must not be pending" if edge.pending else "must be pending"
+            elif edge.pending != pending:
+                breach = f"is {'pending' if edge.pending else 'approved'} in {name}"
+            else:
+                continue
+            raise RegistryMismatch(f"{name}[{i}]: {edge.edge_type} {src} -> {dst} {breach}")
 
 
 def plan_to_bytes(plan: MergePlan) -> bytes:
     """The plan as one canonical JSON object and a newline, members in sorted order.
 
     Raises:
-        ValueError: an edge has properties, which no plan statement holds.
+        RegistryMismatch: an edge breaks the plan rule (``_check_plan``).
     """
+    _check_plan(plan)
     statements = [node_line(node) for node in plan.nodes]
     statements += [_plan_edge_line(edge) for edge in plan.edges]
     pending = [_plan_edge_line(edge) for edge in plan.pending_edges]
@@ -401,9 +411,11 @@ def load_plan(data: bytes | str) -> MergePlan:
         ValueError: not a merge plan of this version, or an unknown
             statement kind.
         RegistryMismatch: the provenance, a statement array or a
-            statement in it is malformed, or a node statement follows an
-            edge statement; the message starts with its location, such
-            as ``statements[3]: ``.
+            statement in it is malformed or holds a member that
+            ``plan_to_bytes`` never writes, a node statement follows an
+            edge statement, or, once all is read, an edge breaks the plan
+            rule (``_check_plan``); the message starts with its location,
+            such as ``statements[3]: ``.
     """
     return plan_from_json(strict_loads(data if isinstance(data, str) else data.decode("utf-8")))
 
@@ -436,21 +448,23 @@ def plan_from_json(raw: object) -> MergePlan:
             if edges:  # apply merges nodes first, and locates a refusal by this layout
                 raise RegistryMismatch(f"{where}: node statement after an edge statement")
             nodes.append(node_from_record(record, where, known))
-        elif record.get("kind") == "edge":
+        elif record.get("kind") in ("edge", "pending_edge"):
             edges.append(_edge_from_record(record, where, known))
         else:
             raise ValueError(f"unknown statement kind {record.get('kind')!r}")
     pending = []
     for where, record in _objects(raw, "pending_edges"):
-        if record.get("kind") != "pending_edge":
-            raise RegistryMismatch(f"{where}: kind {record.get('kind')!r}, not 'pending_edge'")
+        if record.get("kind") not in ("edge", "pending_edge"):
+            raise RegistryMismatch(f"{where}: kind {record.get('kind')!r}, not an edge")
         pending.append(_edge_from_record(record, where, known))
-    return MergePlan(
+    plan = MergePlan(
         provenance=PlanProvenance._make(prov[name] for name in names),
         nodes=tuple(nodes),
         edges=tuple(edges),
         pending_edges=tuple(pending),
     )
+    _check_plan(plan)  # either edge kind reads in either section; the rule judges placement
+    return plan
 
 
 # -- applying and approving ---------------------------------------------
@@ -465,8 +479,8 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
 
     Raises:
         RegistryMismatch: the plan was compiled under another registry,
-            or an edge breaks the quarantine (``_check_quarantine``); the
-            message starts with the edge's location.
+            or an edge breaks the plan rule (``_check_plan``) before
+            anything merges.
         Rejected: a record the plan touches, once merged, breaks a rule
             of ``ontology.record_issues``, the rules ``validate_graph``
             applies; the report names each such record and issue, nodes
@@ -481,24 +495,21 @@ def apply_plan(graph: Graph, plan: MergePlan) -> Graph:
             f"plan compiled under {plan.provenance.registry_version!r}, "
             f"graph runs {graph.registry_version!r}"
         )
+    _check_plan(plan)
     statements = plan.nodes + plan.edges
     at = [0]
 
-    def where() -> str:
-        i, n = at[0], len(statements)
-        return f"statements[{i}]" if i < n else f"pending_edges[{i - n}]"
-
     def counted():
         for at[0], record in enumerate(statements + plan.pending_edges):
-            if isinstance(record, Edge):  # a plan built in code never met load_plan
-                _check_quarantine(record, where)
             yield record
 
     try:
         merged = merge(graph, counted())
     except InvariantError as exc:
         # merge fails on the record it was given last
-        raise type(exc)(f"{where()}: {exc}") from None
+        i, n = at[0], len(statements)
+        where = f"statements[{i}]" if i < n else f"pending_edges[{i - n}]"
+        raise type(exc)(f"{where}: {exc}") from None
     # merge takes properties one by one, so rules that tie several of a
     # record's properties together hold only once it is merged; each key
     # once, in plan order, which a compiled plan already sorts
@@ -569,7 +580,11 @@ def emit_cypher(plan: MergePlan) -> str:
     escapes its control characters, so each statement is one line.
     Property provenance tags do not survive the export; the plan file
     stays the system of record.
+
+    Raises:
+        RegistryMismatch: as ``plan_to_bytes``.
     """
+    _check_plan(plan)
     lines: list[str] = []
     for node in plan.nodes:
         sets = ", ".join(

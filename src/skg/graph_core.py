@@ -570,6 +570,20 @@ def _props_object(properties: Mapping[str, Prop]) -> str:
     return render_record(record, plain)
 
 
+def check_members(record: dict, members: frozenset[str], where: str) -> None:
+    """Refuse, as a ``RegistryMismatch``, a record holding a member its writer never writes.
+
+    The caller has read each of ``members``, so a record of another size holds one more.
+    """
+    if len(record) != len(members):
+        raise RegistryMismatch(f"{where}: unknown member {min(record.keys() - members)!r}")
+
+
+_HEADER_MEMBERS = frozenset({"format", "kind", "registry_version", "version"})
+_NODE_MEMBERS = frozenset({"id", "kind", "label", "properties", "subgraph"})
+_EDGE_MEMBERS = frozenset({"dst", "edge_type", "kind", "properties", "src"})
+
+
 def node_line(node: Node) -> str:
     """A node as stores and merge plans both write it, members in sorted order."""
     key = node.key
@@ -583,10 +597,13 @@ def node_line(node: Node) -> str:
 def node_from_record(record: dict, where: str, known: dict[tuple, NodeKey]) -> Node:
     """Inverse of ``node_line``; its ``kind`` member is left to the caller.
 
+    A member ``node_line`` never writes is refused (``check_members``).
     ``known`` is passed on to ``key_from_record``.
     """
     properties = props_from_record(record.get("properties"), where)
-    return _new_tuple(Node, (key_from_record(record, where, known), properties))
+    key = key_from_record(record, where, known)
+    check_members(record, _NODE_MEMBERS, where)
+    return _new_tuple(Node, (key, properties))
 
 
 def key_object(key: NodeKey) -> str:
@@ -775,8 +792,8 @@ def _store_records(
 
     Raises:
         RegistryMismatch: a line is not valid UTF-8 or not a well-formed
-            record, or a record does not sort strictly after the one
-            before it.
+            record, holds a member that ``save_store`` never writes, or
+            does not sort strictly after the record before it.
     """
     known: dict[tuple, NodeKey] = {}
     last = None
@@ -799,6 +816,7 @@ def _store_records(
             src = key_from_record(record.get("src"), f"{where}: src", known)
             dst = key_from_record(record.get("dst"), f"{where}: dst", known)
             props = props_from_record(record.get("properties"), where)
+            check_members(record, _EDGE_MEMBERS, where)
             pending = kind == "pending_edge"
             built = _new_tuple(Edge, (edge_type, src, dst, props, pending))
             place = (2 if pending else 1, (edge_type, src, dst))
@@ -835,6 +853,7 @@ def _read_header(handle: BinaryIO, path: Path, registry: RegistryInfo) -> bytes:
             f"{path}: written under {header.get('registry_version')!r}, "
             f"loaded with {registry.version!r}"
         )
+    check_members(header, _HEADER_MEMBERS, f"{path}:1")
     return first
 
 
@@ -917,8 +936,9 @@ def load_store(path: Path | str, registry: RegistryInfo, subgraph: str | None = 
     Raises:
         RegistryMismatch: the header's format version is not ``FORMAT_VERSION``
             or its registry_version differs from ``registry``, a line is
-            not valid UTF-8 or not a well-formed record, or a record does
-            not sort strictly after the one before it.
+            not valid UTF-8 or not a well-formed record, holds a member
+            that ``save_store`` never writes, or a record does not sort
+            strictly after the one before it.
         DanglingEdge, TypeConflict, CrossSubgraphViolation: ``merge``
             rejects a record; the message starts with its ``<file>:<line>``.
     """

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import re
+from functools import lru_cache, partial
 
 import pytest
 from conftest import DOC_SUBGRAPHS, FIXTURES, ISSUE_REPORT
@@ -969,7 +970,9 @@ class TestPlanSerialization:
         plan = compile_seo(elisa_doc, "ELISA")
         first, *rest = getattr(plan, section)
         weighted = first._replace(properties={"weight": Prop(1, IC)})
-        with pytest.raises(ValueError, match=f"^plan edges carry no properties: {first.edge_type} "):
+        where = f"statements[{len(plan.nodes)}]" if section == "edges" else "pending_edges[0]"
+        message = f"{where}: {first.edge_type} ELISA -> {first.dst.subgraph} carries properties, "
+        with pytest.raises(RegistryMismatch, match=f"^{re.escape(message)}"):
             plan_to_bytes(plan._replace(**{section: (weighted, *rest)}))
 
     def test_load_builds_each_key_once(self, elisa_doc):
@@ -1085,6 +1088,34 @@ class TestPlanSerialization:
                 lambda raw: raw["statements"].append(raw["statements"][0]),
                 r"statements\[126\]: node statement after an edge statement",
             ),
+            (
+                lambda raw: raw["statements"][-1].update(properties={}),
+                r"statements\[125\]: unknown member 'properties'$",
+            ),
+            (
+                lambda raw: raw["pending_edges"][0].update(weight=1),
+                r"pending_edges\[0\]: unknown member 'weight'$",
+            ),
+            (
+                lambda raw: raw["statements"][0].update(bogus=1),
+                r"statements\[0\]: unknown member 'bogus'$",
+            ),
+            (
+                lambda raw: raw["statements"].append(raw["pending_edges"].pop(0)),
+                r"statements\[126\]: MASKED_BY ELISA -> AUTOMATION is pending in statements$",
+            ),
+            (
+                lambda raw: raw["pending_edges"].append(raw["statements"].pop()),
+                r"pending_edges\[17\]: PRECEDES ELISA -> ELISA is approved in pending_edges$",
+            ),
+            (
+                # the whole file is read before the plan rule is checked
+                lambda raw: (
+                    raw["statements"].append(raw["pending_edges"].pop(0)),
+                    raw["pending_edges"][-1].update(src=5),
+                ),
+                r"pending_edges\[15\]: src: ",
+            ),
         ],
         ids=[
             "edge-src-not-text",
@@ -1107,6 +1138,12 @@ class TestPlanSerialization:
             "cross-subgraph-edge-approved",
             "same-subgraph-edge-pending",
             "node-after-edge",
+            "edge-properties-member",
+            "pending-edge-unknown-member",
+            "node-unknown-member",
+            "pending-edge-in-statements",
+            "edge-in-pending-edges",
+            "malformed-edge-before-rule-breach",
         ],
     )
     def test_load_rejects_malformed_plans(self, elisa_doc, change, location):
@@ -1119,6 +1156,42 @@ class TestPlanSerialization:
     def test_load_rejects_non_finite_numbers(self):
         with pytest.raises(ValueError):
             load_plan('{"kind": "merge_plan", "version": 1, "x": NaN}')
+
+
+@lru_cache(maxsize=None)
+def compiled_plan(subgraph: str) -> MergePlan:
+    name = {sg: name for name, sg in DOC_SUBGRAPHS}[subgraph]
+    return compile_seo(parse_seo((FIXTURES / name).read_bytes()), subgraph)
+
+
+def plan_edge_changes():
+    """(subgraph, section, place, change) for ``changed_plan``."""
+    return st.tuples(
+        st.sampled_from(["ELISA", "LCMS_PRM"]),
+        st.sampled_from(["edges", "pending_edges"]),
+        st.integers(0, 999),
+        st.sampled_from(["move", "flip", "property", "none"]),
+    )
+
+
+def changed_plan(subgraph: str, section: str, place: int, change: str) -> MergePlan:
+    """A compiled plan with one edge of ``section`` moved to the other section
+    (at the same place, modulo its length), its ``pending`` flipped, given a
+    property, or left alone."""
+    plan = compiled_plan(subgraph)
+    edges = list(getattr(plan, section))
+    edge = edges[place % len(edges)]
+    if change == "move":
+        other = "pending_edges" if section == "edges" else "edges"
+        moved = list(getattr(plan, other))
+        moved.insert(place % (len(moved) + 1), edge)
+        edges.remove(edge)
+        return plan._replace(**{section: tuple(edges), other: tuple(moved)})
+    if change == "flip":
+        edges[place % len(edges)] = edge._replace(pending=not edge.pending)
+    elif change == "property":
+        edges[place % len(edges)] = edge._replace(properties={"weight": Prop(1, IC)})
+    return plan._replace(**{section: tuple(edges)})
 
 
 class TestApplyAndApprove:
@@ -1205,6 +1278,64 @@ class TestApplyAndApprove:
         with pytest.raises(RegistryMismatch, match=rf"^{re.escape(f'{where}: {message}')}$"):
             apply_plan(graph, plan)
         assert canonical_serialize(graph) == before
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            (
+                "pending-in-statements",
+                "statements[126]: MASKED_BY ELISA -> AUTOMATION is pending in statements",
+            ),
+            (
+                "approved-in-pending",
+                "pending_edges[17]: PRECEDES ELISA -> ELISA is approved in pending_edges",
+            ),
+            (
+                "edge-properties",
+                "statements[52]: CALIBRATED_BY ELISA -> ELISA carries properties, "
+                "which no plan statement holds",
+            ),
+        ],
+        ids=["pending-in-statements", "approved-in-pending", "edge-properties"],
+    )
+    def test_plan_whose_bytes_would_not_load_is_refused(self, elisa_doc, registry, shape, message):
+        # a plan applies only when its bytes load back, so each is refused before it merges
+        plan = compile_seo(elisa_doc, "ELISA")
+        first, *middle, last = plan.edges
+        masked, *rest = plan.pending_edges
+        if shape == "pending-in-statements":
+            plan = plan._replace(edges=(*plan.edges, masked), pending_edges=tuple(rest))
+        elif shape == "approved-in-pending":
+            plan = plan._replace(edges=(first, *middle), pending_edges=(*plan.pending_edges, last))
+        else:
+            weighted = first._replace(properties={"weight": Prop(1, IC)})
+            plan = plan._replace(edges=(weighted, *middle, last))
+        graph = apply_plan(Graph(registry), compile_seo(elisa_doc, "ELISA"))
+        before = canonical_serialize(graph)
+        for refused in (partial(apply_plan, graph), plan_to_bytes, emit_cypher):
+            with pytest.raises(RegistryMismatch, match=rf"^{re.escape(message)}$"):
+                refused(plan)
+        assert canonical_serialize(graph) == before
+
+    @settings(max_examples=60)
+    @given(change=plan_edge_changes())
+    @example(change=("ELISA", "pending_edges", 0, "move"))
+    def test_a_plan_applies_exactly_when_its_bytes_load_back(self, change):
+        plan = changed_plan(*change)
+        outcomes = []
+        for act in (plan_to_bytes, partial(apply_plan, Graph(builtin_registry()))):
+            try:
+                outcomes.append(act(plan))
+            except RegistryMismatch as exc:
+                outcomes.append(f"refused: {exc}")
+        data, applied = outcomes
+        if isinstance(data, str) or isinstance(applied, str):
+            assert data == applied
+            return
+        reloaded = load_plan(data)
+        assert reloaded == plan
+        again = apply_plan(Graph(builtin_registry()), reloaded)
+        assert canonical_serialize(again) == canonical_serialize(applied)
 
     def test_every_apply_order_converges_to_the_pinned_digest(self, all_docs, registry):
         plans = [compile_seo(all_docs[sg], sg) for _, sg in DOC_SUBGRAPHS]

@@ -1346,6 +1346,19 @@ class TestCorruptStore:
         assert captured.out == ""
         assert "not canonical" in captured.err
 
+    @pytest.mark.parametrize("line_no", [1, 2, 122], ids=["header", "node", "edge"])
+    def test_member_its_writer_never_writes_is_refused(
+        self, fixtures_dir, tmp_path, capsys, line_no
+    ):
+        # a load that dropped the member would read the graph as if it were not there
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[line_no - 1] = lines[line_no - 1].replace("{", '{"bogus": 1, ', 1)
+        path.write_text("".join(lines), encoding="utf-8")
+        for command in (["check"], ["query", "ranked", "--subgraph", "ELISA"], ["hash"]):
+            assert main(command + ["--graph", str(path)]) == EXIT_REJECTED
+            assert capsys.readouterr() == ("", f"error: {path}:{line_no}: unknown member 'bogus'\n")
+
     @pytest.mark.parametrize(
         "sidecar", ["", "\n", "not-a-digest\n", "\xff\n", pytest.param(None, id="missing")]
     )
