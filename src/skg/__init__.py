@@ -31,7 +31,6 @@ _EXPORTS = {
         "DanglingEdge",
         "InvariantError",
         "MalformedKey",
-        "NoHedgeDetected",
         "RangeError",
         "RegistryMismatch",
         "Rejected",
@@ -91,7 +90,6 @@ _EXPORTS = {
         "SessionMode",
         "json_schema",
         "parse_seo",
-        "score_linguistic",
         "serialize_seo",
         "validate_seo",
     ),

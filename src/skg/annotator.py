@@ -334,6 +334,8 @@ def _plan_edge_line(edge: Edge) -> str:
 
 
 _PLAN_EDGE_MEMBERS = frozenset({"dst", "edge_type", "kind", "src"})
+_PLAN_MEMBERS = frozenset({"kind", "pending_edges", "provenance", "statements", "version"})
+_PROVENANCE_MEMBERS = frozenset(PlanProvenance._fields)
 
 
 def _edge_from_record(record: dict, where: str, known: dict[tuple, NodeKey]) -> Edge:
@@ -410,8 +412,8 @@ def load_plan(data: bytes | str) -> MergePlan:
     Raises:
         ValueError: not a merge plan of this version, or an unknown
             statement kind.
-        RegistryMismatch: the provenance, a statement array or a
-            statement in it is malformed or holds a member that
+        RegistryMismatch: the plan, its provenance, a statement array
+            or a statement in it is malformed or holds a member that
             ``plan_to_bytes`` never writes, a node statement follows an
             edge statement, or, once all is read, an edge breaks the plan
             rule (``_check_plan``); the message starts with its location,
@@ -457,6 +459,8 @@ def plan_from_json(raw: object) -> MergePlan:
         if record.get("kind") not in ("edge", "pending_edge"):
             raise RegistryMismatch(f"{where}: kind {record.get('kind')!r}, not an edge")
         pending.append(_edge_from_record(record, where, known))
+    check_members(prov, _PROVENANCE_MEMBERS, "provenance")
+    check_members(raw, _PLAN_MEMBERS, "plan")
     plan = MergePlan(
         provenance=PlanProvenance._make(prov[name] for name in names),
         nodes=tuple(nodes),

@@ -13,7 +13,10 @@ built once and reused for every such record, which gives the same bytes.
 Store lines and plan bytes are assembled from their records' fields in
 sorted member order, with ``render_text`` for strings and
 ``render_record`` for property maps; documents are rendered whole by
-``render_record``. Numbers are made plain wherever they can be.
+``render_record``. Numbers are made plain wherever they can be. Query
+rows never reach the C encoder: ``queries.rows_to_json`` assembles each
+from its cells, with ``render_text``, ``plain_number`` and
+``render_number``, in the bytes ``render_value`` gives.
 
 Reading goes the other way through ``strict_loads``: one call of one
 json module decoder, built once, decodes a store line, plan or

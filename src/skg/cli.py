@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .canonical import render_number, render_record, render_value, strict_loads
 from .errors import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE
-from .errors import Rejected, SkgError, SubgraphMismatch
+from .errors import InvariantError, Rejected, SkgError, SubgraphMismatch
 from .graph_core import (
     Graph,
     file_digest,
@@ -262,15 +262,12 @@ def cmd_hash(args) -> int:
         # the loader reads any spacing and member order within a line,
         # so a store that loads can still differ from its canonical bytes
         if actual != digest:
-            print(
-                f"store is not canonical: file sha256 {actual}, canonical {digest}",
-                file=sys.stderr,
+            raise InvariantError(
+                f"store is not canonical: file sha256 {actual}, canonical {digest}"
             )
-            return EXIT_INVARIANT
         if not recorded or recorded[0] != digest:
             shown = recorded[0] if recorded else ("is missing" if recorded is None else "is empty")
-            print(f"digest mismatch: sidecar {shown}, computed {digest}", file=sys.stderr)
-            return EXIT_INVARIANT
+            raise InvariantError(f"digest mismatch: sidecar {shown}, computed {digest}")
     print(digest)
     return EXIT_OK
 

@@ -80,10 +80,6 @@ class ValueKindMismatch(SeoParseError):
         self.got = got
 
 
-class NoHedgeDetected(SkgError):
-    """No lexicon entry matched the source phrase."""
-
-
 class SubgraphMismatch(SkgError):
     """Compile target subgraph disagrees with the document's protocol layer."""
 

@@ -32,13 +32,15 @@ built to itself, so the parts of a key find it; plans share that shape.
 
 Each ``Graph`` is its own lazy read index, so no reader scans the whole
 graph per call. A snapshot pays one O(E) pass grouping its edges by type
-on the first typed read, then one sort and adjacency build per edge type
-on the first request for that type, and one pass over its nodes in key
+on the first typed read, then, on the first request for an edge type,
+one sort and one adjacency dict per direction (``out`` and ``in``,
+keyed by the near node's key), and one pass over its nodes in key
 order on the first filtered node read, which fills every label and
 subgraph bucket already sorted. After that each ``neighbors`` hop costs
-O(degree), ``has_subgraph`` O(1), and ``nodes(label, subgraph)`` and
-``edges(edge_type)`` a copy of a kept list. ``merge`` returns a snapshot
-with nothing indexed yet, so a kept part can never go stale.
+three dict lookups and a copy of its O(degree) list, ``has_subgraph``
+O(1), and ``nodes(label, subgraph)`` and ``edges(edge_type)`` a copy of
+a kept list. ``merge`` returns a snapshot with nothing indexed yet, so a
+kept part can never go stale.
 
 A traversal crosses approved edges only: a pending edge is not knowledge
 yet, so ``neighbors`` never returns the node at its far end. Listings
@@ -261,9 +263,9 @@ class Graph:
 
     * ``_by_type``: edges grouped by type, in one pass over all edges;
     * ``_typed``: per edge type, on the first request for it, the group
-      sorted by ``Edge.key`` and adjacency lists keyed by ``(near key,
-      direction)``, holding the far ``Node`` of each approved edge in
-      that order;
+      sorted by ``Edge.key`` and one adjacency dict per direction,
+      ``out`` and ``in``, each keyed by the near ``NodeKey`` and holding
+      the far ``Node`` of each approved edge in that order;
     * ``_buckets``: nodes per ``(label, subgraph)``, ``(label, None)``
       and ``(None, subgraph)``, filled in one pass over the nodes in key
       order, so each bucket comes out sorted.
@@ -279,11 +281,11 @@ class Graph:
         self._nodes: dict[NodeKey, Node] = {}
         self._edges: dict[tuple, Edge] = {}
         self._by_type: dict[str, list[Edge]] | None = None
-        self._typed: dict[str, tuple[list[Edge], dict]] = {}
+        self._typed: dict[str, tuple[list[Edge], dict, dict]] = {}
         self._buckets: dict[tuple, list[Node]] | None = None
 
-    def _typed_edges(self, edge_type: str) -> tuple[list[Edge], dict]:
-        """Edges of one type sorted by key, and their adjacency lists."""
+    def _typed_edges(self, edge_type: str) -> tuple[list[Edge], dict, dict]:
+        """Edges of one type sorted by key, and their ``out`` and ``in`` adjacency dicts."""
         entry = self._typed.get(edge_type)
         if entry is not None:
             return entry
@@ -293,13 +295,14 @@ class Graph:
                 self._by_type.setdefault(edge.edge_type, []).append(edge)
         group = sorted(self._by_type.get(edge_type, ()))
         nodes = self._nodes
-        adjacency: dict[tuple[NodeKey, str], list[Node]] = {}
+        out: dict[NodeKey, list[Node]] = {}
+        in_: dict[NodeKey, list[Node]] = {}
         for edge in group:  # in key order, so every list comes out sorted
             if not edge.pending:
                 src, dst = edge.src, edge.dst
-                adjacency.setdefault((src, "out"), []).append(nodes[dst])
-                adjacency.setdefault((dst, "in"), []).append(nodes[src])
-        entry = self._typed[edge_type] = (group, adjacency)
+                out.setdefault(src, []).append(nodes[dst])
+                in_.setdefault(dst, []).append(nodes[src])
+        entry = self._typed[edge_type] = (group, out, in_)
         return entry
 
     def _node_buckets(self) -> dict[tuple, list[Node]]:
@@ -475,11 +478,16 @@ def neighbors(graph: Graph, key: NodeKey, edge_type: str, direction: str = "out"
         KeyError: ``key`` is not in the graph.
         ValueError: ``direction`` is not ``out`` or ``in``.
     """
-    if not graph.has_node(key):
+    if key not in graph._nodes:
         raise KeyError(key.to_text())
-    if direction not in ("out", "in"):
+    if direction == "out":
+        side = 1
+    elif direction == "in":
+        side = 2
+    else:
         raise ValueError(f"direction must be out|in, not {direction!r}")
-    return list(graph._typed_edges(edge_type)[1].get((key, direction), ()))
+    entry = graph._typed.get(edge_type) or graph._typed_edges(edge_type)
+    return list(entry[side].get(key, ()))
 
 
 # -- canonical serialization ------------------------------------------
@@ -582,6 +590,7 @@ def check_members(record: dict, members: frozenset[str], where: str) -> None:
 _HEADER_MEMBERS = frozenset({"format", "kind", "registry_version", "version"})
 _NODE_MEMBERS = frozenset({"id", "kind", "label", "properties", "subgraph"})
 _EDGE_MEMBERS = frozenset({"dst", "edge_type", "kind", "properties", "src"})
+_KEY_MEMBERS = frozenset({"id", "label", "subgraph"})  # an edge line's src and dst
 
 
 def node_line(node: Node) -> str:
@@ -792,7 +801,8 @@ def _store_records(
 
     Raises:
         RegistryMismatch: a line is not valid UTF-8 or not a well-formed
-            record, holds a member that ``save_store`` never writes, or
+            record, holds a member that ``save_store`` never writes (in
+            the record, or in an edge's ``src`` or ``dst`` object), or
             does not sort strictly after the record before it.
     """
     known: dict[tuple, NodeKey] = {}
@@ -813,10 +823,13 @@ def _store_records(
             if not isinstance(edge_type, str):
                 raise RegistryMismatch(f"{where}: malformed edge_type")
             edge_type = intern(edge_type)
-            src = key_from_record(record.get("src"), f"{where}: src", known)
-            dst = key_from_record(record.get("dst"), f"{where}: dst", known)
+            at_src, at_dst = f"{where}: src", f"{where}: dst"
+            src = key_from_record(record.get("src"), at_src, known)
+            dst = key_from_record(record.get("dst"), at_dst, known)
             props = props_from_record(record.get("properties"), where)
             check_members(record, _EDGE_MEMBERS, where)
+            check_members(record["src"], _KEY_MEMBERS, at_src)
+            check_members(record["dst"], _KEY_MEMBERS, at_dst)
             pending = kind == "pending_edge"
             built = _new_tuple(Edge, (edge_type, src, dst, props, pending))
             place = (2 if pending else 1, (edge_type, src, dst))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .canonical import plain_number, render_number, render_record, render_value
+from .canonical import plain_number, render_number, render_text
 from .errors import RangeError
 from .graph_core import Graph, Node, NodeKey, neighbors
 from .ontology import CONFIDENCE_CEILING, CONFIDENCE_FLOOR
@@ -482,23 +482,44 @@ def rows_to_tsv(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_cell(value: object) -> str:
+    """The JSON twin of ``_cell``: ``render_value``'s bytes for every class a row holds."""
+    cls = value.__class__
+    if cls is str:
+        return render_text(value)
+    if cls is float:
+        number = plain_number(value)
+        return render_number(value) if number is None else repr(number)
+    if cls is bool:
+        return "true" if value else "false"
+    if cls is int:  # a count
+        return repr(value)
+    if value is None:
+        return "null"
+    return "[" + ", ".join(map(render_text, value)) + "]"  # a tuple of texts
+
+
+# row class -> (its object with a %s per field, members in sorted order;
+# the indices of its fields in that order), built on the first row of the class
+_JSON_LAYOUTS: dict[type, tuple[str, list[int]]] = {}
+
+
+def _json_layout(cls: type) -> tuple[str, list[int]]:
+    names = sorted(cls._fields)
+    template = "{" + ", ".join(f"{render_text(name)}: %s" for name in names) + "}"
+    layout = _JSON_LAYOUTS[cls] = (template, [cls._fields.index(name) for name in names])
+    return layout
+
+
 def rows_to_json(rows: list) -> str:
     """Canonical JSON array of row objects, one line.
 
-    Every float goes through ``plain_number``, so that the rows render
-    through ``canonical.render_record``'s C encoder; when a float has no
-    plain form (such as ``5e-05``), the rows render through
-    ``render_value`` instead, which gives the same bytes. A row's ints
-    are counts, which both render alike.
+    Each row renders from its class's layout, built once: members in
+    sorted order, each cell through ``_json_cell``, which gives the
+    bytes ``canonical.render_value`` gives for the row's ``_asdict()``.
     """
     rendered = []
     for row in rows:
-        record = row._asdict()
-        for name, value in record.items():
-            if value.__class__ is float:
-                number = plain_number(value)
-                if number is None:
-                    return render_value([row._asdict() for row in rows]) + "\n"
-                record[name] = number
-        rendered.append(render_record(record, plain=True))
+        template, order = _JSON_LAYOUTS.get(row.__class__) or _json_layout(row.__class__)
+        rendered.append(template % tuple([_json_cell(row[i]) for i in order]))
     return "[" + ", ".join(rendered) + "]\n"

@@ -48,13 +48,7 @@ import datetime
 import re
 
 from .canonical import normalize_number, plain_number, render_record, strict_loads
-from .errors import (
-    NoHedgeDetected,
-    RangeError,
-    SeoParseError,
-    UnknownField,
-    ValueKindMismatch,
-)
+from .errors import RangeError, SeoParseError, UnknownField, ValueKindMismatch
 from .graph_core import KEY_PART_RE
 from .metrics import default_aliases, label_slug, normalize_label
 from .ontology import (
@@ -815,15 +809,3 @@ def match_hedge(phrase: str) -> HedgeBand | None:
         if term in haystack and re.search(pattern, haystack):
             return band
     return None
-
-
-def score_linguistic(phrase: str) -> tuple[float, str]:
-    """Map a source phrase to (confidence, band name) by ``match_hedge``.
-
-    Raises:
-        NoHedgeDetected: nothing in the lexicon matched.
-    """
-    band = match_hedge(phrase)
-    if band is None:
-        raise NoHedgeDetected(f"no hedge term found in {phrase!r}")
-    return (band.score, band.name)

@@ -1100,6 +1100,11 @@ class TestPlanSerialization:
                 lambda raw: raw["statements"][0].update(bogus=1),
                 r"statements\[0\]: unknown member 'bogus'$",
             ),
+            (lambda raw: raw.update(extra=1), r"plan: unknown member 'extra'$"),
+            (
+                lambda raw: raw["provenance"].update(bogus="x"),
+                r"provenance: unknown member 'bogus'$",
+            ),
             (
                 lambda raw: raw["statements"].append(raw["pending_edges"].pop(0)),
                 r"statements\[126\]: MASKED_BY ELISA -> AUTOMATION is pending in statements$",
@@ -1141,6 +1146,8 @@ class TestPlanSerialization:
             "edge-properties-member",
             "pending-edge-unknown-member",
             "node-unknown-member",
+            "plan-unknown-member",
+            "provenance-unknown-member",
             "pending-edge-in-statements",
             "edge-in-pending-edges",
             "malformed-edge-before-rule-breach",

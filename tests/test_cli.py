@@ -1344,7 +1344,7 @@ class TestCorruptStore:
         assert main(["hash", "--graph", str(path), "--verify"]) == EXIT_INVARIANT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "not canonical" in captured.err
+        assert captured.err.startswith("error: store is not canonical: file sha256 ")
 
     @pytest.mark.parametrize("line_no", [1, 2, 122], ids=["header", "node", "edge"])
     def test_member_its_writer_never_writes_is_refused(
@@ -1358,6 +1358,20 @@ class TestCorruptStore:
         for command in (["check"], ["query", "ranked", "--subgraph", "ELISA"], ["hash"]):
             assert main(command + ["--graph", str(path)]) == EXIT_REJECTED
             assert capsys.readouterr() == ("", f"error: {path}:{line_no}: unknown member 'bogus'\n")
+
+    @pytest.mark.parametrize("endpoint", ["src", "dst"])
+    def test_endpoint_member_its_writer_never_writes_is_refused(
+        self, fixtures_dir, tmp_path, capsys, endpoint
+    ):
+        # key_from_record reads only an endpoint's id, label and subgraph
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[121] = lines[121].replace(f'"{endpoint}": {{', f'"{endpoint}": {{"bogus": 1, ', 1)
+        path.write_text("".join(lines), encoding="utf-8")
+        shown = f"error: {path}:122: {endpoint}: unknown member 'bogus'\n"
+        for command in (["check"], ["query", "ranked", "--subgraph", "ELISA"], ["hash"]):
+            assert main(command + ["--graph", str(path)]) == EXIT_REJECTED
+            assert capsys.readouterr() == ("", shown)
 
     @pytest.mark.parametrize(
         "sidecar", ["", "\n", "not-a-digest\n", "\xff\n", pytest.param(None, id="missing")]
@@ -1375,9 +1389,11 @@ class TestCorruptStore:
         assert main(["hash", "--graph", str(path), "--verify"]) == EXIT_INVARIANT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("digest mismatch: sidecar ")
+        assert captured.err.startswith("error: digest mismatch: sidecar ")
         if sidecar is None:
-            assert captured.err == f"digest mismatch: sidecar is missing, computed {FEDERATED_DIGEST}\n"
+            assert captured.err == (
+                f"error: digest mismatch: sidecar is missing, computed {FEDERATED_DIGEST}\n"
+            )
 
     def test_verify_of_a_missing_store_is_an_io_error(self, tmp_path, capsys):
         path = tmp_path / "absent.skg.jsonl"
@@ -1645,7 +1661,6 @@ EXIT_CLASSES = {
     "SeoParseError": EXIT_REJECTED,
     "UnknownField": EXIT_REJECTED,
     "ValueKindMismatch": EXIT_REJECTED,
-    "NoHedgeDetected": EXIT_REJECTED,
     "SubgraphMismatch": EXIT_REJECTED,
     "Rejected": EXIT_REJECTED,
 }

@@ -4,8 +4,11 @@ import dataclasses
 import gc
 import json
 import pickle
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skg import (
     Edge,
@@ -555,7 +558,7 @@ class TestRendering:
         assert json.loads(rows_to_json([])) == []
 
     def test_json_and_tsv_of_every_query_match_the_general_renderer(self, federated):
-        # rows_to_json renders plain rows through the C encoder; render_value is the reference
+        # render_value is the reference for rows_to_json
         sweeps = [automation_reuse(federated)]
         for sg in ("ELISA", "LCMS_PRM"):
             sweeps += [
@@ -581,6 +584,53 @@ class TestRendering:
         assert text == render_value([r._asdict() for r in rows]) + "\n"
         assert '"threshold_value": 0.00005' in text
         assert "e-05" not in text
+
+
+# every row class the queries return
+ROW_CLASSES = [
+    cls
+    for name, cls in vars(queries).items()
+    if name.endswith("Row") and isinstance(cls, type) and issubclass(cls, tuple)
+]
+# text a JSON string must escape, or must pass through, beside any other character
+ROW_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\xe9\u2713/'), st.characters()),
+    max_size=8,
+)
+ROW_FLOATS = st.one_of(
+    # 5e-05 has no plain form; 1e16 and 3.0 are integral; -0.0 renders as 0
+    st.sampled_from([5e-05, 1e-07, 1e16, 3.0, -0.0, 0.125, 0.1234567]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+ROW_TEXTS = st.lists(ROW_TEXT, max_size=3).map(tuple)
+# a row's ints are counts; beyond 2**53, render_value's fixed-point format rounds them
+ROW_INTS = st.integers(-(2**53), 2**53)
+ROW_CELLS = {str: ROW_TEXT, float: ROW_FLOATS, bool: st.booleans(), int: ROW_INTS}
+ROW_CELLS[tuple[str, ...]] = ROW_TEXTS
+# an optional field holds a node's property, which may be of any property kind
+ROW_CELLS[bool | None] = st.one_of(st.none(), st.booleans(), ROW_FLOATS, ROW_TEXT, ROW_TEXTS)
+
+
+def row_lists():
+    def rows_of(cls):
+        hints = typing.get_type_hints(cls)
+        row = st.builds(cls, *(ROW_CELLS[hints[name]] for name in cls._fields))
+        return st.lists(row, max_size=4)
+
+    return st.sampled_from(ROW_CLASSES).flatmap(rows_of)
+
+
+class TestJsonRows:
+    def test_every_row_class_is_generated(self):
+        assert len(ROW_CLASSES) == 6
+        for cls in ROW_CLASSES:
+            hints = typing.get_type_hints(cls)
+            assert all(hints[name] in ROW_CELLS for name in cls._fields), cls
+
+    @settings(max_examples=100)
+    @given(row_lists())
+    def test_rows_render_as_the_general_renderer_renders_them(self, rows):
+        assert rows_to_json(rows) == render_value([row._asdict() for row in rows]) + "\n"
 
 
 def reference_cell(value: object) -> str:

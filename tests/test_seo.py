@@ -6,14 +6,12 @@ import jsonschema
 import pytest
 
 from skg import (
-    NoHedgeDetected,
     RangeError,
     SeoParseError,
     SessionMode,
     UnknownField,
     ValueKindMismatch,
     parse_seo,
-    score_linguistic,
     serialize_seo,
     validate_seo,
 )
@@ -37,6 +35,7 @@ from skg.seo import (
     default_lexicon,
     json_schema,
     load_lexicon,
+    match_hedge,
     to_jsonable,
 )
 
@@ -1171,7 +1170,7 @@ class TestHedgeBand:
         assert not report.has("ConfidenceOutsideHedgeBand")
 
 
-class TestScoreLinguistic:
+class TestMatchHedge:
     @pytest.mark.parametrize(
         ("phrase", "score", "band"),
         [
@@ -1183,39 +1182,38 @@ class TestScoreLinguistic:
         ],
     )
     def test_band_midpoints(self, phrase, score, band):
-        assert score_linguistic(phrase) == (score, band)
+        matched = match_hedge(phrase)
+        assert (matched.score, matched.name) == (score, band)
 
     def test_case_insensitive(self):
-        assert score_linguistic("ALWAYS happens")[1] == "DECLARATIVE"
+        assert match_hedge("ALWAYS happens").name == "DECLARATIVE"
 
     def test_longest_match_wins(self):
         # "i think" (7 chars) must beat "always" (6 chars)
-        assert score_linguistic("i think it always happens")[1] == "HEDGED"
+        assert match_hedge("i think it always happens").name == "HEDGED"
 
     def test_length_ties_break_by_band_order(self):
         # "usually" and "i think" are both 7 chars; TYPICAL is listed first
-        assert score_linguistic("usually i think so")[1] == "TYPICAL"
+        assert match_hedge("usually i think so").name == "TYPICAL"
 
     def test_word_boundaries(self):
-        with pytest.raises(NoHedgeDetected):
-            score_linguistic("mights and smight are not hedges")
+        assert match_hedge("mights and smight are not hedges") is None
 
     def test_punctuation_counts_as_a_boundary(self):
-        assert score_linguistic("might-clog the line")[1] == "SPECULATIVE"
+        assert match_hedge("might-clog the line").name == "SPECULATIVE"
 
     def test_no_hedge(self):
-        with pytest.raises(NoHedgeDetected):
-            score_linguistic("the supernatant is discarded")
+        assert match_hedge("the supernatant is discarded") is None
 
     def test_empty_phrase(self):
-        with pytest.raises(NoHedgeDetected):
-            score_linguistic("")
+        assert match_hedge("") is None
 
     def test_every_lexicon_term_scores_its_own_band(self):
         lexicon = default_lexicon()
         for band in lexicon:
             for term in band.terms:
-                score, name = score_linguistic(f"zzz {term} qqq")
+                matched = match_hedge(f"zzz {term} qqq")
+                score, name = matched.score, matched.name
                 assert score == band.score
                 assert round((band.low + band.high) / 2, 3) == score
                 if name != band.name:
