@@ -42,7 +42,6 @@ from typing import Mapping, NamedTuple
 from .canonical import render_record, render_text, render_value, strict_loads
 from .errors import (
     InvariantError,
-    MalformedKey,
     RegistryMismatch,
     Rejected,
     SelectorRefused,
@@ -56,11 +55,11 @@ from .graph_core import (
     NodeKey,
     Prop,
     Provenance,
+    _new_key,
     check_members,
     merge,
     node_from_record,
     node_line,
-    parse_node_key,
 )
 from .metrics import default_aliases, normalize_label
 from .ontology import CONFIDENCE_FLOOR, REGISTRY_VERSION, builtin_registry, record_issues
@@ -314,14 +313,13 @@ def _key_from_text(value: object, where: str, known: dict[tuple, NodeKey]) -> No
     """
     if not isinstance(value, str):
         raise RegistryMismatch(f"{where}: malformed node key")
-    key = known.get(tuple(value.split(":")))
-    if key is None:
-        try:
-            key = parse_node_key(value)
-        except MalformedKey as exc:
-            raise RegistryMismatch(f"{where}: {exc}") from None
-        known[key] = key
-    return key
+    parts = tuple(value.split(":"))
+    key = known.get(parts)
+    if key is not None:
+        return key
+    if len(parts) != 3:
+        raise RegistryMismatch(f"{where}: expected subgraph:Label:id, got {value!r}")
+    return _new_key(*parts, where, known)
 
 
 def _plan_edge_line(edge: Edge) -> str:

@@ -14,9 +14,9 @@ Store lines and plan bytes are assembled from their records' fields in
 sorted member order, with ``render_text`` for strings and
 ``render_record`` for property maps; documents are rendered whole by
 ``render_record``. Numbers are made plain wherever they can be. Query
-rows never reach the C encoder: ``queries.rows_to_json`` assembles each
-from its cells, with ``render_text``, ``plain_number`` and
-``render_number``, in the bytes ``render_value`` gives.
+rows never reach the C encoder: ``queries.rows_to_json`` renders each
+cell through ``render_value``, as ``skg stats`` and ``skg query
+cascades --format json`` render their whole results.
 
 Reading goes the other way through ``strict_loads``: one call of one
 json module decoder, built once, decodes a store line, plan or
@@ -146,14 +146,14 @@ else:
 
 
 def render_value(value: Any) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
+    if isinstance(value, str):  # the most common value, so tested first
+        return render_text(value)
+    if isinstance(value, bool):  # before numbers: bool is an int subclass
         return "true" if value else "false"
     if isinstance(value, (int, float)):
         return render_number(value)
-    if isinstance(value, str):
-        return render_text(value)
+    if value is None:
+        return "null"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(render_value(v) for v in value) + "]"
     if isinstance(value, dict):

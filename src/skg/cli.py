@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .canonical import render_number, render_record, render_value, strict_loads
+from .canonical import render_number, render_value, strict_loads
 from .errors import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE
 from .errors import InvariantError, Rejected, SkgError, SubgraphMismatch
 from .graph_core import (
@@ -209,8 +209,11 @@ def cmd_query(args) -> int:
 def cmd_stats(args) -> int:
     from . import queries
 
+    if not args.subgraph:  # argparse's required flag still takes ""
+        print("error: stats needs --subgraph", file=sys.stderr)
+        return EXIT_USAGE
     stats = queries.subgraph_stats_record(_load(args.graph, args.subgraph), args.subgraph)
-    sys.stdout.write(render_record(stats) + "\n")
+    sys.stdout.write(render_value(stats) + "\n")
     return EXIT_OK
 
 
@@ -237,7 +240,7 @@ def cmd_consistency(args) -> int:
     runs = [_read_doc(path) for path in args.runs]
     reference = _read_doc(args.reference) if args.reference else None
     report = compare_extractions(runs, reference=reference, aliases=_aliases())
-    sys.stdout.write(render_record(report.to_jsonable()) + "\n")
+    sys.stdout.write(render_value(report.to_jsonable()) + "\n")
     return EXIT_OK
 
 

@@ -77,9 +77,9 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Protocol
 from .canonical import (
     normalize_number,
     plain_number,
-    render_number,
     render_record,
     render_text,
+    render_value,
     strict_loads,
 )
 from .errors import (
@@ -134,13 +134,15 @@ def value_kind(value: object) -> str:
 
 
 # Graph records are immutable tuples. A ``NamedTuple`` base names the
-# fields and a subclass with empty ``__slots__`` checks and normalizes
-# them in ``__new__``, so keys hash, compare and sort in C, and a record
-# equals the plain tuple of its fields. A node's or an edge's key leads
-# its tuple and a snapshot holds each key once, so sorting records never
-# compares past their keys. ``copy`` and ``pickle`` (protocol 2 and up)
-# construct through ``__new__``; ``_replace`` and ``_make`` skip it, so
-# nothing may call them.
+# fields and a subclass with empty ``__slots__`` builds them in
+# ``__new__``: ``NodeKey`` checks its parts, ``Prop`` normalizes its
+# value and provenance, and ``Node`` and ``Edge`` only copy their property
+# map. Keys hash, compare and sort in C, and a record equals the plain
+# tuple of its fields. A node's or an edge's key leads its tuple and a
+# snapshot holds each key once, so sorting records never compares past
+# their keys. ``copy`` and ``pickle`` (protocol 2 and up) construct
+# through ``__new__``; ``_replace`` and ``_make`` skip it, so nothing may
+# call them on a ``NodeKey`` or a ``Prop``.
 
 _NO_PROPERTIES: Mapping[str, Prop] = MappingProxyType({})
 # builds a record from fields that are already checked, skipping its __new__;
@@ -406,13 +408,12 @@ def _merge_properties(
 
 
 def _render_simple(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return render_number(value)
+    """A property value in a conflict-log entry: text bare, a text list as ``[a, b]``."""
+    if isinstance(value, str):
+        return str(value)
     if isinstance(value, tuple):
         return "[" + ", ".join(value) + "]"
-    return str(value)
+    return render_value(value)  # a number or a boolean
 
 
 def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
@@ -509,14 +510,24 @@ def key_from_record(record: object, where: str, known: dict[tuple, NodeKey]) -> 
         subgraph, label, id_ = record.get("subgraph"), record.get("label"), record.get("id")
         if isinstance(subgraph, str) and isinstance(label, str) and isinstance(id_, str):
             key = known.get((subgraph, label, id_))
-            if key is None:
-                try:
-                    key = NodeKey(intern(subgraph), intern(label), id_)
-                except MalformedKey as exc:
-                    raise RegistryMismatch(f"{where}: {exc}") from None
-                known[key] = key  # not the parts: the decoded texts are freed
-            return key
+            return _new_key(subgraph, label, id_, where, known) if key is None else key
     raise RegistryMismatch(f"{where}: malformed node key")
+
+
+def _new_key(
+    subgraph: str, label: str, id_: str, where: str, known: dict[tuple, NodeKey]
+) -> NodeKey:
+    """The key of parts that ``known`` lacks, built, checked and added to ``known``.
+
+    Raises:
+        RegistryMismatch: a part that ``NodeKey`` refuses, located at ``where``.
+    """
+    try:
+        key = NodeKey(intern(subgraph), intern(label), id_)
+    except MalformedKey as exc:
+        raise RegistryMismatch(f"{where}: {exc}") from None
+    known[key] = key  # not the parts: the decoded texts are freed
+    return key
 
 
 def props_record(properties: Mapping[str, Prop]) -> tuple[dict, bool]:
@@ -682,7 +693,9 @@ def sha256_hex(chunks: Iterable[bytes]) -> str:
     written, for ``save_store``, a store file's blocks for
     ``file_digest``, and its lines for a scoped ``load_store``.
     """
-    import hashlib  # here, not at the top: most reads of a store never hash
+    # here, not at the top: a whole load, as for `skg query reuse` and `skg check`,
+    # never hashes; every scoped read hashes its store to check trust
+    import hashlib
 
     digest = hashlib.sha256()
     for chunk in chunks:

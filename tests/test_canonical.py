@@ -131,6 +131,25 @@ class TestRenderValue:
         rendered = render_value(value)
         assert json.loads(rendered) == value
 
+    @pytest.mark.parametrize(
+        "value, rendered",
+        [
+            (True, "true"),  # a json.loads round trip cannot tell true from 1
+            (False, "false"),
+            (None, "null"),
+            (-0.0, "0"),
+            (3.0, "3"),
+            (5e-05, "0.00005"),
+            (1e16, "10000000000000000"),
+            (Provenance.SCHEMA_DEFAULT, '"SCHEMA_DEFAULT"'),  # a text subclass
+            (("a|b", "c"), '["a|b", "c"]'),
+            (["x"], '["x"]'),
+            ({"b": 1, "a": [True, None]}, '{"a": [true, null], "b": 1}'),
+        ],
+    )
+    def test_literal_bytes(self, value, rendered):
+        assert render_value(value) == rendered
+
     def test_keys_sorted(self):
         assert render_record({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
 

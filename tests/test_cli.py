@@ -739,6 +739,10 @@ class TestQuery:
         assert main(["query", name, "--graph", str(store), *given]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {name} needs --{option}\n")
 
+    def test_stats_with_an_empty_subgraph_is_a_usage_error(self, store, capsys):
+        assert main(["stats", "--graph", str(store), "--subgraph", ""]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: stats needs --subgraph\n")
+
     def test_depth_zero_runs(self, store, capsys):
         argv = ["query", "cascades", "--graph", str(store), "--subgraph", "ELISA"]
         assert main([*argv, "--root", "FM-ELISA-002", "--depth", "0"]) == EXIT_OK
