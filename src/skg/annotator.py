@@ -24,12 +24,12 @@ knowledge. A plan and its provenance are ``NamedTuple`` records.
 Cross-subgraph edges always enter the plan pending; they stay
 quarantined until an operator approves the convergence. One check holds
 every plan, read, written, exported or applied, to that (``_check_plan``):
-an edge carries no properties, is pending exactly when it spans
-subgraphs, and sits in ``pending_edges`` exactly when it is pending, so a
-plan applies exactly when its bytes load back. Applying a plan holds
-each record it touches, once merged, to ``ontology.record_issues``, the
-rules ``validate_graph`` applies to a whole store, so two documents that
-each validate cannot merge into a node that breaks them, and no
+an edge is pending exactly when it spans subgraphs, and sits in
+``pending_edges`` exactly when it is pending, so a plan applies exactly
+when its bytes load back; an edge holds no properties. Applying a plan
+holds each record it touches, once merged, to ``ontology.record_issues``,
+the rules ``validate_graph`` applies to a whole store, so two documents
+that each validate cannot merge into a node that breaks them, and no
 hand-edited plan writes a store that ``skg check`` rejects.
 """
 
@@ -355,16 +355,14 @@ def _edge_from_record(record: dict, where: str, known: dict[tuple, NodeKey]) -> 
 
 
 def _check_plan(plan: MergePlan) -> None:
-    """The plan rule: each edge carries no properties, is pending exactly when it spans
-    subgraphs, and sits in ``pending_edges`` exactly when it is pending. A breach raises
-    ``RegistryMismatch``, located where ``plan_to_bytes`` writes the edge."""
+    """The plan rule: each edge is pending exactly when it spans subgraphs, and sits in
+    ``pending_edges`` exactly when it is pending. A breach raises ``RegistryMismatch``,
+    located where ``plan_to_bytes`` writes the edge."""
     sections = ("statements", len(plan.nodes), plan.edges), ("pending_edges", 0, plan.pending_edges)
     for pending, (name, first, edges) in zip((False, True), sections):
         for i, edge in enumerate(edges, first):
             src, dst = edge.src.subgraph, edge.dst.subgraph
-            if edge.properties:  # an edge statement has no member for them
-                breach = "carries properties, which no plan statement holds"
-            elif edge.pending != (src != dst):
+            if edge.pending != (src != dst):
                 breach = "must not be pending" if edge.pending else "must be pending"
             elif edge.pending != pending:
                 breach = f"is {'pending' if edge.pending else 'approved'} in {name}"

@@ -167,6 +167,7 @@ def cmd_converge(args) -> int:
             for edge_type, src, dst in args.edge
         ]
     store = Path(args.graph)
+    store.stat()  # converge never creates a store, so a missing one leaves no lock file
     with _store_lock(store, exclusive=True):
         graph = load_store(store, builtin_registry())
         graph, approved = approve_pending(graph, selectors)

@@ -47,7 +47,8 @@ yet, so ``neighbors`` never returns the node at its far end. Listings
 show every edge; ``edges`` includes pending ones and ``pending_edges``
 is the review queue.
 
-Provenance-aware merge policy, applied per property on re-upsert:
+Provenance-aware merge policy, applied per node property on re-upsert
+(edges carry no properties):
 
 * an INTERVIEW_CONFIRMED value always overwrites;
 * a SCHEMA_DEFAULT value applies only if the property is absent or
@@ -133,16 +134,17 @@ def value_kind(value: object) -> str:
     raise TypeError(f"unsupported property value: {type(value).__name__}")
 
 
-# Graph records are immutable tuples. A ``NamedTuple`` base names the
-# fields and a subclass with empty ``__slots__`` builds them in
-# ``__new__``: ``NodeKey`` checks its parts, ``Prop`` normalizes its
-# value and provenance, and ``Node`` and ``Edge`` only copy their property
-# map. Keys hash, compare and sort in C, and a record equals the plain
-# tuple of its fields. A node's or an edge's key leads its tuple and a
-# snapshot holds each key once, so sorting records never compares past
-# their keys. ``copy`` and ``pickle`` (protocol 2 and up) construct
-# through ``__new__``; ``_replace`` and ``_make`` skip it, so nothing may
-# call them on a ``NodeKey`` or a ``Prop``.
+# Graph records are immutable tuples. For ``NodeKey``, ``Prop`` and
+# ``Node`` a ``NamedTuple`` base names the fields and a subclass with
+# empty ``__slots__`` builds them in ``__new__``: ``NodeKey`` checks its
+# parts, ``Prop`` normalizes its value and provenance, and ``Node`` only
+# copies its property map. ``Edge`` is a plain ``NamedTuple`` and holds
+# no properties. Keys hash, compare and sort in C, and a record equals
+# the plain tuple of its fields. A node's or an edge's key leads its
+# tuple and a snapshot holds each key once, so sorting records never
+# compares past their keys. ``copy`` and ``pickle`` (protocol 2 and up)
+# construct through ``__new__``; ``_replace`` and ``_make`` skip it, so
+# nothing may call them on a ``NodeKey`` or a ``Prop``.
 
 _NO_PROPERTIES: Mapping[str, Prop] = MappingProxyType({})
 # builds a record from fields that are already checked, skipping its __new__;
@@ -231,26 +233,11 @@ class Node(_NodeFields):
         return default if prop is None else prop.value
 
 
-class _EdgeFields(NamedTuple):
+class Edge(NamedTuple):
     edge_type: str
     src: NodeKey
     dst: NodeKey
-    properties: Mapping[str, Prop]
-    pending: bool
-
-
-class Edge(_EdgeFields):
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        edge_type: str,
-        src: NodeKey,
-        dst: NodeKey,
-        properties: Mapping[str, Prop] = _NO_PROPERTIES,
-        pending: bool = False,
-    ):
-        return tuple.__new__(cls, (edge_type, src, dst, dict(properties), pending))
+    pending: bool = False
 
     @property
     def key(self) -> tuple[str, NodeKey, NodeKey]:
@@ -419,8 +406,9 @@ def _render_simple(value: object) -> str:
 def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
     """Upsert nodes and edges, in the order given, into one new snapshot.
 
-    Parallel edges collapse and merge their properties like nodes do; an
-    edge stays pending only while both stored and incoming copies are.
+    Nodes merge their properties by the provenance policy. Parallel
+    edges collapse: the stored edge stays unless it is pending, and an
+    approved copy of a pending edge approves it.
 
     Raises:
         TypeConflict: an incoming property changes a stored value kind.
@@ -458,14 +446,8 @@ def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
                 f"pending is reserved for unapproved cross-subgraph edges ({edge.edge_type})"
             )
         old = edges.get(edge.key)
-        if old is not None:
-            props = _merge_properties(
-                old.properties,
-                edge.properties,
-                f"{edge.edge_type}[{edge.src.to_text()} -> {edge.dst.to_text()}]",
-            )
-            edge = Edge(*edge.key, props, pending=old.pending and edge.pending)
-        edges[edge.key] = edge
+        if old is None or old.pending:
+            edges[edge.key] = edge
     return merged
 
 
@@ -582,13 +564,6 @@ def props_from_record(record: object, where: str) -> dict[str, Prop]:
     return props
 
 
-def _props_object(properties: Mapping[str, Prop]) -> str:
-    if not properties:  # most edges carry none
-        return "{}"
-    record, plain = props_record(properties)
-    return render_record(record, plain)
-
-
 def check_members(record: dict, members: frozenset[str], where: str) -> None:
     """Refuse, as a ``RegistryMismatch``, a record holding a member its writer never writes.
 
@@ -607,9 +582,10 @@ _KEY_MEMBERS = frozenset({"id", "label", "subgraph"})  # an edge line's src and 
 def node_line(node: Node) -> str:
     """A node as stores and merge plans both write it, members in sorted order."""
     key = node.key
+    record, plain = props_record(node.properties)
     return (
         f'{{"id": {render_text(key.id)}, "kind": "node", "label": {render_text(key.label)}, '
-        f'"properties": {_props_object(node.properties)}, '
+        f'"properties": {render_record(record, plain)}, '
         f'"subgraph": {render_text(key.subgraph)}}}'
     )
 
@@ -639,7 +615,7 @@ def edge_line(edge: Edge, key_objects: Mapping[NodeKey, str]) -> str:
     kind = "pending_edge" if edge.pending else "edge"
     return (
         f'{{"dst": {key_objects[edge.dst]}, "edge_type": {render_text(edge.edge_type)}, '
-        f'"kind": "{kind}", "properties": {_props_object(edge.properties)}, '
+        f'"kind": "{kind}", "properties": {{}}, '
         f'"src": {key_objects[edge.src]}}}'
     )
 
@@ -808,15 +784,16 @@ def _store_records(
     ``at[0]`` holds the line number of the record yielded last. Node keys
     and edge endpoints go through one ``key_from_record`` cache, so each
     distinct key is built once per load and an edge holds the key object
-    of its node, and a record's property dict is its own.
+    of its node, and a node's property dict is its own.
     Edge types, property names and the subgraph and label of each key
     are interned: the graph holds one copy of each, not one per record.
 
     Raises:
         RegistryMismatch: a line is not valid UTF-8 or not a well-formed
             record, holds a member that ``save_store`` never writes (in
-            the record, or in an edge's ``src`` or ``dst`` object), or
-            does not sort strictly after the record before it.
+            the record, or in an edge's ``src`` or ``dst`` object), is an
+            edge whose ``properties`` is not ``{}``, or does not sort
+            strictly after the record before it.
     """
     known: dict[tuple, NodeKey] = {}
     last = None
@@ -839,12 +816,13 @@ def _store_records(
             at_src, at_dst = f"{where}: src", f"{where}: dst"
             src = key_from_record(record.get("src"), at_src, known)
             dst = key_from_record(record.get("dst"), at_dst, known)
-            props = props_from_record(record.get("properties"), where)
+            if record.get("properties") != {}:
+                raise RegistryMismatch(f"{where}: edge properties must be {{}}")
             check_members(record, _EDGE_MEMBERS, where)
             check_members(record["src"], _KEY_MEMBERS, at_src)
             check_members(record["dst"], _KEY_MEMBERS, at_dst)
             pending = kind == "pending_edge"
-            built = _new_tuple(Edge, (edge_type, src, dst, props, pending))
+            built = _new_tuple(Edge, (edge_type, src, dst, pending))
             place = (2 if pending else 1, (edge_type, src, dst))
         else:
             raise RegistryMismatch(f"{where}: unknown record kind {kind!r}")
@@ -939,7 +917,7 @@ def load_store(path: Path | str, registry: RegistryInfo, subgraph: str | None = 
     then pending edges, each section strictly ascending by key. Every
     line that is read is decoded and checked.
 
-    With ``subgraph`` (a key part), a trusted store (``is_trusted``),
+    With ``subgraph``, which must be a key part, a trusted store (``is_trusted``),
     one whose sidecar holds its file SHA-256, is loaded only as far as a
     read of that subgraph can reach: the nodes of ``subgraph`` and of
     every subgraph named on a line that also names it, and the edges
@@ -963,8 +941,10 @@ def load_store(path: Path | str, registry: RegistryInfo, subgraph: str | None = 
         RegistryMismatch: the header's format version is not ``FORMAT_VERSION``
             or its registry_version differs from ``registry``, a line is
             not valid UTF-8 or not a well-formed record, holds a member
-            that ``save_store`` never writes, or a record does not sort
-            strictly after the one before it.
+            that ``save_store`` never writes or edge properties other
+            than ``{}``, or a record does not sort strictly after the
+            one before it.
+        MalformedKey: ``subgraph`` is not a key part (checked after the header).
         DanglingEdge, TypeConflict, CrossSubgraphViolation: ``merge``
             rejects a record; the message starts with its ``<file>:<line>``.
     """
@@ -973,10 +953,12 @@ def load_store(path: Path | str, registry: RegistryInfo, subgraph: str | None = 
     # which canonical rendering leaves unescaped and str.splitlines() breaks on
     with open(path, "rb") as handle:
         first = _read_header(handle, path, registry)
-        if subgraph is not None and KEY_PART_RE.fullmatch(subgraph):
+        if subgraph is None:
+            lines = enumerate(handle, start=2)
+        elif KEY_PART_RE.fullmatch(subgraph):
             lines = _lines_in_scope(handle, path, registry, first, subgraph)
         else:
-            lines = enumerate(handle, start=2)
+            raise MalformedKey(f"subgraph {subgraph!r} outside {KEY_PART_RE.pattern}")
         at = [1]
         collecting = gc.isenabled()
         gc.disable()

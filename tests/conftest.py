@@ -129,7 +129,7 @@ def federation(base: Graph, copies: int) -> Graph:
 
         records += [Node(rename(n.key), n.properties) for n in base.nodes()]
         records += [
-            Edge(e.edge_type, rename(e.src), rename(e.dst), e.properties, e.pending)
+            Edge(e.edge_type, rename(e.src), rename(e.dst), pending=e.pending)
             for e in base.edges()
         ]
     return merge(Graph(builtin_registry()), records)

@@ -964,17 +964,6 @@ class TestPlanSerialization:
         plan = compile_seo(all_docs[subgraph], subgraph)
         assert load_plan(plan_to_bytes(plan)) == plan
 
-    @pytest.mark.parametrize("section", ["edges", "pending_edges"])
-    def test_edge_properties_are_refused(self, elisa_doc, section):
-        # an edge statement has no member for them, so they could not come back
-        plan = compile_seo(elisa_doc, "ELISA")
-        first, *rest = getattr(plan, section)
-        weighted = first._replace(properties={"weight": Prop(1, IC)})
-        where = f"statements[{len(plan.nodes)}]" if section == "edges" else "pending_edges[0]"
-        message = f"{where}: {first.edge_type} ELISA -> {first.dst.subgraph} carries properties, "
-        with pytest.raises(RegistryMismatch, match=f"^{re.escape(message)}"):
-            plan_to_bytes(plan._replace(**{section: (weighted, *rest)}))
-
     def test_load_builds_each_key_once(self, elisa_doc):
         plan = load_plan(plan_to_bytes(compile_seo(elisa_doc, "ELISA")))
         keys = {id(node.key) for node in plan.nodes}
@@ -1177,14 +1166,13 @@ def plan_edge_changes():
         st.sampled_from(["ELISA", "LCMS_PRM"]),
         st.sampled_from(["edges", "pending_edges"]),
         st.integers(0, 999),
-        st.sampled_from(["move", "flip", "property", "none"]),
+        st.sampled_from(["move", "flip", "none"]),
     )
 
 
 def changed_plan(subgraph: str, section: str, place: int, change: str) -> MergePlan:
     """A compiled plan with one edge of ``section`` moved to the other section
-    (at the same place, modulo its length), its ``pending`` flipped, given a
-    property, or left alone."""
+    (at the same place, modulo its length), its ``pending`` flipped, or left alone."""
     plan = compiled_plan(subgraph)
     edges = list(getattr(plan, section))
     edge = edges[place % len(edges)]
@@ -1196,8 +1184,6 @@ def changed_plan(subgraph: str, section: str, place: int, change: str) -> MergeP
         return plan._replace(**{section: tuple(edges), other: tuple(moved)})
     if change == "flip":
         edges[place % len(edges)] = edge._replace(pending=not edge.pending)
-    elif change == "property":
-        edges[place % len(edges)] = edge._replace(properties={"weight": Prop(1, IC)})
     return plan._replace(**{section: tuple(edges)})
 
 
@@ -1297,13 +1283,8 @@ class TestApplyAndApprove:
                 "approved-in-pending",
                 "pending_edges[17]: PRECEDES ELISA -> ELISA is approved in pending_edges",
             ),
-            (
-                "edge-properties",
-                "statements[52]: CALIBRATED_BY ELISA -> ELISA carries properties, "
-                "which no plan statement holds",
-            ),
         ],
-        ids=["pending-in-statements", "approved-in-pending", "edge-properties"],
+        ids=["pending-in-statements", "approved-in-pending"],
     )
     def test_plan_whose_bytes_would_not_load_is_refused(self, elisa_doc, registry, shape, message):
         # a plan applies only when its bytes load back, so each is refused before it merges
@@ -1312,11 +1293,8 @@ class TestApplyAndApprove:
         masked, *rest = plan.pending_edges
         if shape == "pending-in-statements":
             plan = plan._replace(edges=(*plan.edges, masked), pending_edges=tuple(rest))
-        elif shape == "approved-in-pending":
-            plan = plan._replace(edges=(first, *middle), pending_edges=(*plan.pending_edges, last))
         else:
-            weighted = first._replace(properties={"weight": Prop(1, IC)})
-            plan = plan._replace(edges=(weighted, *middle, last))
+            plan = plan._replace(edges=(first, *middle), pending_edges=(*plan.pending_edges, last))
         graph = apply_plan(Graph(registry), compile_seo(elisa_doc, "ELISA"))
         before = canonical_serialize(graph)
         for refused in (partial(apply_plan, graph), plan_to_bytes, emit_cypher):

@@ -419,21 +419,18 @@ def legacy_key(key):
 
 def legacy_edge(edge):
     return {"kind": "pending_edge" if edge.pending else "edge", "edge_type": edge.edge_type,
-            "src": legacy_key(edge.src), "dst": legacy_key(edge.dst),
-            "properties": legacy_props(edge.properties)}
+            "src": legacy_key(edge.src), "dst": legacy_key(edge.dst), "properties": {}}
 
 
 def rendered_edge(edge):
     return edge_line(edge, {key: key_object(key) for key in (edge.src, edge.dst)})
 
 
-def merged_edge(*property_batches):
-    """A graph of one edge upserted with each batch in turn, and that edge."""
-    src, dst = NodeKey("ELISA", "FailureMode", "FM-1"), NodeKey("ELISA", "FailureMode", "FM-2")
-    records = [Node(src), Node(dst)]
-    records += [Edge("CASCADES_TO", src, dst, props) for props in property_batches]
-    graph = merge(Graph(builtin_registry()), records)
-    return graph, graph.edges()[0]
+def merged_node(*property_batches):
+    """A graph of one node upserted with each batch in turn, and that node."""
+    key = NodeKey("ELISA", "FailureMode", "FM-1")
+    graph = merge(Graph(builtin_registry()), [Node(key, props) for props in property_batches])
+    return graph, graph.node(key)
 
 
 class TestPlainRendering:
@@ -442,32 +439,33 @@ class TestPlainRendering:
         legacy = {"kind": "node", **legacy_key(key), "properties": legacy_props(props)}
         assert node_line(Node(key, props)) == render_value(legacy)
 
-    @given(keys, keys, properties, st.booleans())
-    def test_store_edge_line(self, src, dst, props, pending):
-        edge = Edge("CASCADES_TO", src, dst, props, pending)
+    @given(keys, keys, st.booleans())
+    def test_store_edge_line(self, src, dst, pending):
+        edge = Edge("CASCADES_TO", src, dst, pending)
         assert rendered_edge(edge) == render_value(legacy_edge(edge))
 
     @pytest.mark.parametrize(
-        "graph_and_edge",
+        "graph_and_node",
         [
-            merged_edge({"weight": Prop(0.5)}, {"weight": Prop(0.75)}, {"weight": Prop(2.0)}),
-            merged_edge({"weight": Prop(5e-05), "note": Prop("µ\u2028\"")}),
-            merged_edge({"weight": Prop(1)}, {"weight": Prop(5e-05)}),
+            merged_node({"weight": Prop(0.5)}, {"weight": Prop(0.75)}, {"weight": Prop(2.0)}),
+            merged_node({"weight": Prop(5e-05), "note": Prop("µ\u2028\"")}),
+            merged_node({"weight": Prop(1)}, {"weight": Prop(5e-05)}),
         ],
         ids=["conflict-log", "non-plain-number", "conflict-log-non-plain"],
     )
-    def test_store_edge_line_with_properties(self, graph_and_edge):
-        graph, edge = graph_and_edge
-        assert edge.properties
-        legacy = render_value(legacy_edge(edge))
-        assert rendered_edge(edge) == legacy
+    def test_store_node_line_with_properties(self, graph_and_node):
+        graph, node = graph_and_node
+        legacy = render_value(
+            {"kind": "node", **legacy_key(node.key), "properties": legacy_props(node.properties)}
+        )
+        assert node_line(node) == legacy
         assert canonical_serialize(graph).decode("utf-8").split("\n")[-2] == legacy
 
-    def test_merged_edge_carries_its_conflict_log(self):
-        _, edge = merged_edge({"weight": Prop(0.5)}, {"weight": Prop(5e-05)})
-        assert edge.properties["conflict_log"].value == ("weight: 0.5 -> 0.00005",)
+    def test_merged_node_carries_its_conflict_log(self):
+        _, node = merged_node({"weight": Prop(0.5)}, {"weight": Prop(5e-05)})
+        assert node.get("conflict_log") == ("weight: 0.5 -> 0.00005",)
         assert '"weight": {"provenance": "INTERVIEW_CONFIRMED", "value": 0.00005}' in (
-            rendered_edge(edge)
+            node_line(node)
         )
 
     @given(st.lists(st.tuples(keys, properties), max_size=4), texts)

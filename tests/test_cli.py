@@ -743,6 +743,19 @@ class TestQuery:
         assert main(["stats", "--graph", str(store), "--subgraph", ""]) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: stats needs --subgraph\n")
 
+    @pytest.mark.parametrize(
+        "command",
+        [["query", name] for name, (_, options) in QUERIES.items() if "subgraph" in options]
+        + [["stats"]],
+        ids=" ".join,
+    )
+    def test_subgraph_outside_key_parts_is_refused(self, store, capsys, command):
+        options = QUERIES[command[1]][1] if command[0] == "query" else ("subgraph",)
+        values = {**QUERY_TEXT_OPTIONS, "subgraph": "a b"}
+        given = [arg for o in options if o in values for arg in (f"--{o}", values[o])]
+        assert main([*command, "--graph", str(store), *given]) == EXIT_INVARIANT
+        assert capsys.readouterr() == ("", "error: subgraph 'a b' outside [A-Za-z0-9_-]+\n")
+
     def test_depth_zero_runs(self, store, capsys):
         argv = ["query", "cascades", "--graph", str(store), "--subgraph", "ELISA"]
         assert main([*argv, "--root", "FM-ELISA-002", "--depth", "0"]) == EXIT_OK
@@ -1272,6 +1285,30 @@ class TestCorruptStore:
         path.write_text("".join(lines), encoding="utf-8")
         assert main(["hash", "--graph", str(path)]) == EXIT_REJECTED
         assert capsys.readouterr().err.startswith(f"error: {path}:{line_no}: ")
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            without("properties"),
+            with_properties([]),
+            with_properties({"weight": {"provenance": "INTERVIEW_CONFIRMED", "value": 0.5}}),
+        ],
+        ids=["absent", "array", "weight"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["hash", "--verify"], ["query", "ranked", "--subgraph", "ELISA"]],
+        ids=" ".join,
+    )
+    def test_edge_properties_other_than_empty_are_refused(
+        self, fixtures_dir, tmp_path, capsys, rewrite, command
+    ):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[121] = rewrite(lines[121].rstrip("\n")) + "\n"  # line 122, the first edge
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(command + ["--graph", str(path)]) == EXIT_REJECTED
+        assert capsys.readouterr() == ("", f"error: {path}:122: edge properties must be {{}}\n")
 
     @pytest.mark.parametrize(("breach", "message"), STORE_INVARIANT_BREACHES)
     def test_invariant_breach_is_reported_with_its_location(
@@ -1872,6 +1909,12 @@ class TestReadAccess:
     def test_read_of_a_missing_store_creates_no_file(self, tmp_path, capsys, command):
         assert main(command + ["--graph", str(tmp_path / "typo.skg.jsonl")]) == EXIT_IO
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_converge_of_a_missing_store_creates_no_file(self, tmp_path, capsys):
+        missing = tmp_path / "typo.skg.jsonl"
+        assert main(["converge", "--graph", str(missing)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_writes_and_reads_of_a_store_create_its_lock(self, fixtures_dir, tmp_path, capsys):
