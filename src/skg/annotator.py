@@ -406,14 +406,13 @@ def load_plan(data: bytes | str) -> MergePlan:
     """Rebuild a plan from its canonical JSON; inverse of plan_to_bytes.
 
     Raises:
-        ValueError: not a merge plan of this version, or an unknown
-            statement kind.
+        ValueError: not a merge plan of this version.
         RegistryMismatch: the plan, its provenance, a statement array
-            or a statement in it is malformed or holds a member that
-            ``plan_to_bytes`` never writes, a node statement follows an
-            edge statement, or, once all is read, an edge breaks the plan
-            rule (``_check_plan``); the message starts with its location,
-            such as ``statements[3]: ``.
+            or a statement in it is malformed, a statement is of an
+            unknown kind or holds a member that ``plan_to_bytes`` never
+            writes, a node statement follows an edge statement, or, once
+            all is read, an edge breaks the plan rule (``_check_plan``);
+            the message starts with its location, such as ``statements[3]: ``.
     """
     return plan_from_json(strict_loads(data if isinstance(data, str) else data.decode("utf-8")))
 
@@ -449,7 +448,7 @@ def plan_from_json(raw: object) -> MergePlan:
         elif record.get("kind") in ("edge", "pending_edge"):
             edges.append(_edge_from_record(record, where, known))
         else:
-            raise ValueError(f"unknown statement kind {record.get('kind')!r}")
+            raise RegistryMismatch(f"{where}: kind {record.get('kind')!r}, not a node or an edge")
     pending = []
     for where, record in _objects(raw, "pending_edges"):
         if record.get("kind") not in ("edge", "pending_edge"):

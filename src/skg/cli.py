@@ -18,6 +18,7 @@ range (``--depth -1``) or no key part (``--step "a b"``), or
 from __future__ import annotations
 
 import argparse
+import errno
 import fcntl
 import gc
 import os
@@ -79,6 +80,8 @@ def _read_doc(path: str):
 @contextmanager
 def _store_lock(store: Path, exclusive: bool):
     # flock takes either lock on a read-only descriptor, and closing it releases the lock
+    if store.is_dir():  # refused before a lock file can appear beside it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(store))
     create = os.O_CREAT if exclusive or store.exists() else 0
     try:
         fd = os.open(f"{store}.lock", os.O_RDONLY | create, 0o666)

@@ -416,6 +416,7 @@ def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
         CrossSubgraphViolation: endpoints span subgraphs and the edge
             type is not marked cross-subgraph, or a same-subgraph edge
             claims pending status.
+        TypeError: an edge's ``pending`` is not a bool.
     """
     merged = Graph(graph._registry)
     nodes = merged._nodes = dict(graph._nodes)
@@ -432,6 +433,9 @@ def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
             nodes[record.key] = record
             continue
         edge = record
+        if edge.pending is not True and edge.pending is not False:
+            where = f"{edge.edge_type}[{edge.src.to_text()} -> {edge.dst.to_text()}]"
+            raise TypeError(f"{where}: pending must be a bool, not {type(edge.pending).__name__}")
         if edge.src not in nodes:
             raise DanglingEdge(f"missing src {edge.src.to_text()}")
         if edge.dst not in nodes:

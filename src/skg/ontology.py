@@ -2,10 +2,11 @@
 
 Tier 1 holds program-level planning context, tier 2 the protocol
 knowledge elicited from scientists, tier 3 the physical execution
-layer (instruments, their use cases, and log signatures). The edge
-vocabulary splits into the core failure-mode relations and the
-structural plumbing needed to make the graph navigable; the registry
-records which is which.
+layer (instruments, their use cases, and log signatures). Only node
+labels name a tier: an edge type crosses tiers when its endpoint labels
+do. The edge vocabulary splits into the core failure-mode relations and
+the structural plumbing needed to make the graph navigable; the
+registry records which is which.
 
 ``record_issues`` is the one statement of what a stored record must
 satisfy: ``validate_graph`` runs it over a whole graph, and
@@ -61,11 +62,11 @@ class NodeTypeDef(NamedTuple):
         return dict(self.required) | dict(self.optional)
 
 
+# An edge type names no tier: it crosses tiers when its labels span more than one.
 class EdgeTypeDef(NamedTuple):
     name: str
     src_labels: frozenset[str]
     dst_labels: frozenset[str]
-    cross_tier: bool = False
     cross_subgraph_allowed: bool = False
     core: bool = False  # core failure-mode vocabulary vs structural plumbing
 
@@ -234,7 +235,6 @@ def builtin_registry() -> SchemaRegistry:
             "SOURCED_FROM",
             f({"EvidentiaryInput"}),
             f({"AssayWorkflow"}),
-            cross_tier=True,
             cross_subgraph_allowed=True,
             core=True,
         ),
@@ -248,7 +248,6 @@ def builtin_registry() -> SchemaRegistry:
             "MASKED_BY",
             f({"FailureMode"}),
             f({"AutomationAsset"}),
-            cross_tier=True,
             cross_subgraph_allowed=True,
             core=True,
         ),
@@ -256,7 +255,6 @@ def builtin_registry() -> SchemaRegistry:
             "REQUIRES_AUTOMATION",
             f({"WorkflowStep"}),
             f({"UseCase"}),
-            cross_tier=True,
             cross_subgraph_allowed=True,
             core=True,
         ),
@@ -272,7 +270,7 @@ def builtin_registry() -> SchemaRegistry:
         EdgeTypeDef("PRECEDES", f({"WorkflowStep"}), f({"WorkflowStep"})),
         EdgeTypeDef("HAS_DECISION_POINT", f({"WorkflowStep"}), f({"DecisionPoint"})),
         EdgeTypeDef("CASCADES_TO", f({"FailureMode"}), f({"FailureMode"})),
-        EdgeTypeDef("DETECTED_BY", f({"FailureMode"}), f({"ErrorSignature"}), cross_tier=True),
+        EdgeTypeDef("DETECTED_BY", f({"FailureMode"}), f({"ErrorSignature"})),
         EdgeTypeDef("HAS_ALTERNATIVE", f({"WorkflowStep"}), f({"MethodAlternative"})),
         EdgeTypeDef(
             "CALIBRATED_BY", f({"FailureMode", "DecisionPoint"}), f({"CalibrationRecord"})
@@ -349,24 +347,19 @@ def _node_issues(
 
 
 def _edge_issues(edge: Edge, registry: SchemaRegistry) -> Iterator[tuple[str, str]]:
-    """(code, detail) of each rule an edge breaks."""
+    """(code, detail) of each rule an edge breaks: unknown type, endpoint
+    labels, cross-subgraph. Tiers need no rule of their own, since an edge's
+    tiers are those of its endpoint labels."""
     edef = registry.edge_types.get(edge.edge_type)
     if edef is None:
         yield "UnknownEdgeType", f"edge type {edge.edge_type} not in registry"
         return
-    src_ok = edge.src.label in edef.src_labels
-    dst_ok = edge.dst.label in edef.dst_labels
-    if not src_ok or not dst_ok:
+    if edge.src.label not in edef.src_labels or edge.dst.label not in edef.dst_labels:
         detail = f"allowed {sorted(edef.src_labels)} -> {sorted(edef.dst_labels)}"
         yield "EndpointLabelViolation", detail
     if edge.src.subgraph != edge.dst.subgraph and not edef.cross_subgraph_allowed:
         detail = f"{edge.src.subgraph} -> {edge.dst.subgraph} not allowed for this type"
         yield "CrossSubgraphViolation", detail
-    if not edef.cross_tier and src_ok and dst_ok:
-        src_tier = registry.tier_of(edge.src.label)
-        dst_tier = registry.tier_of(edge.dst.label)
-        if src_tier is not dst_tier:
-            yield "TierViolation", f"within-tier edge spans {src_tier.name} -> {dst_tier.name}"
 
 
 def record_issues(
@@ -377,12 +370,12 @@ def record_issues(
     A node has a registered label, states what its label requires, holds
     each declared property at its kind and obeys ``claim_issues``; an
     edge has a registered type and endpoint labels, and crosses subgraphs
-    or tiers only where its type may.
+    only where its type may.
 
     Issue codes: UnknownLabel, UnknownEdgeType, EndpointLabelViolation,
     MissingRequiredProperty, ValueKindMismatch, ConfidenceOutOfRange,
     MissingMandatoryField, ShelfEligibilityViolation, FrequencyOutOfRange,
-    ShelfOrderViolation, CrossSubgraphViolation, TierViolation.
+    ShelfOrderViolation, CrossSubgraphViolation.
     """
     # here: a process that only queries never validates
     from .validation import Issue, ValidationReport
@@ -427,12 +420,12 @@ def schema_listing(registry: SchemaRegistry) -> str:
     lines.append("edge types:")
     for name in sorted(registry.edge_types):
         edef = registry.edge_types[name]
-        flags = []
-        flags.append("cross-tier" if edef.cross_tier else "within-tier")
-        flags.append(
-            "cross-subgraph" if edef.cross_subgraph_allowed else "within-subgraph"
-        )
-        flags.append("core" if edef.core else "plumbing")
+        tiers = {registry.tier_of(label) for label in edef.src_labels | edef.dst_labels}
+        flags = [
+            "cross-tier" if len(tiers) > 1 else "within-tier",
+            "cross-subgraph" if edef.cross_subgraph_allowed else "within-subgraph",
+            "core" if edef.core else "plumbing",
+        ]
         lines.append(
             f"  {name}: {'|'.join(sorted(edef.src_labels))} -> "
             f"{'|'.join(sorted(edef.dst_labels))} [{', '.join(flags)}]"

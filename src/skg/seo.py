@@ -757,10 +757,6 @@ class HedgeBand(NamedTuple):
     high: float
     terms: tuple[str, ...]
 
-    @property
-    def score(self) -> float:
-        return round((self.low + self.high) / 2, 3)
-
 
 def load_lexicon(path: Path | str) -> tuple[HedgeBand, ...]:
     """The bands of a hedge lexicon file, in file order.

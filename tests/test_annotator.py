@@ -1007,7 +1007,9 @@ class TestPlanSerialization:
     def test_load_rejects_unknown_statement_kinds(self, elisa_doc):
         raw = json.loads(plan_to_bytes(compile_seo(elisa_doc, "ELISA")))
         raw["statements"].append({"kind": "wish"})
-        with pytest.raises(ValueError):
+        where = f"statements[{len(raw['statements']) - 1}]"
+        message = f"{where}: kind 'wish', not a node or an edge"
+        with pytest.raises(RegistryMismatch, match=f"^{re.escape(message)}$"):
             load_plan(json.dumps(raw))
 
     @pytest.mark.parametrize(
@@ -1056,6 +1058,14 @@ class TestPlanSerialization:
             (lambda raw: raw["pending_edges"].insert(0, 3), r"pending_edges\[0\]: "),
             (lambda raw: raw["pending_edges"][0].update(kind="node"), r"pending_edges\[0\]: "),
             (lambda raw: raw["pending_edges"][0].pop("kind"), r"pending_edges\[0\]: "),
+            (
+                lambda raw: raw["statements"][3].update(kind="mystery"),
+                r"statements\[3\]: kind 'mystery', not a node or an edge$",
+            ),
+            (
+                lambda raw: raw["pending_edges"][0].update(kind="mystery"),
+                r"pending_edges\[0\]: kind 'mystery', not an edge$",
+            ),
             (lambda raw: raw.update(pending_edges=None), r"pending_edges: "),
             (lambda raw: raw.pop("provenance"), r"provenance: "),
             (lambda raw: raw.update(provenance="ELISA"), r"provenance: "),
@@ -1124,6 +1134,8 @@ class TestPlanSerialization:
             "pending-not-object",
             "pending-kind-node",
             "pending-kind-missing",
+            "statement-kind-unknown",
+            "pending-kind-unknown",
             "pending-not-array",
             "missing-provenance",
             "provenance-not-object",

@@ -1917,6 +1917,20 @@ class TestReadAccess:
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", READS + [["converge"], ["apply"]], ids=" ".join)
+    def test_a_store_path_naming_a_directory_creates_no_file(
+        self, fixtures_dir, tmp_path, capsys, command
+    ):
+        store = tmp_path / "d.skg.jsonl"
+        store.mkdir()
+        if command == ["apply"]:
+            argv = apply_args(store, fixtures_dir, *DOCS[0])
+        else:
+            argv = command + ["--graph", str(store)]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{store}'\n"
+        assert list(tmp_path.iterdir()) == [store]
+
     def test_writes_and_reads_of_a_store_create_its_lock(self, fixtures_dir, tmp_path, capsys):
         store = tmp_path / "twin.skg.jsonl"
         assert main(apply_args(store, fixtures_dir, *DOCS[0])) == EXIT_OK

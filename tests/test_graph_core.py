@@ -318,6 +318,20 @@ class TestEdges:
         with pytest.raises(CrossSubgraphViolation):
             merge(g, [Edge("CASCADES_TO", key("a"), key("b"), pending=True)])
 
+    @pytest.mark.parametrize(
+        "pending", [{"w": Prop(1)}, 1, 0, None, "yes"], ids=["props", "one", "zero", "none", "text"]
+    )
+    def test_non_bool_pending_is_refused(self, pending):
+        g = self.graph_with_nodes()
+        before = canonical_serialize(g)
+        dst = key("c", "SGB", "AutomationAsset")
+        where = f"MASKED_BY[{key('a').to_text()} -> {dst.to_text()}]"
+        message = f"{where}: pending must be a bool, not {type(pending).__name__}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            merge(g, [Edge("MASKED_BY", key("a"), dst, pending)])
+        assert canonical_serialize(g) == before
+        assert g.edge_count == 0
+
     def test_approval_is_sticky(self):
         g = self.graph_with_nodes()
         dst = key("c", "SGB", "AutomationAsset")

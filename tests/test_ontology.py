@@ -23,6 +23,63 @@ from skg.ontology import (
     schema_listing,
 )
 
+BUILTIN_LISTING = """\
+registry skg-ontology-1
+
+node types:
+  TIER1_PROGRAM:
+    EvidentiaryInput
+      required: name:text, required_output:text, quality_threshold:text, decision_consequence:text
+      optional: flagged_for_review:boolean
+    ProgramMilestone
+      required: name:text
+      optional: description:text, flagged_for_review:boolean
+  TIER2_PROTOCOL:
+    AssayWorkflow
+      required: name:text
+      optional: description:text, flagged_for_review:boolean
+    CalibrationRecord
+      required: methods_used:text_list
+      optional: n_claims:number, n_linguistic:number, n_shelf:number, source_scientist:text, session_date:text, calibration_status:text, session_mode:text, flagged_for_review:boolean
+    DecisionPoint
+      required: confidence:number, confidence_method:text, source_scientist:text, condition_type:text, threshold_value:number, comparator:text, units:text, pass_action:text, fail_action:text, escalation_action:text
+      optional: name:text, source_phrase:text, flagged_for_review:boolean
+    FailureMode
+      required: confidence:number, confidence_method:text, source_scientist:text, name:text, silent_failure_risk:boolean, is_critical_path:boolean, flagged_for_review:boolean
+      optional: description:text, source_phrase:text, frequency_min:number, frequency_best:number, frequency_max:number
+    MethodAlternative
+      required: name:text
+      optional: description:text, tradeoff:text, flagged_for_review:boolean
+    WorkflowStep
+      required: name:text, step_index:number
+      optional: description:text, is_critical_path:boolean, flagged_for_review:boolean
+  TIER3_EXECUTION:
+    AutomationAsset
+      required: name:text
+      optional: log_scope:text, flagged_for_review:boolean
+    ErrorSignature
+      required: name:text
+      optional: description:text, flagged_for_review:boolean
+    UseCase
+      required: name:text
+      optional: description:text, flagged_for_review:boolean
+
+edge types:
+  CALIBRATED_BY: DecisionPoint|FailureMode -> CalibrationRecord [within-tier, within-subgraph, plumbing]
+  CASCADES_TO: FailureMode -> FailureMode [within-tier, within-subgraph, plumbing]
+  CAUSES_IF_INCOMPLETE: WorkflowStep -> FailureMode [within-tier, within-subgraph, core]
+  DETECTED_BY: FailureMode -> ErrorSignature [cross-tier, within-subgraph, plumbing]
+  HAS_ALTERNATIVE: WorkflowStep -> MethodAlternative [within-tier, within-subgraph, plumbing]
+  HAS_DECISION_POINT: WorkflowStep -> DecisionPoint [within-tier, within-subgraph, plumbing]
+  HAS_STEP: AssayWorkflow -> WorkflowStep [within-tier, within-subgraph, plumbing]
+  MASKED_BY: FailureMode -> AutomationAsset [cross-tier, cross-subgraph, core]
+  PRECEDES: WorkflowStep -> WorkflowStep [within-tier, within-subgraph, plumbing]
+  REQUIRES_AUTOMATION: WorkflowStep -> UseCase [cross-tier, cross-subgraph, core]
+  REQUIRES_EVIDENCE: ProgramMilestone -> EvidentiaryInput [within-tier, within-subgraph, plumbing]
+  SOURCED_FROM: EvidentiaryInput -> AssayWorkflow [cross-tier, cross-subgraph, core]
+  SUITABLE_FOR: UseCase -> AutomationAsset [within-tier, within-subgraph, core]
+"""
+
 LABELS = {
     "ProgramMilestone",
     "EvidentiaryInput",
@@ -94,13 +151,17 @@ class TestBuiltinRegistry:
 
     def test_detection_crosses_tiers(self, registry):
         edef = registry.edge_types["DETECTED_BY"]
-        assert edef.cross_tier
         assert edef.dst_labels == frozenset({"ErrorSignature"})
+        assert "  DETECTED_BY: FailureMode -> ErrorSignature [cross-tier," in (
+            schema_listing(registry)
+        )
 
     def test_cascade_stays_within_tier(self, registry):
         edef = registry.edge_types["CASCADES_TO"]
-        assert not edef.cross_tier
         assert edef.src_labels == edef.dst_labels == frozenset({"FailureMode"})
+        assert "  CASCADES_TO: FailureMode -> FailureMode [within-tier," in (
+            schema_listing(registry)
+        )
 
     def test_constants(self):
         assert CONFIDENCE_FLOOR == 0.6
@@ -248,23 +309,6 @@ class TestValidateGraph:
         )
         assert validate_graph(g, registry).has("EndpointLabelViolation")
 
-    def test_tier_violation_with_custom_registry(self):
-        registry = SchemaRegistry(
-            "custom-1",
-            {
-                "Up": NodeTypeDef("Up", Tier.TIER1_PROGRAM, required=(("name", "text"),)),
-                "Down": NodeTypeDef("Down", Tier.TIER2_PROTOCOL, required=(("name", "text"),)),
-            },
-            {"LINKS": EdgeTypeDef("LINKS", frozenset({"Up"}), frozenset({"Down"}), cross_tier=False)},
-        )
-        g = Graph(registry)
-        g = merge(g, [simple_node("Up", "a")])
-        g = merge(g, [simple_node("Down", "b")])
-        g = merge(g, [Edge("LINKS", NodeKey("SG", "Up", "a"), NodeKey("SG", "Down", "b"))])
-        report = validate_graph(g, registry)
-        assert report.has("TierViolation")
-        assert not report.has("EndpointLabelViolation")
-
     def test_cross_subgraph_violation_reported_on_foreign_graphs(self, registry):
         # a graph assembled under laxer cross-subgraph rules still fails validation
         class LaxRegistry:
@@ -287,6 +331,9 @@ class TestValidateGraph:
 
 
 class TestSchemaListing:
+    def test_full_builtin_listing(self, registry):
+        assert schema_listing(registry) == BUILTIN_LISTING
+
     def test_mentions_everything(self, registry):
         text = schema_listing(registry)
         assert "registry skg-ontology-1" in text

@@ -1172,18 +1172,18 @@ class TestHedgeBand:
 
 class TestMatchHedge:
     @pytest.mark.parametrize(
-        ("phrase", "score", "band"),
+        ("phrase", "band", "low", "high"),
         [
-            ("it fails every time we rush", 0.885, "DECLARATIVE"),
-            ("usually the plate is fine", 0.81, "TYPICAL"),
-            ("sometimes the washer drifts", 0.735, "HEDGED"),
-            ("might be the buffer", 0.65, "SPECULATIVE"),
-            ("that is outside my experience", 0.6, "OUT_OF_SCOPE"),
+            ("it fails every time we rush", "DECLARATIVE", 0.85, 0.92),
+            ("usually the plate is fine", "TYPICAL", 0.78, 0.84),
+            ("sometimes the washer drifts", "HEDGED", 0.7, 0.77),
+            ("might be the buffer", "SPECULATIVE", 0.61, 0.69),
+            ("that is outside my experience", "OUT_OF_SCOPE", 0.6, 0.6),
         ],
     )
-    def test_band_midpoints(self, phrase, score, band):
+    def test_matched_bands(self, phrase, band, low, high):
         matched = match_hedge(phrase)
-        assert (matched.score, matched.name) == (score, band)
+        assert (matched.name, matched.low, matched.high) == (band, low, high)
 
     def test_case_insensitive(self):
         assert match_hedge("ALWAYS happens").name == "DECLARATIVE"
@@ -1208,17 +1208,11 @@ class TestMatchHedge:
     def test_empty_phrase(self):
         assert match_hedge("") is None
 
-    def test_every_lexicon_term_scores_its_own_band(self):
-        lexicon = default_lexicon()
-        for band in lexicon:
+    def test_every_lexicon_term_matches_its_own_band(self):
+        for band in default_lexicon():
             for term in band.terms:
                 matched = match_hedge(f"zzz {term} qqq")
-                score, name = matched.score, matched.name
-                assert score == band.score
-                assert round((band.low + band.high) / 2, 3) == score
-                if name != band.name:
-                    # a longer term from another band may legitimately contain this one
-                    assert len(term) < max(len(t) for b in lexicon for t in b.terms)
+                assert (matched.name, matched.low, matched.high) == band[:3], term
 
     def test_scores_stay_inside_confidence_range(self):
         for band in default_lexicon():
