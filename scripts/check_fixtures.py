@@ -33,7 +33,7 @@ from skg import (
     validate_seo,
 )
 from skg import queries
-from skg.canonical import render_record, render_value
+from skg.canonical import render_value
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -168,7 +168,7 @@ def query_rows(graph) -> list[str]:
         ):
             out.append(queries.rows_to_json(query(graph, sg)))
         out.append(queries.rows_to_json(queries.low_confidence_claims(graph, sg, 0.7)))
-        out.append(render_record(queries.subgraph_stats_record(graph, sg)))
+        out.append(render_value(queries.subgraph_stats_record(graph, sg)))
     for step in graph.nodes("WorkflowStep"):
         k = step.key
         out.append(queries.rows_to_json(queries.step_decision_points(graph, k.subgraph, k.id)))

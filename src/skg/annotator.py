@@ -39,7 +39,7 @@ import hashlib
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .canonical import render_record, render_text, render_value, strict_loads
+from .canonical import render_text, render_value, strict_loads
 from .errors import (
     InvariantError,
     RegistryMismatch,
@@ -322,12 +322,13 @@ def _key_from_text(value: object, where: str, known: dict[tuple, NodeKey]) -> No
     return _new_key(*parts, where, known)
 
 
-def _plan_edge_line(edge: Edge) -> str:
-    """An edge as a plan states it, endpoints as key text, members in sorted order."""
+def _plan_edge_line(edge: Edge, key_texts: Mapping[NodeKey, str]) -> str:
+    """An edge as a plan states it, members in sorted order; ``key_texts`` holds each
+    endpoint's key text, rendered."""
     return (
-        f'{{"dst": {render_text(edge.dst.to_text())}, "edge_type": {render_text(edge.edge_type)}, '
+        f'{{"dst": {key_texts[edge.dst]}, "edge_type": {render_text(edge.edge_type)}, '
         f'"kind": "{"pending_edge" if edge.pending else "edge"}", '
-        f'"src": {render_text(edge.src.to_text())}}}'
+        f'"src": {key_texts[edge.src]}}}'
     )
 
 
@@ -378,12 +379,15 @@ def plan_to_bytes(plan: MergePlan) -> bytes:
         RegistryMismatch: an edge breaks the plan rule (``_check_plan``).
     """
     _check_plan(plan)
+    edges = [*plan.edges, *plan.pending_edges]
+    endpoints = {edge.src for edge in edges} | {edge.dst for edge in edges}
+    key_texts = {key: render_text(key.to_text()) for key in endpoints}  # once per key
     statements = [node_line(node) for node in plan.nodes]
-    statements += [_plan_edge_line(edge) for edge in plan.edges]
-    pending = [_plan_edge_line(edge) for edge in plan.pending_edges]
+    statements += [_plan_edge_line(edge, key_texts) for edge in plan.edges]
+    pending = [_plan_edge_line(edge, key_texts) for edge in plan.pending_edges]
     text = (
         f'{{"kind": {render_text(PLAN_KIND)}, "pending_edges": [{", ".join(pending)}], '
-        f'"provenance": {render_record(plan.provenance._asdict(), plain=True)}, '
+        f'"provenance": {render_value(plan.provenance._asdict())}, '
         f'"statements": [{", ".join(statements)}], "version": {PLAN_VERSION}}}\n'
     )
     return text.encode("utf-8")

@@ -6,17 +6,13 @@ single spaces after ``:`` and ``,``, UTF-8 passthrough for non-ASCII,
 and numbers in fixed-point with at most six fractional digits, trailing
 zeros trimmed, never in exponent notation.
 
-``render_record`` renders any record by these rules in Python, or, when
-its caller says every number in the record is plain (an int, or a float
-that ``plain_number`` returned), through one json module C encoder,
-built once and reused for every such record, which gives the same bytes.
-Store lines and plan bytes are assembled from their records' fields in
-sorted member order, with ``render_text`` for strings and
-``render_record`` for property maps; documents are rendered whole by
-``render_record``. Numbers are made plain wherever they can be. Query
-rows never reach the C encoder: ``queries.rows_to_json`` renders each
-cell through ``render_value``, as ``skg stats`` and ``skg query
-cascades --format json`` render their whole results.
+``render_value`` renders any value by these rules. Store lines, plan
+bytes and documents are rendered straight from their records' fields,
+members in sorted order: each text through ``render_text``, the json
+module's string escaper, and every other scalar through
+``render_value``. Query rows render the same way, cell by cell
+(``queries.rows_to_json``), as ``skg stats`` and ``skg query cascades
+--format json`` render their whole results.
 
 Reading goes the other way through ``strict_loads``: one call of one
 json module decoder, built once, decodes a store line, plan or
@@ -30,8 +26,8 @@ from __future__ import annotations
 
 import math
 import re
-from json import JSONDecodeError, JSONDecoder, JSONEncoder
-from json.encoder import c_make_encoder, encode_basestring
+from json import JSONDecodeError, JSONDecoder
+from json.encoder import encode_basestring
 from typing import Any
 
 # the json module's own string escaper: quotes, backslash and C0 controls
@@ -114,37 +110,6 @@ def strict_loads(text: str) -> Any:
     return value
 
 
-def plain_number(value: float) -> int | float | None:
-    """``value`` in a form that ``repr`` renders as ``render_number(value)``, or None.
-
-    That is an int for an integral value and the float itself when its
-    ``repr`` is already canonical. Other floats, such as ``5e-05``, or a
-    value whose ``repr`` holds more than six fractional digits, have none.
-    """
-    if value.is_integer():
-        return int(value)
-    return value if repr(value) == render_number(value) else None
-
-
-# sort_keys and the separators give render_record's layout; ensure_ascii
-# off makes strings go through render_text's C escaper
-_ENCODER = JSONEncoder(
-    sort_keys=True, ensure_ascii=False, separators=(", ", ": "), check_circular=False
-)
-# JSONEncoder.encode builds a new C encoder on every call; build one with
-# _ENCODER's settings, the way encode does, and keep it
-if c_make_encoder is None:  # an interpreter without the json C accelerator
-    _encode = _ENCODER.encode
-else:
-    _iterencode = c_make_encoder(
-        None, _ENCODER.default, encode_basestring, None, _ENCODER.key_separator,
-        _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
-    )
-
-    def _encode(record: dict) -> str:
-        return "".join(_iterencode(record, 0))
-
-
 def render_value(value: Any) -> str:
     if isinstance(value, str):  # the most common value, so tested first
         return render_text(value)
@@ -166,12 +131,10 @@ def render_value(value: Any) -> str:
     raise TypeError(f"unserializable value: {type(value).__name__}")
 
 
-def render_record(record: dict, plain: bool = False) -> str:
-    """One canonical JSON object, no trailing newline.
+def render_record(record: dict) -> str:
+    """``render_value(record)``: one canonical JSON object, no trailing newline.
 
-    ``plain`` promises that every number in ``record`` is plain: an int
-    that a float holds exactly, or a float from ``plain_number``. The
-    record then goes through the json module's C encoder, which renders
-    any other float by its ``repr``, not canonically.
+    Only ``skgbench/run.py`` still calls it; once that calls
+    ``render_value``, this goes.
     """
-    return _encode(record) if plain else render_value(record)
+    return render_value(record)

@@ -9,9 +9,9 @@ compare and sort in C; nodes and edges sort by their keys.
 Canonical serialization emits newline-delimited JSON in a fixed order
 (header, nodes, approved edges, pending edges), which makes byte equality
 the definition of graph equality and gives a stable SHA-256 content hash.
-Each line is assembled from its record's fields with members in sorted
-order; property maps go through ``canonical.render_record``, whose one
-C encoder serves every map with plain numbers.
+Each line is rendered straight from its record's fields, members in
+sorted order: texts through ``canonical.render_text``, property values
+through ``canonical.render_value``; no dict is built to render a line.
 ``load_store`` accepts records only in that order, each section strictly
 ascending by key.
 
@@ -75,14 +75,7 @@ from sys import intern
 from types import MappingProxyType
 from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Protocol
 
-from .canonical import (
-    normalize_number,
-    plain_number,
-    render_record,
-    render_text,
-    render_value,
-    strict_loads,
-)
+from .canonical import normalize_number, render_text, render_value, strict_loads
 from .errors import (
     CrossSubgraphViolation,
     DanglingEdge,
@@ -137,18 +130,20 @@ def value_kind(value: object) -> str:
 # Graph records are immutable tuples. For ``NodeKey``, ``Prop`` and
 # ``Node`` a ``NamedTuple`` base names the fields and a subclass with
 # empty ``__slots__`` builds them in ``__new__``: ``NodeKey`` checks its
-# parts, ``Prop`` normalizes its value and provenance, and ``Node`` only
-# copies its property map. ``Edge`` is a plain ``NamedTuple`` and holds
-# no properties. Keys hash, compare and sort in C, and a record equals
-# the plain tuple of its fields. A node's or an edge's key leads its
-# tuple and a snapshot holds each key once, so sorting records never
-# compares past their keys. ``copy`` and ``pickle`` (protocol 2 and up)
-# construct through ``__new__``; ``_replace`` and ``_make`` skip it, so
-# nothing may call them on a ``NodeKey`` or a ``Prop``.
+# parts, ``Prop`` normalizes its value and provenance, and ``Node`` copies
+# its property map and checks the class of its key and of each name and
+# value. ``Edge`` is a plain ``NamedTuple`` and holds no properties;
+# ``merge`` checks the class of its endpoints. Keys hash, compare and
+# sort in C, and a record equals the plain tuple of its fields. A node's
+# or an edge's key leads its tuple and a snapshot holds each key once, so
+# sorting records never compares past their keys. ``copy`` and ``pickle``
+# (protocol 2 and up) construct through ``__new__``; ``_replace`` and
+# ``_make`` skip it, so nothing may call them on a ``NodeKey`` or a ``Prop``.
 
 _NO_PROPERTIES: Mapping[str, Prop] = MappingProxyType({})
 # builds a record from fields that are already checked, skipping its __new__;
-# the store reader uses it for the dicts and texts it has just decoded
+# the store reader uses it for the dicts and texts it has just decoded, and
+# merge for a node whose merged properties all come from built nodes
 _new_tuple = tuple.__new__
 
 
@@ -226,7 +221,17 @@ class Node(_NodeFields):
     __slots__ = ()
 
     def __new__(cls, key: NodeKey, properties: Mapping[str, Prop] = _NO_PROPERTIES):
-        return tuple.__new__(cls, (key, dict(properties)))
+        """Raises TypeError: a key that is no ``NodeKey``, a name that is no text, or a
+        value that is no ``Prop``."""
+        if key.__class__ is not NodeKey:
+            raise TypeError(f"node key {key!r} is not a NodeKey")
+        properties = dict(properties)
+        for name, prop in properties.items():
+            if name.__class__ is not str:
+                raise TypeError(f"{key.to_text()}: property name {name!r} is not text")
+            if prop.__class__ is not Prop:
+                raise TypeError(f"{key.to_text()}.{name}: {prop!r} is not a Prop")
+        return tuple.__new__(cls, (key, properties))
 
     def get(self, name: str, default: object = None) -> object:
         prop = self.properties.get(name)
@@ -416,7 +421,8 @@ def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
         CrossSubgraphViolation: endpoints span subgraphs and the edge
             type is not marked cross-subgraph, or a same-subgraph edge
             claims pending status.
-        TypeError: an edge's ``pending`` is not a bool.
+        TypeError: an edge's ``src`` or ``dst`` is not a ``NodeKey``, or its
+            ``pending`` is not a bool.
     """
     merged = Graph(graph._registry)
     nodes = merged._nodes = dict(graph._nodes)
@@ -429,10 +435,13 @@ def merge(graph: Graph, records: Iterable[Node | Edge]) -> Graph:
                 props = _merge_properties(
                     old.properties, record.properties, record.key.to_text()
                 )
-                record = Node(record.key, props)
+                record = _new_tuple(Node, (record.key, props))  # checked already
             nodes[record.key] = record
             continue
         edge = record
+        if edge.src.__class__ is not NodeKey or edge.dst.__class__ is not NodeKey:
+            where = f"{edge.edge_type}[{edge.src!r} -> {edge.dst!r}]"
+            raise TypeError(f"{where}: src and dst must be NodeKeys")
         if edge.pending is not True and edge.pending is not False:
             where = f"{edge.edge_type}[{edge.src.to_text()} -> {edge.dst.to_text()}]"
             raise TypeError(f"{where}: pending must be a bool, not {type(edge.pending).__name__}")
@@ -516,29 +525,8 @@ def _new_key(
     return key
 
 
-def props_record(properties: Mapping[str, Prop]) -> tuple[dict, bool]:
-    """Property map as ``{name: {"provenance", "value"}}``, and whether it is plain.
-
-    Numbers take their plain form (``plain_number``) where they have one;
-    a text list stays a tuple, which renders as a JSON array. The map is
-    plain when every number has one, and may then be rendered with ``plain=True``.
-    """
-    record = {}
-    plain = True
-    for name, (value, provenance) in properties.items():
-        if value.__class__ is float:  # Prop makes every number a float
-            number = plain_number(value)
-            if number is None:
-                plain = False
-            else:
-                value = number
-        # a Provenance is a str, and JSON renders it as its value
-        record[name] = {"provenance": provenance, "value": value}
-    return record, plain
-
-
 def props_from_record(record: object, where: str) -> dict[str, Prop]:
-    """Inverse of ``props_record``.
+    """Inverse of the ``properties`` member of ``node_line``.
 
     Raises:
         RegistryMismatch: not an object, or a property record in it has
@@ -583,14 +571,28 @@ _EDGE_MEMBERS = frozenset({"dst", "edge_type", "kind", "properties", "src"})
 _KEY_MEMBERS = frozenset({"id", "label", "subgraph"})  # an edge line's src and dst
 
 
+# a property renders as this prefix, its value, then "}"
+_PROPERTY_PREFIX = {
+    member: f'{{"provenance": {render_text(member.value)}, "value": ' for member in Provenance
+}
+
+
 def node_line(node: Node) -> str:
-    """A node as stores and merge plans both write it, members in sorted order."""
+    """A node as stores and merge plans both write it, members in sorted order.
+
+    Properties follow in sorted name order, each as ``{"provenance": P,
+    "value": V}``: the name through ``render_text``, a fixed prefix per
+    provenance, and the value through ``render_value``.
+    """
     key = node.key
-    record, plain = props_record(node.properties)
+    properties = node.properties
+    parts = []
+    for name in sorted(properties):
+        value, provenance = properties[name]
+        parts.append(f"{render_text(name)}: {_PROPERTY_PREFIX[provenance]}{render_value(value)}}}")
     return (
         f'{{"id": {render_text(key.id)}, "kind": "node", "label": {render_text(key.label)}, '
-        f'"properties": {render_record(record, plain)}, '
-        f'"subgraph": {render_text(key.subgraph)}}}'
+        f'"properties": {{{", ".join(parts)}}}, "subgraph": {render_text(key.subgraph)}}}'
     )
 
 
@@ -647,7 +649,7 @@ def _canonical_chunks(graph: Graph) -> Iterator[bytes]:
     key_objects = {node.key: key_object(node.key) for node in nodes}
     edges = graph.edges()
     lines = chain(
-        (render_record(header, plain=True),),
+        (render_value(header),),
         map(node_line, nodes),
         (edge_line(edge, key_objects) for edge in edges if not edge.pending),
         (edge_line(edge, key_objects) for edge in edges if edge.pending),

@@ -47,7 +47,7 @@ from typing import Annotated, Iterator, Mapping, NamedTuple, Union, get_args, ge
 import datetime
 import re
 
-from .canonical import normalize_number, plain_number, render_record, strict_loads
+from .canonical import normalize_number, render_text, render_value, strict_loads
 from .errors import RangeError, SeoParseError, UnknownField, ValueKindMismatch
 from .graph_core import KEY_PART_RE
 from .metrics import default_aliases, label_slug, normalize_label
@@ -492,54 +492,66 @@ def json_schema() -> str:
 # -- serialization -----------------------------------------------------
 
 
-def _jsonable(record) -> tuple[dict, bool]:
-    """``to_jsonable``'s form of ``record``, and whether every number in it is plain.
+def to_jsonable(record) -> dict:
+    """Plain-data form of a document, or of any record in it.
 
-    A number takes its plain form (``plain_number``) where it has one;
-    the form is plain when every number does.
+    Every field is explicit, null included; ``render_value`` renders it
+    as ``serialize_seo`` renders the record.
     """
     out = {}
-    plain = True
     for f, value in zip(_fields(type(record)).values(), record):
         if value is None:
             pass
-        elif f.kind == "number":
-            try:  # plain_number takes a float: int.is_integer is new in 3.12
-                number = plain_number(float(value)) if value.__class__ in (int, float) else None
-            except (OverflowError, ValueError):  # render_value refuses these
-                number = None
-            if number is None:
-                plain = False
-            else:
-                value = number
         elif f.kind == "object":
-            value, inner = _jsonable(value)
-            plain = plain and inner
+            value = to_jsonable(value)
         elif f.kind == "array":
-            pairs = [_jsonable(item) for item in value]
-            value = [item for item, _ in pairs]
-            plain = plain and all(inner for _, inner in pairs)
+            value = [to_jsonable(item) for item in value]
         elif f.kind == "text list":
             value = list(value)
         elif isinstance(value, Enum):
             value = value.value
         out[f.json] = value
-    return out, plain
+    return out
 
 
-def to_jsonable(record) -> dict:
-    """Plain-data form of a document, or of any record in it.
+@lru_cache(maxsize=None)
+def _layout(cls: type) -> tuple[tuple[str, int, str], ...]:
+    """One (rendered member name, field index, kind) per field of ``cls``, in
+    sorted JSON name order; an Enum field's kind is "enum"."""
+    table = _fields(cls)
+    index = {name: i for i, name in enumerate(table)}
+    return tuple(
+        (f"{render_text(name)}: ", index[name], "enum" if f.kind == "text" and f.cls else f.kind)
+        for name, f in sorted(table.items())
+    )
 
-    Every field is explicit, null included. Numbers are plain where they
-    can be: an int for an integral value.
-    """
-    return _jsonable(record)[0]
+
+def _record_json(record) -> str:
+    """``render_value(to_jsonable(record))``, rendered from ``record``'s layout."""
+    parts = []
+    for member, i, kind in _layout(record.__class__):
+        value = record[i]
+        if value is None:
+            parts.append(member + "null")
+        elif kind == "object":
+            parts.append(member + _record_json(value))
+        elif kind == "array":
+            parts.append(member + "[" + ", ".join(map(_record_json, value)) + "]")
+        elif kind == "enum":
+            parts.append(member + render_text(value.value))
+        else:  # a text list renders as an array
+            parts.append(member + render_value(value))
+    return "{" + ", ".join(parts) + "}"
 
 
 def serialize_seo(doc: SeoDocument) -> bytes:
-    """Canonical bytes for a document; parse(serialize(doc)) == doc."""
-    record, plain = _jsonable(doc)
-    return (render_record(record, plain) + "\n").encode("utf-8")
+    """Canonical bytes for a document; parse(serialize(doc)) == doc.
+
+    Each record renders from its class's layout, built once: members in
+    sorted order, objects and arrays of records recursively, and every
+    other value through ``canonical.render_value``.
+    """
+    return (_record_json(doc) + "\n").encode("utf-8")
 
 
 # -- validation --------------------------------------------------------

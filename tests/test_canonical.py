@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skg import canonical
+from skg import annotator, canonical, graph_core, queries, seo
 from skg.annotator import MergePlan, PlanProvenance, compile_seo, plan_to_bytes
 from skg.graph_core import (
     Edge,
@@ -24,14 +24,11 @@ from skg.graph_core import (
     load_store,
     merge,
     node_line,
-    props_record,
 )
 from skg.canonical import (
     normalize_number,
-    plain_number,
     reject_non_finite,
     render_number,
-    render_record,
     render_text,
     render_value,
     strict_loads,
@@ -151,12 +148,12 @@ class TestRenderValue:
         assert render_value(value) == rendered
 
     def test_keys_sorted(self):
-        assert render_record({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
+        assert render_value({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
 
     def test_deterministic_across_insertion_order(self):
         a = {"x": 1, "y": [True, None]}
         b = {"y": [True, None], "x": 1}
-        assert render_record(a) == render_record(b)
+        assert render_value(a) == render_value(b)
 
     def test_rejects_non_text_keys(self):
         with pytest.raises(TypeError):
@@ -368,11 +365,11 @@ class TestStrictLoadsAgainstFullDecode:
         assert scans == [2]
 
 
-# -- the C encoder path ---------------------------------------------------
+# -- lines rendered from their fields ---------------------------------------
 #
-# Store lines and plan bytes go through the json module's encoder when
-# every number in them is plain; these tests hold that path to the bytes
-# render_value gives for the record as it was built before plain numbers.
+# Store lines and plan bytes are rendered straight from their records'
+# fields; these tests hold them to the bytes render_value gives for the
+# record as a dict of plain data.
 
 EDGE_NUMBERS = [0.00005, 5e-05, 1e-7, 5.0, -0.0, 1e20, 2**40 + 0.5, 123456789.123456,
                 999999999999999.9, 1e300, -2.5, 0.885]
@@ -403,7 +400,7 @@ properties = st.dictionaries(texts, st.builds(Prop, prop_values, provenances), m
 
 
 def legacy_props(props):
-    """props_record's map as it was before numbers became plain."""
+    """A node's property map as plain data: ``{name: {"provenance", "value"}}``."""
     return {
         name: {
             "provenance": prop.provenance.value,
@@ -494,46 +491,23 @@ class TestPlainRendering:
         }
         assert plan_to_bytes(plan) == (render_value(legacy) + "\n").encode("utf-8")
 
-    @given(numbers)
-    def test_plain_number_renders_canonically_or_is_refused(self, x):
-        x = normalize_number(x)  # every number a Prop holds went through this
-        number = plain_number(x)
-        if number is None:
-            assert repr(x) != render_number(x) and not x.is_integer()
-        else:
-            assert json.dumps(number) == render_number(x)
-        if not x.is_integer() and repr(x) != render_number(x):
-            assert number is None
-            assert props_record({"n": Prop(x)})[1] is False
 
-    @pytest.mark.parametrize(
-        ("value", "plain"),
-        [(5e-05, None), (999999999999999.9, None), (5.0, 5), (-0.0, 0), (1e20, 10**20),
-         (2**40 + 0.5, 2**40 + 0.5), (123456789.123456, 123456789.123456)],
-    )
-    def test_plain_number_examples(self, value, plain):
-        number = plain_number(normalize_number(value))
-        assert number == plain and type(number) is type(plain)
-
-
-def test_encoder_fallback_keeps_the_pinned_bytes(monkeypatch, fixtures_dir, registry, all_docs):
-    # an interpreter without the json C accelerator encodes plain records
-    # with JSONEncoder.encode, which then runs the json module's Python
-    # encoder; the store and plan digests must not move
+def test_python_string_escaper_keeps_the_pinned_bytes(monkeypatch, fixtures_dir, registry, all_docs):
+    # an interpreter without the json C accelerator escapes strings with the
+    # json module's Python escaper; the store and plan digests must not move
     spec = importlib.util.spec_from_file_location(
         "check_fixtures", ROOT / "scripts" / "check_fixtures.py"
     )
     checker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checker)
-    encoded = []
+    escaped = []
 
-    def fallback(record):
-        encoded.append(record)
-        return canonical._ENCODER.encode(record)
+    def escaper(text):
+        escaped.append(text)
+        return json.encoder.py_encode_basestring(text)
 
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    monkeypatch.setattr(json.encoder, "encode_basestring", json.encoder.py_encode_basestring)
-    monkeypatch.setattr(canonical, "_encode", fallback)
+    for module in (canonical, graph_core, annotator, queries, seo):
+        monkeypatch.setattr(module, "render_text", escaper)
     store = load_store(fixtures_dir / "stores" / "federated.skg.jsonl", registry)
     assert hashlib.sha256(canonical_serialize(store)).hexdigest() == (
         "06e844a926fb227a8638fd80ff223d0a83f83c0539aeb234382fe3995a14faae"
@@ -541,4 +515,4 @@ def test_encoder_fallback_keeps_the_pinned_bytes(monkeypatch, fixtures_dir, regi
     for (_, subgraph), digest in checker.PLAN_DIGESTS.items():
         plan = plan_to_bytes(compile_seo(all_docs[subgraph], subgraph))
         assert hashlib.sha256(plan).hexdigest() == digest, subgraph
-    assert encoded
+    assert escaped

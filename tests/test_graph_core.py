@@ -185,6 +185,22 @@ class TestRecords:
         props["name"] = Prop("y")
         assert node.get("name") == "x"
 
+    def test_node_refuses_a_key_that_is_no_node_key(self):
+        # a plain tuple equal to a key once merged, and failed only on serialization
+        parts = ("SGA", "FailureMode", "a")
+        with pytest.raises(TypeError, match=re.escape(f"node key {parts!r} is not a NodeKey")):
+            Node(parts, {"name": Prop("x")})
+
+    def test_node_refuses_a_property_name_that_is_no_text(self):
+        with pytest.raises(TypeError, match=re.escape("SGA:FailureMode:a: property name 1 is not text")):
+            Node(key("a"), {1: Prop("x")})
+
+    # "xy" once unpacked into a value and a provenance and rendered silently
+    @pytest.mark.parametrize("raw", ["x", "xy", ("x", IC), 1.5], ids=["text", "pair-text", "tuple", "number"])
+    def test_node_refuses_a_property_value_that_is_no_prop(self, raw):
+        with pytest.raises(TypeError, match=re.escape(f"SGA:FailureMode:a.name: {raw!r} is not a Prop")):
+            Node(key("a"), {"name": raw})
+
     def test_records_are_immutable(self):
         node = Node(key("a"))
         with pytest.raises(AttributeError):
@@ -329,6 +345,17 @@ class TestEdges:
         message = f"{where}: pending must be a bool, not {type(pending).__name__}"
         with pytest.raises(TypeError, match=re.escape(message)):
             merge(g, [Edge("MASKED_BY", key("a"), dst, pending)])
+        assert canonical_serialize(g) == before
+        assert g.edge_count == 0
+
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_endpoint_that_is_no_node_key_is_refused(self, side):
+        g = self.graph_with_nodes()
+        before = canonical_serialize(g)
+        edge = Edge("CASCADES_TO", key("a"), key("b"))
+        edge = edge._replace(**{side: tuple(getattr(edge, side))})  # equal, but a plain tuple
+        with pytest.raises(TypeError, match="CASCADES_TO.*: src and dst must be NodeKeys"):
+            merge(g, [edge])
         assert canonical_serialize(g) == before
         assert g.edge_count == 0
 

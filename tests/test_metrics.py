@@ -14,7 +14,7 @@ from skg import (
     normalize_label,
     parse_seo,
 )
-from skg.canonical import render_record
+from skg.canonical import render_value
 from skg.metrics import default_aliases
 
 
@@ -235,4 +235,4 @@ class TestCompareExtractions:
         doc = doc_with_failures(["A", "B"])
         raw = compare_extractions([doc, doc]).to_jsonable()
         assert raw["mode"] == "within_agent"
-        assert json.loads(render_record(raw)) == json.loads(json.dumps(raw))
+        assert json.loads(render_value(raw)) == json.loads(json.dumps(raw))

@@ -4,6 +4,7 @@ import re
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
 from skg import (
     RangeError,
@@ -40,6 +41,8 @@ from skg.seo import (
 )
 
 from conftest import FIXTURES
+from test_annotator import _changed_document, claim_field_changes
+from test_canonical import numbers
 
 
 def minimal_json(mode: str = "OPERATIONAL") -> dict:
@@ -490,6 +493,29 @@ class TestSerializeRoundTrip:
         data = serialize_seo(doc)
         assert data == (render_value(to_jsonable(doc)) + "\n").encode("utf-8")
         assert rendered in data
+        assert serialize_seo(parse_seo(data)) == data
+
+    @given(case=claim_field_changes())
+    @settings(max_examples=100)
+    def test_changed_fixture_renders_as_its_plain_data(self, case):
+        try:
+            doc = parse_seo(_changed_document(*case))
+        except SeoParseError:
+            return
+        data = serialize_seo(doc)
+        assert data == (render_value(to_jsonable(doc)) + "\n").encode("utf-8")
+        assert serialize_seo(parse_seo(data)) == data
+
+    @given(step_index=numbers, confidence=numbers, threshold=numbers)
+    def test_design_numbers_render_as_their_plain_data(self, step_index, confidence, threshold):
+        # numbers as a caller builds them: not quantized, -0.0, 1e20, ints beyond float precision
+        point = DecisionPointClaim("ST-1", threshold_value=threshold, confidence=confidence)
+        doc = design_doc(
+            [StepRecord("mix", step_index, failure_modes=(fm("f", confidence=confidence),))],
+            [point],
+        )
+        data = serialize_seo(doc)
+        assert data == (render_value(to_jsonable(doc)) + "\n").encode("utf-8")
         assert serialize_seo(parse_seo(data)) == data
 
     def test_serialized_form_is_canonical(self):
