@@ -169,6 +169,16 @@ class _Builder:
         self.edges[edge.key] = edge
 
 
+def check_target(subgraph: str) -> None:
+    """Refuse a target subgraph that is not a key part, as ``compile_seo`` does.
+
+    Raises:
+        SubgraphMismatch: ``subgraph`` is not a key part.
+    """
+    if not KEY_PART_RE.fullmatch(subgraph):
+        raise SubgraphMismatch(f"subgraph {subgraph!r} outside {KEY_PART_RE.pattern}")
+
+
 def compile_seo(
     doc: SeoDocument, subgraph: str, *, aliases: Mapping[str, str] | None = None
 ) -> MergePlan:
@@ -190,8 +200,7 @@ def compile_seo(
         SubgraphMismatch: ``subgraph`` is not a key part, or the protocol
             layer declares a different subgraph.
     """
-    if not KEY_PART_RE.fullmatch(subgraph):
-        raise SubgraphMismatch(f"subgraph {subgraph!r} outside {KEY_PART_RE.pattern}")
+    check_target(subgraph)
     aliases = default_aliases() if aliases is None else aliases
     report = validate_seo(doc, subgraph, aliases=aliases)
     if not report.ok:

@@ -6,8 +6,8 @@ Store mutations take an exclusive advisory lock on ``<store>.lock``.
 Reads take a shared one and need no write access: a read creates the
 lock file only beside a store that exists, and one that can neither open
 nor create it reads without the lock. ``save_store`` replaces the store
-in one rename, so each open of the store still sees one whole version;
-only ``hash --verify``, which opens it twice, can see two.
+in one rename, so each open of the store sees one whole version; only
+``hash --verify``, which reads the store and then its sidecar, needs it.
 
 Exit codes (``skg.errors``): 0 success, 1 rejected input, 2 usage, 3 I/O
 failure, 4 violated graph invariant or missing record, argument out of
@@ -28,17 +28,8 @@ from pathlib import Path
 
 from .canonical import render_number, render_value, strict_loads
 from .errors import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE
-from .errors import InvariantError, Rejected, SkgError, SubgraphMismatch
-from .graph_core import (
-    Graph,
-    file_digest,
-    graph_hash,
-    is_trusted,
-    load_store,
-    parse_node_key,
-    read_sidecar,
-    save_store,
-)
+from .errors import Rejected, SkgError, SubgraphMismatch
+from .graph_core import Graph, load_store, parse_node_key, save_store, store_digest
 from .ontology import builtin_registry, schema_listing, validate_graph
 
 # The document parser, the compiler, the read queries and the matching
@@ -79,7 +70,10 @@ def _read_doc(path: str):
 
 @contextmanager
 def _store_lock(store: Path, exclusive: bool):
-    # flock takes either lock on a read-only descriptor, and closing it releases the lock
+    # flock takes either lock on a read-only descriptor, and closing it releases the lock.
+    # The shared lock is for `hash --verify`: it reads the store, then its sidecar, two
+    # files that one save replaces in turn, so a save between the reads would refuse a
+    # good store. Every other read opens the store once and is right without the lock.
     if store.is_dir():  # refused before a lock file can appear beside it
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(store))
     create = os.O_CREAT if exclusive or store.exists() else 0
@@ -126,9 +120,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    from .annotator import apply_plan, compile_seo, plan_from_json
+    from .annotator import apply_plan, check_target, compile_seo, plan_from_json
     from .seo import document_from_json, parse_seo
 
+    if args.subgraph is not None:  # given, even empty, it is checked as compile checks it
+        check_target(args.subgraph)
     raw = Path(args.input).read_bytes()
     # decoded once, then routed on shape: compiled plans are single merge_plan records
     try:
@@ -255,26 +251,8 @@ def cmd_schema(args) -> int:
 
 def cmd_hash(args) -> int:
     store = Path(args.graph)
-    registry = builtin_registry()
     with _store_lock(store, exclusive=False):
-        actual = file_digest(store, registry)
-        # a trusted store's digest is its canonical one; --verify reads every line anyway
-        if not args.verify and is_trusted(store, actual, registry):
-            print(actual)
-            return EXIT_OK
-        graph = load_store(store, registry)
-        recorded = read_sidecar(store) if args.verify else None
-    digest = graph_hash(graph)
-    if args.verify:
-        # the loader reads any spacing and member order within a line,
-        # so a store that loads can still differ from its canonical bytes
-        if actual != digest:
-            raise InvariantError(
-                f"store is not canonical: file sha256 {actual}, canonical {digest}"
-            )
-        if not recorded or recorded[0] != digest:
-            shown = recorded[0] if recorded else ("is missing" if recorded is None else "is empty")
-            raise InvariantError(f"digest mismatch: sidecar {shown}, computed {digest}")
+        digest = store_digest(store, builtin_registry(), args.verify)
     print(digest)
     return EXIT_OK
 

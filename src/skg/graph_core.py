@@ -26,7 +26,8 @@ UTF-8 on its own, so a bad byte is reported as ``<file>:<line>``.
 A store is *trusted* when its sidecar holds the SHA-256 of its bytes
 and the registry version, a pair only ``save_store`` writes; a load
 scoped to one subgraph then decodes only the lines that subgraph's reads
-can reach, and ``skg hash`` prints its digest without loading it.
+can reach, and ``store_digest`` (``skg hash``) returns its digest
+without decoding a record. Only this module reads the sidecar.
 Keys are read through ``key_from_record``, whose cache maps each key
 built to itself, so the parts of a key find it; plans share that shape.
 
@@ -73,7 +74,7 @@ from itertools import chain, islice
 from pathlib import Path
 from sys import intern
 from types import MappingProxyType
-from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Protocol
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol
 
 from .canonical import normalize_number, render_text, render_value, strict_loads
 from .errors import (
@@ -672,8 +673,8 @@ def sha256_hex(chunks: Iterable[bytes]) -> str:
     """SHA-256 hex digest of the chunks, hashed one at a time.
 
     It hashes canonical chunks for ``graph_hash`` and, as they are
-    written, for ``save_store``, a store file's blocks for
-    ``file_digest``, and its lines for a scoped ``load_store``.
+    written, for ``save_store``, and a store file's bytes for the trust
+    pass: in blocks for ``store_digest``, by line for a scoped ``load_store``.
     """
     # here, not at the top: a whole load, as for `skg query reuse` and `skg check`,
     # never hashes; every scoped read hashes its store to check trust
@@ -739,6 +740,10 @@ def save_store(graph: Graph, path: Path | str) -> str:
     while rendering or writing leaves the old store whole and removes
     the temporary file. The rename replaces a symlinked store path with
     a regular file. The sidecar is written last; nothing is fsynced.
+
+    Trust is sound whatever the order, because ``is_trusted`` hashes the
+    bytes it reads. Writing the store first only keeps a failed save,
+    such as a failed rename, from costing the old store its trust.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -867,21 +872,20 @@ def _read_header(handle: BinaryIO, path: Path, registry: RegistryInfo) -> bytes:
     return first
 
 
-def file_digest(path: Path | str, registry: RegistryInfo) -> str:
-    """SHA-256 hex digest of a store file's bytes, read in 64 KiB blocks.
+def _trust_pass(
+    handle: BinaryIO, path: Path, registry: RegistryInfo, first: bytes, scan: Callable | None = None
+) -> tuple[str, bool]:
+    """The SHA-256 of the store open at ``handle``, and whether it is trusted.
 
-    The header line is checked first, as ``load_store`` checks it, so a
-    store of another format or registry is refused before it is hashed.
-    For a trusted store (``is_trusted``) this is the ``graph_hash`` of
-    the graph the store holds.
-
-    Raises:
-        RegistryMismatch: the header line, as ``load_store`` reports it.
+    ``first`` is its header line, already read. The rest is hashed in
+    64 KiB blocks, or line by line through ``scan`` when it is given; the
+    handle is then rewound to the end of the header.
     """
-    path = Path(path)
-    with open(path, "rb") as handle:
-        first = _read_header(handle, path, registry)
-        return sha256_hex(chain((first,), iter(partial(handle.read, 1 << 16), b"")))
+    start = handle.tell()
+    rest = iter(partial(handle.read, 1 << 16), b"") if scan is None else map(scan, handle)
+    digest = sha256_hex(chain((first,), rest))
+    handle.seek(start)
+    return digest, is_trusted(path, digest, registry)
 
 
 def _lines_in_scope(
@@ -889,25 +893,22 @@ def _lines_in_scope(
 ) -> Iterator[tuple[int, bytes]]:
     """The numbered lines after the header that a read of ``subgraph`` can reach.
 
-    The first pass hashes every line and collects ``scope``: ``subgraph``
+    The trust pass scans every line and collects ``scope``: ``subgraph``
     and every subgraph named on a line that also names it. On a trusted
     store, the second pass keeps the lines whose every subgraph member
     is in ``scope``: the nodes of those subgraphs and the edges between
     them. On any other store it keeps every line. Either way a line
     keeps its number in the file.
     """
-    start = handle.tell()
     needle = b'"subgraph": "' + subgraph.encode() + b'"'
     scope = {subgraph.encode()}
 
-    def scanned() -> Iterator[bytes]:
-        for raw in handle:
-            if needle in raw:
-                scope.update(_SUBGRAPH_MEMBER.findall(raw))
-            yield raw
+    def scanned(raw: bytes) -> bytes:
+        if needle in raw:
+            scope.update(_SUBGRAPH_MEMBER.findall(raw))
+        return raw
 
-    trusted = is_trusted(path, sha256_hex(chain((first,), scanned())), registry)
-    handle.seek(start)
+    _, trusted = _trust_pass(handle, path, registry, first, scanned)
     lines = enumerate(handle, start=2)
     if not trusted:
         return lines
@@ -976,3 +977,28 @@ def load_store(path: Path | str, registry: RegistryInfo, subgraph: str | None = 
         finally:
             if collecting:
                 gc.enable()
+
+
+def store_digest(path: Path | str, registry: RegistryInfo, verify: bool = False) -> str:
+    """The ``graph_hash`` of the graph in the store at ``path``.
+
+    A trusted store's (``is_trusted``) file SHA-256 is returned after its
+    header is checked, without decoding a record; any other store is loaded whole.
+    ``verify`` loads every store and passes exactly on a trusted store
+    whose bytes are canonical, else raises ``InvariantError``: bytes not
+    canonical first, then a sidecar that does not read as ``save_store``
+    writes it (``OSError`` when it cannot be read).
+    """
+    path = Path(path)
+    with open(path, "rb") as handle:
+        actual, trusted = _trust_pass(handle, path, registry, _read_header(handle, path, registry))
+    if trusted and not verify:
+        return actual
+    digest = graph_hash(load_store(path, registry))
+    if verify and actual != digest:  # a line loads whatever its spacing and member order
+        raise InvariantError(f"store is not canonical: file sha256 {actual}, canonical {digest}")
+    if verify and not trusted:
+        recorded = read_sidecar(path)
+        shown = "is missing" if recorded is None else "  ".join(recorded) or "is empty"
+        raise InvariantError(f"digest mismatch: sidecar {shown}, computed {digest}")
+    return digest

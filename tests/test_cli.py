@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from skg import (
 )
 from skg.validation import Issue, ValidationReport
 import skg
-from skg import errors, queries
+from skg import cli, errors, graph_core, queries
 from skg.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -486,6 +487,54 @@ class TestApplyAndConverge:
         )
         assert code == EXIT_REJECTED
         assert "ELISA" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subgraph", ["", "a b"])
+    @pytest.mark.parametrize("given", ["elisa.seo.json", "automation.seo.json", "plan"])
+    def test_apply_refuses_a_subgraph_that_is_no_key_part(
+        self, tmp_path, fixtures_dir, capsys, subgraph, given
+    ):
+        # an empty --subgraph is given, not absent: a document with a protocol
+        # layer, one without and a plan file all meet compile's refusal
+        source = str(fixtures_dir / "elisa.seo.json")
+        if given == "plan":
+            assert main(["compile", source, "--subgraph", "ELISA"]) == EXIT_OK
+            (tmp_path / "elisa.plan.json").write_text(capsys.readouterr().out)
+            source = str(tmp_path / "elisa.plan.json")
+        else:
+            source = str(fixtures_dir / given)
+        before = sorted(tmp_path.iterdir())
+        code = main(["apply", source, "--graph", str(tmp_path / "s.skg.jsonl"), "--subgraph", subgraph])
+        assert code == EXIT_REJECTED
+        assert capsys.readouterr() == ("", f"error: subgraph {subgraph!r} outside [A-Za-z0-9_-]+\n")
+        assert sorted(tmp_path.iterdir()) == before  # no store, sidecar or lock file
+
+    def test_failed_rename_leaves_the_old_pair_trusted(
+        self, tmp_path, fixtures_dir, capsys, monkeypatch
+    ):
+        path = tmp_path / "one.skg.jsonl"
+        assert main(["apply", str(fixtures_dir / "elisa.seo.json"), "--graph", str(path)]) == EXIT_OK
+        digest = capsys.readouterr().out.strip()
+        files = sorted(tmp_path.iterdir())
+        before = [file.read_bytes() for file in files]
+
+        def refuse(src, dst):
+            raise OSError("rename failed")
+
+        def unchanged():
+            assert sorted(tmp_path.iterdir()) == files  # no .tmp file is left
+            assert [file.read_bytes() for file in files] == before
+            assert graph_core.is_trusted(path, digest, builtin_registry())
+
+        monkeypatch.setattr(graph_core.os, "replace", refuse)
+        # each save below writes a graph other than the stored one, so a sidecar
+        # written before the rename would name bytes the store does not hold
+        with pytest.raises(OSError, match="rename failed"):
+            save_store(Graph(builtin_registry()), path)
+        unchanged()
+        lcms = str(fixtures_dir / "lcms_prm.seo.json")
+        assert main(["apply", lcms, "--graph", str(path)]) == EXIT_IO
+        assert capsys.readouterr() == ("", "error: rename failed\n")
+        unchanged()
 
     @pytest.mark.parametrize(("edit", "report", "fixture_exit"), PLAN_RULE_BREACHES)
     def test_plan_breaking_a_record_rule_is_refused(
@@ -1436,6 +1485,44 @@ class TestCorruptStore:
                 f"error: digest mismatch: sidecar is missing, computed {FEDERATED_DIGEST}\n"
             )
 
+    @pytest.mark.parametrize(
+        ("sidecar", "code"),
+        [
+            pytest.param("{digest}  skg-ontology-1\n", EXIT_OK, id="as-saved"),
+            pytest.param("0" * 64 + "  skg-ontology-1\n", EXIT_INVARIANT, id="stale"),
+            pytest.param(None, EXIT_INVARIANT, id="missing"),
+            pytest.param("", EXIT_INVARIANT, id="empty"),
+            pytest.param(IsADirectoryError, EXIT_IO, id="directory"),
+            # what `sha256sum federated.skg.jsonl > federated.skg.sha256` writes
+            pytest.param("{digest}  federated.skg.jsonl\n", EXIT_INVARIANT, id="sha256sum"),
+            pytest.param("{digest}  skg-ontology-0\n", EXIT_INVARIANT, id="other-registry"),
+            pytest.param("{digest}\n", EXIT_INVARIANT, id="digest-alone"),
+        ],
+    )
+    def test_verify_passes_exactly_on_a_trusted_store(
+        self, fixtures_dir, tmp_path, capsys, sidecar, code
+    ):
+        path = copy_fixture_store(fixtures_dir, tmp_path)
+        digest_path(path).unlink()
+        if sidecar is IsADirectoryError:
+            digest_path(path).mkdir()
+        elif sidecar is not None:
+            sidecar = sidecar.format(digest=FEDERATED_DIGEST)
+            digest_path(path).write_text(sidecar)
+        assert main(["hash", "--graph", str(path), "--verify"]) == code
+        assert (code == EXIT_OK) == graph_core.is_trusted(path, FEDERATED_DIGEST, builtin_registry())
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            assert (out, err) == (FEDERATED_DIGEST + "\n", "")
+        elif code == EXIT_IO:
+            assert err.startswith("error: [Errno 21] Is a directory: ")
+        else:  # the sidecar's words, spaced as save_store writes them
+            shown = sidecar.strip() if sidecar else ("is empty" if sidecar == "" else "is missing")
+            assert (out, err) == (
+                "",
+                f"error: digest mismatch: sidecar {shown}, computed {FEDERATED_DIGEST}\n",
+            )
+
     def test_verify_of_a_missing_store_is_an_io_error(self, tmp_path, capsys):
         path = tmp_path / "absent.skg.jsonl"
         assert main(["hash", "--graph", str(path), "--verify"]) == EXIT_IO
@@ -1684,6 +1771,44 @@ class TestScopedRead:
         assert main(["hash", "--graph", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == FEDERATED_DIGEST + "\n"
         assert decoded[0] > 200
+
+
+class TestReadLock:
+    def test_verify_keeps_a_writer_waiting_until_it_ends(
+        self, fixtures_dir, tmp_path, capsys, monkeypatch
+    ):
+        # hash --verify reads the store, then its sidecar: two files that one save
+        # replaces in turn. A save between those reads would refuse a good store,
+        # so the readers' shared lock must hold a writer off until the read ends.
+        path = tmp_path / "one.skg.jsonl"
+        assert main(["apply", str(fixtures_dir / "elisa.seo.json"), "--graph", str(path)]) == EXIT_OK
+        old = capsys.readouterr().out.strip()
+        ended = []
+        writer = threading.Thread(
+            target=lambda: ended.append(main(["converge", "--graph", str(path)])), daemon=True
+        )
+        waiting = []
+        load = graph_core.load_store
+
+        def load_while_a_writer_starts(*args):
+            if not writer.ident:  # the first load is the reader's; the writer's pass through
+                writer.start()
+                writer.join(timeout=0.5)
+                waiting.append(writer.is_alive())
+            return load(*args)
+
+        # hooked under both names, so the hook holds wherever hash loads the store from
+        monkeypatch.setattr(graph_core, "load_store", load_while_a_writer_starts)
+        monkeypatch.setattr(cli, "load_store", load_while_a_writer_starts)
+        code = main(["hash", "--verify", "--graph", str(path)])
+        writer.join(timeout=30)
+        assert code == EXIT_OK
+        assert waiting == [True]
+        assert not writer.is_alive() and ended == [EXIT_OK]
+        new = digest_path(path).read_text().split()[0]
+        assert new != old  # converge approved the pending edges
+        # --verify printed the old digest, the writer the new one
+        assert sorted(capsys.readouterr().out.splitlines()) == sorted([old, new])
 
 
 # every error type's exit code, pinned, so that a type moved to another

@@ -1249,24 +1249,24 @@ class TestTrustedLoad:
         if spoil is edit_an_lcms_name:  # the edit is out of ELISA's scope, yet it is read
             assert any(str(n.get("name")).startswith("Edited ") for n in full.nodes(None, "LCMS_PRM"))
 
-    def test_file_digest_of_a_trusted_store_reads_only_the_header(
+    def test_store_digest_of_a_trusted_store_reads_only_the_header(
         self, stores, tmp_path, monkeypatch
     ):
         path = tmp_path / "t.skg.jsonl"
         digest = save_store(stores["federation-4"], path)
         decoded = count_decodes(monkeypatch)
-        assert graph_core.file_digest(path, builtin_registry()) == digest
+        assert graph_core.store_digest(path, builtin_registry()) == digest
         assert decoded[0] == 1
         assert graph_core.is_trusted(path, digest, builtin_registry())
         digest_path(path).write_text(f"{digest}\n")
         assert not graph_core.is_trusted(path, digest, builtin_registry())
 
-    def test_file_digest_checks_the_registry(self, stores, tmp_path):
+    def test_store_digest_checks_the_registry(self, stores, tmp_path):
         path = tmp_path / "t.skg.jsonl"
         save_store(stores["federation-4"], path)
         other = SimpleNamespace(version="skg-ontology-0")
         with pytest.raises(RegistryMismatch, match="written under 'skg-ontology-1'"):
-            graph_core.file_digest(path, other)
+            graph_core.store_digest(path, other)
 
     def test_scoped_load_reports_the_line_number_in_the_file(self, fixtures_dir, tmp_path):
         # an edited store whose sidecar was forged to match: a scoped load
